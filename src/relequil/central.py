@@ -11,7 +11,7 @@ from .model import (
     BodyConfiguration,
     CollisionError,
     PotentialSpec,
-    euler_omega_squared,
+    centrality_residual,
     moment_of_inertia,
     potential_gradient,
     potential_hessian,
@@ -49,9 +49,8 @@ def regular_polygon(n, radius=1.0, mass=1.0):
 
 def is_central_configuration(config, spec, tol_factor=CENTRALITY_TOL_FACTOR):
     """Residual test of grad(U) + lambda grad(I) = 0 with the Euler multiplier."""
-    lam = euler_omega_squared(config, spec)
-    g = potential_gradient(config, spec)
-    res = float(np.linalg.norm(g + lam * config.mass_vector * config.positions))
+    lam, g, F = centrality_residual(config, spec)
+    res = float(np.linalg.norm(F))
     tol = tol_factor * (float(np.linalg.norm(g)) + 1.0)
     return CentralityReport(res, lam, tol, res <= tol)
 
@@ -86,9 +85,7 @@ def _gauge_basis(z, masses):
 
 def _residual(positions, masses, spec):
     cfg = BodyConfiguration(masses, positions)
-    lam = euler_omega_squared(cfg, spec)
-    g = potential_gradient(cfg, spec)
-    F = g + lam * cfg.mass_vector * positions
+    lam, g, F = centrality_residual(cfg, spec)
     merit = np.linalg.norm(F) / (np.linalg.norm(g) + 1.0)
     return F, float(merit), cfg, lam, g
 

@@ -17,7 +17,12 @@ from .model import (
     potential_hessian,
 )
 from .presets import all_standard_cases
-from .spectrum import block_spectrum, build_block, full_linearization_spectrum
+from .spectrum import (
+    block_spectrum,
+    build_block,
+    compare_spectra,
+    full_linearization_spectrum,
+)
 from .symmetry import (
     build_polygon_symmetry_group,
     character_table,
@@ -87,15 +92,26 @@ def check_hessian_fd(n_samples=100, tol=1e-5, seed=12):
 
 
 def check_homomorphism(tol=1e-13):
-    worst = 0.0
-    for n in (3, 4, 5):
+    """The closed-form table against the representation matrices; the classes
+    must partition the group and be closed under conjugation."""
+    worst, classes_ok = 0.0, True
+    for n in range(3, 9):
         group = build_polygon_symmetry_group(n)
+        table = group.multiplication_table
         mats = [representation_matrix(g, n) for g in group.elements]
-        for i, g in enumerate(group.elements):
-            for j, h in enumerate(group.elements):
-                k = group.multiplication_table[i, j]
-                worst = max(worst, float(np.max(np.abs(mats[i] @ mats[j] - mats[k]))))
-    return "representation homomorphism", worst <= tol, f"worst defect {worst:.3e}"
+        for i in range(group.order):
+            for j in range(group.order):
+                worst = max(worst, float(np.max(np.abs(
+                    mats[i] @ mats[j] - mats[table[i, j]]))))
+        members = sorted(i for cl in group.conjugacy_classes for i in cl)
+        classes_ok &= members == list(range(group.order))
+        inverse = [int(np.flatnonzero(row == group.identity_index)[0]) for row in table]
+        for cl in group.conjugacy_classes:
+            for g in range(group.order):
+                classes_ok &= {int(table[table[g, c], inverse[g]]) for c in cl} == set(cl)
+    return ("representation homomorphism and conjugacy classes",
+            worst <= tol and classes_ok,
+            f"worst defect {worst:.3e}, classes {'ok' if classes_ok else 'BROKEN'}")
 
 
 def check_character_orthonormality(tol=1e-12):
@@ -140,20 +156,13 @@ def check_hamiltonian_symmetry(tol=1e-9):
         v = spec.values
         scale = max(float(np.max(np.abs(v))), 1e-300)
         for transform in (lambda s: -s, np.conj):
-            w = transform(v)
-            cost = np.abs(v[:, None] - w[None, :])
-            from scipy.optimize import linear_sum_assignment
-
-            r, c = linear_sum_assignment(cost)
-            worst = max(worst, float(cost[r, c].max()) / scale)
+            worst = max(worst, compare_spectra(v, transform(v)).max_distance / scale)
     return "Hamiltonian spectral symmetry", worst <= tol, f"worst rel {worst:.3e}"
 
 
 def check_scaling_law(tol=1e-8):
     """Radius scaling rho multiplies every eigenvalue by rho^{-(a+2)/2}."""
     worst = 0.0
-    from scipy.optimize import linear_sum_assignment
-
     for n, alpha, rho in ((3, 1.0, 1.7), (4, 1.4, 0.6), (5, 0.8, 2.3)):
         spec = PotentialSpec.homogeneous(alpha)
         base = full_linearization_spectrum(regular_polygon(n), spec).values
@@ -161,17 +170,13 @@ def check_scaling_law(tol=1e-8):
             regular_polygon(n, radius=rho), spec
         ).values
         predicted = base * rho ** (-(alpha + 2.0) / 2.0)
-        cost = np.abs(predicted[:, None] - scaled[None, :])
-        r, c = linear_sum_assignment(cost)
         scale = max(float(np.max(np.abs(predicted))), 1e-300)
-        worst = max(worst, float(cost[r, c].max()) / scale)
+        worst = max(worst, compare_spectra(predicted, scaled).max_distance / scale)
     return "radius scaling law", worst <= tol, f"worst rel {worst:.3e}"
 
 
 def check_block_closed_form(n_samples=1000, tol=1e-10, seed=14):
     rng = np.random.default_rng(seed)
-    from scipy.optimize import linear_sum_assignment
-
     worst = 0.0
     for _ in range(n_samples):
         omega = rng.uniform(0.1, 10.0)
@@ -179,10 +184,8 @@ def check_block_closed_form(n_samples=1000, tol=1e-10, seed=14):
         blk = build_block(omega, lam1, lam2)
         closed = block_spectrum(blk)
         dense = np.linalg.eigvals(blk.matrix)
-        cost = np.abs(closed[:, None] - dense[None, :])
-        r, c = linear_sum_assignment(cost)
         scale = max(float(np.max(np.abs(dense))), 1e-300)
-        worst = max(worst, float(cost[r, c].max()) / scale)
+        worst = max(worst, compare_spectra(closed, dense).max_distance / scale)
     return "block closed form vs dense eigensolver", worst <= tol, \
         f"worst rel {worst:.3e}"
 

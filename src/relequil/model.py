@@ -258,12 +258,11 @@ def potential_hessian(config, spec):
     return H
 
 
-def centrality_residual(config, spec, omega2=None):
-    """Norm of grad(U) + omega^2 grad(I); omega^2 defaults to the Euler value."""
-    if omega2 is None:
-        omega2 = euler_omega_squared(config, spec)
+def centrality_residual(config, spec):
+    """(omega^2, grad U, grad U + omega^2 grad I) with the Euler omega^2."""
+    omega2 = euler_omega_squared(config, spec)
     g = potential_gradient(config, spec)
-    return float(np.linalg.norm(g + omega2 * config.mass_vector * config.positions))
+    return omega2, g, g + omega2 * config.mass_vector * config.positions
 
 
 def euler_omega_squared(config, spec):
@@ -280,9 +279,8 @@ def angular_frequency_squared(config, spec, tol_factor=CENTRALITY_TOL_FACTOR):
     residual of grad(U + omega^2 I); raises NonCentralConfigurationError if
     the configuration is not central at the derived tolerance.
     """
-    omega2 = euler_omega_squared(config, spec)
-    g = potential_gradient(config, spec)
-    res = float(np.linalg.norm(g + omega2 * config.mass_vector * config.positions))
+    omega2, g, F = centrality_residual(config, spec)
+    res = float(np.linalg.norm(F))
     tol = tol_factor * (float(np.linalg.norm(g)) + 1.0)
     if res > tol:
         raise NonCentralConfigurationError(res, tol)

@@ -25,16 +25,19 @@ from .model import (
 from .presets import get_case
 from .spectrum import (
     CLASSIFY_TOL,
+    ConsistencyError,
     classify,
     compare_spectra,
     decompose_blocks,
     block_spectrum,
+    eigenvalue_labels,
     full_linearization_spectrum,
 )
 from .symmetry import (
     build_polygon_symmetry_group,
     character_table,
     eigenvalues_by_trace_equations,
+    polygon_axis_angle,
 )
 
 SCHEMA_VERSION = 1
@@ -44,10 +47,6 @@ REFERENCE_AGREE_TOL = 1e-9
 
 class InputError(ValueError):
     """Request cannot be resolved into a valid analysis."""
-
-
-class ConsistencyError(RuntimeError):
-    """Independent computation routes disagree beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -105,22 +104,10 @@ def _spectrum_dicts(spectrum, tol=1e-12):
 def polygon_group_for(config, tol=1e-8):
     """The dihedral group fixing the configuration, if it is a regular polygon
     (possibly rotated); None otherwise."""
-    q = config.points
-    radii = np.hypot(q[:, 0], q[:, 1])
-    if np.max(np.abs(radii - radii[0])) > tol * radii[0]:
+    base = polygon_axis_angle(config, tol)
+    if base is None:
         return None
-    if np.max(np.abs(config.masses - config.masses[0])) > tol * config.masses[0]:
-        return None
-    n = config.n
-    if n < 3:
-        return None
-    base = np.arctan2(q[0, 1], q[0, 0])
-    ang = np.arctan2(q[:, 1], q[:, 0])
-    expected = base + 2.0 * np.pi * np.arange(n) / n
-    delta = np.angle(np.exp(1j * (ang - expected)))
-    if np.max(np.abs(delta)) > tol:
-        return None
-    return build_polygon_symmetry_group(n, axis_angle=base)
+    return build_polygon_symmetry_group(config.n, axis_angle=base)
 
 
 @dataclass(frozen=True)
@@ -309,24 +296,26 @@ def run_analysis(request):
                 )
 
     decomposition = decompose_blocks(config, spec)
-    blocks = []
-    for pair, blk in zip(decomposition.pairs, decomposition.blocks):
-        blocks.append({
-            "lam1": float(blk.lam1),
-            "lam2": float(blk.lam2),
-            "omega": float(blk.omega),
-            "eigenvalues": _spectrum_dicts(Spectrum(block_spectrum(blk))),
-        })
-    coupled = []
-    for cb in decomposition.coupled:
-        coupled.append({
-            "dim": int(cb.dim),
-            "eigenvalues": _spectrum_dicts(Spectrum(cb.spectrum())),
-        })
-    union = decomposition.union_spectrum()
+    block_eigs = [block_spectrum(blk) for blk in decomposition.blocks]
+    coupled_eigs = [cb.spectrum() for cb in decomposition.coupled]
+    blocks = [{
+        "lam1": float(blk.lam1),
+        "lam2": float(blk.lam2),
+        "omega": float(blk.omega),
+        "eigenvalues": _spectrum_dicts(Spectrum(eigs)),
+    } for blk, eigs in zip(decomposition.blocks, block_eigs)]
+    coupled = [{
+        "dim": int(cb.dim),
+        "eigenvalues": _spectrum_dicts(Spectrum(eigs)),
+    } for cb, eigs in zip(decomposition.coupled, coupled_eigs)]
+    # each block is solved once; the union is the same multiset as
+    # decomposition.union_spectrum()
+    union = Spectrum(np.concatenate(block_eigs + coupled_eigs))
 
     oracle = full_linearization_spectrum(config, spec)
     match = compare_spectra(union, oracle, tol=request.compare_tol)
+    if not match.matches:
+        raise ConsistencyError("block union vs oracle", _mismatch(match, union, oracle))
     verdict = classify(oracle, tol=request.classify_tol)
 
     dynamics_entry = None
@@ -381,14 +370,18 @@ def run_analysis(request):
         "dynamics": dynamics_entry,
         "timing_seconds": (time.perf_counter() - t0) if request.with_timing else 0.0,
     }
-    report = StabilityReport(data)
-    if not match.matches:
-        raise ConsistencyError(
-            f"block-union spectrum does not match the oracle "
-            f"(max distance {match.max_distance:.3e}); report: "
-            f"{report.render_table()}"
-        )
-    return report
+    return StabilityReport(data)
+
+
+def _mismatch(match, union, oracle):
+    """The quantity by which two spectra failed to match."""
+    if match.cardinality_mismatch:
+        return f"block union has {len(union)} eigenvalues, the oracle {len(oracle)}"
+    a, b, _ = match.worst_pairs[0]
+    return (
+        f"max matched distance {match.max_distance:.3e} exceeds tol {match.tol:g} "
+        f"x scale {match.scale:.3e}; worst pair {a:.10g} (union) vs {b:.10g} (oracle)"
+    )
 
 
 def _dynamics_section(config, spec, oracle, verdict):
@@ -500,16 +493,5 @@ def _trichotomy_label(report, tol=CLASSIFY_TOL):
             best, best_err = blk, err
     eigs = np.array([complex(e["re"], e["im"]) for e in best["eigenvalues"]])
     keep = np.argsort(np.abs(eigs))[2:]      # drop the two structural zeros
-    labels = set()
-    thr = tol * omega
-    for s in eigs[keep]:
-        small_re, small_im = abs(s.real) <= thr, abs(s.imag) <= thr
-        if small_re and small_im:
-            labels.add("zero")
-        elif small_re:
-            labels.add("pure-imaginary")
-        elif small_im:
-            labels.add("real")
-        else:
-            labels.add("complex")
+    labels = set(eigenvalue_labels(eigs[keep], tol * omega))
     return labels.pop() if len(labels) == 1 else "/".join(sorted(labels))

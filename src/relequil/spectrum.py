@@ -18,7 +18,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .model import Spectrum, angular_frequency_squared, potential_hessian
-from .symmetry import J2, block_symplectic, j_compatible_pairs, joint_invariant_subspaces
+from .symmetry import (
+    J2,
+    block_symplectic,
+    polygon_axis_angle,
+    symplectic_pairs,
+    wave_number_basis,
+)
 
 SNAP_TOL = 1e-12            # coefficient snap in the closed-form quartic
 CLASSIFY_TOL = 1e-8         # |Re|, |Im| thresholds relative to spectral radius
@@ -26,6 +32,18 @@ PURIFY_CONST = 400.0        # cluster radius r_k = (PURIFY_CONST eps |A|)^(1/k)
 
 UNSTABLE = "spectrally-unstable"
 NOT_UNSTABLE = "not-unstable-at-linear-order"
+
+
+class ConsistencyError(RuntimeError):
+    """Independent computation routes, or a route's own bookkeeping, disagree.
+
+    ``stage`` names the step that broke; the message states the quantity
+    that broke and the bound it exceeded.
+    """
+
+    def __init__(self, stage, detail):
+        self.stage = stage
+        super().__init__(f"{stage}: {detail}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +114,8 @@ class CoupledBlock:
 
     Holds the restrictions of the Hessian and the block symplectic map to
     an orthonormal basis of the subspace; the first-order block is twice
-    the subspace dimension and is solved densely.
+    the subspace dimension and is solved densely, its defective clusters
+    purified at the block's own norm.
     """
 
     omega: float
@@ -117,7 +136,8 @@ class CoupledBlock:
         return B
 
     def spectrum(self):
-        return np.linalg.eigvals(self.matrix)
+        B = self.matrix
+        return purify_eigenvalues(np.linalg.eigvals(B), float(np.linalg.norm(B, 2)))
 
 
 @dataclass(frozen=True)
@@ -136,30 +156,38 @@ class BlockDecomposition:
         return Spectrum(np.array(vals))
 
 
-def decompose_blocks(config, spec, strict=False):
+def decompose_blocks(config, spec):
     """Block decomposition of the linearization at a central configuration.
 
     Every eigenvector pair found by the symplectic pairing yields a
-    closed-form 4x4 block.  Subspaces that admit no pairs (components of
-    n >= 5 polygons without translations) are kept whole as CoupledBlock
-    entries unless ``strict`` is set, in which case the pairing error
-    propagates.
+    closed-form 4x4 block.  What the pairs leave over becomes coupled
+    blocks: for a regular polygon one per real wave-number subspace that
+    the pairs do not cover (the classical ring reduction); for any other
+    configuration a single block on the whole space, in place of the pairs.
     """
     omega2 = angular_frequency_squared(config, spec)
     omega = float(np.sqrt(omega2))
-    H = potential_hessian(config, spec)
-    Hw = _mass_weighted(H, config)
-    if strict:
-        pairs = j_compatible_pairs(Hw)
-        coupled_blocks = ()
-    else:
-        pairs, coupled = joint_invariant_subspaces(Hw, config.n)
-        Jh = block_symplectic(config.n)
-        coupled_blocks = tuple(
-            CoupledBlock(omega, V.T @ Hw @ V, V.T @ Jh @ V) for V in coupled
-        )
+    Hw = _mass_weighted(potential_hessian(config, spec), config)
+    pairs, rest = symplectic_pairs(Hw)
+    bases = []
+    if rest.shape[1] and polygon_axis_angle(config) is not None:
+        waves = (wave_number_basis(config.points, k) for k in range(config.n // 2 + 1))
+        # |rest^T W|_F^2 is dim W when W lies in span(rest) and 0 when the
+        # pairs cover it; halfway splits the two
+        bases = [W for W in waves if np.sum((rest.T @ W) ** 2) > 0.5 * W.shape[1]]
+        dim = sum(W.shape[1] for W in bases)
+        if dim != rest.shape[1]:
+            raise ConsistencyError(
+                "decompose_blocks",
+                f"uncovered wave-number subspaces span {dim} dimensions, "
+                f"the J-pairs leave {rest.shape[1]}",
+            )
+    elif rest.shape[1]:
+        pairs, bases = [], [np.eye(2 * config.n)]
+    Jh = block_symplectic(config.n)
+    coupled = tuple(CoupledBlock(omega, V.T @ Hw @ V, V.T @ Jh @ V) for V in bases)
     blocks = tuple(build_block(omega, p.lam1, p.lam2) for p in pairs)
-    return BlockDecomposition(omega, tuple(pairs), blocks, coupled_blocks)
+    return BlockDecomposition(omega, tuple(pairs), blocks, coupled)
 
 
 def _mass_weighted(H, config):
@@ -265,6 +293,22 @@ class StabilityVerdict:
         return self.verdict == UNSTABLE
 
 
+def eigenvalue_labels(values, thr):
+    """Label each eigenvalue zero, pure-imaginary, real or complex at |Re|, |Im| <= thr."""
+    labels = []
+    for s in values:
+        small_re, small_im = abs(s.real) <= thr, abs(s.imag) <= thr
+        if small_re and small_im:
+            labels.append("zero")
+        elif small_re:
+            labels.append("pure-imaginary")
+        elif small_im:
+            labels.append("real")
+        else:
+            labels.append("complex")
+    return labels
+
+
 def classify(eigs, tol=CLASSIFY_TOL, scale=None):
     """Label eigenvalues and decide spectral stability.
 
@@ -277,17 +321,7 @@ def classify(eigs, tol=CLASSIFY_TOL, scale=None):
     if scale is None:
         scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     thr = tol * max(scale, 1e-300)
-    labels = []
-    for s in vals:
-        small_re, small_im = abs(s.real) <= thr, abs(s.imag) <= thr
-        if small_re and small_im:
-            labels.append("zero")
-        elif small_re:
-            labels.append("pure-imaginary")
-        elif small_im:
-            labels.append("real")
-        else:
-            labels.append("complex")
+    labels = eigenvalue_labels(vals, thr)
     max_re = float(np.max(vals.real)) if vals.size else 0.0
     verdict = UNSTABLE if max_re > thr else NOT_UNSTABLE
     return StabilityVerdict(vals, tuple(labels), verdict, max_re, thr)

@@ -3,13 +3,14 @@
 A group element is a body permutation combined with one planar orthogonal
 map applied to every body; it acts on flattened coordinates through a
 2n x 2n block-permutation matrix.  Characters, isotypic projectors, trace
-equations, and the pairing of eigenvectors compatible with the block
-symplectic operator all live here.
+equations, the pairing of eigenvectors compatible with the block
+symplectic operator, and the wave-number subspaces of a regular polygon
+all live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,20 +66,6 @@ class GroupElement:
     def is_reflection(self):
         return np.linalg.det(self.ortho) < 0
 
-    def compose(self, other):
-        """self after other, matching the product of representation matrices."""
-        perm = tuple(self.perm[p] for p in other.perm)
-        return GroupElement(perm, self.ortho @ other.ortho)
-
-    def inverse(self):
-        inv = [0] * self.n
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return GroupElement(tuple(inv), self.ortho.T)
-
-    def key(self, decimals=9):
-        return self.perm, tuple(np.round(self.ortho, decimals).ravel())
-
 
 def representation_matrix(g, n):
     """The 2n x 2n orthogonal matrix by which g acts on flat coordinates."""
@@ -92,51 +79,17 @@ def representation_matrix(g, n):
 
 @dataclass(frozen=True)
 class SymmetryGroup:
-    """Finite closed set of GroupElements with conjugacy-class bookkeeping."""
+    """The dihedral group of the regular n-gon with its conjugacy classes.
+
+    Element k < n is a^k and element n + k is a^k r; element 0 is the
+    identity.  ``multiplication_table[i, j]`` is the index of the product
+    elements[i] after elements[j].
+    """
 
     elements: tuple
-    identity_index: int = field(init=False)
-    conjugacy_classes: tuple = field(init=False)
-    multiplication_table: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
-        keys = {g.key(): i for i, g in enumerate(elems)}
-        if len(keys) != len(elems):
-            raise ValueError("duplicate group elements")
-        order = len(elems)
-        table = np.empty((order, order), dtype=int)
-        for i, g in enumerate(elems):
-            for j, h in enumerate(elems):
-                k = keys.get(g.compose(h).key())
-                if k is None:
-                    raise ValueError("element set is not closed under composition")
-                table[i, j] = k
-        table.flags.writeable = False
-        object.__setattr__(self, "multiplication_table", table)
-        ident = [i for i, g in enumerate(elems)
-                 if g.perm == tuple(range(g.n))
-                 and np.allclose(g.ortho, np.eye(2), atol=ORTHO_TOL)]
-        if len(ident) != 1:
-            raise ValueError("group must contain exactly one identity")
-        object.__setattr__(self, "identity_index", ident[0])
-        inverses = [None] * order
-        for i in range(order):
-            js = np.nonzero(table[i] == ident[0])[0]
-            if js.size != 1:
-                raise ValueError(f"element {i} lacks a unique inverse")
-            inverses[i] = int(js[0])
-        # conjugacy classes via orbit of conjugation
-        seen, classes = set(), []
-        for i in range(order):
-            if i in seen:
-                continue
-            orbit = {int(table[table[h, i], inverses[h]]) for h in range(order)}
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda cl: (cl != (self.identity_index,), len(cl), cl))
-        object.__setattr__(self, "conjugacy_classes", tuple(classes))
+    conjugacy_classes: tuple
+    multiplication_table: np.ndarray
+    identity_index = 0
 
     @property
     def order(self):
@@ -160,28 +113,38 @@ class SymmetryGroup:
 
 
 def build_polygon_symmetry_group(n, axis_angle=0.0):
-    """Dihedral group of order 2n fixing the regular n-gon, as a closed set.
+    """Dihedral group of order 2n fixing the regular n-gon.
 
     Generators: a = (cyclic shift i -> i+1, rotation by 2*pi/n) and
     r = (the permutation induced by reflecting the polygon, reflection about
     the axis through body 1).  ``axis_angle`` rotates the whole polygon's
     reference frame, matching configurations whose body 1 is off the x-axis.
+    The multiplication table and the conjugacy classes have closed forms:
+    a^i r a^j = a^(i-j) r, and the classes are {e}, {a^k, a^-k} and the
+    reflections (one class for odd n, two by the parity of k for even n),
+    ordered by (not identity, size, element indices).
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    shift = tuple((i + 1) % n for i in range(n))
-    flip = tuple((-i) % n for i in range(n))
-    a = GroupElement(shift, rotation(2.0 * np.pi / n), "a")
-    r = GroupElement(flip, reflection(axis_angle), "r")
-    elems = []
-    g = GroupElement(tuple(range(n)), np.eye(2), "e")
-    for k in range(n):
-        elems.append(GroupElement(g.perm, g.ortho, f"a{k}" if k else "e"))
-        g = a.compose(g)
-    for k in range(n):
-        rk = elems[k].compose(r)
-        elems.append(GroupElement(rk.perm, rk.ortho, f"a{k}r" if k else "r"))
-    return SymmetryGroup(tuple(elems))
+    rot, flip = rotation(2.0 * np.pi / n), reflection(axis_angle)
+    orthos = [np.eye(2)]
+    for _ in range(n - 1):
+        orthos.append(rot @ orthos[-1])
+    elems = [GroupElement(tuple((i + k) % n for i in range(n)), orthos[k],
+                          f"a{k}" if k else "e") for k in range(n)]
+    elems += [GroupElement(tuple((k - i) % n for i in range(n)), orthos[k] @ flip,
+                           f"a{k}r" if k else "r") for k in range(n)]
+    power = np.arange(2 * n) % n
+    is_refl = np.arange(2 * n) >= n
+    sign = np.where(is_refl, -1, 1)
+    table = ((power[:, None] + sign[:, None] * power[None, :]) % n
+             + n * (is_refl[:, None] ^ is_refl[None, :]))
+    table.flags.writeable = False
+    refl = tuple(range(n, 2 * n))
+    classes = [(0,)] + [tuple(sorted({k, n - k})) for k in range(1, n // 2 + 1)]
+    classes += [refl] if n % 2 else [refl[0::2], refl[1::2]]
+    classes.sort(key=lambda cl: (cl != (0,), len(cl), cl))
+    return SymmetryGroup(tuple(elems), tuple(classes), table)
 
 
 @dataclass(frozen=True)
@@ -480,6 +443,22 @@ def _strict_pairs(clusters, Jh, svd_tol):
     return pairs, leftover
 
 
+def symplectic_pairs(H, cluster_tol=1e-8, svd_tol=1e-7):
+    """Strict eigenvector pairs of a symmetric H and what they leave over.
+
+    Returns (pairs, rest): the JPair objects sorted by (lam1, lam2), and an
+    orthonormal basis of the eigenvector directions that no pair took.
+    Exact pairs leave 2n - 2 len(pairs) such directions; a pair accepted
+    within ``svd_tol`` but not exact leaves an extra one behind.
+    """
+    H = np.asarray(H, dtype=float)
+    pairs, leftover = _strict_pairs(
+        _eigen_clusters(H, cluster_tol), block_symplectic(H.shape[0] // 2), svd_tol
+    )
+    rest = np.column_stack([B for _, B in leftover] or [np.zeros((H.shape[0], 0))])
+    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), rest
+
+
 def j_compatible_pairs(H, group=None, cluster_tol=1e-8, svd_tol=1e-7,
                        invariance_tol=1e-8):
     """Split R^{2n} into n eigenvector pairs compatible with the symplectic J.
@@ -487,16 +466,12 @@ def j_compatible_pairs(H, group=None, cluster_tol=1e-8, svd_tol=1e-7,
     Each returned pair satisfies H v_k = lam_k v_k and
     Jhat (v1, v2) = (v1, v2) J exactly (v2 = -Jhat v1).  When ``group`` is
     given, invariance of H is checked first.  Raises PairingError when part
-    of the space admits no such pairs — which happens structurally for
-    isotypic components of n >= 5 polygons that contain no translations,
-    not just for numerically degenerate spectra; widening ``cluster_tol``
-    only helps in the latter case.
+    of the space admits no such pairs, which happens structurally for the
+    wave numbers 2 <= k < n/2 of n >= 5 polygons.
     """
     H = np.asarray(H, dtype=float)
-    two_n = H.shape[0]
-    if two_n % 2:
+    if H.shape[0] % 2:
         raise ValueError("dimension must be even")
-    n = two_n // 2
     if group is not None:
         scale = max(float(np.max(np.abs(H))), 1e-300)
         ok, defect = verify_invariance(H, group, tol=invariance_tol * scale)
@@ -504,49 +479,56 @@ def j_compatible_pairs(H, group=None, cluster_tol=1e-8, svd_tol=1e-7,
             raise InvarianceError(
                 f"matrix does not commute with the group action (defect {defect:.3e})"
             )
-    Jh = block_symplectic(n)
-    for widen in (1.0, 10.0, 100.0):
-        clusters = _eigen_clusters(H, cluster_tol * widen)
-        pairs, leftover = _strict_pairs(clusters, Jh, svd_tol)
-        if not leftover:
-            return sorted(pairs, key=lambda p: (p.lam1, p.lam2))
-    dim = sum(B.shape[1] for _, B in leftover)
-    raise PairingError(
-        f"{dim} dimensions admit no symplectically compatible eigenvector "
-        f"pairs (eigenvalues {[round(l, 6) for l, _ in leftover]})",
-        leftover_dim=dim,
-    )
+    pairs, rest = symplectic_pairs(H, cluster_tol, svd_tol)
+    if rest.shape[1]:
+        lams = np.linalg.eigvalsh(rest.T @ H @ rest)
+        raise PairingError(
+            f"{rest.shape[1]} dimensions admit no symplectically compatible "
+            f"eigenvector pairs (eigenvalues {np.round(lams, 6).tolist()})",
+            leftover_dim=rest.shape[1],
+        )
+    return pairs
 
 
-def joint_invariant_subspaces(H, n, cluster_tol=1e-8):
-    """Minimal subspaces invariant under both H and the block symplectic map.
+def polygon_axis_angle(config, tol=1e-8):
+    """Angle of body 1 if the configuration is an equal-mass regular polygon.
 
-    Returns (pairs, coupled) where ``pairs`` are strict JPair objects and
-    ``coupled`` is a list of orthonormal bases of the leftover minimal
-    joint-invariant subspaces (dimension 4 for polygon components without
-    translations).  Union of all spans is R^{2n}.
+    The bodies must sit counterclockwise at angles base + 2 pi j / n about
+    the origin, with n >= 3; returns None otherwise.
     """
-    H = np.asarray(H, dtype=float)
-    Jh = block_symplectic(n)
-    clusters = _eigen_clusters(H, cluster_tol)
-    pairs, leftover = _strict_pairs(clusters, Jh, svd_tol=1e-7)
-    coupled = []
-    remaining = [list(t) for t in leftover]
-    while any(B.shape[1] > 0 for _, B in remaining):
-        i = next(k for k, (_, B) in enumerate(remaining) if B.shape[1] > 0)
-        lam, B = remaining[i]
-        # grow span{v, Jhat v, H Jhat v, ...} to joint invariance
-        V = B[:, :1]
-        for _ in range(2 * n):
-            W = np.column_stack([V, Jh @ V, H @ V])
-            U, S, _ = np.linalg.svd(W, full_matrices=False)
-            W = U[:, S > 1e-9 * max(S[0], 1.0)]
-            if W.shape[1] == V.shape[1]:
-                break
-            V = W
-        coupled.append(V)
-        for k, (lam_k, B_k) in enumerate(remaining):
-            for col in range(V.shape[1]):
-                B_k = _deflate(B_k, V[:, col]) if B_k.shape[1] else B_k
-            remaining[k][1] = B_k
-    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), coupled
+    q = config.points
+    radii = np.hypot(q[:, 0], q[:, 1])
+    if np.max(np.abs(radii - radii[0])) > tol * radii[0]:
+        return None
+    if np.max(np.abs(config.masses - config.masses[0])) > tol * config.masses[0]:
+        return None
+    n = config.n
+    if n < 3:
+        return None
+    base = np.arctan2(q[0, 1], q[0, 0])
+    ang = np.arctan2(q[:, 1], q[:, 0])
+    expected = base + 2.0 * np.pi * np.arange(n) / n
+    delta = np.angle(np.exp(1j * (ang - expected)))
+    if np.max(np.abs(delta)) > tol:
+        return None
+    return base
+
+
+def wave_number_basis(points, k):
+    """Orthonormal basis of the real wave-number-k subspace of a regular polygon.
+
+    Columns are the radial and tangential unit vectors of the bodies weighted
+    by cos(2 pi j k / n) and sin(2 pi j k / n): dimension 4, or 2 at k = 0 and
+    k = n/2 where the sine patterns vanish.  At an equal-mass regular polygon
+    the subspace is invariant under the Hessian of any pair potential and
+    under the block symplectic map.
+    """
+    q = np.asarray(points, dtype=float)
+    n = q.shape[0]
+    radial = q / np.hypot(q[:, 0], q[:, 1])[:, None]
+    tangential = radial @ J2
+    phase = 2.0 * np.pi * k * np.arange(n) / n
+    waves = [np.cos(phase)] + ([] if (2 * k) % n == 0 else [np.sin(phase)])
+    cols = [(w[:, None] * e).ravel() for e in (radial, tangential) for w in waves]
+    V = np.column_stack(cols)
+    return V / np.linalg.norm(V, axis=0)

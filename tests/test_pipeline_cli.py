@@ -4,10 +4,12 @@ import pathlib
 import numpy as np
 import pytest
 
+from relequil import pipeline
 from relequil.central import regular_polygon
 from relequil.cli import main as cli_main
 from relequil.pipeline import (
     AnalysisRequest,
+    ConsistencyError,
     InputError,
     StabilityReport,
     polygon_group_for,
@@ -119,6 +121,33 @@ class TestReports:
         )
         assert report.matches_oracle
         assert len(report.to_dict()["coupled_blocks"]) == 1
+
+
+class TestConsistencyError:
+    def test_names_stage_distance_and_worst_pair(self):
+        with pytest.raises(ConsistencyError) as err:
+            run_analysis(AnalysisRequest(case="triangle-homogeneous", alpha=1.0,
+                                         compare_tol=1e-30))
+        text = str(err.value)
+        assert err.value.stage == "block union vs oracle"
+        assert text.startswith("block union vs oracle: max matched distance ")
+        assert "exceeds tol 1e-30 x scale " in text
+        assert "worst pair " in text and "(union) vs " in text
+        assert "omega^2" not in text and "verdict" not in text
+
+    def test_names_both_sizes_on_cardinality_mismatch(self, monkeypatch):
+        real = pipeline.decompose_blocks
+
+        def drop_a_block(config, spec):
+            deco = real(config, spec)
+            return type(deco)(deco.omega, deco.pairs[1:], deco.blocks[1:], deco.coupled)
+
+        monkeypatch.setattr(pipeline, "decompose_blocks", drop_a_block)
+        with pytest.raises(ConsistencyError) as err:
+            run_analysis(_preset_request("triangle-homogeneous"))
+        assert str(err.value) == (
+            "block union vs oracle: block union has 8 eigenvalues, the oracle 12"
+        )
 
 
 class TestSweep:

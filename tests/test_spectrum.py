@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from relequil.central import regular_polygon
-from relequil.model import PotentialSpec, Spectrum, angular_frequency_squared
+from relequil.central import refine_central_configuration, regular_polygon
+from relequil.model import (
+    BodyConfiguration,
+    PotentialSpec,
+    Spectrum,
+    angular_frequency_squared,
+)
 from relequil.spectrum import (
     NOT_UNSTABLE,
     UNSTABLE,
@@ -238,6 +243,35 @@ class TestBlockOracleAgreement:
         union = deco.union_spectrum()
         oracle = full_linearization_spectrum(cfg, spec)
         assert compare_spectra(union, oracle, tol=1e-9).matches
+
+    @pytest.mark.parametrize("n", [10, 11, 12, 13, 16, 24])
+    @pytest.mark.parametrize("terms", [
+        ((1.0, 1.0),), ((1.0, 2.5),), ((1.0, 1.0), (1.0, 2.0)), ((1.0, 1.0), (1.0, 3.0)),
+    ], ids=["r-1", "r-2.5", "manev", "schwarzschild"])
+    def test_large_polygons_by_wave_number(self, n, terms):
+        cfg = regular_polygon(n).rotated(0.7)
+        spec = PotentialSpec(terms)
+        deco = decompose_blocks(cfg, spec)
+        assert all(cb.dim in (2, 4) for cb in deco.coupled)
+        union = deco.union_spectrum()
+        assert len(union) == 4 * n
+        m = compare_spectra(union, full_linearization_spectrum(cfg, spec), tol=1e-9)
+        assert m.matches, m.max_distance / m.scale
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("spec", [PotentialSpec.manev(), PotentialSpec.schwarzschild()],
+                             ids=["manev", "schwarzschild"])
+    def test_refined_collinear_quasi_homogeneous(self, n, spec):
+        # no dihedral symmetry and no complete pairing: one whole-space block
+        # whose defective zero cluster is purified like the oracle's
+        masses = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        guess = np.zeros(2 * n)
+        guess[0::2] = np.linspace(-1.0, 1.0, n)
+        cfg = refine_central_configuration(BodyConfiguration(masses, guess), spec)
+        union = decompose_blocks(cfg, spec).union_spectrum()
+        assert len(union) == 4 * n
+        m = compare_spectra(union, full_linearization_spectrum(cfg, spec), tol=1e-9)
+        assert m.matches, m.max_distance / m.scale
 
     def test_radius_scaling_law(self):
         # eigenvalues scale as rho^{-(alpha+2)/2} for single-term potentials

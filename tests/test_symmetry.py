@@ -13,10 +13,10 @@ from relequil.symmetry import (
     eigenvalues_by_trace_equations,
     isotypic_projectors,
     j_compatible_pairs,
-    joint_invariant_subspaces,
     representation_character,
     representation_matrix,
     verify_invariance,
+    wave_number_basis,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -89,6 +89,27 @@ class TestGroupConstruction:
                 for j in range(group.order):
                     k = group.multiplication_table[i, j]
                     assert np.max(np.abs(mats[i] @ mats[j] - mats[k])) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_closed_form_table_and_classes_match_brute_force(self, n):
+        group = build_polygon_symmetry_group(n, axis_angle=0.37)
+        mats = [representation_matrix(g, n) for g in group.elements]
+
+        def index_of(M):
+            hits = [k for k, D in enumerate(mats) if np.allclose(D, M, atol=1e-12)]
+            assert len(hits) == 1
+            return hits[0]
+
+        table = np.array([[index_of(A @ B) for B in mats] for A in mats])
+        np.testing.assert_array_equal(group.multiplication_table, table)
+        identity = index_of(np.eye(2 * n))
+        assert identity == group.identity_index == 0
+        inverse = [index_of(A.T) for A in mats]
+        classes = {tuple(sorted({int(table[table[h, i], inverse[h]])
+                                 for h in range(2 * n)}))
+                   for i in range(2 * n)}
+        expected = sorted(classes, key=lambda cl: (cl != (identity,), len(cl), cl))
+        assert group.conjugacy_classes == tuple(expected)
 
     def test_rotated_axis_group_fixes_rotated_polygon(self):
         cfg = regular_polygon(5).rotated(0.37)
@@ -339,17 +360,14 @@ class TestJPairs:
         assert err.value.leftover_dim == 4
 
     def test_pentagon_joint_subspaces_cover(self):
-        cfg = regular_polygon(5)
+        cfg = regular_polygon(5).rotated(0.4)
         H = potential_hessian(cfg, PotentialSpec.homogeneous(1.0))
-        pairs, coupled = joint_invariant_subspaces(H, 5)
-        assert len(pairs) == 3
-        assert len(coupled) == 1
-        assert coupled[0].shape == (10, 4)
-        dim = 2 * len(pairs) + sum(V.shape[1] for V in coupled)
-        assert dim == 10
-        # coupled basis is jointly invariant
-        V = coupled[0]
         Jh = block_symplectic(5)
-        for M in (H, Jh):
-            resid = M @ V - V @ (V.T @ M @ V)
-            assert np.max(np.abs(resid)) <= 1e-9
+        bases = [wave_number_basis(cfg.points, k) for k in range(3)]
+        assert [V.shape[1] for V in bases] == [2, 4, 4]
+        V = np.column_stack(bases)
+        np.testing.assert_allclose(V.T @ V, np.eye(10), atol=1e-14)
+        for W in bases:
+            for M in (H, Jh):
+                resid = M @ W - W @ (W.T @ M @ W)
+                assert np.max(np.abs(resid)) <= 1e-13
