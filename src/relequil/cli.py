@@ -56,16 +56,24 @@ def _emit(args, payload, text, default_name):
     print(rendered)
 
 
+def _parse_floats(text, flag):
+    """'1,2.5,3' -> (1.0, 2.5, 3.0); None stays None."""
+    if not text:
+        return None
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"{flag}: {exc}") from exc
+
+
 def _request_from_args(args, alpha=None):
-    positions = None
-    if getattr(args, "positions", None):
-        positions = tuple(float(x) for x in args.positions.split(","))
     potential = _parse_potential(args.potential) if args.potential else None
     return AnalysisRequest(
         case=args.case,
         alpha=alpha if alpha is not None else args.alpha,
         potential=potential,
-        positions=positions,
+        masses=_parse_floats(args.masses, "--masses"),
+        positions=_parse_floats(args.positions, "--positions"),
         compare_tol=args.tol if args.tol else 1e-9,
         with_dynamics=getattr(args, "dynamics", False),
         with_timing=getattr(args, "timing", False),
@@ -190,6 +198,8 @@ def build_parser():
                        help="explicit terms 'c1:a1,c2:a2'")
         p.add_argument("--positions", default=None,
                        help="flat x1,y1,x2,y2,... for explicit configurations")
+        p.add_argument("--masses", default=None,
+                       help="m1,m2,... for explicit configurations (default all 1)")
         p.add_argument("--tol", type=float, default=None,
                        help="block-vs-oracle comparison tolerance")
         p.add_argument("--out", default=None, help="write output to this path")

@@ -238,24 +238,24 @@ def potential_hessian(config, spec):
         c m_i m_j [a(a+2) r^{-a-4} d d^T - a r^{-a-2} I2],  d = q_i - q_j,
     added on the two diagonal body blocks and subtracted on the two
     off-diagonal ones, which encodes translation invariance exactly.
+    Each term's blocks are built at once and scattered onto (n, n, 2, 2)
+    body blocks.  A diagonal block b takes the pairs (j, b) before the
+    pairs (b, j), so every entry sums its pairs in i < j order.
     """
     iu, ju, d, r = _pair_geometry(config)
     mm = config.masses[iu] * config.masses[ju]
     n = config.n
-    H = np.zeros((2 * n, 2 * n))
-    eye2 = np.eye(2)
+    H = np.zeros((n, n, 2, 2))
+    dd = d[:, :, None] * d[:, None, :]
+    diag = np.concatenate([ju, iu])
     for c, a in spec.terms:
         coef_dd = c * mm * a * (a + 2) * r ** (-a - 4)
         coef_id = c * mm * a * r ** (-a - 2)
-        for k in range(iu.size):
-            i, j = int(iu[k]), int(ju[k])
-            blk = coef_dd[k] * np.outer(d[k], d[k]) - coef_id[k] * eye2
-            sl_i, sl_j = slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2)
-            H[sl_i, sl_i] += blk
-            H[sl_j, sl_j] += blk
-            H[sl_i, sl_j] -= blk
-            H[sl_j, sl_i] -= blk
-    return H
+        blk = coef_dd[:, None, None] * dd - coef_id[:, None, None] * np.eye(2)
+        np.add.at(H, (diag, diag), np.concatenate([blk, blk]))
+        H[iu, ju] -= blk
+        H[ju, iu] -= blk
+    return H.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
 
 
 def centrality_residual(config, spec):

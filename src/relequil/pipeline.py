@@ -71,6 +71,8 @@ class AnalysisRequest:
             spec = case.potential
             if self.potential is not None:
                 raise InputError("give either a preset case or a potential")
+            if self.masses is not None:
+                raise InputError("give either a preset case or masses")
             return case.configuration(), spec, case
         if self.positions is None:
             raise InputError("need a preset case or explicit positions")

@@ -220,19 +220,35 @@ def purify_eigenvalues(values, matrix_norm, max_chain=8, const=PURIFY_CONST):
     (eps |A|)^(1/k) while the cluster mean stays first-order accurate.
     Clusters are merged at radius r_k = (const eps |A|)^(1/k) only when the
     merged multiplicity is at least k, so large radii cannot glue distinct
-    simple eigenvalues together.
+    simple eigenvalues together.  Each pass links the cluster means closer
+    than r_k in one distance matrix and walks the linked components depth
+    first; that walk orders each merged cluster, and so the sum behind its
+    mean.
     """
     eps = np.finfo(float).eps
     vals = np.asarray(values, dtype=complex)
     clusters = [[i] for i in range(vals.size)]
+    # the mean of a single value is the value with any -0.0 part made +0.0
+    means = vals + 0.0
     for k in range(2, max_chain + 1):
         rk = (const * eps * matrix_norm) ** (1.0 / k)
         while True:
-            means = [np.mean(vals[c]) for c in clusters]
-            m = len(clusters)
-            seen = [False] * m
-            comps = []
-            for i in range(m):
+            gap = means[:, None] - means[None, :]
+            # hypot per entry equals the scalar complex abs bit for bit;
+            # numpy's vectorized complex abs can differ in the last bit
+            near = np.hypot(gap.real, gap.imag) <= rk
+            np.fill_diagonal(near, False)
+            if not near.any():
+                break
+            linked = near.any(axis=1)
+            seen = np.zeros(len(clusters), dtype=bool)
+            new_clusters, new_means = [], []
+            merged_any = False
+            for i in range(len(clusters)):
+                if not linked[i]:
+                    new_clusters.append(clusters[i])
+                    new_means.append(means[i])
+                    continue
                 if seen[i]:
                     continue
                 stack, comp = [i], []
@@ -240,26 +256,25 @@ def purify_eigenvalues(values, matrix_norm, max_chain=8, const=PURIFY_CONST):
                 while stack:
                     u = stack.pop()
                     comp.append(u)
-                    for v in range(m):
-                        if not seen[v] and abs(means[u] - means[v]) <= rk:
-                            seen[v] = True
-                            stack.append(v)
-                comps.append(comp)
-            merged_any = False
-            new_clusters = []
-            for comp in comps:
+                    for v in np.flatnonzero(near[u] & ~seen):
+                        seen[v] = True
+                        stack.append(v)
                 total = sum(len(clusters[u]) for u in comp)
                 if len(comp) > 1 and total >= k:
-                    new_clusters.append(sum((clusters[u] for u in comp), []))
+                    merged = sum((clusters[u] for u in comp), [])
+                    new_clusters.append(merged)
+                    new_means.append(np.mean(vals[merged]))
                     merged_any = True
                 else:
                     new_clusters.extend(clusters[u] for u in comp)
-            clusters = new_clusters
+                    new_means.extend(means[u] for u in comp)
+            clusters, means = new_clusters, np.array(new_means)
             if not merged_any:
                 break
-    out = np.empty_like(vals)
-    for c in clusters:
-        out[c] = np.mean(vals[c])
+    out = vals + 0.0
+    for c, mean in zip(clusters, means):
+        if len(c) > 1:
+            out[c] = mean
     return out
 
 

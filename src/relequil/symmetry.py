@@ -373,10 +373,8 @@ class JPair:
 
 def block_symplectic(n):
     """diag(J, ..., J): the planar quarter-turn applied to every body."""
-    Z = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        Z[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = J2
-    return Z
+    # + 0.0 turns the -0.0 that 0 * -1 leaves off the diagonal into +0.0
+    return np.kron(np.eye(n), J2) + 0.0
 
 
 def _eigen_clusters(H, cluster_tol):
@@ -415,9 +413,16 @@ def _fix_pair_sign(v1, v2, tol=1e-9):
 
 
 def _strict_pairs(clusters, Jh, svd_tol):
-    """Greedy extraction of eigenvector pairs with Jhat v1 = -v2 exactly."""
+    """Greedy extraction of eigenvector pairs with Jhat v1 = -v2 exactly.
+
+    Sweeps every cluster pair (i, j) until a sweep accepts nothing.  A test
+    that failed is repeated only once cluster i or j has been deflated
+    since: unchanged bases give the same SVD and fail again.
+    """
     pairs = []
     cl = [[lam, B] for lam, B in clusters]
+    version = [0] * len(cl)
+    failed = {}
     progress = True
     while progress:
         progress = False
@@ -428,9 +433,12 @@ def _strict_pairs(clusters, Jh, svd_tol):
                     continue
                 if i == j and Bi.shape[1] < 2:
                     continue
+                if failed.get((i, j)) == (version[i], version[j]):
+                    continue
                 sv = np.linalg.svd(Bj.T @ Jh @ Bi)
                 k = int(np.argmax(sv.S))
                 if abs(sv.S[k] - 1.0) > svd_tol:
+                    failed[(i, j)] = (version[i], version[j])
                     continue
                 v1 = Bi @ sv.Vh[k]
                 v2 = -Jh @ v1
@@ -438,6 +446,8 @@ def _strict_pairs(clusters, Jh, svd_tol):
                 pairs.append(JPair(cl[i][0], cl[j][0], v1, v2))
                 cl[i][1] = _deflate(cl[i][1], v1)
                 cl[j][1] = _deflate(cl[j][1], v2)
+                version[i] += 1
+                version[j] += 1
                 progress = True
     leftover = [(lam, B) for lam, B in cl if B.shape[1] > 0]
     return pairs, leftover

@@ -1,0 +1,259 @@
+"""The vectorized Hessian, purification and pairing against the loops they replaced.
+
+Each ``_reference_*`` function below is the earlier per-entry Python loop,
+kept as the definition of the result.  The library's versions change only
+how the work is organised, not the arithmetic or its order, so they must
+return the same bytes on every input.
+"""
+
+import numpy as np
+import pytest
+
+from relequil.central import regular_polygon
+from relequil.model import BodyConfiguration, PotentialSpec, potential_hessian
+from relequil.presets import all_standard_cases
+from relequil.spectrum import PURIFY_CONST, linearization_matrix, purify_eigenvalues
+from relequil.symmetry import (
+    J2,
+    JPair,
+    _deflate,
+    _eigen_clusters,
+    _fix_pair_sign,
+    _strict_pairs,
+    block_symplectic,
+)
+
+BENCHMARK_POTENTIALS = {
+    "r-1": ((1.0, 1.0),),
+    "r-2.5": ((1.0, 2.5),),
+    "manev": ((1.0, 1.0), (1.0, 2.0)),
+    "schwarzschild": ((1.0, 1.0), (1.0, 3.0)),
+}
+
+
+def _reference_hessian(config, spec):
+    q = config.points
+    iu, ju = np.triu_indices(config.n, 1)
+    d = q[iu] - q[ju]
+    r = np.hypot(d[:, 0], d[:, 1])
+    mm = config.masses[iu] * config.masses[ju]
+    n = config.n
+    H = np.zeros((2 * n, 2 * n))
+    eye2 = np.eye(2)
+    for c, a in spec.terms:
+        coef_dd = c * mm * a * (a + 2) * r ** (-a - 4)
+        coef_id = c * mm * a * r ** (-a - 2)
+        for k in range(iu.size):
+            i, j = int(iu[k]), int(ju[k])
+            blk = coef_dd[k] * np.outer(d[k], d[k]) - coef_id[k] * eye2
+            sl_i, sl_j = slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2)
+            H[sl_i, sl_i] += blk
+            H[sl_j, sl_j] += blk
+            H[sl_i, sl_j] -= blk
+            H[sl_j, sl_i] -= blk
+    return H
+
+
+def _reference_purify(values, matrix_norm, max_chain=8, const=PURIFY_CONST):
+    eps = np.finfo(float).eps
+    vals = np.asarray(values, dtype=complex)
+    clusters = [[i] for i in range(vals.size)]
+    for k in range(2, max_chain + 1):
+        rk = (const * eps * matrix_norm) ** (1.0 / k)
+        while True:
+            means = [np.mean(vals[c]) for c in clusters]
+            m = len(clusters)
+            seen = [False] * m
+            comps = []
+            for i in range(m):
+                if seen[i]:
+                    continue
+                stack, comp = [i], []
+                seen[i] = True
+                while stack:
+                    u = stack.pop()
+                    comp.append(u)
+                    for v in range(m):
+                        if not seen[v] and abs(means[u] - means[v]) <= rk:
+                            seen[v] = True
+                            stack.append(v)
+                comps.append(comp)
+            merged_any = False
+            new_clusters = []
+            for comp in comps:
+                total = sum(len(clusters[u]) for u in comp)
+                if len(comp) > 1 and total >= k:
+                    new_clusters.append(sum((clusters[u] for u in comp), []))
+                    merged_any = True
+                else:
+                    new_clusters.extend(clusters[u] for u in comp)
+            clusters = new_clusters
+            if not merged_any:
+                break
+    out = np.empty_like(vals)
+    for c in clusters:
+        out[c] = np.mean(vals[c])
+    return out
+
+
+def _reference_strict_pairs(clusters, Jh, svd_tol):
+    pairs = []
+    cl = [[lam, B] for lam, B in clusters]
+    progress = True
+    while progress:
+        progress = False
+        for i in range(len(cl)):
+            for j in range(i, len(cl)):
+                Bi, Bj = cl[i][1], cl[j][1]
+                if Bi.shape[1] == 0 or Bj.shape[1] == 0:
+                    continue
+                if i == j and Bi.shape[1] < 2:
+                    continue
+                sv = np.linalg.svd(Bj.T @ Jh @ Bi)
+                k = int(np.argmax(sv.S))
+                if abs(sv.S[k] - 1.0) > svd_tol:
+                    continue
+                v1 = Bi @ sv.Vh[k]
+                v2 = -Jh @ v1
+                v1, v2 = _fix_pair_sign(v1, v2)
+                pairs.append(JPair(cl[i][0], cl[j][0], v1, v2))
+                cl[i][1] = _deflate(cl[i][1], v1)
+                cl[j][1] = _deflate(cl[j][1], v2)
+                progress = True
+    leftover = [(lam, B) for lam, B in cl if B.shape[1] > 0]
+    return pairs, leftover
+
+
+def _reference_block_symplectic(n):
+    Z = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        Z[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = J2
+    return Z
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _analysis_inputs():
+    """(label, config, spec): the six presets and polygons n = 3..16."""
+    out = [(case.name, case.configuration(), case.potential)
+           for case in all_standard_cases()]
+    for n in range(3, 17):
+        for name, terms in BENCHMARK_POTENTIALS.items():
+            out.append((f"n={n} {name}", regular_polygon(n).rotated(0.7),
+                        PotentialSpec(terms)))
+    return out
+
+
+ANALYSIS_INPUTS = _analysis_inputs()
+
+
+def _random_spec(rng):
+    k = int(rng.integers(1, 4))
+    exps = np.sort(rng.choice(np.arange(0.5, 4.01, 0.25), size=k, replace=False))
+    return PotentialSpec(tuple((float(rng.uniform(0.2, 2.0)), float(a)) for a in exps))
+
+
+class TestHessian:
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_random_configurations(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(3):
+            cfg = BodyConfiguration(rng.uniform(0.3, 3.0, n),
+                                    rng.uniform(-2.0, 2.0, 2 * n))
+            spec = _random_spec(rng)
+            H = potential_hessian(cfg, spec)
+            assert H.flags.c_contiguous
+            assert _same_bytes(H, _reference_hessian(cfg, spec)), spec.describe()
+
+    def test_presets_and_polygons(self):
+        for label, cfg, spec in ANALYSIS_INPUTS:
+            assert _same_bytes(potential_hessian(cfg, spec),
+                               _reference_hessian(cfg, spec)), label
+
+
+def _planted_clusters(k, spacing, rng):
+    """k values around a centre whose neighbours sit ``spacing`` apart."""
+    rho = spacing / (2.0 * np.sin(np.pi / k))
+    centre = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    return centre + rho * np.exp(1j * (phase + 2.0 * np.pi * np.arange(k) / k))
+
+
+class TestPurify:
+    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
+    def test_planted_jordan_clusters(self, k, factor):
+        rng = np.random.default_rng(10 * k + int(100 * factor))
+        norm = 5.0
+        rk = (PURIFY_CONST * np.finfo(float).eps * norm) ** (1.0 / k)
+        chains = [_planted_clusters(k, factor * rk, rng) for _ in range(3)]
+        # a shorter chain, signed zeros and well separated values around them
+        chains.append(_planted_clusters(max(k - 1, 2), factor * rk, rng))
+        chains.append(np.array([complex(-0.0, 1.0), complex(2.0, -0.0),
+                                complex(-0.0, -0.0)]))
+        chains.append(rng.uniform(-3.0, 3.0, 6) + 1j * rng.uniform(-3.0, 3.0, 6))
+        vals = np.concatenate(chains)
+        vals = vals[rng.permutation(vals.size)]
+        assert _same_bytes(purify_eigenvalues(vals, norm),
+                           _reference_purify(vals, norm))
+
+    def test_raw_oracle_eigenvalues(self):
+        for label, cfg, spec in ANALYSIS_INPUTS:
+            A = linearization_matrix(cfg, spec)
+            vals = np.linalg.eigvals(A)
+            norm = float(np.linalg.norm(A, 2))
+            assert _same_bytes(purify_eigenvalues(vals, norm),
+                               _reference_purify(vals, norm)), label
+
+    def test_unmerged_component_keeps_walk_order(self):
+        # at k = 4 the close triple is linked but too small to merge, and
+        # the walk reorders it 0, 2, 1; at k = 5 the two outer values join
+        # and the five are summed in that order
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            base = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            triple = base + np.array([0.0, 2e-4, 4e-4]) * np.exp(1j * rng.uniform(0.0, 6.3))
+            triple += 1e-9 * rng.standard_normal(3)
+            outer = base + 2e-3 * np.exp(1j * rng.uniform(0.0, 6.3, 2))
+            vals = np.concatenate([triple, outer])
+            out = purify_eigenvalues(vals, 5.0)
+            assert np.all(out == out[0])
+            assert _same_bytes(out, _reference_purify(vals, 5.0))
+
+    def test_distance_at_radius_uses_scalar_abs(self):
+        # |gap| lies within r_2 by the scalar complex abs (hypot) but can
+        # lie outside it by numpy's vectorized complex abs
+        gap = complex(-8.263600342408374e-08, 6.612567585954472e-07)
+        vals = np.array([0.0, gap])
+        out = purify_eigenvalues(vals, 5.0)
+        assert out[0] == out[1]
+        assert _same_bytes(out, _reference_purify(vals, 5.0))
+
+    def test_empty_and_single(self):
+        for vals in (np.zeros(0, dtype=complex), np.array([complex(-0.0, 1.0)])):
+            assert _same_bytes(purify_eigenvalues(vals, 1.0),
+                               _reference_purify(vals, 1.0))
+
+
+class TestStrictPairs:
+    def test_presets_and_polygons(self):
+        for label, cfg, spec in ANALYSIS_INPUTS:
+            clusters = _eigen_clusters(potential_hessian(cfg, spec), 1e-8)
+            Jh = block_symplectic(cfg.n)
+            pairs, leftover = _strict_pairs(clusters, Jh, 1e-7)
+            ref_pairs, ref_leftover = _reference_strict_pairs(clusters, Jh, 1e-7)
+            assert len(pairs) == len(ref_pairs), label
+            for p, q in zip(pairs, ref_pairs):
+                assert (p.lam1, p.lam2) == (q.lam1, q.lam2), label
+                assert _same_bytes(p.v1, q.v1) and _same_bytes(p.v2, q.v2), label
+            assert len(leftover) == len(ref_leftover), label
+            for (lam, B), (ref_lam, ref_B) in zip(leftover, ref_leftover):
+                assert lam == ref_lam and _same_bytes(B, ref_B), label
+
+
+def test_block_symplectic():
+    for n in range(1, 33):
+        assert _same_bytes(block_symplectic(n), _reference_block_symplectic(n)), n

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from relequil import pipeline
-from relequil.central import regular_polygon
+from relequil.central import refine_central_configuration, regular_polygon
 from relequil.cli import main as cli_main
+from relequil.model import BodyConfiguration, PotentialSpec
 from relequil.pipeline import (
     AnalysisRequest,
     ConsistencyError,
@@ -43,6 +45,11 @@ class TestRequestResolution:
         assert case is None
         assert cfg.n == 3
         assert spec.terms == ((1.0, 1.0),)
+
+    def test_masses_on_preset_rejected(self):
+        with pytest.raises(InputError):
+            AnalysisRequest(case="triangle-homogeneous", alpha=1.0,
+                            masses=(1.0, 1.0, 1.0)).resolve()
 
     def test_missing_everything(self):
         with pytest.raises(InputError):
@@ -93,6 +100,22 @@ class TestReports:
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
         report = run_analysis(_preset_request(name))
         assert report.to_dict() == golden
+
+    def test_make_goldens_check(self, tmp_path, monkeypatch, capsys):
+        path = GOLDEN_DIR.parent / "scripts" / "make_goldens.py"
+        spec = importlib.util.spec_from_file_location("make_goldens", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--check"]) == 0
+        capsys.readouterr()
+        for golden in GOLDEN_DIR.glob("*.json"):
+            (tmp_path / golden.name).write_text(golden.read_text())
+        stale = tmp_path / "manev-square.json"
+        stale.write_text(stale.read_text().replace("spectrally", "Spectrally"))
+        monkeypatch.setattr(script, "OUT", tmp_path)
+        assert script.main(["--check"]) == 1
+        assert capsys.readouterr().out.split() == ["differs:", str(stale)]
+        assert "Spectrally" in stale.read_text()
 
     def test_schema_version_checked(self):
         report = run_analysis(_preset_request("triangle-homogeneous"))
@@ -194,6 +217,29 @@ class TestCli:
             "analyze", "--positions", "0,0.9,1,0,2.2,0", "--alpha", "1.0",
         ])
         assert code == 2
+
+    def test_analyze_unequal_masses(self, capsys, tmp_path):
+        masses = np.array([1.0, 2.0, 0.5])
+        guess = np.array([-1.0, 0.0, 0.1, 0.0, 1.0, 0.0])
+        spec = PotentialSpec.homogeneous(1.0)
+        cfg = refine_central_configuration(BodyConfiguration(masses, guess), spec)
+        out = tmp_path / "collinear.json"
+        code = cli_main([
+            "analyze", "--positions=" + ",".join(repr(float(x)) for x in cfg.positions),
+            "--masses", "1,2,0.5", "--alpha", "1.0",
+            "--format", "json", "--out", str(out),
+        ])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["configuration"]["masses"] == [1.0, 2.0, 0.5]
+
+    def test_analyze_masses_wrong_length_exit_2(self, capsys):
+        code = cli_main([
+            "analyze", "--positions=-1,0,0,0,1,0", "--masses", "1,2",
+            "--alpha", "1.0",
+        ])
+        assert code == 2
+        assert "positions must be flat" in capsys.readouterr().err
 
     def test_sweep_table(self, capsys):
         code = cli_main([

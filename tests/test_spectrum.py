@@ -244,7 +244,7 @@ class TestBlockOracleAgreement:
         oracle = full_linearization_spectrum(cfg, spec)
         assert compare_spectra(union, oracle, tol=1e-9).matches
 
-    @pytest.mark.parametrize("n", [10, 11, 12, 13, 16, 24])
+    @pytest.mark.parametrize("n", [10, 11, 12, 13, 16, 24, 32, 48])
     @pytest.mark.parametrize("terms", [
         ((1.0, 1.0),), ((1.0, 2.5),), ((1.0, 1.0), (1.0, 2.0)), ((1.0, 1.0), (1.0, 3.0)),
     ], ids=["r-1", "r-2.5", "manev", "schwarzschild"])
