@@ -4,12 +4,10 @@
 import pathlib
 import sys
 
-import numpy as np
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from relequil.dynamics import estimate_growth_rate
-from relequil.model import angular_frequency_squared
+from relequil.model import Equilibrium
 from relequil.pipeline import _worst_direction
 from relequil.presets import all_standard_cases
 from relequil.spectrum import full_linearization_spectrum
@@ -18,14 +16,12 @@ from relequil.spectrum import full_linearization_spectrum
 def main():
     print(f"{'case':<24} {'predicted':>10} {'measured':>10} {'rel err':>9}")
     for case in all_standard_cases():
-        cfg = case.configuration()
-        predicted = full_linearization_spectrum(cfg, case.potential).max_real_part()
-        omega = float(np.sqrt(angular_frequency_squared(cfg, case.potential)))
-        if predicted <= 0.05 * omega:
+        eq = Equilibrium(case.configuration(), case.potential)
+        predicted = full_linearization_spectrum(eq).max_real_part()
+        if predicted <= 0.05 * eq.omega:
             print(f"{case.name:<24} {predicted:>10.6f} {'(skipped)':>10}")
             continue
-        direction = _worst_direction(cfg, case.potential)
-        est = estimate_growth_rate(cfg, case.potential, direction)
+        est = estimate_growth_rate(eq, _worst_direction(eq))
         rel = abs(est.rate - predicted) / predicted
         print(f"{case.name:<24} {predicted:>10.6f} {est.rate:>10.6f} {rel:>9.2%}")
 

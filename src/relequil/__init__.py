@@ -19,6 +19,7 @@ from .dynamics import (
 from .model import (
     BodyConfiguration,
     CollisionError,
+    Equilibrium,
     NonCentralConfigurationError,
     PotentialSpec,
     Spectrum,

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+# the centrality test lives in model; central re-exports it
 from .model import (
-    CENTRALITY_TOL_FACTOR,
     BodyConfiguration,
+    CentralityReport,
     CollisionError,
     PotentialSpec,
     centrality_residual,
+    is_central_configuration,
     moment_of_inertia,
     potential_gradient,
     potential_hessian,
@@ -20,14 +20,6 @@ from .model import (
 
 class RefinementError(RuntimeError):
     """Newton refinement failed to converge or ran into a collision."""
-
-
-@dataclass(frozen=True)
-class CentralityReport:
-    residual_norm: float
-    multiplier: float
-    tol: float
-    is_central: bool
 
 
 def regular_polygon(n, radius=1.0, mass=1.0):
@@ -45,14 +37,6 @@ def regular_polygon(n, radius=1.0, mass=1.0):
     pts = pos.reshape(-1, 2)
     pts -= pts.mean(axis=0)
     return BodyConfiguration(np.full(n, float(mass)), pts.ravel())
-
-
-def is_central_configuration(config, spec, tol_factor=CENTRALITY_TOL_FACTOR):
-    """Residual test of grad(U) + lambda grad(I) = 0 with the Euler multiplier."""
-    lam, g, F = centrality_residual(config, spec)
-    res = float(np.linalg.norm(F))
-    tol = tol_factor * (float(np.linalg.norm(g)) + 1.0)
-    return CentralityReport(res, lam, tol, res <= tol)
 
 
 def _normalize_gauges(z, masses, theta_pin, inertia_pin):

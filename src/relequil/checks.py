@@ -11,6 +11,7 @@ import numpy as np
 from .central import regular_polygon
 from .model import (
     BodyConfiguration,
+    Equilibrium,
     PotentialSpec,
     potential_energy,
     potential_gradient,
@@ -152,7 +153,8 @@ def check_projector_algebra(tol=1e-11, seed=13):
 def check_hamiltonian_symmetry(tol=1e-9):
     worst = 0.0
     for case in all_standard_cases():
-        spec = full_linearization_spectrum(case.configuration(), case.potential)
+        spec = full_linearization_spectrum(
+            Equilibrium(case.configuration(), case.potential))
         v = spec.values
         scale = max(float(np.max(np.abs(v))), 1e-300)
         for transform in (lambda s: -s, np.conj):
@@ -165,9 +167,9 @@ def check_scaling_law(tol=1e-8):
     worst = 0.0
     for n, alpha, rho in ((3, 1.0, 1.7), (4, 1.4, 0.6), (5, 0.8, 2.3)):
         spec = PotentialSpec.homogeneous(alpha)
-        base = full_linearization_spectrum(regular_polygon(n), spec).values
+        base = full_linearization_spectrum(Equilibrium(regular_polygon(n), spec)).values
         scaled = full_linearization_spectrum(
-            regular_polygon(n, radius=rho), spec
+            Equilibrium(regular_polygon(n, radius=rho), spec)
         ).values
         predicted = base * rho ** (-(alpha + 2.0) / 2.0)
         scale = max(float(np.max(np.abs(predicted))), 1e-300)

@@ -106,27 +106,17 @@ def cmd_sweep(args):
 
 
 def cmd_simulate(args):
-    from .dynamics import estimate_growth_rate, integrate_rotating_frame
-    from .model import angular_frequency_squared
+    from .dynamics import equilibrium_drift, estimate_growth_rate
     from .pipeline import _worst_direction
 
-    request = _request_from_args(args)
-    config, spec, _case = request.resolve()
-    omega = float(np.sqrt(angular_frequency_squared(config, spec)))
-    period = 2.0 * np.pi / omega
-    traj = integrate_rotating_frame(
-        config, spec,
-        duration=args.periods * period,
-        dt=period / args.steps_per_period,
+    eq, _case = _request_from_args(args).equilibrium()
+    traj, drift = equilibrium_drift(
+        eq, args.periods, args.steps_per_period,
         sample_every=max(1, args.steps_per_period // 100),
-        reference_equilibrium=config.positions,
     )
-    drift = float(np.max(
-        np.linalg.norm(traj.positions - config.positions[None, :], axis=1)
-    ))
     energy_drift = float(np.max(np.abs(traj.jacobi_energy - traj.jacobi_energy[0])))
     payload = {
-        "omega": omega,
+        "omega": eq.omega,
         "periods": args.periods,
         "equilibrium_drift": drift,
         "jacobi_energy_drift": energy_drift,
@@ -134,8 +124,7 @@ def cmd_simulate(args):
         "growth": None,
     }
     if args.kick:
-        direction = _worst_direction(config, spec)
-        est = estimate_growth_rate(config, spec, direction, epsilon=args.epsilon)
+        est = estimate_growth_rate(eq, _worst_direction(eq), epsilon=args.epsilon)
         payload["growth"] = {
             "rate": est.rate,
             "no_growth": est.no_growth,
@@ -181,6 +170,17 @@ def cmd_selfcheck(args):
     for name, passed, detail in results:
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     return EXIT_OK if ok else EXIT_CONSISTENCY
+
+
+def _attach_list_values(argv):
+    """'--positions -1,0' -> '--positions=-1,0', and so for --masses: argparse
+    reads a separate value starting with '-' as an option, an attached one not."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--positions", "--masses") and not arg.startswith("--"):
+            arg = f"{out.pop()}={arg}"
+        out.append(arg)
+    return out
 
 
 def build_parser():
@@ -241,7 +241,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except InputError as exc:

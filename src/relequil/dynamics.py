@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import angular_frequency_squared, euler_omega_squared
+from .model import euler_omega_squared, rotation_period
 from .symmetry import block_symplectic
 
 COLLISION_FACTOR = 1e-6     # blow-up when min distance falls below this x initial
@@ -34,10 +34,6 @@ class Trajectory:
     def positions(self):
         return self.states[:, : self.states.shape[1] // 2]
 
-    @property
-    def velocities(self):
-        return self.states[:, self.states.shape[1] // 2 :]
-
     def records(self):
         """Plain records (time, state, energy) for external plotting."""
         return [
@@ -47,39 +43,18 @@ class Trajectory:
 
 
 class _RotatingFrame:
-    """Vectorized right-hand side and energy for one (config, spec) pair."""
+    """Right-hand side and Jacobi integral for one (config, spec) pair."""
 
     def __init__(self, config, spec, omega2=None):
-        self.n = config.n
-        self.masses = config.masses
+        self.pairs = config.pairs
+        self.spec = spec
         self.mass_vector = config.mass_vector
-        self.iu, self.ju = np.triu_indices(self.n, 1)
-        self.mm = self.masses[self.iu] * self.masses[self.ju]
-        self.terms = spec.terms
         if omega2 is None:
             omega2 = euler_omega_squared(config, spec)
         self.omega2 = float(omega2)
         self.omega = float(np.sqrt(self.omega2))
-        self.Jh = block_symplectic(self.n)
+        self.Jh = block_symplectic(config.n)
         self.acc_offset = None
-
-    def gradient(self, pos):
-        q = pos.reshape(-1, 2)
-        d = q[self.iu] - q[self.ju]
-        r2 = d[:, 0] ** 2 + d[:, 1] ** 2
-        grad = np.zeros_like(q)
-        for c, a in self.terms:
-            w = (-a * c) * self.mm * r2 ** (-(a + 2) / 2.0)
-            f = w[:, None] * d
-            np.add.at(grad, self.iu, f)
-            np.subtract.at(grad, self.ju, f)
-        return grad.ravel()
-
-    def potential(self, pos):
-        q = pos.reshape(-1, 2)
-        d = q[self.iu] - q[self.ju]
-        r = np.hypot(d[:, 0], d[:, 1])
-        return sum(c * np.sum(self.mm * r ** (-a)) for c, a in self.terms)
 
     def rhs(self, state):
         half = state.size // 2
@@ -87,7 +62,7 @@ class _RotatingFrame:
         acc = (
             2.0 * self.omega * (self.Jh @ vel)
             + self.omega2 * pos
-            + self.gradient(pos) / self.mass_vector
+            + self.pairs.gradient(pos.reshape(-1, 2), self.spec) / self.mass_vector
         )
         if self.acc_offset is not None:
             acc = acc - self.acc_offset
@@ -106,28 +81,19 @@ class _RotatingFrame:
             np.concatenate([positions, np.zeros_like(positions)])
         )[positions.size:]
 
+    def energy_parts(self, state):
+        """Kinetic, centrifugal and potential parts of the Jacobi integral."""
+        half = state.size // 2
+        pos, vel = state[:half], state[half:]
+        return (
+            0.5 * float(self.mass_vector @ (vel * vel)),
+            0.5 * self.omega2 * float(self.mass_vector @ (pos * pos)),
+            float(self.pairs.energy_terms(pos.reshape(-1, 2), self.spec).sum()),
+        )
+
     def energy(self, state):
-        half = state.size // 2
-        pos, vel = state[:half], state[half:]
-        kinetic = 0.5 * float(self.mass_vector @ (vel * vel))
-        centrifugal = 0.5 * self.omega2 * float(self.mass_vector @ (pos * pos))
-        return kinetic - centrifugal - float(self.potential(pos))
-
-    def energy_scale(self, state):
-        half = state.size // 2
-        pos, vel = state[:half], state[half:]
-        kinetic = 0.5 * float(self.mass_vector @ (vel * vel))
-        centrifugal = 0.5 * self.omega2 * float(self.mass_vector @ (pos * pos))
-        return kinetic + centrifugal + abs(float(self.potential(pos)))
-
-    def min_distance(self, pos):
-        q = pos.reshape(-1, 2)
-        d = q[self.iu] - q[self.ju]
-        return float(np.min(np.hypot(d[:, 0], d[:, 1])))
-
-
-def rotation_period(config, spec):
-    return 2.0 * np.pi / np.sqrt(angular_frequency_squared(config, spec))
+        kinetic, centrifugal, potential = self.energy_parts(state)
+        return kinetic - centrifugal - potential
 
 
 def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
@@ -147,7 +113,7 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
     frame = _RotatingFrame(config, spec, omega2=omega2)
     if reference_equilibrium is not None:
         frame.set_reference_equilibrium(np.asarray(reference_equilibrium, float))
-    period = 2.0 * np.pi / frame.omega
+    period = rotation_period(frame.omega2)
     if duration is None:
         duration = period
     if dt is None:
@@ -157,11 +123,12 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
     if initial_velocity is None:
         initial_velocity = np.zeros(2 * config.n)
     state = np.concatenate([config.positions, np.asarray(initial_velocity, float)])
-    floor = COLLISION_FACTOR * frame.min_distance(config.positions)
+    floor = COLLISION_FACTOR * config.min_pair_distance()
 
     steps = int(np.ceil(duration / dt))
     e0 = frame.energy(state)
-    energy_cap = 1e3 * (frame.energy_scale(state) + 1.0)
+    # the integral's scale: the sum of its parts' sizes
+    energy_cap = 1e3 * (sum(map(abs, frame.energy_parts(state))) + 1.0)
     times, states, energies = [0.0], [state.copy()], [e0]
     blew_up = False
     for k in range(1, steps + 1):
@@ -176,7 +143,8 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
         # distance floor
         if (
             not np.all(np.isfinite(state))
-            or frame.min_distance(state[: 2 * config.n]) < floor
+            or frame.pairs.separations(state[: 2 * config.n].reshape(-1, 2))[1].min()
+            < floor
             or abs(frame.energy(state) - e0) > energy_cap
         ):
             blew_up = True
@@ -198,11 +166,23 @@ class GrowthEstimate:
     n_samples: int
 
 
-def estimate_growth_rate(config, spec, direction, epsilon=None, duration=None,
-                         dt=None, window_upper=1e-2):
+def equilibrium_drift(eq, periods, steps_per_period, sample_every):
+    """Integrate the unkicked, pinned equilibrium ``eq`` in its own frame;
+    returns the trajectory and the largest distance of a sample from it."""
+    z = eq.config.positions
+    traj = integrate_rotating_frame(
+        eq.config, eq.spec, duration=periods * eq.period,
+        dt=eq.period / steps_per_period, sample_every=sample_every,
+        omega2=eq.omega2, reference_equilibrium=z,
+    )
+    return traj, float(np.max(np.linalg.norm(traj.positions - z[None, :], axis=1)))
+
+
+def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None,
+                         window_upper=1e-2):
     """Fit the exponential departure rate from a perturbed equilibrium.
 
-    The equilibrium is kicked by epsilon * direction in position, the
+    The equilibrium ``eq`` is kicked by epsilon * direction in position, the
     nonlinear system is integrated, and log |deviation| is fitted linearly
     over the stretch where the deviation sits between 10 * epsilon and
     ``window_upper`` (staying inside the linear regime).  Returns rate 0
@@ -213,19 +193,18 @@ def estimate_growth_rate(config, spec, direction, epsilon=None, duration=None,
     if nrm == 0:
         raise ValueError("direction must be nonzero")
     direction = direction / nrm
+    config = eq.config
     radius = float(np.max(np.hypot(*config.points.T)))
     if epsilon is None:
         epsilon = 1e-6 * radius
-    omega2 = angular_frequency_squared(config, spec)
-    period = 2.0 * np.pi / np.sqrt(omega2)
     if duration is None:
-        duration = 12.0 * period
+        duration = 12.0 * eq.period
     if dt is None:
-        dt = period / 4000.0
+        dt = eq.period / 4000.0
     perturbed = config.with_positions(config.positions + epsilon * direction)
     traj = integrate_rotating_frame(
-        perturbed, spec, duration=duration, dt=dt, sample_every=10,
-        omega2=omega2, reference_equilibrium=config.positions,
+        perturbed, eq.spec, duration=duration, dt=dt, sample_every=10,
+        omega2=eq.omega2, reference_equilibrium=config.positions,
     )
     dev = np.linalg.norm(traj.positions - config.positions[None, :], axis=1)
     inside = (dev >= 10.0 * epsilon) & (dev <= window_upper)

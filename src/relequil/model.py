@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .symmetry import block_symplectic
+
 
 class CollisionError(ValueError):
     """Two bodies coincide, so pair potentials are undefined."""
@@ -41,18 +43,51 @@ def _readonly(a):
     return a
 
 
+class BodyPairs:
+    """Index arrays and mass products m_i m_j of the pairs i < j of n bodies,
+    with the potential's pair formulas at any (n, 2) points of those bodies."""
+
+    def __init__(self, masses):
+        self.iu, self.ju = np.triu_indices(masses.size, 1)
+        self.mm = masses[self.iu] * masses[self.ju]
+
+    def separations(self, points):
+        """Separations d_ij = q_i - q_j and distances r_ij for i < j."""
+        d = points[self.iu] - points[self.ju]
+        return d, np.hypot(d[:, 0], d[:, 1])
+
+    def energy_terms(self, points, spec):
+        """Per-term values U_k, so that U = sum_k U_k."""
+        _, r = self.separations(points)
+        return np.array([c * np.sum(self.mm * r ** (-a)) for c, a in spec.terms])
+
+    def gradient(self, points, spec):
+        """Exact gradient of U as a flat 2n-vector."""
+        d, r = self.separations(points)
+        grad = np.zeros(points.shape)
+        for c, a in spec.terms:
+            w = -a * c * self.mm * r ** (-a - 2)
+            f = w[:, None] * d
+            np.add.at(grad, self.iu, f)
+            np.subtract.at(grad, self.ju, f)
+        return grad.ravel()
+
+
 @dataclass(frozen=True)
 class BodyConfiguration:
     """Masses and flattened planar positions of n >= 2 point bodies.
 
-    Raises CollisionError if two bodies coincide and ValueError for
-    non-positive masses.  ``centered`` records whether the weighted center
-    of mass sits at the origin (within CENTER_TOL) at construction time.
+    Raises CollisionError, naming the first coinciding pair in i < j
+    order, if two bodies coincide and ValueError for non-positive masses.
+    ``centered`` records whether the weighted center of mass sits at the
+    origin (within CENTER_TOL) at construction time; ``pairs`` holds the
+    bodies' BodyPairs.
     """
 
     masses: np.ndarray
     positions: np.ndarray
     centered: bool = field(init=False)
+    pairs: BodyPairs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         masses = _readonly(self.masses)
@@ -67,11 +102,11 @@ class BodyConfiguration:
             raise ValueError("all masses must be strictly positive")
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "pairs", BodyPairs(masses))
+        hit = np.flatnonzero(self.pair_distances() == 0.0)
+        if hit.size:
+            raise CollisionError(int(self.pairs.iu[hit[0]]), int(self.pairs.ju[hit[0]]))
         q = self.points
-        for i in range(masses.size):
-            for j in range(i + 1, masses.size):
-                if np.hypot(*(q[i] - q[j])) == 0.0:
-                    raise CollisionError(i, j)
         com = masses @ q / masses.sum()
         object.__setattr__(self, "centered", bool(np.hypot(*com) <= CENTER_TOL))
 
@@ -91,9 +126,7 @@ class BodyConfiguration:
 
     def pair_distances(self):
         """Condensed upper-triangle pairwise distances (i < j order)."""
-        q = self.points
-        iu, ju = np.triu_indices(self.n, 1)
-        return np.hypot(*(q[iu] - q[ju]).T)
+        return self.pairs.separations(self.points)[1]
 
     def min_pair_distance(self):
         return float(self.pair_distances().min())
@@ -146,10 +179,6 @@ class PotentialSpec:
         return cls(((1.0, 1.0), (1.0, 3.0)))
 
     @property
-    def is_homogeneous(self):
-        return len(self.terms) == 1
-
-    @property
     def exponents(self):
         return tuple(a for _, a in self.terms)
 
@@ -188,18 +217,6 @@ class Spectrum:
         return float(np.max(self.values.real)) if len(self) else 0.0
 
 
-def _pair_geometry(config):
-    """Index arrays, separations d_ij = q_i - q_j and distances for i < j."""
-    q = config.points
-    iu, ju = np.triu_indices(config.n, 1)
-    d = q[iu] - q[ju]
-    r = np.hypot(d[:, 0], d[:, 1])
-    if np.any(r == 0.0):
-        k = int(np.argmin(r))
-        raise CollisionError(int(iu[k]), int(ju[k]))
-    return iu, ju, d, r
-
-
 def moment_of_inertia(config):
     """I = (1/2) sum_i m_i |q_i|^2."""
     q = config.points
@@ -208,27 +225,17 @@ def moment_of_inertia(config):
 
 def potential_energy_terms(config, spec):
     """Per-term values U_k, so that U = sum_k U_k."""
-    iu, ju, _, r = _pair_geometry(config)
-    mm = config.masses[iu] * config.masses[ju]
-    return np.array([c * np.sum(mm * r ** (-a)) for c, a in spec.terms])
+    return config.pairs.energy_terms(config.points, spec)
 
 
 def potential_energy(config, spec):
-    """U evaluated at the configuration; raises CollisionError on contact."""
+    """U evaluated at the configuration."""
     return float(potential_energy_terms(config, spec).sum())
 
 
 def potential_gradient(config, spec):
     """Exact gradient of potential_energy as a flat 2n-vector."""
-    iu, ju, d, r = _pair_geometry(config)
-    mm = config.masses[iu] * config.masses[ju]
-    grad = np.zeros((config.n, 2))
-    for c, a in spec.terms:
-        w = -a * c * mm * r ** (-a - 2)
-        f = w[:, None] * d
-        np.add.at(grad, iu, f)
-        np.subtract.at(grad, ju, f)
-    return grad.ravel()
+    return config.pairs.gradient(config.points, spec)
 
 
 def potential_hessian(config, spec):
@@ -242,8 +249,8 @@ def potential_hessian(config, spec):
     body blocks.  A diagonal block b takes the pairs (j, b) before the
     pairs (b, j), so every entry sums its pairs in i < j order.
     """
-    iu, ju, d, r = _pair_geometry(config)
-    mm = config.masses[iu] * config.masses[ju]
+    iu, ju, mm = config.pairs.iu, config.pairs.ju, config.pairs.mm
+    d, r = config.pairs.separations(config.points)
     n = config.n
     H = np.zeros((n, n, 2, 2))
     dd = d[:, :, None] * d[:, None, :]
@@ -272,6 +279,31 @@ def euler_omega_squared(config, spec):
     return float((exps @ Uk) / (2.0 * moment_of_inertia(config)))
 
 
+@dataclass(frozen=True)
+class CentralityReport:
+    residual_norm: float
+    multiplier: float
+    tol: float
+    is_central: bool
+
+    def omega_squared(self):
+        """The multiplier omega^2; NonCentralConfigurationError if not central."""
+        if not self.is_central:
+            raise NonCentralConfigurationError(self.residual_norm, self.tol)
+        return self.multiplier
+
+
+def is_central_configuration(config, spec, tol_factor=CENTRALITY_TOL_FACTOR):
+    """Residual test of grad(U) + lambda grad(I) = 0 with the Euler multiplier.
+
+    Central means |grad U + lambda M z| <= tol_factor * (|grad U| + 1).
+    """
+    lam, g, F = centrality_residual(config, spec)
+    res = float(np.linalg.norm(F))
+    tol = tol_factor * (float(np.linalg.norm(g)) + 1.0)
+    return CentralityReport(res, lam, tol, res <= tol)
+
+
 def angular_frequency_squared(config, spec, tol_factor=CENTRALITY_TOL_FACTOR):
     """omega^2 for the relative equilibrium through the configuration.
 
@@ -279,9 +311,66 @@ def angular_frequency_squared(config, spec, tol_factor=CENTRALITY_TOL_FACTOR):
     residual of grad(U + omega^2 I); raises NonCentralConfigurationError if
     the configuration is not central at the derived tolerance.
     """
-    omega2, g, F = centrality_residual(config, spec)
-    res = float(np.linalg.norm(F))
-    tol = tol_factor * (float(np.linalg.norm(g)) + 1.0)
-    if res > tol:
-        raise NonCentralConfigurationError(res, tol)
-    return omega2
+    return is_central_configuration(config, spec, tol_factor).omega_squared()
+
+
+def rotation_period(omega2):
+    """Period 2 pi / omega of the rigid rotation at angular frequency^2 omega2."""
+    return float(2.0 * np.pi / np.sqrt(omega2))
+
+
+def first_order_matrix(omega2, omega, h, j):
+    """[[0, I], [omega^2 I + h, 2 omega j]]: the linearized rotating-frame flow
+    where the mass-scaled Hessian acts as h and Jhat as j.  omega2 is passed
+    apart from omega so that each caller keeps its own rounding of omega^2."""
+    k = h.shape[0]
+    B = np.zeros((2 * k, 2 * k))
+    B[:k, k:] = np.eye(k)
+    B[k:, :k] = omega2 * np.eye(k) + h
+    B[k:, k:] = 2.0 * omega * j
+    return B
+
+
+@dataclass(frozen=True)
+class Equilibrium:
+    """A relative equilibrium with every quantity of its linearization.
+
+    Construction runs the centrality test and raises
+    NonCentralConfigurationError when it fails.  ``Hw`` = M^{-1/2} H M^{-1/2}
+    is symmetric and similar to M^{-1} H, so eigenvector pairing applies
+    when masses differ; ``A`` is the 4n x 4n first_order_matrix with
+    h = M^{-1} H and j = Jhat.
+    """
+
+    config: BodyConfiguration
+    spec: PotentialSpec
+    centrality: CentralityReport = field(init=False)
+    omega: float = field(init=False)
+    period: float = field(init=False)
+    H: np.ndarray = field(init=False, repr=False)
+    Hw: np.ndarray = field(init=False, repr=False)
+    A: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        config, n = self.config, self.config.n
+        centrality = is_central_configuration(config, self.spec)
+        omega2 = centrality.omega_squared()
+        omega = float(np.sqrt(omega2))
+        H = potential_hessian(config, self.spec)
+        inv_sqrt = 1.0 / np.sqrt(config.mass_vector)
+        A = first_order_matrix(omega2, omega, H / config.mass_vector[:, None],
+                               block_symplectic(n))
+        object.__setattr__(self, "centrality", centrality)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "period", rotation_period(omega2))
+        object.__setattr__(self, "H", _readonly(H))
+        object.__setattr__(self, "Hw", _readonly((H * inv_sqrt).T * inv_sqrt))
+        object.__setattr__(self, "A", _readonly(A))
+
+    @property
+    def n(self):
+        return self.config.n
+
+    @property
+    def omega2(self):
+        return self.centrality.multiplier

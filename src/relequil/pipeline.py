@@ -8,19 +8,18 @@ JSON-compatible dict whose floats round-trip bit-exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .central import is_central_configuration
 from .model import (
     BodyConfiguration,
+    Equilibrium,
+    NonCentralConfigurationError,
     PotentialSpec,
     Spectrum,
-    angular_frequency_squared,
     moment_of_inertia,
     potential_energy_terms,
-    potential_hessian,
 )
 from .presets import get_case
 from .spectrum import (
@@ -29,7 +28,6 @@ from .spectrum import (
     classify,
     compare_spectra,
     decompose_blocks,
-    block_spectrum,
     eigenvalue_labels,
     full_linearization_spectrum,
 )
@@ -93,6 +91,16 @@ class AnalysisRequest:
         else:
             raise InputError("explicit configurations need a potential or alpha")
         return config, spec, None
+
+    def equilibrium(self):
+        """(Equilibrium, case_definition_or_None); not central is an input error."""
+        config, spec, case = self.resolve()
+        try:
+            return Equilibrium(config, spec), case
+        except NonCentralConfigurationError as exc:
+            raise InputError(
+                f"configuration is not central: residual {exc.residual:.3e}"
+            ) from exc
 
 
 def _c(z):
@@ -211,55 +219,36 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def _close(a, b, tol=REFERENCE_AGREE_TOL):
-    return bool(abs(a - b) <= tol * (1.0 + abs(b)))
+def _against_reference(name, computed, ref, tol, discrepancies):
+    """Computed value, reference and agreement; a disagreement is noted."""
+    agrees = bool(abs(computed - ref.value) <= tol * (1.0 + abs(ref.value)))
+    if not agrees:
+        discrepancies.append(
+            f"{name} computed {computed!r} differs from reference {ref.value!r}"
+            + (" (reference flagged suspect)" if ref.suspect else "")
+        )
+    return {
+        "computed": computed,
+        "reference": {"value": ref.value, "suspect": ref.suspect, "note": ref.note},
+        "agrees": agrees,
+    }
 
 
 def run_analysis(request):
     """Execute the full pipeline for one request."""
     t0 = time.perf_counter()
-    config, spec, case = request.resolve()
+    eq, case = request.equilibrium()
+    config, spec, omega2, H = eq.config, eq.spec, eq.omega2, eq.H
     discrepancies = []
 
-    centrality = is_central_configuration(config, spec)
-    if not centrality.is_central:
-        raise InputError(
-            f"configuration is not central: residual {centrality.residual_norm:.3e}"
-        )
-    omega2 = angular_frequency_squared(config, spec)
-
     omega_entry = {"computed": float(omega2), "reference": None, "agrees": None}
-    if case is not None:
-        ref = case.omega_squared
-        agrees = _close(omega2, ref.value)
-        omega_entry["reference"] = {
-            "value": ref.value, "suspect": ref.suspect, "note": ref.note,
-        }
-        omega_entry["agrees"] = agrees
-        if not agrees:
-            discrepancies.append(
-                f"omega^2 computed {omega2!r} differs from reference "
-                f"{ref.value!r}" + (" (reference flagged suspect)" if ref.suspect else "")
-            )
-
-    H = potential_hessian(config, spec)
     entry_check = None
     if case is not None:
+        omega_entry = _against_reference("omega^2", float(omega2), case.omega_squared,
+                                         REFERENCE_AGREE_TOL, discrepancies)
         (row, col), ref = case.hessian_entry
-        agrees = _close(H[row, col], ref.value, tol=1e-12)
-        entry_check = {
-            "index": [row, col],
-            "computed": float(H[row, col]),
-            "reference": {"value": ref.value, "suspect": ref.suspect,
-                          "note": ref.note},
-            "agrees": agrees,
-        }
-        if not agrees:
-            discrepancies.append(
-                f"Hessian entry {(row, col)} computed {float(H[row, col])!r} "
-                f"differs from reference {ref.value!r}"
-                + (" (reference flagged suspect)" if ref.suspect else "")
-            )
+        entry_check = {"index": [row, col], **_against_reference(
+            f"Hessian entry {(row, col)}", float(H[row, col]), ref, 1e-12, discrepancies)}
 
     group = polygon_group_for(config)
     isotypic = []
@@ -297,24 +286,20 @@ def run_analysis(request):
                     "diagonalization; computed values take precedence"
                 )
 
-    decomposition = decompose_blocks(config, spec)
-    block_eigs = [block_spectrum(blk) for blk in decomposition.blocks]
-    coupled_eigs = [cb.spectrum() for cb in decomposition.coupled]
+    decomposition = decompose_blocks(eq)
     blocks = [{
         "lam1": float(blk.lam1),
         "lam2": float(blk.lam2),
         "omega": float(blk.omega),
         "eigenvalues": _spectrum_dicts(Spectrum(eigs)),
-    } for blk, eigs in zip(decomposition.blocks, block_eigs)]
+    } for blk, eigs in zip(decomposition.blocks, decomposition.block_spectra)]
     coupled = [{
         "dim": int(cb.dim),
         "eigenvalues": _spectrum_dicts(Spectrum(eigs)),
-    } for cb, eigs in zip(decomposition.coupled, coupled_eigs)]
-    # each block is solved once; the union is the same multiset as
-    # decomposition.union_spectrum()
-    union = Spectrum(np.concatenate(block_eigs + coupled_eigs))
+    } for cb, eigs in zip(decomposition.coupled, decomposition.coupled_spectra)]
+    union = decomposition.union_spectrum()
 
-    oracle = full_linearization_spectrum(config, spec)
+    oracle = full_linearization_spectrum(eq)
     match = compare_spectra(union, oracle, tol=request.compare_tol)
     if not match.matches:
         raise ConsistencyError("block union vs oracle", _mismatch(match, union, oracle))
@@ -322,7 +307,7 @@ def run_analysis(request):
 
     dynamics_entry = None
     if request.with_dynamics:
-        dynamics_entry = _dynamics_section(config, spec, oracle, verdict)
+        dynamics_entry = _dynamics_section(eq, verdict)
 
     data = {
         "schema_version": SCHEMA_VERSION,
@@ -341,9 +326,9 @@ def run_analysis(request):
         "moment_of_inertia": moment_of_inertia(config),
         "potential_terms": [float(u) for u in potential_energy_terms(config, spec)],
         "centrality": {
-            "residual": centrality.residual_norm,
-            "tol": centrality.tol,
-            "multiplier": centrality.multiplier,
+            "residual": eq.centrality.residual_norm,
+            "tol": eq.centrality.tol,
+            "multiplier": eq.centrality.multiplier,
         },
         "omega_squared": omega_entry,
         "hessian_entry_check": entry_check,
@@ -386,18 +371,10 @@ def _mismatch(match, union, oracle):
     )
 
 
-def _dynamics_section(config, spec, oracle, verdict):
-    from .dynamics import estimate_growth_rate, integrate_rotating_frame
+def _dynamics_section(eq, verdict):
+    from .dynamics import equilibrium_drift, estimate_growth_rate
 
-    omega = float(np.sqrt(angular_frequency_squared(config, spec)))
-    period = 2.0 * np.pi / omega
-    traj = integrate_rotating_frame(
-        config, spec, duration=10.0 * period, dt=period / 2000.0,
-        sample_every=50, reference_equilibrium=config.positions,
-    )
-    drift = float(
-        np.max(np.linalg.norm(traj.positions - config.positions[None, :], axis=1))
-    )
+    _, drift = equilibrium_drift(eq, periods=10.0, steps_per_period=2000, sample_every=50)
     entry = {
         "equilibrium_drift": drift,
         "drift_periods": 10.0,
@@ -406,9 +383,8 @@ def _dynamics_section(config, spec, oracle, verdict):
         "relative_error": None,
     }
     predicted = verdict.max_real_part
-    if predicted > 0.05 * omega:
-        direction = _worst_direction(config, spec)
-        est = estimate_growth_rate(config, spec, direction)
+    if predicted > 0.05 * eq.omega:
+        est = estimate_growth_rate(eq, _worst_direction(eq))
         entry["growth_rate"] = est.rate if not est.no_growth else 0.0
         entry["predicted_rate"] = predicted
         entry["relative_error"] = (
@@ -417,16 +393,14 @@ def _dynamics_section(config, spec, oracle, verdict):
     return entry
 
 
-def _worst_direction(config, spec):
-    """Position part of the eigenvector of the largest-real-part eigenvalue."""
-    from .spectrum import linearization_matrix
-
-    A = linearization_matrix(config, spec)
-    vals, vecs = np.linalg.eig(A)
+def _worst_direction(eq):
+    """Position part of the eigenvector of the largest-real-part eigenvalue
+    of the equilibrium's linearization."""
+    vals, vecs = np.linalg.eig(eq.A)
     k = int(np.argmax(vals.real))
-    pos = np.real(vecs[: 2 * config.n, k])
+    pos = np.real(vecs[: 2 * eq.n, k])
     if np.linalg.norm(pos) < 1e-12:
-        pos = np.imag(vecs[: 2 * config.n, k])
+        pos = np.imag(vecs[: 2 * eq.n, k])
     return pos / np.linalg.norm(pos)
 
 
@@ -460,18 +434,8 @@ def run_sweep(base_request, grid):
         raise InputError("alpha sweeps need a single-term potential")
     reports, failures, summary = [], [], []
     for alpha in grid:
-        request = AnalysisRequest(
-            case=base_request.case,
-            alpha=float(alpha),
-            masses=base_request.masses,
-            positions=base_request.positions,
-            compare_tol=base_request.compare_tol,
-            classify_tol=base_request.classify_tol,
-            with_dynamics=base_request.with_dynamics,
-            with_timing=base_request.with_timing,
-        )
         try:
-            report = run_analysis(request)
+            report = run_analysis(replace(base_request, alpha=float(alpha), potential=None))
         except (InputError, ConsistencyError) as exc:
             failures.append((float(alpha), str(exc)))
             reports.append((float(alpha), None))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Spectrum, angular_frequency_squared, potential_hessian
+from .model import Equilibrium, Spectrum, first_order_matrix
 from .symmetry import (
     J2,
     block_symplectic,
@@ -56,12 +56,8 @@ class LinearBlock:
 
     @property
     def matrix(self):
-        B = np.zeros((4, 4))
-        B[0, 2] = B[1, 3] = 1.0
-        B[2, 0] = self.omega ** 2 + self.lam1
-        B[3, 1] = self.omega ** 2 + self.lam2
-        B[2:, 2:] = 2.0 * self.omega * J2
-        return B
+        return first_order_matrix(self.omega ** 2, self.omega,
+                                  np.diag([self.lam1, self.lam2]), J2)
 
 
 def build_block(omega, lam1, lam2):
@@ -128,12 +124,7 @@ class CoupledBlock:
 
     @property
     def matrix(self):
-        k = self.dim
-        B = np.zeros((2 * k, 2 * k))
-        B[:k, k:] = np.eye(k)
-        B[k:, :k] = self.omega ** 2 * np.eye(k) + self.h_sub
-        B[k:, k:] = 2.0 * self.omega * self.j_sub
-        return B
+        return first_order_matrix(self.omega ** 2, self.omega, self.h_sub, self.j_sub)
 
     def spectrum(self):
         B = self.matrix
@@ -142,21 +133,26 @@ class CoupledBlock:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
+    """Blocks of the linearization, each solved once at construction."""
+
     omega: float
     pairs: tuple               # JPair objects backing the plain blocks
     blocks: tuple              # LinearBlock per pair
     coupled: tuple             # CoupledBlock for unpairable subspaces
+    block_spectra: tuple = field(init=False)     # eigenvalues per LinearBlock
+    coupled_spectra: tuple = field(init=False)   # eigenvalues per CoupledBlock
+
+    def __post_init__(self):
+        object.__setattr__(self, "block_spectra",
+                           tuple(block_spectrum(b) for b in self.blocks))
+        object.__setattr__(self, "coupled_spectra",
+                           tuple(c.spectrum() for c in self.coupled))
 
     def union_spectrum(self):
-        vals = []
-        for b in self.blocks:
-            vals.extend(block_spectrum(b))
-        for c in self.coupled:
-            vals.extend(c.spectrum())
-        return Spectrum(np.array(vals))
+        return Spectrum(np.concatenate(self.block_spectra + self.coupled_spectra))
 
 
-def decompose_blocks(config, spec):
+def decompose_blocks(eq):
     """Block decomposition of the linearization at a central configuration.
 
     Every eigenvector pair found by the symplectic pairing yields a
@@ -164,10 +160,9 @@ def decompose_blocks(config, spec):
     blocks: for a regular polygon one per real wave-number subspace that
     the pairs do not cover (the classical ring reduction); for any other
     configuration a single block on the whole space, in place of the pairs.
+    The pairing works on the mass-weighted Hessian ``eq.Hw``.
     """
-    omega2 = angular_frequency_squared(config, spec)
-    omega = float(np.sqrt(omega2))
-    Hw = _mass_weighted(potential_hessian(config, spec), config)
+    config, Hw = eq.config, eq.Hw
     pairs, rest = symplectic_pairs(Hw)
     bases = []
     if rest.shape[1] and polygon_axis_angle(config) is not None:
@@ -185,32 +180,15 @@ def decompose_blocks(config, spec):
     elif rest.shape[1]:
         pairs, bases = [], [np.eye(2 * config.n)]
     Jh = block_symplectic(config.n)
-    coupled = tuple(CoupledBlock(omega, V.T @ Hw @ V, V.T @ Jh @ V) for V in bases)
-    blocks = tuple(build_block(omega, p.lam1, p.lam2) for p in pairs)
-    return BlockDecomposition(omega, tuple(pairs), blocks, coupled)
-
-
-def _mass_weighted(H, config):
-    """M^{-1/2} H M^{-1/2}: symmetric and similar to M^{-1} H.
-
-    For equal unit masses this is H itself.  The symmetric form keeps the
-    eigenvector pairing applicable when masses differ.
-    """
-    inv_sqrt = 1.0 / np.sqrt(config.mass_vector)
-    return (H * inv_sqrt).T * inv_sqrt
+    coupled = tuple(CoupledBlock(eq.omega, V.T @ Hw @ V, V.T @ Jh @ V) for V in bases)
+    blocks = tuple(build_block(eq.omega, p.lam1, p.lam2) for p in pairs)
+    return BlockDecomposition(eq.omega, tuple(pairs), blocks, coupled)
 
 
 def linearization_matrix(config, spec):
-    """The 4n x 4n first-order matrix of the linearized rotating-frame flow."""
-    omega2 = angular_frequency_squared(config, spec)
-    omega = float(np.sqrt(omega2))
-    n = config.n
-    H = potential_hessian(config, spec)
-    A = np.zeros((4 * n, 4 * n))
-    A[: 2 * n, 2 * n :] = np.eye(2 * n)
-    A[2 * n :, : 2 * n] = omega2 * np.eye(2 * n) + H / config.mass_vector[:, None]
-    A[2 * n :, 2 * n :] = 2.0 * omega * block_symplectic(n)
-    return A
+    """The 4n x 4n first-order matrix A of the relative equilibrium through
+    the configuration (see model.Equilibrium)."""
+    return Equilibrium(config, spec).A
 
 
 def purify_eigenvalues(values, matrix_norm, max_chain=8, const=PURIFY_CONST):
@@ -278,12 +256,12 @@ def purify_eigenvalues(values, matrix_norm, max_chain=8, const=PURIFY_CONST):
     return out
 
 
-def full_linearization_spectrum(config, spec, purify=True):
-    """All 4n eigenvalues of the dense linearization (the oracle route)."""
-    A = linearization_matrix(config, spec)
-    vals = np.linalg.eigvals(A)
+def full_linearization_spectrum(eq, purify=True):
+    """All 4n eigenvalues of the equilibrium's dense linearization ``eq.A``
+    (the oracle route)."""
+    vals = np.linalg.eigvals(eq.A)
     if purify:
-        vals = purify_eigenvalues(vals, float(np.linalg.norm(A, 2)))
+        vals = purify_eigenvalues(vals, float(np.linalg.norm(eq.A, 2)))
     return Spectrum(vals)
 
 

@@ -14,6 +14,7 @@ from relequil.central import (
 from relequil.checks import run_selfcheck
 from relequil.dynamics import estimate_growth_rate, integrate_rotating_frame
 from relequil.model import (
+    Equilibrium,
     PotentialSpec,
     angular_frequency_squared,
     moment_of_inertia,
@@ -165,11 +166,11 @@ def test_criterion_4_block_oracle_equivalence():
     worst = 0.0
     count = 0
     for case in all_standard_cases():
-        cfg = case.configuration()
-        deco = decompose_blocks(cfg, case.potential)
+        eq = Equilibrium(case.configuration(), case.potential)
+        deco = decompose_blocks(eq)
         m = compare_spectra(
             deco.union_spectrum(),
-            full_linearization_spectrum(cfg, case.potential),
+            full_linearization_spectrum(eq),
             tol=1e-9,
         )
         assert m.matches, (case.name, m.max_distance)
@@ -195,9 +196,10 @@ def test_criterion_4_block_oracle_equivalence():
         refined = refine_central_configuration(
             start, spec, fix_inertia=moment_of_inertia(poly)
         )
-        deco = decompose_blocks(refined, spec)
+        eq = Equilibrium(refined, spec)
+        deco = decompose_blocks(eq)
         coupled_used += len(deco.coupled)
-        oracle = full_linearization_spectrum(refined, spec)
+        oracle = full_linearization_spectrum(eq)
         m = compare_spectra(deco.union_spectrum(), oracle, tol=1e-9)
         assert m.matches, (n, spec.describe(), m.max_distance)
         worst = max(worst, m.max_distance / m.scale)
@@ -217,7 +219,7 @@ def test_criterion_5_routh_cross_check():
     cfg = regular_polygon(3)
     spec = PotentialSpec.homogeneous(1.0)
     w2 = angular_frequency_squared(cfg, spec)
-    deco = decompose_blocks(cfg, spec)
+    deco = decompose_blocks(Equilibrium(cfg, spec))
     essential = [
         b for b in deco.blocks
         if abs(b.lam1 - b.lam2) <= 1e-10 and abs(b.lam1) > 1e-10
@@ -251,7 +253,7 @@ def test_criterion_7_verdicts():
     for case in all_standard_cases():
         cfg = case.configuration()
         omega = float(np.sqrt(angular_frequency_squared(cfg, case.potential)))
-        spectrum = full_linearization_spectrum(cfg, case.potential)
+        spectrum = full_linearization_spectrum(Equilibrium(cfg, case.potential))
         from relequil.spectrum import classify
 
         verdict = classify(spectrum)
@@ -284,12 +286,13 @@ def test_criterion_9_dynamics_confirmation():
         drift = float(np.max(np.abs(traj.positions - cfg.positions[None, :])))
         ok &= drift < 1e-8
 
-        predicted = full_linearization_spectrum(cfg, spec).max_real_part()
+        eq = Equilibrium(cfg, spec)
+        predicted = full_linearization_spectrum(eq).max_real_part()
         if predicted <= 0.05 * omega:
             details.append(f"{case.name}: drift {drift:.1e}, growth skipped")
             continue
-        direction = _worst_direction(cfg, spec)
-        est = estimate_growth_rate(cfg, spec, direction)
+        direction = _worst_direction(eq)
+        est = estimate_growth_rate(eq, direction)
         rel = abs(est.rate - predicted) / predicted
         ok &= (not est.no_growth) and rel <= 0.10
         details.append(

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from relequil.central import regular_polygon
-from relequil.dynamics import (
-    estimate_growth_rate,
-    integrate_rotating_frame,
-    rotation_period,
-)
-from relequil.model import PotentialSpec
+from relequil.dynamics import estimate_growth_rate, integrate_rotating_frame
+from relequil.model import Equilibrium, PotentialSpec
 from relequil.pipeline import _worst_direction
 from relequil.spectrum import full_linearization_spectrum
 
@@ -20,7 +16,7 @@ def newton_triangle():
 class TestIntegrator:
     def test_equilibrium_is_fixed_point(self, newton_triangle):
         cfg, spec = newton_triangle
-        period = rotation_period(cfg, spec)
+        period = Equilibrium(cfg, spec).period
         traj = integrate_rotating_frame(
             cfg, spec, duration=10.0 * period, dt=period / 2000.0, sample_every=100
         )
@@ -30,7 +26,7 @@ class TestIntegrator:
 
     def test_jacobi_energy_conserved(self, newton_triangle):
         cfg, spec = newton_triangle
-        period = rotation_period(cfg, spec)
+        period = Equilibrium(cfg, spec).period
         kick = np.array([0.0, 0.01, -0.01, 0.0, 0.01, -0.01])
         traj = integrate_rotating_frame(
             cfg, spec, initial_velocity=kick,
@@ -41,7 +37,7 @@ class TestIntegrator:
 
     def test_fourth_order_convergence(self, newton_triangle):
         cfg, spec = newton_triangle
-        period = rotation_period(cfg, spec)
+        period = Equilibrium(cfg, spec).period
         kick = np.zeros(6)
         kick[0] = 0.01
         errs = []
@@ -84,9 +80,10 @@ class TestIntegrator:
 class TestGrowthRate:
     def test_matches_spectral_prediction(self, newton_triangle):
         cfg, spec = newton_triangle
-        predicted = full_linearization_spectrum(cfg, spec).max_real_part()
-        direction = _worst_direction(cfg, spec)
-        est = estimate_growth_rate(cfg, spec, direction)
+        eq = Equilibrium(cfg, spec)
+        predicted = full_linearization_spectrum(eq).max_real_part()
+        direction = _worst_direction(eq)
+        est = estimate_growth_rate(eq, direction)
         assert not est.no_growth
         assert est.rate == pytest.approx(predicted, rel=0.10)
 
@@ -94,14 +91,14 @@ class TestGrowthRate:
         cfg, spec = newton_triangle
         translation = np.zeros(6)
         translation[0::2] = 1.0
-        period = rotation_period(cfg, spec)
+        eq = Equilibrium(cfg, spec)
         est = estimate_growth_rate(
-            cfg, spec, translation, duration=4.0 * period
+            eq, translation, duration=4.0 * eq.period
         )
         assert est.no_growth
         assert est.rate == 0.0
 
     def test_rejects_zero_direction(self, newton_triangle):
-        cfg, spec = newton_triangle
+        eq = Equilibrium(*newton_triangle)
         with pytest.raises(ValueError):
-            estimate_growth_rate(cfg, spec, np.zeros(6))
+            estimate_growth_rate(eq, np.zeros(6))

@@ -26,6 +26,10 @@ class TestBodyConfiguration:
         with pytest.raises(CollisionError) as err:
             BodyConfiguration(np.ones(3), np.array([0.0, 0, 1, 1, 0, 0]))
         assert err.value.pair == (0, 2)
+        # two colliding pairs, (0, 3) and (1, 2): the first in i < j order
+        with pytest.raises(CollisionError) as err:
+            BodyConfiguration(np.ones(4), np.array([0.0, 0, 1, 0, 1, 0, 0, 0]))
+        assert err.value.pair == (0, 3)
 
     def test_rejects_nonpositive_mass(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from relequil import pipeline
+from relequil import dynamics, model, pipeline
 from relequil.central import refine_central_configuration, regular_polygon
 from relequil.cli import main as cli_main
 from relequil.model import BodyConfiguration, PotentialSpec
@@ -161,8 +161,8 @@ class TestConsistencyError:
     def test_names_both_sizes_on_cardinality_mismatch(self, monkeypatch):
         real = pipeline.decompose_blocks
 
-        def drop_a_block(config, spec):
-            deco = real(config, spec)
+        def drop_a_block(eq):
+            deco = real(eq)
             return type(deco)(deco.omega, deco.pairs[1:], deco.blocks[1:], deco.coupled)
 
         monkeypatch.setattr(pipeline, "decompose_blocks", drop_a_block)
@@ -171,6 +171,54 @@ class TestConsistencyError:
         assert str(err.value) == (
             "block union vs oracle: block union has 8 eigenvalues, the oracle 12"
         )
+
+
+class TestComputedOnce:
+    @pytest.mark.parametrize("with_dynamics", [False, True])
+    def test_one_equilibrium_per_run(self, monkeypatch, with_dynamics):
+        calls = {"potential_hessian": 0, "centrality_residual": 0}
+
+        def counting(name):
+            real = getattr(model, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(model, name, counting(name))
+        built, directions = [], []
+        real_init = model.Equilibrium.__post_init__
+
+        def record_build(eq):
+            real_init(eq)
+            built.append(eq)
+
+        real_direction = pipeline._worst_direction
+
+        def record_direction(eq):
+            directions.append(eq)
+            return real_direction(eq)
+
+        real_integrate = dynamics.integrate_rotating_frame
+
+        def ten_steps(config, spec, **kwargs):
+            # the integrator's length does not change what is computed once
+            return real_integrate(config, spec, **{**kwargs, "duration": 10 * kwargs["dt"]})
+
+        monkeypatch.setattr(model.Equilibrium, "__post_init__", record_build)
+        monkeypatch.setattr(pipeline, "_worst_direction", record_direction)
+        monkeypatch.setattr(dynamics, "integrate_rotating_frame", ten_steps)
+        request = AnalysisRequest(case="square-homogeneous", alpha=1.0,
+                                  with_dynamics=with_dynamics)
+        report = run_analysis(request)
+        assert calls == {"potential_hessian": 1, "centrality_residual": 1}
+        # A is built by the one Equilibrium; the growth fit uses that same one
+        assert len(built) == 1
+        assert directions == (built if with_dynamics else [])
+        assert (report.to_dict()["dynamics"] is not None) == with_dynamics
 
 
 class TestSweep:
@@ -240,6 +288,25 @@ class TestCli:
         ])
         assert code == 2
         assert "positions must be flat" in capsys.readouterr().err
+
+    def test_simulate_noncentral_exit_2(self, capsys):
+        code = cli_main(["simulate", "--positions=0,0,1,0", "--alpha", "1"])
+        assert code == 2
+        assert "input error: configuration is not central" in capsys.readouterr().err
+
+    def test_list_values_may_start_with_minus(self, capsys, tmp_path):
+        out = tmp_path / "pair.json"
+        code = cli_main([
+            "analyze", "--positions", "-0.5,0,0.5,0", "--masses", "1,1",
+            "--alpha", "1", "--format", "json", "--out", str(out),
+        ])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["configuration"]["positions"] == [-0.5, 0.0, 0.5, 0.0]
+        code = cli_main(["analyze", "--positions", "0,0,1,0", "--masses", "-1,1",
+                         "--alpha", "1"])
+        assert code == 2
+        assert "masses must be strictly positive" in capsys.readouterr().err
 
     def test_sweep_table(self, capsys):
         code = cli_main([

@@ -7,6 +7,7 @@ from scipy.optimize import linear_sum_assignment
 from relequil.central import refine_central_configuration, regular_polygon
 from relequil.model import (
     BodyConfiguration,
+    Equilibrium,
     PotentialSpec,
     Spectrum,
     angular_frequency_squared,
@@ -187,7 +188,8 @@ class TestPurify:
 class TestOracle:
     def test_hamiltonian_symmetry_all_cases(self, standard_cases):
         for case in standard_cases:
-            spec = full_linearization_spectrum(case.configuration(), case.potential)
+            spec = full_linearization_spectrum(
+                Equilibrium(case.configuration(), case.potential))
             v = spec.values
             scale = np.max(np.abs(v))
             assert _match_distance(v, -v) <= 1e-9 * scale, case.name
@@ -197,7 +199,7 @@ class TestOracle:
         for case in standard_cases:
             cfg = case.configuration()
             w = np.sqrt(angular_frequency_squared(cfg, case.potential))
-            v = full_linearization_spectrum(cfg, case.potential).values
+            v = full_linearization_spectrum(Equilibrium(cfg, case.potential)).values
             scale = np.max(np.abs(v))
             n_zero = int(np.sum(np.abs(v) <= 1e-8 * scale))
             n_rot = int(np.sum(np.abs(v - 1j * w) <= 1e-8 * scale))
@@ -208,15 +210,16 @@ class TestOracle:
         cfg = regular_polygon(3)
         spec = PotentialSpec.homogeneous(1.0)
         w = np.sqrt(angular_frequency_squared(cfg, spec))
-        v = full_linearization_spectrum(cfg, spec).values
+        v = full_linearization_spectrum(Equilibrium(cfg, spec)).values
         assert np.sum(np.abs(v - 1j * w) < 1e-9) >= 2
         assert np.sum(np.abs(v + 1j * w) < 1e-9) >= 2
 
     def test_purify_improves_defective_modes(self):
         cfg = regular_polygon(3)
         spec = PotentialSpec.schwarzschild()
-        raw = full_linearization_spectrum(cfg, spec, purify=False).values
-        pure = full_linearization_spectrum(cfg, spec).values
+        eq = Equilibrium(cfg, spec)
+        raw = full_linearization_spectrum(eq, purify=False).values
+        pure = full_linearization_spectrum(eq).values
         # the quadruple zero scatters badly without purification
         raw_zero = np.sort(np.abs(raw))[:4]
         pure_zero = np.sort(np.abs(pure))[:4]
@@ -227,21 +230,22 @@ class TestOracle:
 class TestBlockOracleAgreement:
     def test_six_cases(self, standard_cases):
         for case in standard_cases:
-            cfg = case.configuration()
-            deco = decompose_blocks(cfg, case.potential)
+            eq = Equilibrium(case.configuration(), case.potential)
+            deco = decompose_blocks(eq)
             assert len(deco.coupled) == 0, case.name
             union = deco.union_spectrum()
-            oracle = full_linearization_spectrum(cfg, case.potential)
+            oracle = full_linearization_spectrum(eq)
             m = compare_spectra(union, oracle, tol=1e-9)
             assert m.matches, (case.name, m.max_distance)
 
     def test_pentagon_with_coupled_block(self):
         cfg = regular_polygon(5)
         spec = PotentialSpec.homogeneous(1.0)
-        deco = decompose_blocks(cfg, spec)
+        eq = Equilibrium(cfg, spec)
+        deco = decompose_blocks(eq)
         assert len(deco.blocks) == 3 and len(deco.coupled) == 1
         union = deco.union_spectrum()
-        oracle = full_linearization_spectrum(cfg, spec)
+        oracle = full_linearization_spectrum(eq)
         assert compare_spectra(union, oracle, tol=1e-9).matches
 
     @pytest.mark.parametrize("n", [10, 11, 12, 13, 16, 24, 32, 48])
@@ -251,11 +255,12 @@ class TestBlockOracleAgreement:
     def test_large_polygons_by_wave_number(self, n, terms):
         cfg = regular_polygon(n).rotated(0.7)
         spec = PotentialSpec(terms)
-        deco = decompose_blocks(cfg, spec)
+        eq = Equilibrium(cfg, spec)
+        deco = decompose_blocks(eq)
         assert all(cb.dim in (2, 4) for cb in deco.coupled)
         union = deco.union_spectrum()
         assert len(union) == 4 * n
-        m = compare_spectra(union, full_linearization_spectrum(cfg, spec), tol=1e-9)
+        m = compare_spectra(union, full_linearization_spectrum(eq), tol=1e-9)
         assert m.matches, m.max_distance / m.scale
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -268,18 +273,19 @@ class TestBlockOracleAgreement:
         guess = np.zeros(2 * n)
         guess[0::2] = np.linspace(-1.0, 1.0, n)
         cfg = refine_central_configuration(BodyConfiguration(masses, guess), spec)
-        union = decompose_blocks(cfg, spec).union_spectrum()
+        eq = Equilibrium(cfg, spec)
+        union = decompose_blocks(eq).union_spectrum()
         assert len(union) == 4 * n
-        m = compare_spectra(union, full_linearization_spectrum(cfg, spec), tol=1e-9)
+        m = compare_spectra(union, full_linearization_spectrum(eq), tol=1e-9)
         assert m.matches, m.max_distance / m.scale
 
     def test_radius_scaling_law(self):
         # eigenvalues scale as rho^{-(alpha+2)/2} for single-term potentials
         alpha, rho = 1.0, 1.8
         spec = PotentialSpec.homogeneous(alpha)
-        base = full_linearization_spectrum(regular_polygon(3), spec).values
+        base = full_linearization_spectrum(Equilibrium(regular_polygon(3), spec)).values
         scaled = full_linearization_spectrum(
-            regular_polygon(3, radius=rho), spec
+            Equilibrium(regular_polygon(3, radius=rho), spec)
         ).values
         predicted = base * rho ** (-(alpha + 2.0) / 2.0)
         scale = np.max(np.abs(predicted))
@@ -294,4 +300,4 @@ class TestBlockOracleAgreement:
         cfg = regular_polygon(3)
         lopsided = BodyConfiguration(np.array([1.0, 1.0, 2.0]), cfg.positions)
         with pytest.raises(NonCentralConfigurationError):
-            full_linearization_spectrum(lopsided, PotentialSpec.homogeneous(1.0))
+            full_linearization_spectrum(Equilibrium(lopsided, PotentialSpec.homogeneous(1.0)))
