@@ -32,8 +32,10 @@ def _parse_potential(text):
     """'1:1,1:2' -> ((1.0, 1.0), (1.0, 2.0)) as (coefficient:exponent) pairs."""
     terms = []
     for chunk in text.split(","):
-        c, _, a = chunk.partition(":")
-        terms.append((float(c), float(a)))
+        c, sep, a = chunk.partition(":")
+        if not sep:
+            raise InputError(f"--potential: term {chunk!r} is not coefficient:exponent")
+        terms.append(_parse_floats(f"{c},{a}", "--potential"))
     return tuple(terms)
 
 
@@ -89,7 +91,9 @@ def cmd_analyze(args):
 
 
 def cmd_sweep(args):
-    grid = [float(x) for x in args.grid.split(",")]
+    grid = _parse_floats(args.grid, "--grid")
+    if not grid:
+        raise InputError("--grid: need at least one alpha")
     base = _request_from_args(args)
     result = run_sweep(base, grid)
     payload = {

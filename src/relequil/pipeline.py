@@ -84,12 +84,14 @@ class AnalysisRequest:
             config = BodyConfiguration(masses, positions)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        if self.potential is not None:
-            spec = PotentialSpec(tuple(tuple(t) for t in self.potential))
-        elif self.alpha is not None:
-            spec = PotentialSpec.homogeneous(self.alpha)
-        else:
+        if self.potential is None and self.alpha is None:
             raise InputError("explicit configurations need a potential or alpha")
+        try:
+            spec = (PotentialSpec(tuple(tuple(t) for t in self.potential))
+                    if self.potential is not None
+                    else PotentialSpec.homogeneous(self.alpha))
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         return config, spec, None
 
     def equilibrium(self):

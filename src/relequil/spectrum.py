@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Equilibrium, Spectrum, first_order_matrix
+from .model import Spectrum, first_order_matrix
 from .symmetry import (
     J2,
     block_symplectic,
@@ -159,13 +159,13 @@ def decompose_blocks(eq):
     closed-form 4x4 block.  What the pairs leave over becomes coupled
     blocks: for a regular polygon one per real wave-number subspace that
     the pairs do not cover (the classical ring reduction); for any other
-    configuration a single block on the whole space, in place of the pairs.
-    The pairing works on the mass-weighted Hessian ``eq.Hw``.
+    configuration a single block on that leftover subspace.  The pairing
+    works on the mass-weighted Hessian ``eq.Hw``.
     """
     config, Hw = eq.config, eq.Hw
     pairs, rest = symplectic_pairs(Hw)
-    bases = []
-    if rest.shape[1] and polygon_axis_angle(config) is not None:
+    bases = [rest] if rest.shape[1] else []
+    if bases and polygon_axis_angle(config) is not None:
         waves = (wave_number_basis(config.points, k) for k in range(config.n // 2 + 1))
         # |rest^T W|_F^2 is dim W when W lies in span(rest) and 0 when the
         # pairs cover it; halfway splits the two
@@ -177,18 +177,10 @@ def decompose_blocks(eq):
                 f"uncovered wave-number subspaces span {dim} dimensions, "
                 f"the J-pairs leave {rest.shape[1]}",
             )
-    elif rest.shape[1]:
-        pairs, bases = [], [np.eye(2 * config.n)]
     Jh = block_symplectic(config.n)
     coupled = tuple(CoupledBlock(eq.omega, V.T @ Hw @ V, V.T @ Jh @ V) for V in bases)
     blocks = tuple(build_block(eq.omega, p.lam1, p.lam2) for p in pairs)
     return BlockDecomposition(eq.omega, tuple(pairs), blocks, coupled)
-
-
-def linearization_matrix(config, spec):
-    """The 4n x 4n first-order matrix A of the relative equilibrium through
-    the configuration (see model.Equilibrium)."""
-    return Equilibrium(config, spec).A
 
 
 def purify_eigenvalues(values, matrix_norm, max_chain=8, const=PURIFY_CONST):

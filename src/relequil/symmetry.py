@@ -13,10 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 ORTHO_TOL = 1e-14
+# Eigenvalues closer than CLUSTER_TOL times the spectral radius share a cluster.
+CLUSTER_TOL = 1e-8
+# A singular value of B_j^T Jhat B_i within PAIR_TOL of 1 is an exact pair.
+# There 1 - sigma = O(theta^2 + 2n eps), where theta <~ eps / CLUSTER_TOL
+# bounds the rounding error of the cluster bases.  Over the presets, the
+# polygons and the collinear inputs, exact pairs lie at 1 - sigma <= 2.0e-15
+# and near-pairs (collinear Schwarzschild) at >= 1.16e-8; a near-pair
+# accepted as a pair would leave a subspace that Jhat does not keep invariant.
+PAIR_TOL = 1e-10
 
 
 class PairingError(RuntimeError):
@@ -377,12 +387,13 @@ def block_symplectic(n):
     return np.kron(np.eye(n), J2) + 0.0
 
 
-def _eigen_clusters(H, cluster_tol):
+def _eigen_clusters(H):
+    """(mean eigenvalue, orthonormal eigenvector basis) per eigen-cluster."""
     evals, vecs = np.linalg.eigh(np.asarray(H, dtype=float))
     scale = max(float(np.max(np.abs(evals))), 1e-300)
     clusters = []
     for lam, v in zip(evals, vecs.T):
-        if clusters and abs(lam - clusters[-1][0][-1]) <= cluster_tol * scale:
+        if clusters and abs(lam - clusters[-1][0][-1]) <= CLUSTER_TOL * scale:
             clusters[-1][0].append(lam)
             clusters[-1][1].append(v)
         else:
@@ -390,87 +401,57 @@ def _eigen_clusters(H, cluster_tol):
     return [(float(np.mean(ls)), np.array(vs).T) for ls, vs in clusters]
 
 
-def _deflate(basis, used):
-    """Orthonormal basis of span(basis) minus span(used).
+def symplectic_pairs(H):
+    """Eigenvector pairs of a symmetric H compatible with Jhat, and the rest.
 
-    SVD-based: plain QR misorders near-zero columns when ``used`` almost
-    coincides with a basis column, polluting the kept directions.
-    """
-    if basis.shape[1] == 0:
-        return basis
-    B = basis - np.outer(used, used @ basis)
-    U, S, _ = np.linalg.svd(B, full_matrices=False)
-    return U[:, S > 1e-8]
-
-
-def _fix_pair_sign(v1, v2, tol=1e-9):
-    for x in v1:
-        if abs(x) > tol:
-            if x < 0:
-                return -v1, -v2
-            return v1, v2
-    return v1, v2
-
-
-def _strict_pairs(clusters, Jh, svd_tol):
-    """Greedy extraction of eigenvector pairs with Jhat v1 = -v2 exactly.
-
-    Sweeps every cluster pair (i, j) until a sweep accepts nothing.  A test
-    that failed is repeated only once cluster i or j has been deflated
-    since: unchanged bases give the same SVD and fail again.
-    """
-    pairs = []
-    cl = [[lam, B] for lam, B in clusters]
-    version = [0] * len(cl)
-    failed = {}
-    progress = True
-    while progress:
-        progress = False
-        for i in range(len(cl)):
-            for j in range(i, len(cl)):
-                Bi, Bj = cl[i][1], cl[j][1]
-                if Bi.shape[1] == 0 or Bj.shape[1] == 0:
-                    continue
-                if i == j and Bi.shape[1] < 2:
-                    continue
-                if failed.get((i, j)) == (version[i], version[j]):
-                    continue
-                sv = np.linalg.svd(Bj.T @ Jh @ Bi)
-                k = int(np.argmax(sv.S))
-                if abs(sv.S[k] - 1.0) > svd_tol:
-                    failed[(i, j)] = (version[i], version[j])
-                    continue
-                v1 = Bi @ sv.Vh[k]
-                v2 = -Jh @ v1
-                v1, v2 = _fix_pair_sign(v1, v2)
-                pairs.append(JPair(cl[i][0], cl[j][0], v1, v2))
-                cl[i][1] = _deflate(cl[i][1], v1)
-                cl[j][1] = _deflate(cl[j][1], v2)
-                version[i] += 1
-                version[j] += 1
-                progress = True
-    leftover = [(lam, B) for lam, B in cl if B.shape[1] > 0]
-    return pairs, leftover
-
-
-def symplectic_pairs(H, cluster_tol=1e-8, svd_tol=1e-7):
-    """Strict eigenvector pairs of a symmetric H and what they leave over.
+    With B_i an orthonormal basis of the eigen-cluster E_i, the directions
+    v in E_i with Jhat v in E_j are B_i times the right singular vectors of
+    C_ij = B_j^T Jhat B_i at singular value 1 (within ``PAIR_TOL``).  These
+    subspaces are mutually orthogonal, so one pass over the cluster pairs
+    j >= i finds them all: for j > i each such singular value is one pair
+    (lam_i, lam_j) with v2 = -Jhat v1; for j = i they span Jhat-invariant
+    planes of E_i, one pair each.  Since sigma_max(C) <= |C|_F, a block
+    whose Frobenius norm is below 1 - 2 PAIR_TOL needs no SVD.
 
     Returns (pairs, rest): the JPair objects sorted by (lam1, lam2), and an
-    orthonormal basis of the eigenvector directions that no pair took.
-    Exact pairs leave 2n - 2 len(pairs) such directions; a pair accepted
-    within ``svd_tol`` but not exact leaves an extra one behind.
+    orthonormal basis of the complement, inside each cluster, of every
+    paired direction.
     """
     H = np.asarray(H, dtype=float)
-    pairs, leftover = _strict_pairs(
-        _eigen_clusters(H, cluster_tol), block_symplectic(H.shape[0] // 2), svd_tol
-    )
-    rest = np.column_stack([B for _, B in leftover] or [np.zeros((H.shape[0], 0))])
-    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), rest
+    clusters = _eigen_clusters(H)
+    Jh = block_symplectic(H.shape[0] // 2)
+    edges = np.cumsum([0] + [B.shape[1] for _, B in clusters])
+    V = np.column_stack([B for _, B in clusters])
+    G = V.T @ Jh @ V            # block (j, i) is C_ij
+    frob2 = np.add.reduceat(np.add.reduceat(G * G, edges[:-1], axis=0),
+                            edges[:-1], axis=1)
+    pairs, taken = [], [[np.zeros((B.shape[1], 0))] for _, B in clusters]
+    for j, i in zip(*np.nonzero(np.tril(frob2 >= (1.0 - 2.0 * PAIR_TOL) ** 2))):
+        (lam_i, Bi), (lam_j, _) = clusters[i], clusters[j]
+        C = G[edges[j]:edges[j + 1], edges[i]:edges[i + 1]]
+        U, S, Vh = np.linalg.svd(C, full_matrices=False)
+        hit = S >= 1.0 - PAIR_TOL
+        X = Vh[hit].T           # paired directions, as coefficients in B_i
+        taken[i].append(X)
+        if i == j:
+            # the real Schur form of Jhat on span(X) lines its invariant
+            # planes up as column pairs; the first of each pair is v1
+            X = X @ schur(X.T @ C @ X)[1][:, 0::2]
+        else:
+            taken[j].append(U[:, hit])
+        for x in X.T:
+            v1 = Bi @ x
+            pairs.append(JPair(lam_i, lam_j, v1, -Jh @ v1))
+    rest = [np.zeros((H.shape[0], 0))]
+    for (_, B), t in zip(clusters, taken):
+        T = np.column_stack(t)
+        if T.shape[1] < B.shape[1]:
+            # the left singular vectors past rank(T) span its complement
+            rest.append(B @ np.linalg.svd(T)[0][:, T.shape[1]:])
+    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), np.column_stack(rest)
 
 
-def j_compatible_pairs(H, group=None, cluster_tol=1e-8, svd_tol=1e-7,
-                       invariance_tol=1e-8):
+def j_compatible_pairs(H, group=None):
     """Split R^{2n} into n eigenvector pairs compatible with the symplectic J.
 
     Each returned pair satisfies H v_k = lam_k v_k and
@@ -484,12 +465,12 @@ def j_compatible_pairs(H, group=None, cluster_tol=1e-8, svd_tol=1e-7,
         raise ValueError("dimension must be even")
     if group is not None:
         scale = max(float(np.max(np.abs(H))), 1e-300)
-        ok, defect = verify_invariance(H, group, tol=invariance_tol * scale)
+        ok, defect = verify_invariance(H, group, tol=1e-8 * scale)
         if not ok:
             raise InvarianceError(
                 f"matrix does not commute with the group action (defect {defect:.3e})"
             )
-    pairs, rest = symplectic_pairs(H, cluster_tol, svd_tol)
+    pairs, rest = symplectic_pairs(H)
     if rest.shape[1]:
         lams = np.linalg.eigvalsh(rest.T @ H @ rest)
         raise PairingError(

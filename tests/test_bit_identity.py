@@ -1,26 +1,26 @@
 """The vectorized Hessian, purification and pairing against the loops they replaced.
 
-Each ``_reference_*`` function below is the earlier per-entry Python loop,
-kept as the definition of the result.  The library's versions change only
-how the work is organised, not the arithmetic or its order, so they must
-return the same bytes on every input.
+Each ``_reference_*`` function below is the earlier Python loop, kept as the
+definition of the result.  The Hessian, purification and ``block_symplectic``
+change only how the work is organised, not the arithmetic or its order, so
+they must return the same bytes on every input.  The one-pass pairing
+chooses its vectors differently from the greedy sweep it replaced, so it
+must find the same (lam1, lam2) pairs and leave the same subspace over.
 """
 
 import numpy as np
 import pytest
 
 from relequil.central import regular_polygon
-from relequil.model import BodyConfiguration, PotentialSpec, potential_hessian
+from relequil.model import BodyConfiguration, Equilibrium, PotentialSpec, potential_hessian
 from relequil.presets import all_standard_cases
-from relequil.spectrum import PURIFY_CONST, linearization_matrix, purify_eigenvalues
+from relequil.spectrum import PURIFY_CONST, purify_eigenvalues
 from relequil.symmetry import (
     J2,
     JPair,
-    _deflate,
     _eigen_clusters,
-    _fix_pair_sign,
-    _strict_pairs,
     block_symplectic,
+    symplectic_pairs,
 )
 
 BENCHMARK_POTENTIALS = {
@@ -96,7 +96,25 @@ def _reference_purify(values, matrix_norm, max_chain=8, const=PURIFY_CONST):
     return out
 
 
+def _reference_deflate(basis, used):
+    if basis.shape[1] == 0:
+        return basis
+    B = basis - np.outer(used, used @ basis)
+    U, S, _ = np.linalg.svd(B, full_matrices=False)
+    return U[:, S > 1e-8]
+
+
+def _reference_fix_pair_sign(v1, v2, tol=1e-9):
+    for x in v1:
+        if abs(x) > tol:
+            if x < 0:
+                return -v1, -v2
+            return v1, v2
+    return v1, v2
+
+
 def _reference_strict_pairs(clusters, Jh, svd_tol):
+    """Greedy sweep over cluster pairs, deflating after each accepted pair."""
     pairs = []
     cl = [[lam, B] for lam, B in clusters]
     progress = True
@@ -115,10 +133,10 @@ def _reference_strict_pairs(clusters, Jh, svd_tol):
                     continue
                 v1 = Bi @ sv.Vh[k]
                 v2 = -Jh @ v1
-                v1, v2 = _fix_pair_sign(v1, v2)
+                v1, v2 = _reference_fix_pair_sign(v1, v2)
                 pairs.append(JPair(cl[i][0], cl[j][0], v1, v2))
-                cl[i][1] = _deflate(cl[i][1], v1)
-                cl[j][1] = _deflate(cl[j][1], v2)
+                cl[i][1] = _reference_deflate(cl[i][1], v1)
+                cl[j][1] = _reference_deflate(cl[j][1], v2)
                 progress = True
     leftover = [(lam, B) for lam, B in cl if B.shape[1] > 0]
     return pairs, leftover
@@ -202,7 +220,7 @@ class TestPurify:
 
     def test_raw_oracle_eigenvalues(self):
         for label, cfg, spec in ANALYSIS_INPUTS:
-            A = linearization_matrix(cfg, spec)
+            A = Equilibrium(cfg, spec).A
             vals = np.linalg.eigvals(A)
             norm = float(np.linalg.norm(A, 2))
             assert _same_bytes(purify_eigenvalues(vals, norm),
@@ -240,18 +258,25 @@ class TestPurify:
 
 class TestStrictPairs:
     def test_presets_and_polygons(self):
+        # none of these inputs has a near-pair, where the sweep's 1e-7 and
+        # the one-pass count's PAIR_TOL disagree
         for label, cfg, spec in ANALYSIS_INPUTS:
-            clusters = _eigen_clusters(potential_hessian(cfg, spec), 1e-8)
+            H = potential_hessian(cfg, spec)
             Jh = block_symplectic(cfg.n)
-            pairs, leftover = _strict_pairs(clusters, Jh, 1e-7)
-            ref_pairs, ref_leftover = _reference_strict_pairs(clusters, Jh, 1e-7)
-            assert len(pairs) == len(ref_pairs), label
-            for p, q in zip(pairs, ref_pairs):
-                assert (p.lam1, p.lam2) == (q.lam1, q.lam2), label
-                assert _same_bytes(p.v1, q.v1) and _same_bytes(p.v2, q.v2), label
-            assert len(leftover) == len(ref_leftover), label
-            for (lam, B), (ref_lam, ref_B) in zip(leftover, ref_leftover):
-                assert lam == ref_lam and _same_bytes(B, ref_B), label
+            pairs, rest = symplectic_pairs(H)
+            ref_pairs, ref_leftover = _reference_strict_pairs(_eigen_clusters(H), Jh, 1e-7)
+            assert ([(p.lam1, p.lam2) for p in pairs]
+                    == sorted((q.lam1, q.lam2) for q in ref_pairs)), label
+            ref_rest = np.column_stack([B for _, B in ref_leftover] or [np.zeros((2 * cfg.n, 0))])
+            assert rest.shape == ref_rest.shape, label
+            np.testing.assert_allclose(rest @ rest.T, ref_rest @ ref_rest.T,
+                                       rtol=0, atol=1e-12, err_msg=label)
+            scale = float(np.max(np.abs(H)))
+            for p in pairs:
+                np.testing.assert_allclose(H @ p.v1, p.lam1 * p.v1, rtol=0,
+                                           atol=1e-10 * scale, err_msg=label)
+                np.testing.assert_allclose(H @ p.v2, p.lam2 * p.v2, rtol=0,
+                                           atol=1e-10 * scale, err_msg=label)
 
 
 def test_block_symplectic():

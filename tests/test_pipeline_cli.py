@@ -308,6 +308,22 @@ class TestCli:
         assert code == 2
         assert "masses must be strictly positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["analyze", "--positions", "0,0,1,0", "--potential", "1:x"], "--potential"),
+        (["analyze", "--positions", "0,0,1,0", "--potential", "1"], "--potential"),
+        (["sweep", "--case", "triangle-homogeneous", "--grid", "1,x"], "--grid"),
+    ], ids=["potential-not-a-number", "potential-no-colon", "grid-not-a-number"])
+    def test_malformed_numbers_exit_2(self, capsys, argv, flag):
+        assert cli_main(argv) == 2
+        assert f"input error: {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [["--alpha", "-1"], ["--potential", "0:1"]],
+                             ids=["alpha", "potential"])
+    def test_rejected_potential_exit_2(self, capsys, spec):
+        assert cli_main(["analyze", "--positions", "1,0,-1,0", *spec]) == 2
+        assert ("input error: coefficients and exponents must be positive"
+                in capsys.readouterr().err)
+
     def test_sweep_table(self, capsys):
         code = cli_main([
             "sweep", "--case", "triangle-homogeneous", "--grid", "1.9,2.0,2.1",

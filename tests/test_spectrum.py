@@ -23,6 +23,7 @@ from relequil.spectrum import (
     full_linearization_spectrum,
     purify_eigenvalues,
 )
+from relequil.symmetry import symplectic_pairs
 
 
 def _match_distance(a, b):
@@ -267,8 +268,9 @@ class TestBlockOracleAgreement:
     @pytest.mark.parametrize("spec", [PotentialSpec.manev(), PotentialSpec.schwarzschild()],
                              ids=["manev", "schwarzschild"])
     def test_refined_collinear_quasi_homogeneous(self, n, spec):
-        # no dihedral symmetry and no complete pairing: one whole-space block
-        # whose defective zero cluster is purified like the oracle's
+        # no dihedral symmetry and no complete pairing: the exact pairs plus
+        # one block on what they leave over, whose defective zero cluster is
+        # purified like the oracle's
         masses = np.random.default_rng(n).uniform(0.5, 2.0, n)
         guess = np.zeros(2 * n)
         guess[0::2] = np.linspace(-1.0, 1.0, n)
@@ -277,6 +279,23 @@ class TestBlockOracleAgreement:
         union = decompose_blocks(eq).union_spectrum()
         assert len(union) == 4 * n
         m = compare_spectra(union, full_linearization_spectrum(eq), tol=1e-9)
+        assert m.matches, m.max_distance / m.scale
+
+    def test_collinear_near_pairs_stay_in_the_coupled_block(self):
+        # a collinear Schwarzschild case of the benchmark deck: two cluster
+        # pairs sit 4.3e-8 from singular value 1, near-pairs but not pairs,
+        # so one exact pair remains and a 4-dimensional block holds the rest
+        masses = np.array([1.1480608566549848, 0.8093387529663701, 1.1182770341820232])
+        guess = np.zeros(6)
+        guess[0::2] = (-1.0657566814208692, -0.0600322841308816, 0.9366569479940259)
+        spec = PotentialSpec.schwarzschild()
+        cfg = refine_central_configuration(BodyConfiguration(masses, guess), spec)
+        eq = Equilibrium(cfg, spec)
+        pairs, rest = symplectic_pairs(eq.Hw)
+        assert (len(pairs), rest.shape[1]) == (1, 4)
+        deco = decompose_blocks(eq)
+        assert len(deco.blocks) == 1 and [cb.dim for cb in deco.coupled] == [4]
+        m = compare_spectra(deco.union_spectrum(), full_linearization_spectrum(eq), tol=1e-9)
         assert m.matches, m.max_distance / m.scale
 
     def test_radius_scaling_law(self):

@@ -4,6 +4,7 @@ import pytest
 from relequil.central import regular_polygon
 from relequil.model import PotentialSpec, potential_hessian
 from relequil.symmetry import (
+    J2,
     InvarianceError,
     PairingError,
     block_symplectic,
@@ -15,6 +16,7 @@ from relequil.symmetry import (
     j_compatible_pairs,
     representation_character,
     representation_matrix,
+    symplectic_pairs,
     verify_invariance,
     wave_number_basis,
 )
@@ -351,6 +353,48 @@ class TestJPairs:
             H = potential_hessian(case.configuration(), case.potential)
             pairs = j_compatible_pairs(H)
             assert len(pairs) == case.n, case.name
+
+    @pytest.mark.parametrize(
+        "n, rotated", [(2, False), (3, False), (3, True), (4, True)],
+        ids=["identity-2", "identity-3", "unitary-3", "unitary-4"],
+    )
+    def test_invariant_cluster_splits_into_planes(self, n, rotated):
+        # a cluster that Jhat keeps invariant, of dimension 2n (2.5 I) or
+        # 2n - 2 (conjugated by the real form of a random unitary, which
+        # commutes with Jhat): each of its planes is one pair
+        lams = np.full(n, 2.5)
+        U = np.eye(2 * n)
+        if rotated:
+            lams[-1] = 4.0
+            Z = np.random.default_rng(n).standard_normal((n, 2 * n)).view(complex)
+            W = np.linalg.qr(Z)[0]
+            U = np.kron(W.real, np.eye(2)) + np.kron(W.imag, J2.T)
+        H = U @ np.diag(np.repeat(lams, 2)) @ U.T
+        pairs = j_compatible_pairs(H)
+        assert len(pairs) == n
+        for p, lam in zip(pairs, np.sort(lams)):
+            assert p.lam1 == pytest.approx(lam) and p.lam2 == pytest.approx(lam)
+            np.testing.assert_allclose(H @ p.v1, lam * p.v1, atol=1e-13)
+            np.testing.assert_allclose(H @ p.v2, lam * p.v2, atol=1e-13)
+        V = np.column_stack([v for p in pairs for v in (p.v1, p.v2)])
+        np.testing.assert_allclose(V.T @ V, np.eye(2 * n), atol=1e-13)
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3], ids=["axes", "rotated"])
+    def test_cluster_pairs_with_two_smaller_clusters(self, angle):
+        # the lam = 1 cluster span{e1, e3} pairs with {e2} (lam = 2) and
+        # with {e4} (lam = 3): blocks between clusters of unequal size
+        c, s = np.cos(angle), np.sin(angle)
+        R = np.eye(4)
+        R[np.ix_([0, 2], [0, 2])] = [[c, -s], [s, c]]
+        H = R @ np.diag([1.0, 2.0, 1.0, 3.0]) @ R.T
+        pairs, rest = symplectic_pairs(H)
+        assert [(p.lam1, p.lam2) for p in pairs] == [
+            pytest.approx((1.0, 2.0)), pytest.approx((1.0, 3.0))]
+        assert rest.shape == (4, 0)
+        for p in pairs:
+            np.testing.assert_allclose(H @ p.v1, p.lam1 * p.v1, atol=1e-13)
+            np.testing.assert_allclose(H @ p.v2, p.lam2 * p.v2, atol=1e-13)
+        assert len(j_compatible_pairs(H)) == 2
 
     def test_pentagon_raises_structurally(self):
         cfg = regular_polygon(5)
