@@ -181,17 +181,12 @@ class StabilityReport:
                     f"  {comp['irrep']} (deg {comp['degree']} x mult "
                     f"{comp['multiplicity']}): {vals}"
                 )
+        def eigs(blk):
+            return ", ".join(f"{e['re']:+.6f}{e['im']:+.6f}i" for e in blk["eigenvalues"])
+
         lines.append("blocks (lam1, lam2 -> eigenvalues):")
-        for blk in d["blocks"]:
-            eigs = ", ".join(
-                f"{e['re']:+.6f}{e['im']:+.6f}i" for e in blk["eigenvalues"]
-            )
-            lines.append(f"  ({blk['lam1']:+.6f}, {blk['lam2']:+.6f}): {eigs}")
-        for blk in d.get("coupled_blocks", []):
-            eigs = ", ".join(
-                f"{e['re']:+.6f}{e['im']:+.6f}i" for e in blk["eigenvalues"]
-            )
-            lines.append(f"  coupled dim {blk['dim']}: {eigs}")
+        lines += [f"  ({b['lam1']:+.6f}, {b['lam2']:+.6f}): {eigs(b)}" for b in d["blocks"]]
+        lines += [f"  coupled dim {b['dim']}: {eigs(b)}" for b in d.get("coupled_blocks", [])]
         sm = d["spectra_match"]
         lines.append(
             f"block union vs oracle: max distance {sm['max_distance']:.3e} "
@@ -305,7 +300,8 @@ def run_analysis(request):
     match = compare_spectra(union, oracle, tol=request.compare_tol)
     if not match.matches:
         raise ConsistencyError("block union vs oracle", _mismatch(match, union, oracle))
-    verdict = classify(oracle, tol=request.classify_tol)
+    # labelled in the order the report prints the oracle spectrum
+    verdict = classify(oracle.sorted_values(), tol=request.classify_tol)
 
     dynamics_entry = None
     if request.with_dynamics:

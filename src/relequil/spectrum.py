@@ -5,9 +5,9 @@ The linearization about a relative equilibrium is the 4n x 4n real matrix
     A = [[0, I], [omega^2 I + M^{-1} D^2U, 2 omega Jhat]],
 
 whose spectrum decides spectral stability.  Where the symmetry machinery
-produces eigenvector pairs, A splits into closed-form 4x4 blocks; the full
-dense eigensolve of A is kept as an independent oracle and the two routes
-are compared eigenvalue-by-eigenvalue.
+produces eigenvector pairs, A splits into closed-form 4x4 blocks; a dense
+eigensolve of A, its trivial modes deflated in closed form, is kept as an
+independent oracle and the two routes are compared eigenvalue-by-eigenvalue.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .symmetry import (
 
 SNAP_TOL = 1e-12            # coefficient snap in the closed-form quartic
 CLASSIFY_TOL = 1e-8         # |Re|, |Im| thresholds relative to spectral radius
-PURIFY_CONST = 400.0        # cluster radius r_k = (PURIFY_CONST eps |A|)^(1/k)
 
 UNSTABLE = "spectrally-unstable"
 NOT_UNSTABLE = "not-unstable-at-linear-order"
@@ -74,27 +73,30 @@ def _principal_sqrt(u):
     return s
 
 
-def block_spectrum(block, snap_tol=SNAP_TOL):
+def block_spectrum(block):
     """Four eigenvalues of the block from its biquadratic in closed form.
 
     With c_k = omega^2 + lam_k the characteristic polynomial is
-    s^4 + (4 omega^2 - c1 - c2) s^2 + c1 c2.  Coefficients (and the
-    discriminant) are snapped to zero below snap_tol of their natural
-    scale: the exact rotation/translation blocks produce cancellations
-    there, and the raw float residue would otherwise be amplified to
-    ~sqrt(eps) by the root extraction.
+    s^4 + p s^2 + q with p = 4 omega^2 - c1 - c2 and q = c1 c2.  Below
+    SNAP_TOL of their natural scale (scale for p, scale^2 for q and the
+    discriminant p^2 - 4 q) these are snapped to zero: the exact
+    rotation/translation blocks produce cancellations there, and the raw
+    float residue would otherwise be amplified to ~sqrt(eps) by the root
+    extraction.  The roots are therefore the exact roots of a biquadratic
+    whose p moved by at most SNAP_TOL scale and whose q and disc / 4 each
+    moved by at most SNAP_TOL scale^2.
     """
     w2 = block.omega ** 2
     c1, c2 = w2 + block.lam1, w2 + block.lam2
     scale = max(w2, abs(block.lam1), abs(block.lam2), 1e-300)
     p = 4.0 * w2 - c1 - c2
     q = c1 * c2
-    if abs(p) <= snap_tol * scale:
+    if abs(p) <= SNAP_TOL * scale:
         p = 0.0
-    if abs(q) <= snap_tol * scale * scale:
+    if abs(q) <= SNAP_TOL * scale * scale:
         q = 0.0
     disc = p * p - 4.0 * q
-    if abs(disc) <= snap_tol * scale * scale * max(abs(p), snap_tol):
+    if abs(disc) <= SNAP_TOL * scale * scale:
         disc = 0.0
     root = _principal_sqrt(disc)
     out = []
@@ -109,26 +111,23 @@ class CoupledBlock:
     """Joint (H, Jhat)-invariant subspace that admits no 4x4 splitting.
 
     Holds the restrictions of the Hessian and the block symplectic map to
-    an orthonormal basis of the subspace; the first-order block is twice
-    the subspace dimension and is solved densely, its defective clusters
-    purified at the block's own norm.
+    an orthonormal basis of the subspace, and the (T, z, slack) of
+    ``trivial_modes`` in that basis (T empty, z None where they lie outside)
+    for ``deflated_eigenvalues``.
     """
 
     omega: float
     h_sub: np.ndarray
     j_sub: np.ndarray
+    trivial: tuple
 
     @property
     def dim(self):
         return self.h_sub.shape[0]
 
-    @property
-    def matrix(self):
-        return first_order_matrix(self.omega ** 2, self.omega, self.h_sub, self.j_sub)
-
     def spectrum(self):
-        B = self.matrix
-        return purify_eigenvalues(np.linalg.eigvals(B), float(np.linalg.norm(B, 2)))
+        return deflated_eigenvalues(self.omega ** 2, self.omega, self.h_sub, self.j_sub,
+                                    *self.trivial)
 
 
 @dataclass(frozen=True)
@@ -178,83 +177,96 @@ def decompose_blocks(eq):
                 f"the J-pairs leave {rest.shape[1]}",
             )
     Jh = block_symplectic(config.n)
-    coupled = tuple(CoupledBlock(eq.omega, V.T @ Hw @ V, V.T @ Jh @ V) for V in bases)
+    T, z, slack = trivial_modes(eq)
+    coupled = []
+    for V in bases:
+        # trivial vectors lie in the invariant span(V) or orthogonal to it;
+        # halfway splits the two, and any in between fail the defect test
+        Tv, zv = V.T @ T, V.T @ z
+        Tv = Tv if np.sum(Tv * Tv) > 0.5 * np.sum(T * T) else Tv[:, :0]
+        zv = zv if zv @ zv > 0.5 * (z @ z) else None
+        coupled.append(CoupledBlock(eq.omega, V.T @ Hw @ V, V.T @ Jh @ V, (Tv, zv, slack)))
     blocks = tuple(build_block(eq.omega, p.lam1, p.lam2) for p in pairs)
-    return BlockDecomposition(eq.omega, tuple(pairs), blocks, coupled)
+    return BlockDecomposition(eq.omega, tuple(pairs), blocks, tuple(coupled))
 
 
-def purify_eigenvalues(values, matrix_norm, max_chain=8, const=PURIFY_CONST):
-    """Replace clusters of defective eigenvalues by their mean.
+def trivial_modes(eq):
+    """Mass-weighted translations T = M^{1/2}(1 x I2), which ``eq.Hw``
+    annihilates, configuration direction z = M^{1/2} q, and slack.
 
-    A Jordan chain of length k scatters a computed eigenvalue by roughly
-    (eps |A|)^(1/k) while the cluster mean stays first-order accurate.
-    Clusters are merged at radius r_k = (const eps |A|)^(1/k) only when the
-    merged multiplicity is at least k, so large radii cannot glue distinct
-    simple eigenvalues together.  Each pass links the cluster means closer
-    than r_k in one distance matrix and walks the linked components depth
-    first; that walk orders each merged cluster, and so the sum behind its
-    mean.
+    Rotation invariance of U gives H Jhat q = Jhat grad U, so with the
+    centrality residual F = grad U + omega^2 M q, (omega^2 + Hw) Jhat z =
+    M^{-1/2} Jhat F, which slack = |F| / (sqrt(min m) |z|) bounds for unit z.
     """
-    eps = np.finfo(float).eps
-    vals = np.asarray(values, dtype=complex)
-    clusters = [[i] for i in range(vals.size)]
-    # the mean of a single value is the value with any -0.0 part made +0.0
-    means = vals + 0.0
-    for k in range(2, max_chain + 1):
-        rk = (const * eps * matrix_norm) ** (1.0 / k)
-        while True:
-            gap = means[:, None] - means[None, :]
-            # hypot per entry equals the scalar complex abs bit for bit;
-            # numpy's vectorized complex abs can differ in the last bit
-            near = np.hypot(gap.real, gap.imag) <= rk
-            np.fill_diagonal(near, False)
-            if not near.any():
-                break
-            linked = near.any(axis=1)
-            seen = np.zeros(len(clusters), dtype=bool)
-            new_clusters, new_means = [], []
-            merged_any = False
-            for i in range(len(clusters)):
-                if not linked[i]:
-                    new_clusters.append(clusters[i])
-                    new_means.append(means[i])
-                    continue
-                if seen[i]:
-                    continue
-                stack, comp = [i], []
-                seen[i] = True
-                while stack:
-                    u = stack.pop()
-                    comp.append(u)
-                    for v in np.flatnonzero(near[u] & ~seen):
-                        seen[v] = True
-                        stack.append(v)
-                total = sum(len(clusters[u]) for u in comp)
-                if len(comp) > 1 and total >= k:
-                    merged = sum((clusters[u] for u in comp), [])
-                    new_clusters.append(merged)
-                    new_means.append(np.mean(vals[merged]))
-                    merged_any = True
-                else:
-                    new_clusters.extend(clusters[u] for u in comp)
-                    new_means.extend(means[u] for u in comp)
-            clusters, means = new_clusters, np.array(new_means)
-            if not merged_any:
-                break
-    out = vals + 0.0
-    for c, mean in zip(clusters, means):
-        if len(c) > 1:
-            out[c] = mean
-    return out
+    T = (np.sqrt(eq.config.masses)[:, None, None] * np.eye(2)).reshape(-1, 2)
+    z = np.sqrt(eq.config.mass_vector) * eq.config.positions
+    slack = eq.centrality.residual_norm / (np.sqrt(eq.config.masses.min()) * np.linalg.norm(z))
+    return T, z, float(slack)
 
 
-def full_linearization_spectrum(eq, purify=True):
-    """All 4n eigenvalues of the equilibrium's dense linearization ``eq.A``
-    (the oracle route)."""
-    vals = np.linalg.eigvals(eq.A)
-    if purify:
-        vals = purify_eigenvalues(vals, float(np.linalg.norm(eq.A, 2)))
-    return Spectrum(vals)
+def deflated_eigenvalues(omega2, omega, h, j, T, z, slack):
+    """Eigenvalues of B = first_order_matrix(omega2, omega, h, j), its trivial
+    invariant subspace deflated in closed form (``trivial_modes`` gives T, z
+    and slack; T may be empty and z None).
+
+    That subspace is the translations (T, 0), (0, T), eigenvalues +-i omega
+    twice, plus either the homographic plane {z, Jhat z} x {position,
+    velocity} when h z = mu z, eigenvalues 0, 0, +-sqrt(mu - 3 omega^2) from
+    its own LinearBlock(omega, mu, nu), nu = -omega^2 up to slack; or else
+    the rotation chain (Jhat z, 0), (a, Jhat z) with (omega^2 + h) a =
+    2 omega z, eigenvalues 0, 0.  In the basis Q = [Q1, Q2] of a complete QR
+    of these vectors, B is block triangular up to the invariance defect
+    |Q2^T B Q1|_F, so the rest of the spectrum is eigvals(Q2^T B Q2).
+    Raises ConsistencyError when the defect exceeds its bound.
+    """
+    B = first_order_matrix(omega2, omega, h, j)
+    k = h.shape[0]
+    # Rounding: the computed h annihilates T and Jhat z only up to the error
+    # of its pair sums, about k eps |h|; Householder QR spans the given
+    # vectors to about 2k eps; and each entry of Q2^T B Q1 comes from two
+    # inner products of length 2k, each good to 2k eps |B|.  Together these
+    # stay below 8k eps |B|_F.
+    rounding = 8.0 * k * np.finfo(float).eps * np.linalg.norm(B)
+    P, values, chain = [T], [1j * omega, -1j * omega] * T.shape[1], []
+    if z is not None:
+        z = z / np.linalg.norm(z)
+        r, hz = j @ z, h @ z
+        mu = z @ hz
+        # The plane's defect is |h z - mu z|, since (z, 0) maps to
+        # (0, (omega^2 + mu) z + h z - mu z) and the other three of its
+        # vectors map into it up to slack; at rounding level it is invariant.
+        if np.linalg.norm(hz - mu * z) <= rounding:
+            P.append(np.column_stack([z, r]))
+            values += list(block_spectrum(build_block(omega, mu, r @ h @ r)))
+        else:
+            # r r^T lifts the kernel span(r) of the symmetric omega^2 + h;
+            # as r^T z = 0, the solution has r^T a = 0 up to slack
+            a = np.linalg.solve(omega2 * np.eye(k) + h + np.outer(r, r), 2.0 * omega * z)
+            chain = [np.concatenate([r, 0.0 * r]), np.concatenate([a, r])]
+            values += [0.0, 0.0]
+    P = np.column_stack(P)
+    V = np.column_stack([np.vstack([P, 0.0 * P]), np.vstack([0.0 * P, P])] + chain)
+    m = V.shape[1]
+    Q = np.linalg.qr(V, mode="complete")[0]     # the identity when m = 0
+    R = Q.T @ B @ Q
+    defect = float(np.linalg.norm(R[m:, :m]))
+    # slack moves (Jhat z, 0), and in the chain also (a, Jhat z), out of the span
+    bound = 2.0 * slack + rounding
+    if defect > bound:
+        raise ConsistencyError("trivial modes", f"invariance defect {defect:.3e} of the "
+                               f"deflated subspace exceeds its bound {bound:.3e}")
+    return np.concatenate([np.array(values, dtype=complex), np.linalg.eigvals(R[m:, m:])])
+
+
+def full_linearization_spectrum(eq):
+    """All 4n eigenvalues of the equilibrium's linearization (the oracle route).
+
+    Solved on the mass-weighted form first_order_matrix(omega^2, omega, Hw,
+    Jhat), which is similar to ``eq.A``, with its trivial subspace deflated.
+    """
+    T, z, slack = trivial_modes(eq)
+    return Spectrum(deflated_eigenvalues(eq.omega2, eq.omega, eq.Hw,
+                                         block_symplectic(eq.n), T, z, slack))
 
 
 @dataclass(frozen=True)
@@ -280,32 +292,20 @@ class StabilityVerdict:
 
 def eigenvalue_labels(values, thr):
     """Label each eigenvalue zero, pure-imaginary, real or complex at |Re|, |Im| <= thr."""
-    labels = []
-    for s in values:
-        small_re, small_im = abs(s.real) <= thr, abs(s.imag) <= thr
-        if small_re and small_im:
-            labels.append("zero")
-        elif small_re:
-            labels.append("pure-imaginary")
-        elif small_im:
-            labels.append("real")
-        else:
-            labels.append("complex")
-    return labels
+    v = np.asarray(values, dtype=complex)
+    kind = 2 * (np.abs(v.real) <= thr) + (np.abs(v.imag) <= thr)
+    return np.array(["complex", "real", "pure-imaginary", "zero"])[kind].tolist()
 
 
-def classify(eigs, tol=CLASSIFY_TOL, scale=None):
+def classify(eigs, tol=CLASSIFY_TOL):
     """Label eigenvalues and decide spectral stability.
 
-    Labels are measured against tol * scale with scale defaulting to the
-    spectral radius; the verdict is unstable iff some real part exceeds
-    that threshold.
+    Labels are measured against tol times the spectral radius; the verdict
+    is unstable iff some real part exceeds that threshold.
     """
     vals = np.asarray(eigs.values if isinstance(eigs, Spectrum) else eigs,
                       dtype=complex)
-    if scale is None:
-        scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    thr = tol * max(scale, 1e-300)
+    thr = tol * float(np.max(np.abs(vals), initial=1e-300))
     labels = eigenvalue_labels(vals, thr)
     max_re = float(np.max(vals.real)) if vals.size else 0.0
     verdict = UNSTABLE if max_re > thr else NOT_UNSTABLE
@@ -334,11 +334,7 @@ def compare_spectra(a, b, tol=1e-9, n_worst=4):
     """
     va = np.asarray(a.values if isinstance(a, Spectrum) else a, dtype=complex)
     vb = np.asarray(b.values if isinstance(b, Spectrum) else b, dtype=complex)
-    scale = max(
-        float(np.max(np.abs(va))) if va.size else 0.0,
-        float(np.max(np.abs(vb))) if vb.size else 0.0,
-        1e-300,
-    )
+    scale = float(np.max(np.abs(np.concatenate([va, vb])), initial=1e-300))
     if va.size != vb.size:
         return SpectrumMatch(False, np.inf, tol, scale, (), True)
     cost = np.abs(va[:, None] - vb[None, :])

@@ -20,12 +20,17 @@ J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 ORTHO_TOL = 1e-14
 # Eigenvalues closer than CLUSTER_TOL times the spectral radius share a cluster.
 CLUSTER_TOL = 1e-8
-# A singular value of B_j^T Jhat B_i within PAIR_TOL of 1 is an exact pair.
-# There 1 - sigma = O(theta^2 + 2n eps), where theta <~ eps / CLUSTER_TOL
+# A singular value of B_j^T Jhat B_i within PAIR_TOL of 1 is a candidate
+# pair.  There 1 - sigma = O(theta^2 + 2n eps), where theta <~ eps / CLUSTER_TOL
 # bounds the rounding error of the cluster bases.  Over the presets, the
 # polygons and the collinear inputs, exact pairs lie at 1 - sigma <= 2.0e-15
-# and near-pairs (collinear Schwarzschild) at >= 1.16e-8; a near-pair
-# accepted as a pair would leave a subspace that Jhat does not keep invariant.
+# and near-pairs (collinear Schwarzschild) at >= 1.16e-8.  As 1 - sigma <
+# PAIR_TOL still lets v2 stray sqrt(2 PAIR_TOL) from its cluster, a candidate
+# is kept only when both vectors have |H v - lam v| <= PAIR_TOL |H|_2, which
+# puts an eigenvalue of the symmetric H that close to lam (Weyl).  Exact
+# pairs, lam a cluster mean, stay below 1.2e3 eps |H|_2 on those inputs
+# (1e3 eps would reject some of the n = 15 Manev polygon); the false pairs of
+# 1+n rings with a central mass of 1e4 sit at 7e-6 |H|_2.
 PAIR_TOL = 1e-10
 
 
@@ -383,22 +388,18 @@ class JPair:
 
 def block_symplectic(n):
     """diag(J, ..., J): the planar quarter-turn applied to every body."""
-    # + 0.0 turns the -0.0 that 0 * -1 leaves off the diagonal into +0.0
-    return np.kron(np.eye(n), J2) + 0.0
+    # the kron product of eye(n) and J2 without np.kron's overhead; + 0.0
+    # turns the -0.0 that 0 * -1 leaves off the diagonal into +0.0
+    return (np.eye(n)[:, None, :, None] * J2[None, :, None, :]).reshape(2 * n, 2 * n) + 0.0
 
 
 def _eigen_clusters(H):
-    """(mean eigenvalue, orthonormal eigenvector basis) per eigen-cluster."""
+    """(mean eigenvalue, orthonormal eigenvector basis) per eigen-cluster:
+    runs of ascending eigenvalues whose neighbours lie within CLUSTER_TOL."""
     evals, vecs = np.linalg.eigh(np.asarray(H, dtype=float))
     scale = max(float(np.max(np.abs(evals))), 1e-300)
-    clusters = []
-    for lam, v in zip(evals, vecs.T):
-        if clusters and abs(lam - clusters[-1][0][-1]) <= CLUSTER_TOL * scale:
-            clusters[-1][0].append(lam)
-            clusters[-1][1].append(v)
-        else:
-            clusters.append(([lam], [v]))
-    return [(float(np.mean(ls)), np.array(vs).T) for ls, vs in clusters]
+    cuts = [0, *(np.flatnonzero(np.diff(evals) > CLUSTER_TOL * scale) + 1).tolist(), evals.size]
+    return [(float(evals[a:b].sum() / (b - a)), vecs[:, a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def symplectic_pairs(H):
@@ -410,8 +411,10 @@ def symplectic_pairs(H):
     subspaces are mutually orthogonal, so one pass over the cluster pairs
     j >= i finds them all: for j > i each such singular value is one pair
     (lam_i, lam_j) with v2 = -Jhat v1; for j = i they span Jhat-invariant
-    planes of E_i, one pair each.  Since sigma_max(C) <= |C|_F, a block
-    whose Frobenius norm is below 1 - 2 PAIR_TOL needs no SVD.
+    planes of E_i, one pair each.  A pair whose vectors fail the
+    eigen-residual test of ``PAIR_TOL`` stays in the rest.  Since
+    sigma_max(C) <= |C|_F, a block whose Frobenius norm is below
+    1 - 2 PAIR_TOL needs no SVD.
 
     Returns (pairs, rest): the JPair objects sorted by (lam1, lam2), and an
     orthonormal basis of the complement, inside each cluster, of every
@@ -420,6 +423,7 @@ def symplectic_pairs(H):
     H = np.asarray(H, dtype=float)
     clusters = _eigen_clusters(H)
     Jh = block_symplectic(H.shape[0] // 2)
+    res_tol = PAIR_TOL * max(abs(lam) for lam, _ in clusters)
     edges = np.cumsum([0] + [B.shape[1] for _, B in clusters])
     V = np.column_stack([B for _, B in clusters])
     G = V.T @ Jh @ V            # block (j, i) is C_ij
@@ -432,16 +436,19 @@ def symplectic_pairs(H):
         U, S, Vh = np.linalg.svd(C, full_matrices=False)
         hit = S >= 1.0 - PAIR_TOL
         X = Vh[hit].T           # paired directions, as coefficients in B_i
-        taken[i].append(X)
+        step = 1 if i != j else 2
         if i == j:
             # the real Schur form of Jhat on span(X) lines its invariant
             # planes up as column pairs; the first of each pair is v1
-            X = X @ schur(X.T @ C @ X)[1][:, 0::2]
-        else:
-            taken[j].append(U[:, hit])
-        for x in X.T:
-            v1 = Bi @ x
-            pairs.append(JPair(lam_i, lam_j, v1, -Jh @ v1))
+            X = X @ schur(X.T @ C @ X)[1]
+        V1 = Bi @ X[:, ::step]
+        V2 = -Jh @ V1
+        R1, R2 = H @ V1 - lam_i * V1, H @ V2 - lam_j * V2
+        ok = np.maximum((R1 * R1).sum(axis=0), (R2 * R2).sum(axis=0)) <= res_tol ** 2
+        taken[i].append(X[:, np.repeat(ok, step)[:X.shape[1]]])
+        if i != j:
+            taken[j].append(U[:, hit][:, ok])
+        pairs.extend(JPair(lam_i, lam_j, v1, v2) for v1, v2 in zip(V1.T[ok], V2.T[ok]))
     rest = [np.zeros((H.shape[0], 0))]
     for (_, B), t in zip(clusters, taken):
         T = np.column_stack(t)

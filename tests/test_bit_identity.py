@@ -1,20 +1,27 @@
-"""The vectorized Hessian, purification and pairing against the loops they replaced.
+"""The vectorized Hessian and pairing against the loops they replaced.
 
 Each ``_reference_*`` function below is the earlier Python loop, kept as the
-definition of the result.  The Hessian, purification and ``block_symplectic``
+definition of the result.  The Hessian and ``block_symplectic``
 change only how the work is organised, not the arithmetic or its order, so
 they must return the same bytes on every input.  The one-pass pairing
 chooses its vectors differently from the greedy sweep it replaced, so it
 must find the same (lam1, lam2) pairs and leave the same subspace over.
+The oracle's deflation must pass the eigensolver's values through untouched.
 """
 
 import numpy as np
 import pytest
 
 from relequil.central import regular_polygon
-from relequil.model import BodyConfiguration, Equilibrium, PotentialSpec, potential_hessian
+from relequil.model import (
+    BodyConfiguration,
+    Equilibrium,
+    PotentialSpec,
+    first_order_matrix,
+    potential_hessian,
+)
 from relequil.presets import all_standard_cases
-from relequil.spectrum import PURIFY_CONST, purify_eigenvalues
+from relequil.spectrum import deflated_eigenvalues, trivial_modes
 from relequil.symmetry import (
     J2,
     JPair,
@@ -52,48 +59,6 @@ def _reference_hessian(config, spec):
             H[sl_i, sl_j] -= blk
             H[sl_j, sl_i] -= blk
     return H
-
-
-def _reference_purify(values, matrix_norm, max_chain=8, const=PURIFY_CONST):
-    eps = np.finfo(float).eps
-    vals = np.asarray(values, dtype=complex)
-    clusters = [[i] for i in range(vals.size)]
-    for k in range(2, max_chain + 1):
-        rk = (const * eps * matrix_norm) ** (1.0 / k)
-        while True:
-            means = [np.mean(vals[c]) for c in clusters]
-            m = len(clusters)
-            seen = [False] * m
-            comps = []
-            for i in range(m):
-                if seen[i]:
-                    continue
-                stack, comp = [i], []
-                seen[i] = True
-                while stack:
-                    u = stack.pop()
-                    comp.append(u)
-                    for v in range(m):
-                        if not seen[v] and abs(means[u] - means[v]) <= rk:
-                            seen[v] = True
-                            stack.append(v)
-                comps.append(comp)
-            merged_any = False
-            new_clusters = []
-            for comp in comps:
-                total = sum(len(clusters[u]) for u in comp)
-                if len(comp) > 1 and total >= k:
-                    new_clusters.append(sum((clusters[u] for u in comp), []))
-                    merged_any = True
-                else:
-                    new_clusters.extend(clusters[u] for u in comp)
-            clusters = new_clusters
-            if not merged_any:
-                break
-    out = np.empty_like(vals)
-    for c in clusters:
-        out[c] = np.mean(vals[c])
-    return out
 
 
 def _reference_deflate(basis, used):
@@ -192,68 +157,20 @@ class TestHessian:
                                _reference_hessian(cfg, spec)), label
 
 
-def _planted_clusters(k, spacing, rng):
-    """k values around a centre whose neighbours sit ``spacing`` apart."""
-    rho = spacing / (2.0 * np.sin(np.pi / k))
-    centre = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    return centre + rho * np.exp(1j * (phase + 2.0 * np.pi * np.arange(k) / k))
-
-
 class TestPurify:
-    @pytest.mark.parametrize("k", range(2, 9))
-    @pytest.mark.parametrize("factor", [0.5, 0.99, 1.01, 2.0])
-    def test_planted_jordan_clusters(self, k, factor):
-        rng = np.random.default_rng(10 * k + int(100 * factor))
-        norm = 5.0
-        rk = (PURIFY_CONST * np.finfo(float).eps * norm) ** (1.0 / k)
-        chains = [_planted_clusters(k, factor * rk, rng) for _ in range(3)]
-        # a shorter chain, signed zeros and well separated values around them
-        chains.append(_planted_clusters(max(k - 1, 2), factor * rk, rng))
-        chains.append(np.array([complex(-0.0, 1.0), complex(2.0, -0.0),
-                                complex(-0.0, -0.0)]))
-        chains.append(rng.uniform(-3.0, 3.0, 6) + 1j * rng.uniform(-3.0, 3.0, 6))
-        vals = np.concatenate(chains)
-        vals = vals[rng.permutation(vals.size)]
-        assert _same_bytes(purify_eigenvalues(vals, norm),
-                           _reference_purify(vals, norm))
+    """Cluster purification once rewrote the oracle's raw eigenvalues; the
+    deflation that replaced it only splits off the trivial modes."""
 
     def test_raw_oracle_eigenvalues(self):
+        # with no trivial vectors to deflate, Q is the identity and the
+        # result is the dense eigensolve of the first-order matrix, byte for byte
         for label, cfg, spec in ANALYSIS_INPUTS:
-            A = Equilibrium(cfg, spec).A
-            vals = np.linalg.eigvals(A)
-            norm = float(np.linalg.norm(A, 2))
-            assert _same_bytes(purify_eigenvalues(vals, norm),
-                               _reference_purify(vals, norm)), label
-
-    def test_unmerged_component_keeps_walk_order(self):
-        # at k = 4 the close triple is linked but too small to merge, and
-        # the walk reorders it 0, 2, 1; at k = 5 the two outer values join
-        # and the five are summed in that order
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            base = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-            triple = base + np.array([0.0, 2e-4, 4e-4]) * np.exp(1j * rng.uniform(0.0, 6.3))
-            triple += 1e-9 * rng.standard_normal(3)
-            outer = base + 2e-3 * np.exp(1j * rng.uniform(0.0, 6.3, 2))
-            vals = np.concatenate([triple, outer])
-            out = purify_eigenvalues(vals, 5.0)
-            assert np.all(out == out[0])
-            assert _same_bytes(out, _reference_purify(vals, 5.0))
-
-    def test_distance_at_radius_uses_scalar_abs(self):
-        # |gap| lies within r_2 by the scalar complex abs (hypot) but can
-        # lie outside it by numpy's vectorized complex abs
-        gap = complex(-8.263600342408374e-08, 6.612567585954472e-07)
-        vals = np.array([0.0, gap])
-        out = purify_eigenvalues(vals, 5.0)
-        assert out[0] == out[1]
-        assert _same_bytes(out, _reference_purify(vals, 5.0))
-
-    def test_empty_and_single(self):
-        for vals in (np.zeros(0, dtype=complex), np.array([complex(-0.0, 1.0)])):
-            assert _same_bytes(purify_eigenvalues(vals, 1.0),
-                               _reference_purify(vals, 1.0))
+            eq = Equilibrium(cfg, spec)
+            T, _, slack = trivial_modes(eq)
+            Jh = block_symplectic(eq.n)
+            vals = deflated_eigenvalues(eq.omega2, eq.omega, eq.Hw, Jh, T[:, :0], None, slack)
+            raw = np.linalg.eigvals(first_order_matrix(eq.omega2, eq.omega, eq.Hw, Jh))
+            assert _same_bytes(vals, raw.astype(complex)), label
 
 
 class TestStrictPairs:

@@ -19,6 +19,7 @@ from relequil.pipeline import (
     run_sweep,
 )
 from relequil.presets import HOMOGENEOUS_PRESETS, PRESET_NAMES
+from relequil.spectrum import eigenvalue_labels
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
@@ -100,6 +101,13 @@ class TestReports:
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
         report = run_analysis(_preset_request(name))
         assert report.to_dict() == golden
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_golden_labels_follow_the_printed_spectrum(self, name):
+        golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        values = [complex(e["re"], e["im"]) for e in golden["oracle_spectrum"]]
+        verdict = golden["verdict"]
+        assert verdict["labels"] == eigenvalue_labels(values, verdict["tol"])
 
     def test_make_goldens_check(self, tmp_path, monkeypatch, capsys):
         path = GOLDEN_DIR.parent / "scripts" / "make_goldens.py"

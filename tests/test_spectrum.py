@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,24 +13,39 @@ from relequil.model import (
     Spectrum,
     angular_frequency_squared,
 )
+from relequil.pipeline import AnalysisRequest, run_analysis
+from relequil.presets import get_case
 from relequil.spectrum import (
     NOT_UNSTABLE,
+    SNAP_TOL,
     UNSTABLE,
+    ConsistencyError,
     block_spectrum,
     build_block,
     classify,
     compare_spectra,
     decompose_blocks,
+    deflated_eigenvalues,
     full_linearization_spectrum,
-    purify_eigenvalues,
+    trivial_modes,
 )
-from relequil.symmetry import symplectic_pairs
+from relequil.symmetry import block_symplectic, symplectic_pairs
 
 
 def _match_distance(a, b):
     cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
     r, c = linear_sum_assignment(cost)
     return float(cost[r, c].max())
+
+
+def _collinear_manev():
+    # the first n=3 Manev draw of the benchmark's collinear deck
+    masses = np.array([0.5123324524160306, 0.6434860886199383, 1.0168287284150226])
+    guess = np.zeros(6)
+    guess[0::2] = (-1.0137406811094807, 0.08902479261011717, 1.0200564567511092)
+    spec = PotentialSpec.manev()
+    return Equilibrium(refine_central_configuration(BodyConfiguration(masses, guess), spec),
+                       spec)
 
 
 class TestLinearBlock:
@@ -72,38 +88,47 @@ class TestLinearBlock:
         blk = build_block(np.sqrt(w2), w2 * (1.0 + alpha), -w2)
         np.testing.assert_allclose(block_spectrum(blk), 0.0, atol=1e-13)
 
-    @given(
-        omega=st.floats(0.1, 10.0),
-        lam1=st.floats(-10.0, 10.0),
-        lam2=st.floats(-10.0, 10.0),
-    )
+    # near-zero lam make the near-defective blocks where the snaps act
+    LAM = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-8, 1e-8))
+
+    @given(omega=st.floats(0.1, 10.0), lam1=LAM, lam2=LAM)
     @settings(max_examples=300, deadline=None)
     def test_closed_form_matches_dense(self, omega, lam1, lam2):
-        # both sides cluster-purified: hypothesis aims for defective blocks
-        # (lam ~ 0, equal c's) where raw eigenvalues of either route carry
-        # sub-sqrt(eps) Jordan scatter that no method pins down.  Near
-        # defectiveness the dense solver's own accuracy degrades like
-        # eps |B|^2 / gap, so the bound is gap-aware; the strict 1e-10
-        # contract on generic inputs is the separate random-sweep test.
-        blk = build_block(omega, lam1, lam2)
-        nrm = float(np.linalg.norm(blk.matrix, 2))
-        closed = purify_eigenvalues(block_spectrum(blk), nrm)
-        dense = purify_eigenvalues(np.linalg.eigvals(blk.matrix), nrm)
-        scale = max(np.max(np.abs(dense)), 1e-30)
-        uniq = np.unique(np.round(dense, 14))
-        gap = (
-            np.min(np.abs(uniq[:, None] - uniq[None, :])[
-                ~np.eye(uniq.size, dtype=bool)
-            ])
-            if uniq.size > 1
-            else np.inf
-        )
+        # against the exact roots, not the dense eigensolver, which scatters
+        # defective roots by ~sqrt(eps).  The contract of block_spectrum's
+        # snaps: its roots +-s1, +-s2 are the
+        # exact roots of s^4 + p s^2 + q after p moves by at most
+        # SNAP_TOL scale and q and disc / 4 each by at most SNAP_TOL scale^2,
+        # plus rounding.  The biquadratic of the roots, p' = -(s1^2 + s2^2)
+        # and q' = s1^2 s2^2, is formed in 50-digit arithmetic and compared
+        # with the block's exact p and q.
+        s1, _, s2, _ = block_spectrum(build_block(omega, lam1, lam2))
         eps = np.finfo(float).eps
-        tol = max(1e-10 * scale, 100.0 * eps * nrm * nrm / max(gap, eps * nrm))
-        assert _match_distance(closed, dense) <= tol
+        with mpmath.workdps(50):
+            w2 = mpmath.mpf(omega) ** 2
+            c1, c2 = w2 + lam1, w2 + lam2
+            u1, u2 = mpmath.mpc(s1) ** 2, mpmath.mpc(s2) ** 2
+            scale = max(omega ** 2, abs(lam1), abs(lam2))
+            dp = abs(-(u1 + u2) - (4 * w2 - c1 - c2))
+            dq = abs(u1 * u2 - c1 * c2)
+            assert dp <= SNAP_TOL * scale + 64 * eps * scale
+            assert dq <= 2 * SNAP_TOL * scale ** 2 + 64 * eps * scale ** 2
+
+    @pytest.mark.parametrize("omega,lam1,lam2", [
+        (9.79, 1e-9, 1e-9), (8.0, 0.0, 1e-9), (2.0, 1e-12, 0.0)])
+    def test_closed_form_near_double_roots(self, omega, lam1, lam2):
+        # genuine discriminants of order scale * |lam| stay unsnapped
+        with mpmath.workdps(50):
+            w2 = mpmath.mpf(omega) ** 2
+            c1, c2 = w2 + lam1, w2 + lam2
+            exact = mpmath.polyroots([1, 0, 4 * w2 - c1 - c2, 0, c1 * c2],
+                                     maxsteps=200, extraprec=200)
+            exact = np.array([complex(r) for r in exact])
+        closed = block_spectrum(build_block(omega, lam1, lam2))
+        assert _match_distance(closed, exact) <= 1e-9 * np.max(np.abs(exact))
 
     def test_closed_form_matches_dense_random_sweep(self, rng):
-        # plain random triples, raw dense eigensolver, no purification
+        # plain random triples against the raw dense eigensolver
         worst = 0.0
         for _ in range(1000):
             omega = rng.uniform(0.1, 10.0)
@@ -164,28 +189,6 @@ class TestCompareSpectra:
         assert not m.matches and m.cardinality_mismatch
 
 
-class TestPurify:
-    def test_jordan_pair_collapses_to_mean(self):
-        vals = np.array([1j + 3e-8, 1j - 3e-8, -1j + 3e-8, -1j - 3e-8, 0.5])
-        out = purify_eigenvalues(vals, matrix_norm=5.0)
-        np.testing.assert_allclose(
-            np.sort_complex(out), np.sort_complex([1j, 1j, -1j, -1j, 0.5]),
-            atol=1e-12,
-        )
-
-    def test_distinct_values_not_merged(self):
-        vals = np.array([0.0, 0.05, 1.0])
-        out = purify_eigenvalues(vals, matrix_norm=5.0)
-        np.testing.assert_allclose(np.sort(out.real), [0.0, 0.05, 1.0])
-
-    def test_quadruple_zero_scatter(self):
-        # fourth-root scatter of a defective zero, as produced by a 4-chain
-        d = 2e-4
-        vals = np.array([d + d * 1j, d - d * 1j, -d + d * 1j, -d - d * 1j, 2.0])
-        out = purify_eigenvalues(vals, matrix_norm=5.0)
-        assert np.max(np.abs(np.sort_complex(out)[:4])) <= 1e-12
-
-
 class TestOracle:
     def test_hamiltonian_symmetry_all_cases(self, standard_cases):
         for case in standard_cases:
@@ -215,17 +218,104 @@ class TestOracle:
         assert np.sum(np.abs(v - 1j * w) < 1e-9) >= 2
         assert np.sum(np.abs(v + 1j * w) < 1e-9) >= 2
 
-    def test_purify_improves_defective_modes(self):
-        cfg = regular_polygon(3)
-        spec = PotentialSpec.schwarzschild()
-        eq = Equilibrium(cfg, spec)
-        raw = full_linearization_spectrum(eq, purify=False).values
-        pure = full_linearization_spectrum(eq).values
-        # the quadruple zero scatters badly without purification
-        raw_zero = np.sort(np.abs(raw))[:4]
-        pure_zero = np.sort(np.abs(pure))[:4]
-        assert raw_zero.max() > 1e-6
-        assert pure_zero.max() <= 1e-10
+    def test_purify_improves_defective_modes(self, standard_cases):
+        # the raw dense eigensolve of A splits every defective zero by more
+        # than 1e-9 scale; the deflated oracle returns exactly as many zeros
+        # as the closed-form block route
+        for case in standard_cases:
+            eq = Equilibrium(case.configuration(), case.potential)
+            v = full_linearization_spectrum(eq).values
+            blocks = decompose_blocks(eq).union_spectrum().values
+            raw = np.linalg.eigvals(eq.A)
+            thr = 1e-12 * np.max(np.abs(v))
+            assert np.sort(np.abs(raw))[0] > 1e3 * thr, case.name
+            n_zero = int(np.sum(np.abs(v) <= thr))
+            assert n_zero >= 2, case.name
+            assert n_zero == int(np.sum(np.abs(blocks) <= thr)), case.name
+
+
+class TestPurify:
+    """Exact defective trivial eigenvalues, which cluster purification once
+    averaged out of the dense eigensolve, now come from the deflation."""
+
+    def test_jordan_pair_collapses_to_mean(self):
+        # the rotation chain is a Jordan pair at 0, which the dense
+        # eigensolver splits by ~sqrt(eps); deflated, it and the
+        # translations +-i omega (twice) come out exact
+        eq = _collinear_manev()
+        v = full_linearization_spectrum(eq).values
+        raw = np.linalg.eigvals(eq.A)
+        scale = np.max(np.abs(v))
+        assert np.sort(np.abs(raw))[1] > 1e-10 * scale
+        assert np.all(np.sort(np.abs(v))[:2] == 0.0)
+        assert np.sum(v == 1j * eq.omega) == 2
+        assert np.sum(v == -1j * eq.omega) == 2
+
+    def test_distinct_values_not_merged(self):
+        # near alpha = 2 the homographic pair +-sqrt(mu - 3 omega^2) sits
+        # 0.05 scale from the zero pair; it stays a distinct pair, equal to
+        # the block route's
+        eq = AnalysisRequest(case="triangle-homogeneous", alpha=1.995).equilibrium()[0]
+        v = full_linearization_spectrum(eq).values
+        blocks = decompose_blocks(eq).union_spectrum().values
+        scale = np.max(np.abs(v))
+        small = np.sort_complex(v[np.abs(v) < 0.1 * scale])
+        assert small.size == 4
+        assert int(np.sum(small == 0.0)) == 2
+        assert np.min(np.abs(small[small != 0.0])) > 0.04 * scale
+        assert _match_distance(small, blocks[np.abs(blocks) < 0.1 * scale]) <= 1e-12 * scale
+
+    def test_quadruple_zero_scatter(self):
+        # the Schwarzschild triangle's fourfold zero is a 4-chain, scattered
+        # by ~eps^(1/4) in the dense eigensolve
+        case = get_case("schwarzschild-triangle")
+        eq = Equilibrium(case.configuration(), case.potential)
+        v = full_linearization_spectrum(eq).values
+        scale = np.max(np.abs(v))
+        assert np.sort(np.abs(np.linalg.eigvals(eq.A)))[0] > 1e-6 * scale
+        assert np.sort(np.abs(v))[3] <= 1e-12 * scale
+
+
+class TestDeflation:
+    NEAR_TWO = [("triangle-homogeneous", a) for a in (1.985, 1.995, 2.015, 2.025)] + [
+        ("square-homogeneous", a) for a in (1.99, 1.995, 2.005, 2.01, 2.015)]
+
+    @pytest.mark.parametrize("name,alpha", NEAR_TWO)
+    def test_alpha_grid_near_two(self, name, alpha):
+        # the homographic plane carries a near-fourfold zero here, which the
+        # dense eigensolver alone scatters by ~sqrt(eps)
+        match = run_analysis(AnalysisRequest(case=name, alpha=alpha)).to_dict()["spectra_match"]
+        assert match["max_distance"] <= 1e-9 * match["scale"]
+
+    def test_pentagon_schwarzschild_of_the_polygons_deck(self):
+        radius, theta = 1.2711069624666833, 2.04022311561116
+        ang = theta + 2.0 * np.pi * np.arange(5) / 5
+        q = radius * np.column_stack([np.cos(ang), np.sin(ang)])
+        q -= q.mean(axis=0)
+        eq = Equilibrium(BodyConfiguration(np.ones(5), q.ravel()), PotentialSpec.schwarzschild())
+        m = compare_spectra(decompose_blocks(eq).union_spectrum(),
+                            full_linearization_spectrum(eq), tol=1e-9)
+        assert m.matches, m.max_distance / m.scale
+
+    def test_collinear_manev_takes_the_rotation_chain(self):
+        eq = _collinear_manev()
+        _, z, _ = trivial_modes(eq)
+        zh = z / np.linalg.norm(z)
+        hz = eq.Hw @ zh
+        # far above rounding: z is no eigenvector, so no homographic plane
+        assert np.linalg.norm(hz - (zh @ hz) * zh) > 1e-6 * np.linalg.norm(eq.Hw)
+        m = compare_spectra(decompose_blocks(eq).union_spectrum(),
+                            full_linearization_spectrum(eq), tol=1e-9)
+        assert m.matches, m.max_distance / m.scale
+
+    def test_wrong_omega_is_not_invariant(self):
+        eq = _collinear_manev()
+        T, z, slack = trivial_modes(eq)
+        w = eq.omega * (1.0 + 1e-6)
+        with pytest.raises(ConsistencyError) as err:
+            deflated_eigenvalues(w * w, w, eq.Hw, block_symplectic(eq.n), T, z, slack)
+        assert err.value.stage == "trivial modes"
+        assert "invariance defect" in str(err.value)
 
 
 class TestBlockOracleAgreement:
@@ -269,8 +359,8 @@ class TestBlockOracleAgreement:
                              ids=["manev", "schwarzschild"])
     def test_refined_collinear_quasi_homogeneous(self, n, spec):
         # no dihedral symmetry and no complete pairing: the exact pairs plus
-        # one block on what they leave over, whose defective zero cluster is
-        # purified like the oracle's
+        # one block on what they leave over, whose rotation chain is
+        # deflated like the oracle's
         masses = np.random.default_rng(n).uniform(0.5, 2.0, n)
         guess = np.zeros(2 * n)
         guess[0::2] = np.linspace(-1.0, 1.0, n)
@@ -296,6 +386,24 @@ class TestBlockOracleAgreement:
         deco = decompose_blocks(eq)
         assert len(deco.blocks) == 1 and [cb.dim for cb in deco.coupled] == [4]
         m = compare_spectra(deco.union_spectrum(), full_linearization_spectrum(eq), tol=1e-9)
+        assert m.matches, m.max_distance / m.scale
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    @pytest.mark.parametrize("m0", [1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("terms", [((1.0, 1.0),), ((1.0, 1.0), (1.0, 3.0))],
+                             ids=["r-1", "schwarzschild"])
+    def test_one_plus_n_rings(self, n, m0, terms):
+        # a central mass m0 at the origin and n unit masses on the unit
+        # circle are central for every m0; a dominant m0 stretches the
+        # Hessian's spectrum until candidate pairs with 1 - sigma < PAIR_TOL
+        # appear that are no eigenvector pairs
+        ang = 2.0 * np.pi * np.arange(n) / n
+        q = np.vstack([[0.0, 0.0], np.column_stack([np.cos(ang), np.sin(ang)])])
+        masses = np.r_[m0, np.ones(n)]
+        eq = Equilibrium(BodyConfiguration(masses, q.ravel()), PotentialSpec(terms))
+        union = decompose_blocks(eq).union_spectrum()
+        assert len(union) == 4 * (n + 1)
+        m = compare_spectra(union, full_linearization_spectrum(eq), tol=1e-9)
         assert m.matches, m.max_distance / m.scale
 
     def test_radius_scaling_law(self):
