@@ -60,7 +60,6 @@ from .symmetry import (
     character_table,
     decompose_multiplicities,
     eigenvalues_by_trace_equations,
-    isotypic_projectors,
     j_compatible_pairs,
     representation_matrix,
     verify_invariance,

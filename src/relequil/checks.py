@@ -27,8 +27,8 @@ from .spectrum import (
 from .symmetry import (
     build_polygon_symmetry_group,
     character_table,
-    isotypic_projectors,
     representation_matrix,
+    wave_number_basis,
 )
 
 PRESET_POTENTIALS = {
@@ -119,35 +119,34 @@ def check_character_orthonormality(tol=1e-12):
     worst = 0.0
     for n in (3, 4, 5, 6):
         table = character_table(build_polygon_symmetry_group(n))
-        k = table.n_irreps
-        gram = np.array([
-            [table.inner(table.values[i], table.values[j]) for j in range(k)]
-            for i in range(k)
-        ])
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(k)))))
+        worst = max(worst, float(np.max(np.abs(table.gram() - np.eye(table.n_irreps)))))
     return "character orthonormality", worst <= tol, f"worst defect {worst:.3e}"
 
 
-def check_projector_algebra(tol=1e-11, seed=13):
-    rng = np.random.default_rng(seed)
+def check_wave_number_bases(tol=1e-12):
+    """The wave-number bases W_k, k = 0..n/2, are together an orthonormal
+    basis of R^{2n}, and W_k carries the characters of A1 + A2 at k = 0, of
+    B1 + B2 at k = n/2 and of twice E_k otherwise: Tr(W_k^T D(g) W_k)."""
     worst = 0.0
-    for n in (3, 4, 5):
-        group = build_polygon_symmetry_group(n)
+    for n in range(3, 9):
+        group = build_polygon_symmetry_group(n, axis_angle=0.3)
         table = character_table(group)
-        projectors = isotypic_projectors(group, table, n)
-        total = sum(projectors)
-        worst = max(worst, float(np.max(np.abs(total - np.eye(2 * n)))))
-        for i, P in enumerate(projectors):
-            for j, Q in enumerate(projectors):
-                target = P if i == j else np.zeros_like(P)
-                worst = max(worst, float(np.max(np.abs(P @ Q - target))))
-        # projectors must commute with any invariant matrix
-        mats = [representation_matrix(g, n) for g in group.elements]
-        M = rng.standard_normal((2 * n, 2 * n))
-        M = sum(D @ (M + M.T) @ D.T for D in mats) / len(mats)
-        for P in projectors:
-            worst = max(worst, float(np.max(np.abs(P @ M - M @ P))))
-    return "isotypic projector algebra", worst <= tol, f"worst defect {worst:.3e}"
+        rows = dict(zip(table.names, table.values))
+        reps = [representation_matrix(g, n) for g in group.class_representatives()]
+        bases = [wave_number_basis(group.vertices(), k) for k in range(n // 2 + 1)]
+        V = np.column_stack(bases)
+        worst = max(worst, float(np.max(np.abs(V.T @ V - np.eye(2 * n)))))
+        for k, W in enumerate(bases):
+            if k == 0:
+                expected = rows["A1"] + rows["A2"]
+            elif 2 * k == n:
+                expected = rows["B1"] + rows["B2"]
+            else:
+                expected = 2.0 * rows[f"E{k}"]
+            chi = np.array([np.trace(W.T @ D @ W) for D in reps])
+            worst = max(worst, float(np.max(np.abs(chi - expected))))
+    return "wave-number bases and their characters", worst <= tol, \
+        f"worst defect {worst:.3e}"
 
 
 def check_hamiltonian_symmetry(tol=1e-9):
@@ -197,7 +196,7 @@ ALL_CHECKS = (
     check_hessian_fd,
     check_homomorphism,
     check_character_orthonormality,
-    check_projector_algebra,
+    check_wave_number_bases,
     check_hamiltonian_symmetry,
     check_scaling_law,
     check_block_closed_form,

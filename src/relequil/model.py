@@ -338,8 +338,14 @@ class Equilibrium:
     Construction runs the centrality test and raises
     NonCentralConfigurationError when it fails.  ``Hw`` = M^{-1/2} H M^{-1/2}
     is symmetric and similar to M^{-1} H, so eigenvector pairing applies
-    when masses differ; ``A`` is the 4n x 4n first_order_matrix with
-    h = M^{-1} H and j = Jhat.
+    when masses differ; ``Jh`` is the block symplectic map Jhat.
+
+    ``trivial`` is (T, z, slack): the mass-weighted translations
+    T = M^{1/2}(1 x I2), which Hw annihilates, the configuration direction
+    z = M^{1/2} q, and a slack.  Rotation invariance of U gives
+    H Jhat q = Jhat grad U, so with the centrality residual
+    F = grad U + omega^2 M q, (omega^2 + Hw) Jhat z = M^{-1/2} Jhat F, which
+    slack = |F| / (sqrt(min m) |z|) bounds for unit z.
     """
 
     config: BodyConfiguration
@@ -349,23 +355,25 @@ class Equilibrium:
     period: float = field(init=False)
     H: np.ndarray = field(init=False, repr=False)
     Hw: np.ndarray = field(init=False, repr=False)
-    A: np.ndarray = field(init=False, repr=False)
+    Jh: np.ndarray = field(init=False, repr=False)
+    trivial: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        config, n = self.config, self.config.n
+        config = self.config
         centrality = is_central_configuration(config, self.spec)
         omega2 = centrality.omega_squared()
-        omega = float(np.sqrt(omega2))
         H = potential_hessian(config, self.spec)
         inv_sqrt = 1.0 / np.sqrt(config.mass_vector)
-        A = first_order_matrix(omega2, omega, H / config.mass_vector[:, None],
-                               block_symplectic(n))
+        T = (np.sqrt(config.masses)[:, None, None] * np.eye(2)).reshape(-1, 2)
+        z = np.sqrt(config.mass_vector) * config.positions
+        slack = centrality.residual_norm / (np.sqrt(config.masses.min()) * np.linalg.norm(z))
         object.__setattr__(self, "centrality", centrality)
-        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "omega", float(np.sqrt(omega2)))
         object.__setattr__(self, "period", rotation_period(omega2))
         object.__setattr__(self, "H", _readonly(H))
         object.__setattr__(self, "Hw", _readonly((H * inv_sqrt).T * inv_sqrt))
-        object.__setattr__(self, "A", _readonly(A))
+        object.__setattr__(self, "Jh", _readonly(block_symplectic(config.n)))
+        object.__setattr__(self, "trivial", (_readonly(T), _readonly(z), float(slack)))
 
     @property
     def n(self):

@@ -18,6 +18,7 @@ from .model import (
     NonCentralConfigurationError,
     PotentialSpec,
     Spectrum,
+    first_order_matrix,
     moment_of_inertia,
     potential_energy_terms,
 )
@@ -109,8 +110,8 @@ def _c(z):
     return {"re": float(np.real(z)), "im": float(np.imag(z))}
 
 
-def _spectrum_dicts(spectrum, tol=1e-12):
-    return [_c(z) for z in spectrum.sorted_values(tol)]
+def _spectrum_dicts(spectrum):
+    return [_c(z) for z in spectrum.sorted_values()]
 
 
 def polygon_group_for(config, tol=1e-8):
@@ -301,7 +302,8 @@ def run_analysis(request):
     if not match.matches:
         raise ConsistencyError("block union vs oracle", _mismatch(match, union, oracle))
     # labelled in the order the report prints the oracle spectrum
-    verdict = classify(oracle.sorted_values(), tol=request.classify_tol)
+    oracle_sorted = oracle.sorted_values()
+    verdict = classify(oracle_sorted, tol=request.classify_tol)
 
     dynamics_entry = None
     if request.with_dynamics:
@@ -335,7 +337,7 @@ def run_analysis(request):
         "blocks": blocks,
         "coupled_blocks": coupled,
         "block_union_spectrum": _spectrum_dicts(union),
-        "oracle_spectrum": _spectrum_dicts(oracle),
+        "oracle_spectrum": [_c(z) for z in oracle_sorted],
         "spectra_match": {
             "matches": bool(match.matches),
             "max_distance": float(match.max_distance),
@@ -394,11 +396,13 @@ def _dynamics_section(eq, verdict):
 def _worst_direction(eq):
     """Position part of the eigenvector of the largest-real-part eigenvalue
     of the equilibrium's linearization."""
-    vals, vecs = np.linalg.eig(eq.A)
+    vals, vecs = np.linalg.eig(first_order_matrix(eq.omega2, eq.omega, eq.Hw, eq.Jh))
     k = int(np.argmax(vals.real))
-    pos = np.real(vecs[: 2 * eq.n, k])
+    # the mass-weighted form's eigenvectors are diag(M^{1/2}, M^{1/2}) times A's
+    vec = vecs[: 2 * eq.n, k] / np.sqrt(eq.config.mass_vector)
+    pos = np.real(vec)
     if np.linalg.norm(pos) < 1e-12:
-        pos = np.imag(vecs[: 2 * eq.n, k])
+        pos = np.imag(vec)
     return pos / np.linalg.norm(pos)
 
 

@@ -20,7 +20,6 @@ from scipy.optimize import linear_sum_assignment
 from .model import Spectrum, first_order_matrix
 from .symmetry import (
     J2,
-    block_symplectic,
     polygon_axis_angle,
     symplectic_pairs,
     wave_number_basis,
@@ -112,7 +111,7 @@ class CoupledBlock:
 
     Holds the restrictions of the Hessian and the block symplectic map to
     an orthonormal basis of the subspace, and the (T, z, slack) of
-    ``trivial_modes`` in that basis (T empty, z None where they lie outside)
+    ``Equilibrium.trivial`` in that basis (T empty, z None where they lie outside)
     for ``deflated_eigenvalues``.
     """
 
@@ -176,8 +175,7 @@ def decompose_blocks(eq):
                 f"uncovered wave-number subspaces span {dim} dimensions, "
                 f"the J-pairs leave {rest.shape[1]}",
             )
-    Jh = block_symplectic(config.n)
-    T, z, slack = trivial_modes(eq)
+    T, z, slack = eq.trivial
     coupled = []
     for V in bases:
         # trivial vectors lie in the invariant span(V) or orthogonal to it;
@@ -185,29 +183,15 @@ def decompose_blocks(eq):
         Tv, zv = V.T @ T, V.T @ z
         Tv = Tv if np.sum(Tv * Tv) > 0.5 * np.sum(T * T) else Tv[:, :0]
         zv = zv if zv @ zv > 0.5 * (z @ z) else None
-        coupled.append(CoupledBlock(eq.omega, V.T @ Hw @ V, V.T @ Jh @ V, (Tv, zv, slack)))
+        coupled.append(CoupledBlock(eq.omega, V.T @ Hw @ V, V.T @ eq.Jh @ V, (Tv, zv, slack)))
     blocks = tuple(build_block(eq.omega, p.lam1, p.lam2) for p in pairs)
     return BlockDecomposition(eq.omega, tuple(pairs), blocks, tuple(coupled))
 
 
-def trivial_modes(eq):
-    """Mass-weighted translations T = M^{1/2}(1 x I2), which ``eq.Hw``
-    annihilates, configuration direction z = M^{1/2} q, and slack.
-
-    Rotation invariance of U gives H Jhat q = Jhat grad U, so with the
-    centrality residual F = grad U + omega^2 M q, (omega^2 + Hw) Jhat z =
-    M^{-1/2} Jhat F, which slack = |F| / (sqrt(min m) |z|) bounds for unit z.
-    """
-    T = (np.sqrt(eq.config.masses)[:, None, None] * np.eye(2)).reshape(-1, 2)
-    z = np.sqrt(eq.config.mass_vector) * eq.config.positions
-    slack = eq.centrality.residual_norm / (np.sqrt(eq.config.masses.min()) * np.linalg.norm(z))
-    return T, z, float(slack)
-
-
 def deflated_eigenvalues(omega2, omega, h, j, T, z, slack):
     """Eigenvalues of B = first_order_matrix(omega2, omega, h, j), its trivial
-    invariant subspace deflated in closed form (``trivial_modes`` gives T, z
-    and slack; T may be empty and z None).
+    invariant subspace deflated in closed form (``Equilibrium.trivial`` gives
+    T, z and slack; T may be empty and z None).
 
     That subspace is the translations (T, 0), (0, T), eigenvalues +-i omega
     twice, plus either the homographic plane {z, Jhat z} x {position,
@@ -262,11 +246,10 @@ def full_linearization_spectrum(eq):
     """All 4n eigenvalues of the equilibrium's linearization (the oracle route).
 
     Solved on the mass-weighted form first_order_matrix(omega^2, omega, Hw,
-    Jhat), which is similar to ``eq.A``, with its trivial subspace deflated.
+    Jhat), which diag(M^{1/2}, M^{1/2}) makes similar to the A of M^{-1} H,
+    with its trivial subspace deflated.
     """
-    T, z, slack = trivial_modes(eq)
-    return Spectrum(deflated_eigenvalues(eq.omega2, eq.omega, eq.Hw,
-                                         block_symplectic(eq.n), T, z, slack))
+    return Spectrum(deflated_eigenvalues(eq.omega2, eq.omega, eq.Hw, eq.Jh, *eq.trivial))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 A group element is a body permutation combined with one planar orthogonal
 map applied to every body; it acts on flattened coordinates through a
-2n x 2n block-permutation matrix.  Characters, isotypic projectors, trace
-equations, the pairing of eigenvectors compatible with the block
-symplectic operator, and the wave-number subspaces of a regular polygon
-all live here.
+2n x 2n block-permutation matrix, which nothing on the analysis path
+forms: the trace equations and the invariance gate read the 2x2 body
+blocks of the Hessian that the permutation pairs up, and the isotypic
+components of multiplicity two are the wave-number subspaces of the
+regular polygon.  Characters, trace equations, the pairing of
+eigenvectors compatible with the block symplectic operator, and the
+wave-number subspaces all live here.
 """
 
 from __future__ import annotations
@@ -98,12 +101,14 @@ class SymmetryGroup:
 
     Element k < n is a^k and element n + k is a^k r; element 0 is the
     identity.  ``multiplication_table[i, j]`` is the index of the product
-    elements[i] after elements[j].
+    elements[i] after elements[j].  ``axis_angle`` is the angle of body 1,
+    on the reflection axis of r.
     """
 
     elements: tuple
     conjugacy_classes: tuple
     multiplication_table: np.ndarray
+    axis_angle: float
     identity_index = 0
 
     @property
@@ -120,11 +125,11 @@ class SymmetryGroup:
     def class_sizes(self):
         return np.array([len(cl) for cl in self.conjugacy_classes])
 
-    def class_of_element(self, idx):
-        for c, cl in enumerate(self.conjugacy_classes):
-            if idx in cl:
-                return c
-        raise KeyError(idx)
+    def vertices(self):
+        """(n, 2) unit-circle points of the polygon the group fixes, body i
+        at axis_angle + 2 pi i / n."""
+        ang = self.axis_angle + 2.0 * np.pi * np.arange(self.n) / self.n
+        return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 def build_polygon_symmetry_group(n, axis_angle=0.0):
@@ -159,7 +164,7 @@ def build_polygon_symmetry_group(n, axis_angle=0.0):
     classes = [(0,)] + [tuple(sorted({k, n - k})) for k in range(1, n // 2 + 1)]
     classes += [refl] if n % 2 else [refl[0::2], refl[1::2]]
     classes.sort(key=lambda cl: (cl != (0,), len(cl), cl))
-    return SymmetryGroup(tuple(elems), tuple(classes), table)
+    return SymmetryGroup(tuple(elems), tuple(classes), table, float(axis_angle))
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,10 @@ class CharacterTable:
         return float(
             np.sum(self.class_sizes * np.conj(chi_a) * chi_b) / self.group_order
         )
+
+    def gram(self):
+        """Inner products of every pair of rows; the identity for a true table."""
+        return (self.values * self.class_sizes) @ self.values.T / self.group_order
 
     @property
     def n_irreps(self):
@@ -215,11 +224,7 @@ def character_table(group):
     table = CharacterTable(
         tuple(names), np.array(degrees), values, group.class_sizes(), group.order
     )
-    gram = np.array([
-        [table.inner(values[i], values[j]) for j in range(len(rows))]
-        for i in range(len(rows))
-    ])
-    if np.max(np.abs(gram - np.eye(len(rows)))) > 1e-12:
+    if np.max(np.abs(table.gram() - np.eye(len(rows)))) > 1e-12:
         raise ValueError("character table failed orthonormality")
     return table
 
@@ -247,30 +252,35 @@ def decompose_multiplicities(rep_character, table, tol=1e-9):
 
 
 def verify_invariance(H, group, tol=1e-10):
-    """(commutes, max defect) of H against every representation matrix."""
+    """(commutes, max defect): the defect is max |D H - H D| over the
+    representation matrices D of every element, read off H's body blocks.
+
+    With O the element's planar map, block (perm[i], j) of D H is O H_ij
+    and that of H D is H_{perm[i] perm[j]} O; one gather of H by the
+    permutation lines the two up for every i and j.
+    """
+    H = np.asarray(H, dtype=float)
     n = group.n
-    H = np.asarray(H)
+    rows = H.reshape(n, 2, 2 * n)
     defect = 0.0
     for g in group.elements:
-        D = representation_matrix(g, n)
-        defect = max(defect, float(np.max(np.abs(D @ H - H @ D))))
+        idx = (2 * np.array(g.perm)[:, None] + np.arange(2)).ravel()
+        DH = np.einsum("kl,ilc->ikc", g.ortho, rows).reshape(2 * n, 2 * n)
+        HD = (H[np.ix_(idx, idx)].reshape(-1, 2) @ g.ortho).reshape(2 * n, 2 * n)
+        defect = max(defect, float(np.max(np.abs(DH - HD))))
     return defect <= tol, defect
 
 
-def isotypic_projectors(group, table, n):
-    """P_i = (d_i/|G|) sum_g conj(chi_i(g)) D(g), one per irreducible."""
-    if group.n != n:
-        raise ValueError("group does not act on n bodies")
-    mats = [representation_matrix(g, n) for g in group.elements]
-    class_of = [group.class_of_element(i) for i in range(group.order)]
-    projectors = []
-    for i in range(table.n_irreps):
-        chi = table.values[i]
-        P = np.zeros((2 * n, 2 * n))
-        for idx, D in enumerate(mats):
-            P += chi[class_of[idx]] * D
-        projectors.append(table.degrees[i] / group.order * P)
-    return projectors
+def _require_invariance(H, group, rel_tol=1e-8):
+    """max |H| (at least 1e-300); InvarianceError when the defect of
+    ``verify_invariance`` exceeds rel_tol times it."""
+    scale = max(float(np.max(np.abs(H))), 1e-300)
+    ok, defect = verify_invariance(H, group, tol=rel_tol * scale)
+    if not ok:
+        raise InvarianceError(
+            f"matrix does not commute with the group action (defect {defect:.3e})"
+        )
+    return scale
 
 
 @dataclass(frozen=True)
@@ -279,7 +289,6 @@ class IsotypicComponent:
     degree: int
     multiplicity: int
     eigenvalues: tuple
-    basis: np.ndarray  # orthonormal columns spanning the component
 
 
 @dataclass(frozen=True)
@@ -297,75 +306,54 @@ class IsotypicDecomposition:
         return np.sort(np.array(out))
 
 
-def _orthonormal_range(P, rank):
-    """Orthonormal basis of the range of a symmetric projector."""
-    w, V = np.linalg.eigh(P)
-    idx = np.argsort(w)[::-1][:rank]
-    basis = V[:, idx]
-    # deterministic sign: largest-magnitude entry positive
-    for k in range(basis.shape[1]):
-        j = int(np.argmax(np.abs(basis[:, k])))
-        if basis[j, k] < 0:
-            basis[:, k] = -basis[:, k]
-    return basis
-
-
 def eigenvalues_by_trace_equations(H, group, table=None, invariance_tol=1e-8,
                                    check_tol=1e-9):
     """Per-irreducible eigenvalues of an invariant symmetric matrix.
 
-    The traces Tr(H D(g)) determine, through character orthonormality, the
-    SUM of the eigenvalues carried by each isotypic component.  Components
-    of multiplicity one are finished there; higher multiplicities are
-    resolved by diagonalizing H restricted to the range of the isotypic
-    projector, where every eigenvalue appears exactly ``degree`` times.
-    The assembled multiset is validated against a direct symmetric
+    The traces Tr(H D(g)) = sum_i tr(H_{i perm[i]} O) determine, through
+    character orthonormality, the SUM of the eigenvalues carried by each
+    isotypic component.  The 2n-dimensional action is the regular
+    representation, so every irreducible of degree d has multiplicity d.
+    The one-dimensional components are finished by their sums; the
+    component of E_j is the wave-number-j subspace W_j of the polygon,
+    where the 4x4 matrix W_j^T H W_j carries each of its two eigenvalues
+    twice.  The assembled multiset is validated against a direct symmetric
     diagonalization of H before returning.
     """
     H = np.asarray(H, dtype=float)
-    n = group.n
     if table is None:
         table = character_table(group)
-    scale = max(float(np.max(np.abs(H))), 1e-300)
-    ok, defect = verify_invariance(H, group, tol=invariance_tol * scale)
-    if not ok:
-        raise InvarianceError(
-            f"matrix does not commute with the group action (defect {defect:.3e})"
-        )
-    class_of = [group.class_of_element(i) for i in range(group.order)]
-    trace_fn = np.zeros(len(group.conjugacy_classes))
-    counts = np.zeros(len(group.conjugacy_classes))
-    for idx, g in enumerate(group.elements):
-        trace_fn[class_of[idx]] += float(np.trace(H @ representation_matrix(g, n)))
-        counts[class_of[idx]] += 1
-    trace_fn /= counts
-    sums = np.array([table.inner(table.values[i], trace_fn)
-                     for i in range(table.n_irreps)])
+    scale = _require_invariance(H, group, invariance_tol)
+    n = group.n
+    perms = np.array([g.perm for g in group.elements])
+    orthos = np.array([g.ortho for g in group.elements])
+    # [g, i] is the 2x2 block H_{i perm_g[i]}
+    blocks = H.reshape(n, 2, n, 2)[np.arange(n), :, perms]
+    traces = np.einsum("gikl,glk->g", blocks, orthos)
+    class_of = np.empty(group.order, dtype=int)
+    for c, cl in enumerate(group.conjugacy_classes):
+        class_of[list(cl)] = c
+    sums = table.values[:, class_of] @ traces / group.order
     mult = decompose_multiplicities(representation_character(group), table)
-
-    projectors = isotypic_projectors(group, table, n)
+    # the rows E1, E2, ... follow the one-dimensional irreducibles
+    first_wave = int(np.sum(table.degrees == 1)) - 1
+    vertices = group.vertices()
     components = []
     for i in range(table.n_irreps):
         d, m = int(table.degrees[i]), mult[i]
-        if m == 0:
-            components.append(IsotypicComponent(table.names[i], d, 0, (), None))
-            continue
-        basis = _orthonormal_range(projectors[i], d * m)
         if m == 1:
             lams = (float(sums[i]),)
         else:
-            sub = basis.T @ H @ basis
-            w = np.sort(np.linalg.eigvalsh(sub))
+            W = wave_number_basis(vertices, i - first_wave)
+            w = np.linalg.eigvalsh(W.T @ H @ W)
             # eigenvalues repeat `d` times inside the component
             lams = tuple(float(np.mean(w[k * d : (k + 1) * d])) for k in range(m))
             if abs(sum(lams) - sums[i]) > check_tol * (1.0 + abs(sums[i])):
                 raise InvarianceError(
-                    f"component {table.names[i]}: projector eigenvalues do not "
+                    f"component {table.names[i]}: wave-number eigenvalues do not "
                     f"add up to the trace-equation sum"
                 )
-        components.append(
-            IsotypicComponent(table.names[i], d, m, lams, basis)
-        )
+        components.append(IsotypicComponent(table.names[i], d, m, lams))
     deco = IsotypicDecomposition(tuple(components))
     direct = np.sort(np.linalg.eigvalsh(H))
     assembled = deco.full_multiset()
@@ -471,12 +459,7 @@ def j_compatible_pairs(H, group=None):
     if H.shape[0] % 2:
         raise ValueError("dimension must be even")
     if group is not None:
-        scale = max(float(np.max(np.abs(H))), 1e-300)
-        ok, defect = verify_invariance(H, group, tol=1e-8 * scale)
-        if not ok:
-            raise InvarianceError(
-                f"matrix does not commute with the group action (defect {defect:.3e})"
-            )
+        _require_invariance(H, group)
     pairs, rest = symplectic_pairs(H)
     if rest.shape[1]:
         lams = np.linalg.eigvalsh(rest.T @ H @ rest)

@@ -21,7 +21,7 @@ from relequil.model import (
     potential_hessian,
 )
 from relequil.presets import all_standard_cases
-from relequil.spectrum import deflated_eigenvalues, trivial_modes
+from relequil.spectrum import deflated_eigenvalues
 from relequil.symmetry import (
     J2,
     JPair,
@@ -166,10 +166,9 @@ class TestPurify:
         # result is the dense eigensolve of the first-order matrix, byte for byte
         for label, cfg, spec in ANALYSIS_INPUTS:
             eq = Equilibrium(cfg, spec)
-            T, _, slack = trivial_modes(eq)
-            Jh = block_symplectic(eq.n)
-            vals = deflated_eigenvalues(eq.omega2, eq.omega, eq.Hw, Jh, T[:, :0], None, slack)
-            raw = np.linalg.eigvals(first_order_matrix(eq.omega2, eq.omega, eq.Hw, Jh))
+            T, _, slack = eq.trivial
+            vals = deflated_eigenvalues(eq.omega2, eq.omega, eq.Hw, eq.Jh, T[:, :0], None, slack)
+            raw = np.linalg.eigvals(first_order_matrix(eq.omega2, eq.omega, eq.Hw, eq.Jh))
             assert _same_bytes(vals, raw.astype(complex)), label
 
 

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from relequil import dynamics, model, pipeline
+from relequil import dynamics, model, pipeline, symmetry
 from relequil.central import refine_central_configuration, regular_polygon
 from relequil.cli import main as cli_main
 from relequil.model import BodyConfiguration, PotentialSpec
@@ -223,10 +223,23 @@ class TestComputedOnce:
                                   with_dynamics=with_dynamics)
         report = run_analysis(request)
         assert calls == {"potential_hessian": 1, "centrality_residual": 1}
-        # A is built by the one Equilibrium; the growth fit uses that same one
+        # Hw is built by the one Equilibrium; the growth fit uses that same one
         assert len(built) == 1
         assert directions == (built if with_dynamics else [])
         assert (report.to_dict()["dynamics"] is not None) == with_dynamics
+
+    def test_no_representation_matrix_is_built(self, monkeypatch):
+        # the trace route reads H's body blocks and the wave-number bases;
+        # no 2n x 2n representation matrix (nor a projector summed from them)
+        def refuse(g, n):
+            raise AssertionError(f"representation matrix of {g.name} built for n = {n}")
+
+        monkeypatch.setattr(symmetry, "representation_matrix", refuse)
+        for request in (AnalysisRequest(case="square-homogeneous", alpha=1.0),
+                        AnalysisRequest(positions=tuple(regular_polygon(24).positions),
+                                        alpha=1.0)):
+            isotypic = run_analysis(request).to_dict()["isotypic"]
+            assert [c["irrep"] for c in isotypic][:2] == ["A1", "A2"]
 
 
 class TestSweep:

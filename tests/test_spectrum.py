@@ -12,6 +12,7 @@ from relequil.model import (
     PotentialSpec,
     Spectrum,
     angular_frequency_squared,
+    first_order_matrix,
 )
 from relequil.pipeline import AnalysisRequest, run_analysis
 from relequil.presets import get_case
@@ -27,7 +28,6 @@ from relequil.spectrum import (
     decompose_blocks,
     deflated_eigenvalues,
     full_linearization_spectrum,
-    trivial_modes,
 )
 from relequil.symmetry import block_symplectic, symplectic_pairs
 
@@ -36,6 +36,12 @@ def _match_distance(a, b):
     cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
     r, c = linear_sum_assignment(cost)
     return float(cost[r, c].max())
+
+
+def _raw_linearization(eq):
+    """The 4n x 4n linearization A, with M^{-1} H, for a raw dense eigensolve."""
+    return first_order_matrix(eq.omega2, eq.omega, eq.H / eq.config.mass_vector[:, None],
+                              block_symplectic(eq.n))
 
 
 def _collinear_manev():
@@ -226,7 +232,7 @@ class TestOracle:
             eq = Equilibrium(case.configuration(), case.potential)
             v = full_linearization_spectrum(eq).values
             blocks = decompose_blocks(eq).union_spectrum().values
-            raw = np.linalg.eigvals(eq.A)
+            raw = np.linalg.eigvals(_raw_linearization(eq))
             thr = 1e-12 * np.max(np.abs(v))
             assert np.sort(np.abs(raw))[0] > 1e3 * thr, case.name
             n_zero = int(np.sum(np.abs(v) <= thr))
@@ -244,7 +250,7 @@ class TestPurify:
         # translations +-i omega (twice) come out exact
         eq = _collinear_manev()
         v = full_linearization_spectrum(eq).values
-        raw = np.linalg.eigvals(eq.A)
+        raw = np.linalg.eigvals(_raw_linearization(eq))
         scale = np.max(np.abs(v))
         assert np.sort(np.abs(raw))[1] > 1e-10 * scale
         assert np.all(np.sort(np.abs(v))[:2] == 0.0)
@@ -272,7 +278,7 @@ class TestPurify:
         eq = Equilibrium(case.configuration(), case.potential)
         v = full_linearization_spectrum(eq).values
         scale = np.max(np.abs(v))
-        assert np.sort(np.abs(np.linalg.eigvals(eq.A)))[0] > 1e-6 * scale
+        assert np.sort(np.abs(np.linalg.eigvals(_raw_linearization(eq))))[0] > 1e-6 * scale
         assert np.sort(np.abs(v))[3] <= 1e-12 * scale
 
 
@@ -299,7 +305,7 @@ class TestDeflation:
 
     def test_collinear_manev_takes_the_rotation_chain(self):
         eq = _collinear_manev()
-        _, z, _ = trivial_modes(eq)
+        _, z, _ = eq.trivial
         zh = z / np.linalg.norm(z)
         hz = eq.Hw @ zh
         # far above rounding: z is no eigenvector, so no homographic plane
@@ -310,10 +316,9 @@ class TestDeflation:
 
     def test_wrong_omega_is_not_invariant(self):
         eq = _collinear_manev()
-        T, z, slack = trivial_modes(eq)
         w = eq.omega * (1.0 + 1e-6)
         with pytest.raises(ConsistencyError) as err:
-            deflated_eigenvalues(w * w, w, eq.Hw, block_symplectic(eq.n), T, z, slack)
+            deflated_eigenvalues(w * w, w, eq.Hw, eq.Jh, *eq.trivial)
         assert err.value.stage == "trivial modes"
         assert "invariance defect" in str(err.value)
 

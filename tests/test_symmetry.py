@@ -3,6 +3,7 @@ import pytest
 
 from relequil.central import regular_polygon
 from relequil.model import PotentialSpec, potential_hessian
+from relequil.pipeline import polygon_group_for
 from relequil.symmetry import (
     J2,
     InvarianceError,
@@ -12,7 +13,6 @@ from relequil.symmetry import (
     character_table,
     decompose_multiplicities,
     eigenvalues_by_trace_equations,
-    isotypic_projectors,
     j_compatible_pairs,
     representation_character,
     representation_matrix,
@@ -22,6 +22,13 @@ from relequil.symmetry import (
 )
 
 SQRT3 = np.sqrt(3.0)
+
+BENCHMARK_POTENTIALS = {
+    "r-1": PotentialSpec.homogeneous(1.0),
+    "r-2.5": PotentialSpec.homogeneous(2.5),
+    "manev": PotentialSpec.manev(),
+    "schwarzschild": PotentialSpec.schwarzschild(),
+}
 
 # the 6x6 matrices generated by the triangle group: the 2*pi/3 turn
 # combined with the cyclic relabeling, and the x-axis flip fixing body 1
@@ -205,13 +212,83 @@ class TestInvariance:
         ok, defect = verify_invariance(M + M.T, group, tol=1e-10)
         assert not ok and defect > 1e-2
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_defect_is_the_matmul_form(self, n, rng):
+        # max |D H - H D| over every representation matrix, on invariant,
+        # slightly perturbed and plainly random symmetric matrices
+        group = build_polygon_symmetry_group(n, axis_angle=0.2 * n)
+        M = _group_averaged(rng, group)
+        E = rng.standard_normal(M.shape)
+        H = potential_hessian(regular_polygon(n).rotated(0.2 * n), PotentialSpec.manev())
+        for A in (M, M + 1e-9 * (E + E.T), E + E.T, H):
+            expected = max(float(np.max(np.abs(D @ A - A @ D)))
+                           for D in (representation_matrix(g, n) for g in group.elements))
+            _, defect = verify_invariance(A, group)
+            assert abs(defect - expected) <= 8 * np.finfo(float).eps * np.max(np.abs(A))
+
+
+def _class_of(group):
+    return {idx: c for c, cl in enumerate(group.conjugacy_classes) for idx in cl}
+
+
+def _reference_projectors(group, table):
+    """P_i = (d_i/|G|) sum_g chi_i(g) D(g), one per irreducible, summed over
+    the 2n x 2n representation matrices as the projector route did."""
+    n, class_of = group.n, _class_of(group)
+    mats = [representation_matrix(g, n) for g in group.elements]
+    return [table.degrees[i] / group.order
+            * sum(table.values[i][class_of[k]] * D for k, D in enumerate(mats))
+            for i in range(table.n_irreps)]
+
+
+def _reference_trace_route(H, group):
+    """Per-irreducible eigenvalue lists by the projector route: class-averaged
+    Tr(H D(g)) from matrix products, the sums of the one-dimensional
+    components from them, and eigvalsh of H on each projector's range."""
+    table = character_table(group)
+    class_of = _class_of(group)
+    trace_fn = np.zeros(len(group.conjugacy_classes))
+    for idx, g in enumerate(group.elements):
+        trace_fn[class_of[idx]] += np.trace(H @ representation_matrix(g, group.n))
+    trace_fn /= group.class_sizes()
+    mult = decompose_multiplicities(representation_character(group), table)
+    out = []
+    for i, P in enumerate(_reference_projectors(group, table)):
+        d, m = int(table.degrees[i]), mult[i]
+        if m == 1:
+            out.append([table.inner(table.values[i], trace_fn)])
+            continue
+        w, V = np.linalg.eigh(P)
+        B = V[:, np.argsort(w)[::-1][: d * m]]
+        w = np.linalg.eigvalsh(B.T @ H @ B)
+        out.append([np.mean(w[k * d : (k + 1) * d]) for k in range(m)])
+    return out
+
+
+def _group_averaged(rng, group):
+    mats = [representation_matrix(g, group.n) for g in group.elements]
+    M = rng.standard_normal((2 * group.n, 2 * group.n))
+    return sum(D @ (M + M.T) @ D.T for D in mats) / len(mats)
+
+
+def _wave_number_target(names, projectors, n, k):
+    """The sum of the reference projectors whose range is W_k."""
+    P = dict(zip(names, projectors))
+    if k == 0:
+        return P["A1"] + P["A2"]
+    if 2 * k == n:
+        return P["B1"] + P["B2"]
+    return P[f"E{k}"]
+
 
 class TestProjectors:
+    """The isotypic projectors of the projector route, kept as the reference
+    for the trace route, and the wave-number bases that replace them."""
+
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_algebra(self, n, rng):
+    def test_algebra(self, n):
         group = build_polygon_symmetry_group(n)
-        table = character_table(group)
-        projectors = isotypic_projectors(group, table, n)
+        projectors = _reference_projectors(group, character_table(group))
         total = sum(projectors)
         np.testing.assert_allclose(total, np.eye(2 * n), atol=1e-12)
         for i, P in enumerate(projectors):
@@ -222,26 +299,73 @@ class TestProjectors:
 
     def test_triangle_ranks(self):
         group = build_polygon_symmetry_group(3)
-        table = character_table(group)
-        ranks = [round(np.trace(P)) for P in isotypic_projectors(group, table, 3)]
+        ranks = [round(np.trace(P))
+                 for P in _reference_projectors(group, character_table(group))]
         assert ranks == [1, 1, 4]
+        # A1 + A2 is wave number 0 and E1 wave number 1
+        dims = [wave_number_basis(group.vertices(), k).shape[1] for k in (0, 1)]
+        assert dims == [ranks[0] + ranks[1], ranks[2]]
 
     def test_trivial_component_is_configuration_direction(self, triangle):
         group = build_polygon_symmetry_group(3)
-        table = character_table(group)
-        P0 = isotypic_projectors(group, table, 3)[0]
+        P0 = _reference_projectors(group, character_table(group))[0]
         z = triangle.positions
         np.testing.assert_allclose(P0 @ z, z, atol=1e-13)
+        W0 = wave_number_basis(group.vertices(), 0)
+        np.testing.assert_allclose(W0 @ (W0.T @ z), z, atol=1e-13)
 
     def test_commute_with_invariant_matrix(self, rng):
-        n = 4
-        group = build_polygon_symmetry_group(n)
-        table = character_table(group)
-        mats = [representation_matrix(g, n) for g in group.elements]
-        M = rng.standard_normal((2 * n, 2 * n))
-        M = sum(D @ (M + M.T) @ D.T for D in mats)
-        for P in isotypic_projectors(group, table, n):
+        group = build_polygon_symmetry_group(4)
+        M = _group_averaged(rng, group)
+        for P in _reference_projectors(group, character_table(group)):
             assert np.max(np.abs(P @ M - M @ P)) <= 1e-11 * np.max(np.abs(M))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_wave_number_bases_are_projector_ranges(self, n):
+        # each W_k is fixed by the projector of its irreducibles, and the
+        # bases together are an orthonormal basis of R^{2n}
+        group = build_polygon_symmetry_group(n, axis_angle=0.7)
+        table = character_table(group)
+        projectors = _reference_projectors(group, table)
+        bases = [wave_number_basis(group.vertices(), k) for k in range(n // 2 + 1)]
+        for k, W in enumerate(bases):
+            P = _wave_number_target(table.names, projectors, n, k)
+            np.testing.assert_allclose(P @ W, W, rtol=0, atol=1e-13, err_msg=str(k))
+        V = np.column_stack(bases)
+        assert V.shape == (2 * n, 2 * n)
+        np.testing.assert_allclose(V.T @ V, np.eye(2 * n), rtol=0, atol=1e-14)
+
+
+class TestAgainstProjectorRoute:
+    """The trace route reads traces off H's body blocks and resolves E_j on
+    the wave-number bases; its per-irreducible eigenvalues must equal the
+    projector route's to 1e-12 (1 + max |H|)."""
+
+    @staticmethod
+    def _assert_same(H, group):
+        new = eigenvalues_by_trace_equations(H, group).eigenvalue_lists()
+        ref = _reference_trace_route(H, group)
+        assert [len(v) for v in new] == [len(v) for v in ref]
+        np.testing.assert_allclose(np.concatenate(new), np.concatenate(ref), rtol=0,
+                                   atol=1e-12 * (1.0 + np.max(np.abs(H))))
+
+    def test_presets(self, standard_cases):
+        for case in standard_cases:
+            cfg = case.configuration()
+            self._assert_same(potential_hessian(cfg, case.potential), polygon_group_for(cfg))
+
+    @pytest.mark.parametrize("n", [*range(3, 25), 32, 48])
+    def test_polygons(self, n):
+        cfg = regular_polygon(n, radius=1.3).rotated(0.7)
+        group = polygon_group_for(cfg)
+        for spec in BENCHMARK_POTENTIALS.values():
+            self._assert_same(potential_hessian(cfg, spec), group)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_random_invariant_matrices(self, n, rng):
+        group = build_polygon_symmetry_group(n, axis_angle=0.3 * n)
+        for _ in range(5):
+            self._assert_same(_group_averaged(rng, group), group)
 
 
 class TestTraceEquations:
