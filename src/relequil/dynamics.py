@@ -7,6 +7,13 @@ at the equilibrium frequency,
 
 not its linearization, so instability rates measured here are an
 end-to-end check on the spectral predictions.
+
+The integrator holds its state as a (2, n, 2) array: positions, then
+velocities, one (x, y) row per body, so a stage input s + h k is one array
+operation.  The potential's field is read from the pair incidence matrix
+D (rows e_i - e_j over the pairs i < j): d = D q gives every separation at
+once and D^T / m scatters the pair forces back onto the bodies as
+accelerations.  Trajectory.states stays flat, (positions | velocities).
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import euler_omega_squared, rotation_period
-from .symmetry import block_symplectic
 
 COLLISION_FACTOR = 1e-6     # blow-up when min distance falls below this x initial
 DEFAULT_STEPS_PER_PERIOD = 10_000
@@ -43,56 +49,84 @@ class Trajectory:
 
 
 class _RotatingFrame:
-    """Right-hand side and Jacobi integral for one (config, spec) pair."""
+    """Vector field and Jacobi integral of one (config, spec) pair on states
+    of shape (2, n, 2): positions q and velocities v, one row per body.
+
+    With the pair incidence matrix D (P x n, rows e_i - e_j for the pairs
+    i < j), the separations are d = D q and r^2 = sum(d^2) per pair.  The
+    potential U = sum_k c_k sum_{i<j} m_i m_j r^-a_k gives the pair weights
+    w = sum_k -a_k c_k m_i m_j (r^2)^(-a_k/2 - 1), and M^-1 grad U is
+    (D^T / m)(w d).  The acceleration is
+
+        omega^2 q + v @ Lv + (D^T / m)(w d) - offset,
+
+    with Lv = [[0, -2 omega], [2 omega, 0]], so that v @ Lv is 2 omega J v
+    body by body; ``offset`` is the pin (see set_reference_equilibrium),
+    zero until one is set.  D, D^T / m and the per-term weights and
+    exponents are built once per frame.
+    """
 
     def __init__(self, config, spec, omega2=None):
-        self.pairs = config.pairs
-        self.spec = spec
-        self.mass_vector = config.mass_vector
         if omega2 is None:
             omega2 = euler_omega_squared(config, spec)
         self.omega2 = float(omega2)
         self.omega = float(np.sqrt(self.omega2))
-        self.Jh = block_symplectic(config.n)
-        self.acc_offset = None
+        pairs, n = config.pairs, config.n
+        self.mass_vector = config.mass_vector
+        self.D = np.zeros((pairs.iu.size, n))
+        rows = np.arange(pairs.iu.size)
+        self.D[rows, pairs.iu] = 1.0
+        self.D[rows, pairs.ju] = -1.0
+        self.DTm = self.D.T / config.masses[:, None]
+        c, a = np.array(spec.terms).T[:, :, None]
+        self.force_weights = -a * c * pairs.mm       # (K, P)
+        self.force_exponents = -0.5 * a - 1.0        # (K, 1), on r^2
+        self.energy_weights = c * pairs.mm
+        self.energy_exponents = -0.5 * a
+        # state @ L = (omega^2 q, v @ Lv)
+        w2 = 2.0 * self.omega
+        self.L = np.array([[[self.omega2, 0.0], [0.0, self.omega2]],
+                           [[0.0, -w2], [w2, 0.0]]])
+        self.offset = 0.0
 
-    def rhs(self, state):
-        half = state.size // 2
-        pos, vel = state[:half], state[half:]
-        acc = (
-            2.0 * self.omega * (self.Jh @ vel)
-            + self.omega2 * pos
-            + self.pairs.gradient(pos.reshape(-1, 2), self.spec) / self.mass_vector
-        )
-        if self.acc_offset is not None:
-            acc = acc - self.acc_offset
-        return np.concatenate([vel, acc])
+    def geometry(self, q):
+        """Separations d = D q (P x 2) and squared distances r^2 (P,)."""
+        d = self.D @ q
+        return d, (d * d).sum(axis=1)
+
+    def field(self, state, geometry=None):
+        """Time derivative (v, acc) of a (2, n, 2) state; ``geometry`` is the
+        state's (d, r^2) when already computed."""
+        d, r2 = self.geometry(state[0]) if geometry is None else geometry
+        w = (self.force_weights * r2 ** self.force_exponents).sum(axis=0)
+        linear = state @ self.L
+        acc = linear[0] + linear[1] + (self.DTm * w) @ d - self.offset
+        # np.array of the two (n, 2) rows costs a third of np.stack
+        return np.array((state[1], acc))
 
     def set_reference_equilibrium(self, positions):
-        """Subtract the field's float residual at an equilibrium.
+        """Pin an equilibrium: subtract the field's float residual there.
 
-        The correction is at machine-eps scale but makes the equilibrium a
-        bit-exact fixed point of the discrete map; without it, rounding
-        noise seeds the unstable modes and is amplified exponentially over
-        long windows.
+        The offset is the acceleration at (positions, zero velocity),
+        omega^2 q + M^-1 grad U, which at an equilibrium is F / m (F the
+        centrality residual) and of machine-eps scale.  Subtracting it
+        makes the field bitwise zero at the equilibrium, so the discrete
+        map fixes it exactly; without it, rounding noise seeds the
+        unstable modes and is amplified exponentially over long windows.
         """
-        self.acc_offset = None
-        self.acc_offset = self.rhs(
-            np.concatenate([positions, np.zeros_like(positions)])
-        )[positions.size:]
+        self.offset = 0.0
+        q = np.asarray(positions, float).reshape(-1, 2)
+        self.offset = self.field(np.stack((q, np.zeros_like(q))))[1]
 
-    def energy_parts(self, state):
-        """Kinetic, centrifugal and potential parts of the Jacobi integral."""
-        half = state.size // 2
-        pos, vel = state[:half], state[half:]
-        return (
-            0.5 * float(self.mass_vector @ (vel * vel)),
-            0.5 * self.omega2 * float(self.mass_vector @ (pos * pos)),
-            float(self.pairs.energy_terms(pos.reshape(-1, 2), self.spec).sum()),
-        )
+    def energy_parts(self, state, r2):
+        """Kinetic, centrifugal and potential parts of the Jacobi integral at
+        a (2, n, 2) state whose squared pair distances are r2."""
+        mq2, mv2 = np.square(state).reshape(2, -1) @ self.mass_vector
+        potential = np.vdot(self.energy_weights, r2 ** self.energy_exponents)
+        return 0.5 * float(mv2), 0.5 * self.omega2 * float(mq2), float(potential)
 
-    def energy(self, state):
-        kinetic, centrifugal, potential = self.energy_parts(state)
+    def energy(self, state, r2):
+        kinetic, centrifugal, potential = self.energy_parts(state, r2)
         return kinetic - centrifugal - potential
 
 
@@ -112,7 +146,7 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
     """
     frame = _RotatingFrame(config, spec, omega2=omega2)
     if reference_equilibrium is not None:
-        frame.set_reference_equilibrium(np.asarray(reference_equilibrium, float))
+        frame.set_reference_equilibrium(reference_equilibrium)
     period = rotation_period(frame.omega2)
     if duration is None:
         duration = period
@@ -122,37 +156,43 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
         raise ValueError("dt must be positive")
     if initial_velocity is None:
         initial_velocity = np.zeros(2 * config.n)
-    state = np.concatenate([config.positions, np.asarray(initial_velocity, float)])
-    floor = COLLISION_FACTOR * config.min_pair_distance()
+    state = np.stack((config.points, np.asarray(initial_velocity, float).reshape(-1, 2)))
+    floor2 = (COLLISION_FACTOR * config.min_pair_distance()) ** 2
 
     steps = int(np.ceil(duration / dt))
-    e0 = frame.energy(state)
+    geometry = frame.geometry(state[0])
+    e0 = frame.energy(state, geometry[1])
     # the integral's scale: the sum of its parts' sizes
-    energy_cap = 1e3 * (sum(map(abs, frame.energy_parts(state))) + 1.0)
-    times, states, energies = [0.0], [state.copy()], [e0]
-    blew_up = False
+    energy_cap = 1e3 * (sum(map(abs, frame.energy_parts(state, geometry[1]))) + 1.0)
+    # every step makes a new state array, so the samples can be its views
+    times, states, energies = [0.0], [state.ravel()], [e0]
+    half, sixth = 0.5 * dt, dt / 6.0
+    blew_up = True              # until every step has passed its checks
     for k in range(1, steps + 1):
-        k1 = frame.rhs(state)
-        k2 = frame.rhs(state + 0.5 * dt * k1)
-        k3 = frame.rhs(state + 0.5 * dt * k2)
-        k4 = frame.rhs(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = frame.field(state, geometry)
+        k2 = frame.field(state + half * k1)
+        k3 = frame.field(state + half * k2)
+        k4 = frame.field(state + dt * k3)
+        state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # a fixed-step scheme can hop straight across the singularity with
         # finite garbage values; the conserved energy tearing away from its
         # initial value is the reliable collision tell alongside the
-        # distance floor
-        if (
-            not np.all(np.isfinite(state))
-            or frame.pairs.separations(state[: 2 * config.n].reshape(-1, 2))[1].min()
-            < floor
-            or abs(frame.energy(state) - e0) > energy_cap
-        ):
-            blew_up = True
+        # distance floor.  The new state's (d, r^2) serves the floor, the
+        # energy and the next step's first stage.
+        if not np.isfinite(state).all():
+            break
+        geometry = frame.geometry(state[0])
+        if geometry[1].min() < floor2:
+            break
+        energy = frame.energy(state, geometry[1])
+        if abs(energy - e0) > energy_cap:
             break
         if k % sample_every == 0 or k == steps:
             times.append(k * dt)
-            states.append(state.copy())
-            energies.append(frame.energy(state))
+            states.append(state.ravel())
+            energies.append(energy)
+    else:
+        blew_up = False
     return Trajectory(
         np.array(times), np.array(states), np.array(energies), frame.omega, blew_up
     )

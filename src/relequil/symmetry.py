@@ -381,6 +381,15 @@ def block_symplectic(n):
     return (np.eye(n)[:, None, :, None] * J2[None, :, None, :]).reshape(2 * n, 2 * n) + 0.0
 
 
+def _apply_symplectic(V):
+    """Jhat @ V without forming Jhat: J2 maps each body's rows (x, y) to
+    (y, -x).  Every entry is the one nonzero product of the matmul; + 0.0
+    turns -0.0 into +0.0, as in block_symplectic."""
+    JV = np.empty_like(V)
+    JV[0::2], JV[1::2] = V[1::2], -V[0::2]
+    return JV + 0.0
+
+
 def _eigen_clusters(H):
     """(mean eigenvalue, orthonormal eigenvector basis) per eigen-cluster:
     runs of ascending eigenvalues whose neighbours lie within CLUSTER_TOL."""
@@ -410,11 +419,12 @@ def symplectic_pairs(H):
     """
     H = np.asarray(H, dtype=float)
     clusters = _eigen_clusters(H)
-    Jh = block_symplectic(H.shape[0] // 2)
     res_tol = PAIR_TOL * max(abs(lam) for lam, _ in clusters)
     edges = np.cumsum([0] + [B.shape[1] for _, B in clusters])
     V = np.column_stack([B for _, B in clusters])
-    G = V.T @ Jh @ V            # block (j, i) is C_ij
+    # V^T Jhat = (Jhat (-V))^T; made contiguous like the product V.T @ Jhat,
+    # the matmul sums in the same order and G keeps its bytes
+    G = np.ascontiguousarray(_apply_symplectic(-V).T) @ V   # block (j, i) is C_ij
     frob2 = np.add.reduceat(np.add.reduceat(G * G, edges[:-1], axis=0),
                             edges[:-1], axis=1)
     pairs, taken = [], [[np.zeros((B.shape[1], 0))] for _, B in clusters]
@@ -430,7 +440,7 @@ def symplectic_pairs(H):
             # planes up as column pairs; the first of each pair is v1
             X = X @ schur(X.T @ C @ X)[1]
         V1 = Bi @ X[:, ::step]
-        V2 = -Jh @ V1
+        V2 = _apply_symplectic(-V1)
         R1, R2 = H @ V1 - lam_i * V1, H @ V2 - lam_j * V2
         ok = np.maximum((R1 * R1).sum(axis=0), (R2 * R2).sum(axis=0)) <= res_tol ** 2
         taken[i].append(X[:, np.repeat(ok, step)[:X.shape[1]]])

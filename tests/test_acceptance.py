@@ -7,6 +7,7 @@ per criterion.
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from relequil import dynamics
 from relequil.central import (
     refine_central_configuration,
     regular_polygon,
@@ -17,6 +18,7 @@ from relequil.model import (
     Equilibrium,
     PotentialSpec,
     angular_frequency_squared,
+    centrality_residual,
     moment_of_inertia,
     potential_gradient,
     potential_hessian,
@@ -270,6 +272,35 @@ def test_criterion_8_property_suites():
     _report(8, passed, "always-on invariant battery")
 
 
+def _equilibrium_half(cfg, spec, omega2=None):
+    """Criterion 9's equilibrium checks on ``cfg`` in the frame at omega2
+    (default: its Euler value); returns (ok, detail).
+
+    The pin that makes an equilibrium a bitwise fixed point of the
+    integrator is the field there, omega^2 q + grad U / m.  At a true
+    equilibrium that is F / m, with F = grad U + omega^2 M q the centrality
+    residual, up to the rounding of its two terms: 4 eps of their sizes.
+    The unpinned run then shows that the uncorrected field keeps the
+    configuration within 1e-8 over one period.
+    """
+    _, grad, residual = centrality_residual(cfg, spec)
+    frame = dynamics._RotatingFrame(cfg, spec, omega2=omega2)
+    frame.set_reference_equilibrium(cfg.positions)
+    pin_defect = float(np.max(np.abs(frame.offset.ravel() - residual / cfg.mass_vector)))
+    pin_bound = 4.0 * np.finfo(float).eps * (
+        frame.omega2 * np.max(np.abs(cfg.positions))
+        + np.max(np.abs(grad / cfg.mass_vector))
+    )
+    period = 2.0 * np.pi / frame.omega
+    traj = integrate_rotating_frame(
+        cfg, spec, duration=period, dt=period / 2000.0, sample_every=200,
+        omega2=frame.omega2,
+    )
+    drift = float(np.max(np.abs(traj.positions - cfg.positions[None, :])))
+    ok = pin_defect <= pin_bound and drift < 1e-8 and not traj.blew_up
+    return ok, f"pin {pin_defect / pin_bound:.2f} of bound, drift {drift:.1e}"
+
+
 def test_criterion_9_dynamics_confirmation():
     details = []
     ok = True
@@ -277,26 +308,39 @@ def test_criterion_9_dynamics_confirmation():
         cfg = case.configuration()
         spec = case.potential
         omega = float(np.sqrt(angular_frequency_squared(cfg, spec)))
-        period = 2.0 * np.pi / omega
 
-        traj = integrate_rotating_frame(
-            cfg, spec, duration=10.0 * period, dt=period / 2000.0,
-            sample_every=200, reference_equilibrium=cfg.positions,
-        )
-        drift = float(np.max(np.abs(traj.positions - cfg.positions[None, :])))
-        ok &= drift < 1e-8
+        eq_ok, eq_detail = _equilibrium_half(cfg, spec)
+        ok &= eq_ok
 
         eq = Equilibrium(cfg, spec)
         predicted = full_linearization_spectrum(eq).max_real_part()
         if predicted <= 0.05 * omega:
-            details.append(f"{case.name}: drift {drift:.1e}, growth skipped")
+            details.append(f"{case.name}: {eq_detail}, growth skipped")
             continue
         direction = _worst_direction(eq)
         est = estimate_growth_rate(eq, direction)
         rel = abs(est.rate - predicted) / predicted
         ok &= (not est.no_growth) and rel <= 0.10
         details.append(
-            f"{case.name}: drift {drift:.1e}, rate {est.rate:.4f} vs "
+            f"{case.name}: {eq_detail}, rate {est.rate:.4f} vs "
             f"{predicted:.4f} ({rel:.1%})"
         )
     _report(9, ok, "; ".join(details))
+
+
+def test_criterion_9_fails_in_a_wrong_frame():
+    # omega^2 off by one part in 10^6: the pin is no longer F / m and the
+    # unpinned configuration leaves its place
+    for case in all_standard_cases():
+        cfg, spec = case.configuration(), case.potential
+        omega2 = angular_frequency_squared(cfg, spec) * (1.0 + 1e-6)
+        assert not _equilibrium_half(cfg, spec, omega2)[0], case.name
+
+
+def test_criterion_9_fails_off_the_equilibrium():
+    # one body moved 1e-6: the pin still matches the (now large) residual,
+    # but the unpinned configuration drifts
+    for case in all_standard_cases():
+        cfg, spec = case.configuration(), case.potential
+        moved = cfg.with_positions(cfg.positions + 1e-6 * np.eye(cfg.positions.size)[0])
+        assert not _equilibrium_half(moved, spec)[0], case.name

@@ -184,10 +184,10 @@ class TestConsistencyError:
 class TestComputedOnce:
     @pytest.mark.parametrize("with_dynamics", [False, True])
     def test_one_equilibrium_per_run(self, monkeypatch, with_dynamics):
-        calls = {"potential_hessian": 0, "centrality_residual": 0}
+        calls = {"potential_hessian": 0, "centrality_residual": 0, "block_symplectic": 0}
 
-        def counting(name):
-            real = getattr(model, name)
+        def counting(name, module):
+            real = getattr(module, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
@@ -196,7 +196,10 @@ class TestComputedOnce:
             return counted
 
         for name in calls:
-            monkeypatch.setattr(model, name, counting(name))
+            monkeypatch.setattr(model, name, counting(name, model))
+        # symmetry's own binding, which the pairing would call
+        monkeypatch.setattr(symmetry, "block_symplectic",
+                            counting("block_symplectic", symmetry))
         built, directions = [], []
         real_init = model.Equilibrium.__post_init__
 
@@ -222,7 +225,9 @@ class TestComputedOnce:
         request = AnalysisRequest(case="square-homogeneous", alpha=1.0,
                                   with_dynamics=with_dynamics)
         report = run_analysis(request)
-        assert calls == {"potential_hessian": 1, "centrality_residual": 1}
+        # Jhat is built once, by the Equilibrium; the pairing and the
+        # integrator apply it in closed form
+        assert calls == {"potential_hessian": 1, "centrality_residual": 1, "block_symplectic": 1}
         # Hw is built by the one Equilibrium; the growth fit uses that same one
         assert len(built) == 1
         assert directions == (built if with_dynamics else [])
