@@ -54,13 +54,11 @@ from .symmetry import (
     CharacterTable,
     GroupElement,
     IsotypicDecomposition,
-    PairingError,
     SymmetryGroup,
     build_polygon_symmetry_group,
     character_table,
     decompose_multiplicities,
     eigenvalues_by_trace_equations,
-    j_compatible_pairs,
     representation_matrix,
     verify_invariance,
 )

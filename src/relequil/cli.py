@@ -110,18 +110,19 @@ def cmd_sweep(args):
 
 
 def cmd_simulate(args):
-    from .dynamics import equilibrium_drift, estimate_growth_rate
+    from .dynamics import equilibrium_check, estimate_growth_rate
     from .pipeline import _worst_direction
 
     eq, _case = _request_from_args(args).equilibrium()
-    traj, drift = equilibrium_drift(
-        eq, args.periods, args.steps_per_period,
+    pin_ratio, drift, traj = equilibrium_check(
+        eq.config, eq.spec, eq.omega2, args.periods, args.steps_per_period,
         sample_every=max(1, args.steps_per_period // 100),
     )
     energy_drift = float(np.max(np.abs(traj.jacobi_energy - traj.jacobi_energy[0])))
     payload = {
         "omega": eq.omega,
         "periods": args.periods,
+        "pin_ratio": pin_ratio,
         "equilibrium_drift": drift,
         "jacobi_energy_drift": energy_drift,
         "blew_up": traj.blew_up,

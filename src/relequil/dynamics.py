@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import euler_omega_squared, rotation_period
+from .model import centrality_residual, euler_omega_squared, rotation_period
 
 COLLISION_FACTOR = 1e-6     # blow-up when min distance falls below this x initial
 DEFAULT_STEPS_PER_PERIOD = 10_000
@@ -206,16 +206,35 @@ class GrowthEstimate:
     n_samples: int
 
 
-def equilibrium_drift(eq, periods, steps_per_period, sample_every):
-    """Integrate the unkicked, pinned equilibrium ``eq`` in its own frame;
-    returns the trajectory and the largest distance of a sample from it."""
-    z = eq.config.positions
-    traj = integrate_rotating_frame(
-        eq.config, eq.spec, duration=periods * eq.period,
-        dt=eq.period / steps_per_period, sample_every=sample_every,
-        omega2=eq.omega2, reference_equilibrium=z,
+def equilibrium_check(config, spec, omega2=None, periods=1.0, steps_per_period=2000,
+                      sample_every=200):
+    """(pin_ratio, drift, trajectory): ``config`` checked as an equilibrium
+    of the frame at omega2 (default: its Euler value).
+
+    The pin that makes an equilibrium a bitwise fixed point of the
+    integrator is the field there, omega^2 q + grad U / m.  At a true
+    equilibrium that is F / m, with F = grad U + omega^2 M q the centrality
+    residual, up to the rounding of its two terms: 4 eps of their sizes.
+    pin_ratio is the pin's distance from F / m over that bound, at most 1
+    at an equilibrium.  drift is the largest coordinate's distance from the
+    start over the unpinned ``trajectory`` of ``periods``: a wrong frame or
+    a moved body leaves within a period.
+    """
+    _, grad, residual = centrality_residual(config, spec)
+    frame = _RotatingFrame(config, spec, omega2=omega2)
+    frame.set_reference_equilibrium(config.positions)
+    pin_defect = float(np.max(np.abs(frame.offset.ravel() - residual / config.mass_vector)))
+    pin_bound = 4.0 * np.finfo(float).eps * (
+        frame.omega2 * np.max(np.abs(config.positions))
+        + np.max(np.abs(grad / config.mass_vector))
     )
-    return traj, float(np.max(np.linalg.norm(traj.positions - z[None, :], axis=1)))
+    period = rotation_period(frame.omega2)
+    traj = integrate_rotating_frame(
+        config, spec, duration=periods * period, dt=period / steps_per_period,
+        sample_every=sample_every, omega2=frame.omega2,
+    )
+    drift = float(np.max(np.abs(traj.positions - config.positions[None, :])))
+    return pin_defect / pin_bound, drift, traj
 
 
 def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None,

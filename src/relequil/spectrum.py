@@ -18,12 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .model import Spectrum, first_order_matrix
-from .symmetry import (
-    J2,
-    polygon_axis_angle,
-    symplectic_pairs,
-    wave_number_basis,
-)
+from .symmetry import J2, symplectic_pairs
 
 SNAP_TOL = 1e-12            # coefficient snap in the closed-form quartic
 CLASSIFY_TOL = 1e-8         # |Re|, |Im| thresholds relative to spectral radius
@@ -153,28 +148,13 @@ class BlockDecomposition:
 def decompose_blocks(eq):
     """Block decomposition of the linearization at a central configuration.
 
-    Every eigenvector pair found by the symplectic pairing yields a
-    closed-form 4x4 block.  What the pairs leave over becomes coupled
-    blocks: for a regular polygon one per real wave-number subspace that
-    the pairs do not cover (the classical ring reduction); for any other
-    configuration a single block on that leftover subspace.  The pairing
-    works on the mass-weighted Hessian ``eq.Hw``.
+    Every eigenvector pair found by the symplectic pairing of the
+    mass-weighted Hessian ``eq.Hw`` yields a closed-form 4x4 block; every
+    Jhat-coupled part of what the pairs leave over yields one coupled block.
+    On a regular polygon those parts are the wave-number subspaces the pairs
+    do not cover (the classical ring reduction).
     """
-    config, Hw = eq.config, eq.Hw
-    pairs, rest = symplectic_pairs(Hw)
-    bases = [rest] if rest.shape[1] else []
-    if bases and polygon_axis_angle(config) is not None:
-        waves = (wave_number_basis(config.points, k) for k in range(config.n // 2 + 1))
-        # |rest^T W|_F^2 is dim W when W lies in span(rest) and 0 when the
-        # pairs cover it; halfway splits the two
-        bases = [W for W in waves if np.sum((rest.T @ W) ** 2) > 0.5 * W.shape[1]]
-        dim = sum(W.shape[1] for W in bases)
-        if dim != rest.shape[1]:
-            raise ConsistencyError(
-                "decompose_blocks",
-                f"uncovered wave-number subspaces span {dim} dimensions, "
-                f"the J-pairs leave {rest.shape[1]}",
-            )
+    pairs, bases = symplectic_pairs(eq.Hw)
     T, z, slack = eq.trivial
     coupled = []
     for V in bases:
@@ -183,7 +163,7 @@ def decompose_blocks(eq):
         Tv, zv = V.T @ T, V.T @ z
         Tv = Tv if np.sum(Tv * Tv) > 0.5 * np.sum(T * T) else Tv[:, :0]
         zv = zv if zv @ zv > 0.5 * (z @ z) else None
-        coupled.append(CoupledBlock(eq.omega, V.T @ Hw @ V, V.T @ eq.Jh @ V, (Tv, zv, slack)))
+        coupled.append(CoupledBlock(eq.omega, V.T @ eq.Hw @ V, V.T @ eq.Jh @ V, (Tv, zv, slack)))
     blocks = tuple(build_block(eq.omega, p.lam1, p.lam2) for p in pairs)
     return BlockDecomposition(eq.omega, tuple(pairs), blocks, tuple(coupled))
 

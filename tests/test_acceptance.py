@@ -7,18 +7,16 @@ per criterion.
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from relequil import dynamics
 from relequil.central import (
     refine_central_configuration,
     regular_polygon,
 )
 from relequil.checks import run_selfcheck
-from relequil.dynamics import estimate_growth_rate, integrate_rotating_frame
+from relequil.dynamics import equilibrium_check, estimate_growth_rate
 from relequil.model import (
     Equilibrium,
     PotentialSpec,
     angular_frequency_squared,
-    centrality_residual,
     moment_of_inertia,
     potential_gradient,
     potential_hessian,
@@ -273,32 +271,12 @@ def test_criterion_8_property_suites():
 
 
 def _equilibrium_half(cfg, spec, omega2=None):
-    """Criterion 9's equilibrium checks on ``cfg`` in the frame at omega2
-    (default: its Euler value); returns (ok, detail).
-
-    The pin that makes an equilibrium a bitwise fixed point of the
-    integrator is the field there, omega^2 q + grad U / m.  At a true
-    equilibrium that is F / m, with F = grad U + omega^2 M q the centrality
-    residual, up to the rounding of its two terms: 4 eps of their sizes.
-    The unpinned run then shows that the uncorrected field keeps the
-    configuration within 1e-8 over one period.
-    """
-    _, grad, residual = centrality_residual(cfg, spec)
-    frame = dynamics._RotatingFrame(cfg, spec, omega2=omega2)
-    frame.set_reference_equilibrium(cfg.positions)
-    pin_defect = float(np.max(np.abs(frame.offset.ravel() - residual / cfg.mass_vector)))
-    pin_bound = 4.0 * np.finfo(float).eps * (
-        frame.omega2 * np.max(np.abs(cfg.positions))
-        + np.max(np.abs(grad / cfg.mass_vector))
-    )
-    period = 2.0 * np.pi / frame.omega
-    traj = integrate_rotating_frame(
-        cfg, spec, duration=period, dt=period / 2000.0, sample_every=200,
-        omega2=frame.omega2,
-    )
-    drift = float(np.max(np.abs(traj.positions - cfg.positions[None, :])))
-    ok = pin_defect <= pin_bound and drift < 1e-8 and not traj.blew_up
-    return ok, f"pin {pin_defect / pin_bound:.2f} of bound, drift {drift:.1e}"
+    """Criterion 9's equilibrium half on ``cfg`` in the frame at omega2
+    (default: its Euler value): the pin within its rounding bound of F / m,
+    and an unpinned drift below 1e-8 over one period; returns (ok, detail)."""
+    pin_ratio, drift, traj = equilibrium_check(cfg, spec, omega2)
+    ok = pin_ratio <= 1.0 and drift < 1e-8 and not traj.blew_up
+    return ok, f"pin {pin_ratio:.2f} of bound, drift {drift:.1e}"
 
 
 def test_criterion_9_dynamics_confirmation():

@@ -179,11 +179,13 @@ class TestStrictPairs:
         for label, cfg, spec in ANALYSIS_INPUTS:
             H = potential_hessian(cfg, spec)
             Jh = block_symplectic(cfg.n)
-            pairs, rest = symplectic_pairs(H)
+            pairs, rests = symplectic_pairs(H)
             ref_pairs, ref_leftover = _reference_strict_pairs(_eigen_clusters(H), Jh, 1e-7)
             assert ([(p.lam1, p.lam2) for p in pairs]
                     == sorted((q.lam1, q.lam2) for q in ref_pairs)), label
-            ref_rest = np.column_stack([B for _, B in ref_leftover] or [np.zeros((2 * cfg.n, 0))])
+            empty = [np.zeros((2 * cfg.n, 0))]
+            rest = np.column_stack(rests or empty)
+            ref_rest = np.column_stack([B for _, B in ref_leftover] or empty)
             assert rest.shape == ref_rest.shape, label
             np.testing.assert_allclose(rest @ rest.T, ref_rest @ ref_rest.T,
                                        rtol=0, atol=1e-12, err_msg=label)
@@ -193,6 +195,17 @@ class TestStrictPairs:
                                            atol=1e-10 * scale, err_msg=label)
                 np.testing.assert_allclose(H @ p.v2, p.lam2 * p.v2, rtol=0,
                                            atol=1e-10 * scale, err_msg=label)
+
+    def test_each_leftover_block_is_invariant(self):
+        # every coupled basis spans a subspace that both Hw and Jhat map
+        # into itself; a missed Jhat link would leave a defect of order 1e-6
+        for label, cfg, spec in ANALYSIS_INPUTS:
+            eq = Equilibrium(cfg, spec)
+            for V in symplectic_pairs(eq.Hw)[1]:
+                np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-12)
+                for M in (eq.Hw, eq.Jh):
+                    defect = np.linalg.norm(M @ V - V @ (V.T @ M @ V), 2)
+                    assert defect <= 1e-12 * np.linalg.norm(M, 2), label
 
 
 def test_block_symplectic():

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -125,6 +127,20 @@ class TestReports:
         assert capsys.readouterr().out.split() == ["differs:", str(stale)]
         assert "Spectrally" in stale.read_text()
 
+    def test_scripts_run(self):
+        # the scripts import the package from the checkout's src, not through
+        # the CLI, so a renamed function shows here first
+        def run(*args):
+            done = subprocess.run([sys.executable, *args], cwd=GOLDEN_DIR.parent,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            return done.stdout.splitlines()
+
+        cases = [ln.split()[0] for ln in run("scripts/run_all_cases.py")]
+        assert [name for name in cases if name in PRESET_NAMES] == list(PRESET_NAMES)
+        rows = run("scripts/alpha_sweep.py", "--grid", "1.9,2.0,2.1")
+        assert [float(ln.split()[0]) for ln in rows[1:]] == [1.9, 2.0, 2.1]
+
     def test_schema_version_checked(self):
         report = run_analysis(_preset_request("triangle-homogeneous"))
         data = dict(report.to_dict())
@@ -200,6 +216,9 @@ class TestComputedOnce:
         # symmetry's own binding, which the pairing would call
         monkeypatch.setattr(symmetry, "block_symplectic",
                             counting("block_symplectic", symmetry))
+        # and dynamics' own binding, which the equilibrium check calls
+        monkeypatch.setattr(dynamics, "centrality_residual",
+                            counting("centrality_residual", dynamics))
         built, directions = [], []
         real_init = model.Equilibrium.__post_init__
 
@@ -226,8 +245,11 @@ class TestComputedOnce:
                                   with_dynamics=with_dynamics)
         report = run_analysis(request)
         # Jhat is built once, by the Equilibrium; the pairing and the
-        # integrator apply it in closed form
-        assert calls == {"potential_hessian": 1, "centrality_residual": 1, "block_symplectic": 1}
+        # integrator apply it in closed form.  The dynamics section's
+        # equilibrium check reads the centrality residual once more, for the
+        # pin it compares with F / m.
+        assert calls == {"potential_hessian": 1, "centrality_residual": 1 + with_dynamics,
+                         "block_symplectic": 1}
         # Hw is built by the one Equilibrium; the growth fit uses that same one
         assert len(built) == 1
         assert directions == (built if with_dynamics else [])

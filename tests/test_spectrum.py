@@ -29,7 +29,7 @@ from relequil.spectrum import (
     deflated_eigenvalues,
     full_linearization_spectrum,
 )
-from relequil.symmetry import block_symplectic, symplectic_pairs
+from relequil.symmetry import block_symplectic, symplectic_pairs, wave_number_basis
 
 
 def _match_distance(a, b):
@@ -359,6 +359,22 @@ class TestBlockOracleAgreement:
         m = compare_spectra(union, full_linearization_spectrum(eq), tol=1e-9)
         assert m.matches, m.max_distance / m.scale
 
+    @pytest.mark.parametrize("n", [5, 8, 13, 24])
+    @pytest.mark.parametrize("terms", [
+        ((1.0, 1.0),), ((1.0, 2.5),), ((1.0, 1.0), (1.0, 2.0)), ((1.0, 1.0), (1.0, 3.0)),
+    ], ids=["r-1", "r-2.5", "manev", "schwarzschild"])
+    def test_polygon_coupled_blocks_are_wave_number_subspaces(self, n, terms):
+        # the classical ring reduction: on a regular polygon each coupled
+        # block spans exactly one real wave-number subspace W_k
+        cfg = regular_polygon(n).rotated(0.7)
+        bases = symplectic_pairs(Equilibrium(cfg, PotentialSpec(terms)).Hw)[1]
+        assert bases
+        waves = [wave_number_basis(cfg.points, k) for k in range(n // 2 + 1)]
+        for V in bases:
+            P = V @ V.T
+            gaps = [np.max(np.abs(P - W @ W.T)) for W in waves]
+            assert min(gaps) <= 1e-12, gaps
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("spec", [PotentialSpec.manev(), PotentialSpec.schwarzschild()],
                              ids=["manev", "schwarzschild"])
@@ -386,14 +402,14 @@ class TestBlockOracleAgreement:
         spec = PotentialSpec.schwarzschild()
         cfg = refine_central_configuration(BodyConfiguration(masses, guess), spec)
         eq = Equilibrium(cfg, spec)
-        pairs, rest = symplectic_pairs(eq.Hw)
-        assert (len(pairs), rest.shape[1]) == (1, 4)
+        pairs, rests = symplectic_pairs(eq.Hw)
+        assert (len(pairs), [V.shape[1] for V in rests]) == (1, [4])
         deco = decompose_blocks(eq)
         assert len(deco.blocks) == 1 and [cb.dim for cb in deco.coupled] == [4]
         m = compare_spectra(deco.union_spectrum(), full_linearization_spectrum(eq), tol=1e-9)
         assert m.matches, m.max_distance / m.scale
 
-    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 24])
     @pytest.mark.parametrize("m0", [1.0, 1e2, 1e4])
     @pytest.mark.parametrize("terms", [((1.0, 1.0),), ((1.0, 1.0), (1.0, 3.0))],
                              ids=["r-1", "schwarzschild"])
@@ -401,12 +417,16 @@ class TestBlockOracleAgreement:
         # a central mass m0 at the origin and n unit masses on the unit
         # circle are central for every m0; a dominant m0 stretches the
         # Hessian's spectrum until candidate pairs with 1 - sigma < PAIR_TOL
-        # appear that are no eigenvector pairs
+        # appear that are no eigenvector pairs.  What the pairs leave over
+        # splits by its Jhat coupling into the ring's 4-dimensional
+        # wave-number blocks, with no ring detector.
         ang = 2.0 * np.pi * np.arange(n) / n
         q = np.vstack([[0.0, 0.0], np.column_stack([np.cos(ang), np.sin(ang)])])
         masses = np.r_[m0, np.ones(n)]
         eq = Equilibrium(BodyConfiguration(masses, q.ravel()), PotentialSpec(terms))
-        union = decompose_blocks(eq).union_spectrum()
+        deco = decompose_blocks(eq)
+        assert all(cb.dim == 4 for cb in deco.coupled)
+        union = deco.union_spectrum()
         assert len(union) == 4 * (n + 1)
         m = compare_spectra(union, full_linearization_spectrum(eq), tol=1e-9)
         assert m.matches, m.max_distance / m.scale

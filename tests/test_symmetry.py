@@ -7,13 +7,11 @@ from relequil.pipeline import polygon_group_for
 from relequil.symmetry import (
     J2,
     InvarianceError,
-    PairingError,
     block_symplectic,
     build_polygon_symmetry_group,
     character_table,
     decompose_multiplicities,
     eigenvalues_by_trace_equations,
-    j_compatible_pairs,
     representation_character,
     representation_matrix,
     symplectic_pairs,
@@ -436,9 +434,8 @@ class TestJPairs:
     def test_triangle_pairs(self, triangle):
         spec = PotentialSpec.homogeneous(1.0)
         H = potential_hessian(triangle, spec)
-        group = build_polygon_symmetry_group(3)
-        pairs = j_compatible_pairs(H, group)
-        assert len(pairs) == 3
+        pairs, rests = symplectic_pairs(H)
+        assert len(pairs) == 3 and rests == []
         Jh = block_symplectic(3)
         J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
         for p in pairs:
@@ -459,8 +456,8 @@ class TestJPairs:
     def test_square_equal_eigenvalue_pair(self, square):
         spec = PotentialSpec.homogeneous(1.0)
         H = potential_hessian(square, spec)
-        pairs = j_compatible_pairs(H, build_polygon_symmetry_group(4))
-        assert len(pairs) == 4
+        pairs, rests = symplectic_pairs(H)
+        assert len(pairs) == 4 and rests == []
         lam6 = 2.0 ** -0.5  # doubled eigenvalue of the essential component
         matches = [p for p in pairs
                    if abs(p.lam1 - lam6) < 1e-9 and abs(p.lam2 - lam6) < 1e-9]
@@ -475,8 +472,8 @@ class TestJPairs:
     def test_all_six_cases_pair_fully(self, standard_cases):
         for case in standard_cases:
             H = potential_hessian(case.configuration(), case.potential)
-            pairs = j_compatible_pairs(H)
-            assert len(pairs) == case.n, case.name
+            pairs, rests = symplectic_pairs(H)
+            assert len(pairs) == case.n and rests == [], case.name
 
     @pytest.mark.parametrize(
         "n, rotated", [(2, False), (3, False), (3, True), (4, True)],
@@ -494,8 +491,8 @@ class TestJPairs:
             W = np.linalg.qr(Z)[0]
             U = np.kron(W.real, np.eye(2)) + np.kron(W.imag, J2.T)
         H = U @ np.diag(np.repeat(lams, 2)) @ U.T
-        pairs = j_compatible_pairs(H)
-        assert len(pairs) == n
+        pairs, rests = symplectic_pairs(H)
+        assert len(pairs) == n and rests == []
         for p, lam in zip(pairs, np.sort(lams)):
             assert p.lam1 == pytest.approx(lam) and p.lam2 == pytest.approx(lam)
             np.testing.assert_allclose(H @ p.v1, lam * p.v1, atol=1e-13)
@@ -511,21 +508,38 @@ class TestJPairs:
         R = np.eye(4)
         R[np.ix_([0, 2], [0, 2])] = [[c, -s], [s, c]]
         H = R @ np.diag([1.0, 2.0, 1.0, 3.0]) @ R.T
-        pairs, rest = symplectic_pairs(H)
+        pairs, rests = symplectic_pairs(H)
         assert [(p.lam1, p.lam2) for p in pairs] == [
             pytest.approx((1.0, 2.0)), pytest.approx((1.0, 3.0))]
-        assert rest.shape == (4, 0)
+        assert rests == []
         for p in pairs:
             np.testing.assert_allclose(H @ p.v1, p.lam1 * p.v1, atol=1e-13)
             np.testing.assert_allclose(H @ p.v2, p.lam2 * p.v2, atol=1e-13)
-        assert len(j_compatible_pairs(H)) == 2
 
-    def test_pentagon_raises_structurally(self):
+    def test_pentagon_leaves_four_dimensions(self):
+        # wave number 2 of a pentagon admits no compatible pairs
         cfg = regular_polygon(5)
         H = potential_hessian(cfg, PotentialSpec.homogeneous(1.0))
-        with pytest.raises(PairingError) as err:
-            j_compatible_pairs(H)
-        assert err.value.leftover_dim == 4
+        pairs, rests = symplectic_pairs(H)
+        assert len(pairs) == 3 and [V.shape[1] for V in rests] == [4]
+
+    def test_shared_eigenvalues_merge_two_wave_numbers(self):
+        # the heptagon leaves wave numbers 2 and 3 over, one coupled block
+        # each; given the same two eigenvalues, their clusters hold both,
+        # and the leftover is one invariant block of dimension 8
+        cfg = regular_polygon(7)
+        H = potential_hessian(cfg, PotentialSpec.homogeneous(1.0))
+        assert [V.shape[1] for V in symplectic_pairs(H)[1]] == [4, 4]
+        for k in (2, 3):
+            W = wave_number_basis(cfg.points, k)
+            U = np.linalg.eigh(W.T @ H @ W)[1]
+            H += W @ (U @ np.diag([20.0, 20.0, 30.0, 30.0]) @ U.T - W.T @ H @ W) @ W.T
+        H = 0.5 * (H + H.T)
+        bases = symplectic_pairs(H)[1]
+        assert [V.shape[1] for V in bases] == [8]
+        V = bases[0]
+        for M in (H, block_symplectic(7)):
+            assert np.max(np.abs(M @ V - V @ (V.T @ M @ V))) <= 1e-12 * np.max(np.abs(M))
 
     def test_pentagon_joint_subspaces_cover(self):
         cfg = regular_polygon(5).rotated(0.4)
