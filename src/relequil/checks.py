@@ -28,6 +28,7 @@ from .symmetry import (
     build_polygon_symmetry_group,
     character_table,
     representation_matrix,
+    verify_invariance,
     wave_number_basis,
 )
 
@@ -115,6 +116,28 @@ def check_homomorphism(tol=1e-13):
             f"worst defect {worst:.3e}, classes {'ok' if classes_ok else 'BROKEN'}")
 
 
+def check_invariance_bound(seed=15):
+    """The two-generator defect of verify_invariance bounds max |D H - H D|
+    over every representation matrix D, on group-averaged, slightly
+    perturbed and random symmetric matrices.  The detail is the worst ratio
+    of that maximum to the bound plus 8 eps max |H|, the rounding of either
+    side; it must not exceed 1."""
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for n in range(3, 9):
+        group = build_polygon_symmetry_group(n, axis_angle=0.3)
+        mats = [representation_matrix(g, n) for g in group.elements]
+        M, E = (X + X.T for X in rng.standard_normal((2, 2 * n, 2 * n)))
+        averaged = sum(D @ M @ D.T for D in mats) / len(mats)
+        for H in (averaged, averaged + 1e-9 * E, E):
+            full = max(float(np.max(np.abs(D @ H - H @ D))) for D in mats)
+            _, bound = verify_invariance(H, group)
+            worst = max(worst, full / (bound + 8 * eps * float(np.max(np.abs(H)))))
+    return ("invariance defect bounds every element", worst <= 1.0,
+            f"worst max |DH - HD| / bound {worst:.3f}")
+
+
 def check_character_orthonormality(tol=1e-12):
     worst = 0.0
     for n in (3, 4, 5, 6):
@@ -132,7 +155,8 @@ def check_wave_number_bases(tol=1e-12):
         group = build_polygon_symmetry_group(n, axis_angle=0.3)
         table = character_table(group)
         rows = dict(zip(table.names, table.values))
-        reps = [representation_matrix(g, n) for g in group.class_representatives()]
+        reps = [representation_matrix(group.elements[i], n)
+                for i in group.class_representatives()]
         bases = [wave_number_basis(group.vertices(), k) for k in range(n // 2 + 1)]
         V = np.column_stack(bases)
         worst = max(worst, float(np.max(np.abs(V.T @ V - np.eye(2 * n)))))
@@ -195,6 +219,7 @@ ALL_CHECKS = (
     check_gradient_fd,
     check_hessian_fd,
     check_homomorphism,
+    check_invariance_bound,
     check_character_orthonormality,
     check_wave_number_bases,
     check_hamiltonian_symmetry,

@@ -106,12 +106,14 @@ class AnalysisRequest:
             ) from exc
 
 
-def _c(z):
-    return {"re": float(np.real(z)), "im": float(np.imag(z))}
+def _c(values):
+    """{"re", "im"} dicts of an array of values, from one ``tolist`` per part."""
+    v = np.asarray(values)
+    return [{"re": re, "im": im} for re, im in zip(v.real.tolist(), v.imag.tolist())]
 
 
 def _spectrum_dicts(spectrum):
-    return [_c(z) for z in spectrum.sorted_values()]
+    return _c(spectrum.sorted_values())
 
 
 def polygon_group_for(config, tol=1e-8):
@@ -337,7 +339,7 @@ def run_analysis(request):
         "blocks": blocks,
         "coupled_blocks": coupled,
         "block_union_spectrum": _spectrum_dicts(union),
-        "oracle_spectrum": [_c(z) for z in oracle_sorted],
+        "oracle_spectrum": _c(oracle_sorted),
         "spectra_match": {
             "matches": bool(match.matches),
             "max_distance": float(match.max_distance),

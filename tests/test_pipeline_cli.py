@@ -269,6 +269,19 @@ class TestComputedOnce:
             assert [c["irrep"] for c in isotypic][:2] == ["A1", "A2"]
 
 
+    def test_no_group_element_is_built(self, monkeypatch):
+        # the analysis path reads the group's perms and orthos arrays; the
+        # GroupElement objects are a view for tests and the selfcheck
+        def refuse(self):
+            raise AssertionError(f"group element {self.name} built")
+
+        monkeypatch.setattr(symmetry.GroupElement, "__post_init__", refuse)
+        for request in (AnalysisRequest(case="square-homogeneous", alpha=1.0),
+                        AnalysisRequest(positions=tuple(regular_polygon(24).positions),
+                                        alpha=1.0)):
+            isotypic = run_analysis(request).to_dict()["isotypic"]
+            assert [c["irrep"] for c in isotypic][:2] == ["A1", "A2"]
+
 class TestSweep:
     def test_trichotomy_labels(self):
         result = run_sweep(

@@ -126,6 +126,28 @@ class TestGroupConstruction:
             D = representation_matrix(el, 5)
             np.testing.assert_allclose(D @ cfg.positions, cfg.positions, atol=1e-13)
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_elements_view_matches_the_arrays(self, n):
+        for axis_angle in (0.0, 0.37):
+            group = build_polygon_symmetry_group(n, axis_angle=axis_angle)
+            names = ["e", *(f"a{k}" for k in range(1, n)),
+                     "r", *(f"a{k}r" for k in range(1, n))]
+            assert [g.name for g in group.elements] == names
+            for k, g in enumerate(group.elements):
+                assert g.perm == tuple(group.perms[k])
+                np.testing.assert_array_equal(g.ortho, group.orthos[k])
+
+    @pytest.mark.parametrize("n", [129, 200])
+    def test_large_polygons_build(self, n):
+        # the rotations are built in closed form; a product of n - 1 turns
+        # drifts past ORTHO_TOL from n = 129
+        cfg = regular_polygon(n)
+        group = polygon_group_for(cfg)
+        assert group.order == 2 * n
+        H = potential_hessian(cfg, PotentialSpec.homogeneous(1.0))
+        deco = eigenvalues_by_trace_equations(H, group)
+        assert deco.full_multiset().size == 2 * n
+
     def test_representation_size_mismatch(self):
         g = build_polygon_symmetry_group(3)
         with pytest.raises(ValueError):
@@ -143,7 +165,7 @@ class TestCharacters:
         # the 2-dim character takes -1 on the rotation class
         rot_col = [
             c for c, cl in enumerate(group.conjugacy_classes)
-            if not group.elements[cl[0]].is_reflection and len(cl) == 2
+            if cl[0] < group.n and len(cl) == 2
         ][0]
         assert table.values[2][rot_col] == pytest.approx(-1.0)
 
@@ -212,8 +234,10 @@ class TestInvariance:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_defect_is_the_matmul_form(self, n, rng):
-        # max |D H - H D| over every representation matrix, on invariant,
-        # slightly perturbed and plainly random symmetric matrices
+        # the generator bound against max |D H - H D| over every
+        # representation matrix, on invariant, slightly perturbed and plainly
+        # random symmetric matrices: at least that maximum, and at most
+        # (floor(n/2) + 1) 2n times it
         group = build_polygon_symmetry_group(n, axis_angle=0.2 * n)
         M = _group_averaged(rng, group)
         E = rng.standard_normal(M.shape)
@@ -222,7 +246,40 @@ class TestInvariance:
             expected = max(float(np.max(np.abs(D @ A - A @ D)))
                            for D in (representation_matrix(g, n) for g in group.elements))
             _, defect = verify_invariance(A, group)
-            assert abs(defect - expected) <= 8 * np.finfo(float).eps * np.max(np.abs(A))
+            slack = 8 * np.finfo(float).eps * np.max(np.abs(A))
+            assert expected <= defect + slack
+            assert defect <= (n // 2 + 1) * 2 * n * expected + slack
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_bound_covers_the_longest_word(self, n):
+        # H = diag(h_i I2) with h_i = min(i, n - i) commutes with r, and a^k
+        # moves it by |h_{i-k} - h_i| <= k: the half turn reaches n/2, past
+        # |E_a|_F + |E_r|_F = sqrt(2n), so the floor(n/2) factor is needed
+        h = np.minimum(np.arange(n), n - np.arange(n)).astype(float)
+        H = np.diag(np.repeat(h, 2))
+        group = build_polygon_symmetry_group(n)
+        expected = max(float(np.max(np.abs(D @ H - H @ D)))
+                       for D in (representation_matrix(g, n) for g in group.elements))
+        _, defect = verify_invariance(H, group)
+        assert expected == pytest.approx(n // 2, rel=1e-12)
+        assert expected > np.sqrt(2 * n)
+        assert expected <= defect
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_one_generator_is_not_enough(self, n, rng):
+        # averaged over the rotations only, a matrix commutes with a but not
+        # with r; averaged over {e, r} only, with r but not with a: the
+        # default gate rejects both
+        group = build_polygon_symmetry_group(n, axis_angle=0.2 * n)
+        mats = [representation_matrix(g, n) for g in group.elements]
+        M = rng.standard_normal((2 * n, 2 * n))
+        M = M + M.T
+        for subgroup in (mats[:n], [mats[0], mats[n]]):
+            A = sum(D @ M @ D.T for D in subgroup) / len(subgroup)
+            ok, defect = verify_invariance(A, group, tol=1e-8 * np.max(np.abs(A)))
+            assert not ok, defect
+            with pytest.raises(InvarianceError):
+                eigenvalues_by_trace_equations(A, group)
 
 
 def _class_of(group):
