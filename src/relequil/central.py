@@ -5,17 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 # the centrality test lives in model; central re-exports it
-from .model import (
-    BodyConfiguration,
-    CentralityReport,
-    CollisionError,
-    PotentialSpec,
-    centrality_residual,
-    is_central_configuration,
-    moment_of_inertia,
-    potential_gradient,
-    potential_hessian,
-)
+from .model import BodyConfiguration, BodyPairs, CentralityReport, is_central_configuration
 
 
 class RefinementError(RuntimeError):
@@ -39,13 +29,13 @@ def regular_polygon(n, radius=1.0, mass=1.0):
     return BodyConfiguration(np.full(n, float(mass)), pts.ravel())
 
 
-def _normalize_gauges(z, masses, theta_pin, inertia_pin):
+def _normalize_gauges(z, pairs, theta_pin, inertia_pin):
     """Center the configuration, restore the pinned inertia and body-1 angle."""
+    masses = pairs.masses
     q = z.reshape(-1, 2).copy()
     q -= (masses @ q)[None, :] / masses.sum()
     if inertia_pin is not None:
-        I = 0.5 * float(masses @ (q * q).sum(axis=1))
-        q *= np.sqrt(inertia_pin / I)
+        q *= np.sqrt(inertia_pin / pairs.inertia(q))
     theta = np.arctan2(q[0, 1], q[0, 0])
     c, s = np.cos(theta_pin - theta), np.sin(theta_pin - theta)
     q = q @ np.array([[c, s], [-s, c]])
@@ -65,13 +55,6 @@ def _gauge_basis(z, masses):
     G = np.column_stack([tx, ty, rot, z])
     U, S, _ = np.linalg.svd(G, full_matrices=False)
     return U[:, S > 1e-12 * S[0]]
-
-
-def _residual(positions, masses, spec):
-    cfg = BodyConfiguration(masses, positions)
-    lam, g, F = centrality_residual(cfg, spec)
-    merit = np.linalg.norm(F) / (np.linalg.norm(g) + 1.0)
-    return F, float(merit), cfg, lam, g
 
 
 def refine_central_configuration(config, spec, max_iter=60, tol=1e-12,
@@ -94,55 +77,53 @@ def refine_central_configuration(config, spec, max_iter=60, tol=1e-12,
     spec in scope).
     """
     masses = np.asarray(config.masses, dtype=float)
-    n = masses.size
+    pairs = BodyPairs(masses)
+    mass_vector = np.repeat(masses, 2)
     q0 = config.positions.reshape(-1, 2)
     theta_pin = float(np.arctan2(q0[0, 1], q0[0, 0]))
-    z = _normalize_gauges(config.positions.copy(), masses, theta_pin, fix_inertia)
-    floor = 1e-6 * BodyConfiguration(masses, z).min_pair_distance()
 
-    F, merit, cfg, lam, g = _residual(z, masses, spec)
+    def residual(z, sep):
+        """(F, merit, lam) at z, read from its separations sep."""
+        lam, g, F = pairs.centrality_residual(z.reshape(-1, 2), sep, spec.terms)
+        return F, float(np.linalg.norm(F) / (np.linalg.norm(g) + 1.0)), lam
+
+    z = _normalize_gauges(config.positions.copy(), pairs, theta_pin, fix_inertia)
+    sep = pairs.separations(z.reshape(-1, 2))
+    pairs.check_distinct(sep[1])
+    floor = 1e-6 * float(sep[1].min())
+
+    F, merit, lam = residual(z, sep)
     history = [merit]
     for _ in range(max_iter):
         if merit <= tol:
             break
         # Jacobian of F(z) = grad U + lam(z) M z with
         # grad lam = (sum_k a_k grad U_k)/(2I) - lam M z / I
-        H = potential_hessian(cfg, spec)
-        Mz = cfg.mass_vector * z
-        I = moment_of_inertia(cfg)
-        grad_weighted = np.zeros(2 * n)
-        for c, a in spec.terms:
-            grad_weighted += a * potential_gradient(cfg, PotentialSpec(((c, a),)))
+        H = pairs.hessian(sep, spec.terms)
+        Mz = mass_vector * z
+        I = pairs.inertia(z.reshape(-1, 2))
+        grad_weighted = sum(a * pairs.gradient(sep, ((c, a),)) for c, a in spec.terms)
         grad_lam = grad_weighted / (2.0 * I) - lam * Mz / I
-        J = H + lam * np.diag(cfg.mass_vector) + np.outer(Mz, grad_lam)
+        J = H + lam * np.diag(mass_vector) + np.outer(Mz, grad_lam)
 
         gauge = _gauge_basis(z, masses)
-        P = np.eye(2 * n) - gauge @ gauge.T
+        P = np.eye(mass_vector.size) - gauge @ gauge.T
         step = -P @ np.linalg.lstsq(J @ P, F, rcond=1e-12)[0]
 
-        accepted = False
         for _halving in range(40):
-            z_new = _normalize_gauges(z + step, masses, theta_pin, fix_inertia)
-            try:
-                trial = BodyConfiguration(masses, z_new)
-            except (CollisionError, ValueError):
+            z_new = _normalize_gauges(z + step, pairs, theta_pin, fix_inertia)
+            sep_new = pairs.separations(z_new.reshape(-1, 2))
+            # a collision (r == 0) or a step into a near-collision
+            if not sep_new[1].all() or sep_new[1].min() < floor:
                 step *= 0.5
                 continue
-            if trial.min_pair_distance() < floor:
-                step *= 0.5
-                continue
-            F_new, merit_new, cfg_new, lam_new, g_new = _residual(
-                z_new, masses, spec
-            )
+            F_new, merit_new, lam_new = residual(z_new, sep_new)
             if merit_new < merit or merit_new <= tol:
-                z, F, merit, cfg, lam, g = (
-                    z_new, F_new, merit_new, cfg_new, lam_new, g_new
-                )
+                z, sep, F, merit, lam = z_new, sep_new, F_new, merit_new, lam_new
                 history.append(merit)
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             raise RefinementError(
                 f"no progress at merit {merit:.3e} (step damping exhausted)"
             )
@@ -150,6 +131,5 @@ def refine_central_configuration(config, spec, max_iter=60, tol=1e-12,
         raise RefinementError(
             f"not converged after {max_iter} iterations: merit {merit:.3e}"
         )
-    if return_history:
-        return cfg, history
-    return cfg
+    cfg = BodyConfiguration(masses, z)
+    return (cfg, history) if return_history else cfg

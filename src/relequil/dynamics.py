@@ -132,7 +132,7 @@ class _RotatingFrame:
 
 def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
                              dt=None, sample_every=1, omega2=None,
-                             reference_equilibrium=None):
+                             reference_equilibrium=None, stop_deviation=None):
     """Fixed-step classical fourth-order integration of the nonlinear flow.
 
     Records the Jacobi-type integral at every sample.  Integration stops
@@ -141,12 +141,18 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
     ``omega2`` when integrating perturbed states in an equilibrium's frame,
     and ``reference_equilibrium`` (flat positions) to pin that equilibrium
     as a bit-exact fixed point of the discrete map (an eps-sized field
-    correction; see _RotatingFrame.set_reference_equilibrium).
+    correction; see _RotatingFrame.set_reference_equilibrium).  With
+    ``stop_deviation`` the run ends, without ``blew_up``, at the first
+    sample whose positions lie farther than that (Euclidean norm) from
+    ``reference_equilibrium``.
     Defaults: duration = one rotation period, dt = period / 10^4.
     """
     frame = _RotatingFrame(config, spec, omega2=omega2)
     if reference_equilibrium is not None:
         frame.set_reference_equilibrium(reference_equilibrium)
+        origin = np.ravel(reference_equilibrium)
+    elif stop_deviation is not None:
+        raise ValueError("stop_deviation needs a reference_equilibrium")
     period = rotation_period(frame.omega2)
     if duration is None:
         duration = period
@@ -191,6 +197,11 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
             times.append(k * dt)
             states.append(state.ravel())
             energies.append(energy)
+            # axis given: summed as estimate_growth_rate's row norms, not by a dot product
+            if stop_deviation is not None and (
+                    np.linalg.norm(state[0].ravel() - origin, axis=0) > stop_deviation):
+                blew_up = False
+                break
     else:
         blew_up = False
     return Trajectory(
@@ -244,8 +255,10 @@ def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None,
     The equilibrium ``eq`` is kicked by epsilon * direction in position, the
     nonlinear system is integrated, and log |deviation| is fitted linearly
     over the stretch where the deviation sits between 10 * epsilon and
-    ``window_upper`` (staying inside the linear regime).  Returns rate 0
-    with ``no_growth`` when the deviation never reaches the window.
+    ``window_upper`` (staying inside the linear regime).  The integration
+    ends at the first sample above ``window_upper``, which closes the first
+    stretch.  Returns rate 0 with ``no_growth`` when the deviation never
+    reaches the window.
     """
     direction = np.asarray(direction, dtype=float)
     nrm = np.linalg.norm(direction)
@@ -264,6 +277,7 @@ def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None,
     traj = integrate_rotating_frame(
         perturbed, eq.spec, duration=duration, dt=dt, sample_every=10,
         omega2=eq.omega2, reference_equilibrium=config.positions,
+        stop_deviation=window_upper,
     )
     dev = np.linalg.norm(traj.positions - config.positions[None, :], axis=1)
     inside = (dev >= 10.0 * epsilon) & (dev <= window_upper)

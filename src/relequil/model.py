@@ -45,9 +45,11 @@ def _readonly(a):
 
 class BodyPairs:
     """Index arrays and mass products m_i m_j of the pairs i < j of n bodies,
-    with the potential's pair formulas at any (n, 2) points of those bodies."""
+    with the potential's formulas; each reads the separations ``sep`` of one
+    set of (n, 2) points, and ``terms`` are the (c_k, a_k) of PotentialSpec."""
 
     def __init__(self, masses):
+        self.masses = masses
         self.iu, self.ju = np.triu_indices(masses.size, 1)
         self.mm = masses[self.iu] * masses[self.ju]
 
@@ -56,21 +58,66 @@ class BodyPairs:
         d = points[self.iu] - points[self.ju]
         return d, np.hypot(d[:, 0], d[:, 1])
 
-    def energy_terms(self, points, spec):
-        """Per-term values U_k, so that U = sum_k U_k."""
-        _, r = self.separations(points)
-        return np.array([c * np.sum(self.mm * r ** (-a)) for c, a in spec.terms])
+    def check_distinct(self, r):
+        """Raise CollisionError naming the first pair, in i < j order, at r == 0."""
+        hit = np.flatnonzero(r == 0.0)
+        if hit.size:
+            raise CollisionError(int(self.iu[hit[0]]), int(self.ju[hit[0]]))
 
-    def gradient(self, points, spec):
+    def inertia(self, points):
+        """I = (1/2) sum_i m_i |q_i|^2."""
+        return 0.5 * float(self.masses @ (points * points).sum(axis=1))
+
+    def energy_terms(self, sep, terms):
+        """Per-term values U_k, so that U = sum_k U_k."""
+        _, r = sep
+        return np.array([c * np.sum(self.mm * r ** (-a)) for c, a in terms])
+
+    def gradient(self, sep, terms):
         """Exact gradient of U as a flat 2n-vector."""
-        d, r = self.separations(points)
-        grad = np.zeros(points.shape)
-        for c, a in spec.terms:
-            w = -a * c * self.mm * r ** (-a - 2)
-            f = w[:, None] * d
+        d, r = sep
+        grad = np.zeros((self.masses.size, 2))
+        for c, a in terms:
+            f = (-a * c * self.mm * r ** (-a - 2))[:, None] * d
             np.add.at(grad, self.iu, f)
             np.subtract.at(grad, self.ju, f)
         return grad.ravel()
+
+    def hessian(self, sep, terms):
+        """Exact symmetric 2n x 2n Hessian D^2 U.
+
+        Assembled from per-pair 2x2 blocks
+            c m_i m_j [a(a+2) r^{-a-4} d d^T - a r^{-a-2} I2],  d = q_i - q_j,
+        added on the two diagonal body blocks and subtracted on the two
+        off-diagonal ones, which encodes translation invariance exactly.
+        Each term's blocks are built at once and scattered onto (n, n, 2, 2)
+        body blocks.  A diagonal block b takes the pairs (j, b) before the
+        pairs (b, j), so every entry sums its pairs in i < j order.
+        """
+        d, r = sep
+        n = self.masses.size
+        H = np.zeros((n, n, 2, 2))
+        dd = d[:, :, None] * d[:, None, :]
+        diag = np.concatenate([self.ju, self.iu])
+        for c, a in terms:
+            coef_dd = c * self.mm * a * (a + 2) * r ** (-a - 4)
+            coef_id = c * self.mm * a * r ** (-a - 2)
+            blk = coef_dd[:, None, None] * dd - coef_id[:, None, None] * np.eye(2)
+            np.add.at(H, (diag, diag), np.concatenate([blk, blk]))
+            H[self.iu, self.ju] -= blk
+            H[self.ju, self.iu] -= blk
+        return H.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+    def euler_omega_squared(self, points, sep, terms):
+        """Generalized Euler value (sum_k a_k U_k) / (2 I), no centrality check."""
+        exps = np.array([a for _, a in terms])
+        return float((exps @ self.energy_terms(sep, terms)) / (2.0 * self.inertia(points)))
+
+    def centrality_residual(self, points, sep, terms):
+        """(omega^2, grad U, grad U + omega^2 grad I) with the Euler omega^2."""
+        omega2 = self.euler_omega_squared(points, sep, terms)
+        g = self.gradient(sep, terms)
+        return omega2, g, g + omega2 * np.repeat(self.masses, 2) * points.ravel()
 
 
 @dataclass(frozen=True)
@@ -81,13 +128,14 @@ class BodyConfiguration:
     order, if two bodies coincide and ValueError for non-positive masses.
     ``centered`` records whether the weighted center of mass sits at the
     origin (within CENTER_TOL) at construction time; ``pairs`` holds the
-    bodies' BodyPairs.
+    bodies' BodyPairs and ``separations`` their (d, r) at the positions.
     """
 
     masses: np.ndarray
     positions: np.ndarray
     centered: bool = field(init=False)
     pairs: BodyPairs = field(init=False, repr=False, compare=False)
+    separations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         masses = _readonly(self.masses)
@@ -103,10 +151,9 @@ class BodyConfiguration:
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "pairs", BodyPairs(masses))
-        hit = np.flatnonzero(self.pair_distances() == 0.0)
-        if hit.size:
-            raise CollisionError(int(self.pairs.iu[hit[0]]), int(self.pairs.ju[hit[0]]))
         q = self.points
+        object.__setattr__(self, "separations", tuple(map(_readonly, self.pairs.separations(q))))
+        self.pairs.check_distinct(self.pair_distances())
         com = masses @ q / masses.sum()
         object.__setattr__(self, "centered", bool(np.hypot(*com) <= CENTER_TOL))
 
@@ -126,7 +173,7 @@ class BodyConfiguration:
 
     def pair_distances(self):
         """Condensed upper-triangle pairwise distances (i < j order)."""
-        return self.pairs.separations(self.points)[1]
+        return self.separations[1]
 
     def min_pair_distance(self):
         return float(self.pair_distances().min())
@@ -219,13 +266,12 @@ class Spectrum:
 
 def moment_of_inertia(config):
     """I = (1/2) sum_i m_i |q_i|^2."""
-    q = config.points
-    return 0.5 * float(config.masses @ (q * q).sum(axis=1))
+    return config.pairs.inertia(config.points)
 
 
 def potential_energy_terms(config, spec):
     """Per-term values U_k, so that U = sum_k U_k."""
-    return config.pairs.energy_terms(config.points, spec)
+    return config.pairs.energy_terms(config.separations, spec.terms)
 
 
 def potential_energy(config, spec):
@@ -235,48 +281,22 @@ def potential_energy(config, spec):
 
 def potential_gradient(config, spec):
     """Exact gradient of potential_energy as a flat 2n-vector."""
-    return config.pairs.gradient(config.points, spec)
+    return config.pairs.gradient(config.separations, spec.terms)
 
 
 def potential_hessian(config, spec):
-    """Exact symmetric 2n x 2n Hessian D^2 U.
-
-    Assembled from per-pair 2x2 blocks
-        c m_i m_j [a(a+2) r^{-a-4} d d^T - a r^{-a-2} I2],  d = q_i - q_j,
-    added on the two diagonal body blocks and subtracted on the two
-    off-diagonal ones, which encodes translation invariance exactly.
-    Each term's blocks are built at once and scattered onto (n, n, 2, 2)
-    body blocks.  A diagonal block b takes the pairs (j, b) before the
-    pairs (b, j), so every entry sums its pairs in i < j order.
-    """
-    iu, ju, mm = config.pairs.iu, config.pairs.ju, config.pairs.mm
-    d, r = config.pairs.separations(config.points)
-    n = config.n
-    H = np.zeros((n, n, 2, 2))
-    dd = d[:, :, None] * d[:, None, :]
-    diag = np.concatenate([ju, iu])
-    for c, a in spec.terms:
-        coef_dd = c * mm * a * (a + 2) * r ** (-a - 4)
-        coef_id = c * mm * a * r ** (-a - 2)
-        blk = coef_dd[:, None, None] * dd - coef_id[:, None, None] * np.eye(2)
-        np.add.at(H, (diag, diag), np.concatenate([blk, blk]))
-        H[iu, ju] -= blk
-        H[ju, iu] -= blk
-    return H.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+    """Exact symmetric 2n x 2n Hessian D^2 U (see BodyPairs.hessian)."""
+    return config.pairs.hessian(config.separations, spec.terms)
 
 
 def centrality_residual(config, spec):
     """(omega^2, grad U, grad U + omega^2 grad I) with the Euler omega^2."""
-    omega2 = euler_omega_squared(config, spec)
-    g = potential_gradient(config, spec)
-    return omega2, g, g + omega2 * config.mass_vector * config.positions
+    return config.pairs.centrality_residual(config.points, config.separations, spec.terms)
 
 
 def euler_omega_squared(config, spec):
     """Generalized Euler value (sum_k a_k U_k) / (2 I), no centrality check."""
-    Uk = potential_energy_terms(config, spec)
-    exps = np.array(spec.exponents)
-    return float((exps @ Uk) / (2.0 * moment_of_inertia(config)))
+    return config.pairs.euler_omega_squared(config.points, config.separations, spec.terms)
 
 
 @dataclass(frozen=True)

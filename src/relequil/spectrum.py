@@ -184,6 +184,9 @@ def deflated_eigenvalues(omega2, omega, h, j, T, z, slack):
     Raises ConsistencyError when the defect exceeds its bound.
     """
     B = first_order_matrix(omega2, omega, h, j)
+    if T.shape[1] == 0 and z is None:
+        # nothing to deflate: the complete QR below would be the identity
+        return np.linalg.eigvals(B).astype(complex)
     k = h.shape[0]
     # Rounding: the computed h annihilates T and Jhat z only up to the error
     # of its pair sums, about k eps |h|; Householder QR spans the given
@@ -211,7 +214,7 @@ def deflated_eigenvalues(omega2, omega, h, j, T, z, slack):
     P = np.column_stack(P)
     V = np.column_stack([np.vstack([P, 0.0 * P]), np.vstack([0.0 * P, P])] + chain)
     m = V.shape[1]
-    Q = np.linalg.qr(V, mode="complete")[0]     # the identity when m = 0
+    Q = np.linalg.qr(V, mode="complete")[0]
     R = Q.T @ B @ Q
     defect = float(np.linalg.norm(R[m:, :m]))
     # slack moves (Jhat z, 0), and in the chain also (a, Jhat z), out of the span

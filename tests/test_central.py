@@ -1,15 +1,110 @@
 import numpy as np
 import pytest
 
+from relequil import central, model
 from relequil.central import (
     RefinementError,
     is_central_configuration,
     refine_central_configuration,
     regular_polygon,
 )
-from relequil.model import BodyConfiguration, PotentialSpec, moment_of_inertia
+from relequil.model import (
+    BodyConfiguration,
+    CollisionError,
+    PotentialSpec,
+    centrality_residual,
+    moment_of_inertia,
+    potential_gradient,
+    potential_hessian,
+)
 
 SQRT3 = np.sqrt(3.0)
+
+# the benchmark's four potentials
+BENCH_SPECS = {
+    "r-1": PotentialSpec(((1.0, 1.0),)),
+    "r-2.5": PotentialSpec(((1.0, 2.5),)),
+    "manev": PotentialSpec.manev(),
+    "schwarzschild": PotentialSpec.schwarzschild(),
+}
+
+
+def _reference_normalize(z, masses, theta_pin, inertia_pin):
+    q = z.reshape(-1, 2).copy()
+    q -= (masses @ q)[None, :] / masses.sum()
+    if inertia_pin is not None:
+        I = 0.5 * float(masses @ (q * q).sum(axis=1))
+        q *= np.sqrt(inertia_pin / I)
+    theta = np.arctan2(q[0, 1], q[0, 0])
+    c, s = np.cos(theta_pin - theta), np.sin(theta_pin - theta)
+    q = q @ np.array([[c, s], [-s, c]])
+    return q.ravel()
+
+
+def _reference_residual(positions, masses, spec):
+    cfg = BodyConfiguration(masses, positions)
+    lam, g, F = centrality_residual(cfg, spec)
+    merit = np.linalg.norm(F) / (np.linalg.norm(g) + 1.0)
+    return F, float(merit), cfg, lam
+
+
+def _reference_refine(config, spec, max_iter=60, tol=1e-12, fix_inertia=None):
+    """The refinement that one pass over the pairs per trial point replaced:
+    a BodyConfiguration per trial point, the model functions on it, and a
+    PotentialSpec per term for the Jacobian; returns (config, history)."""
+    masses = np.asarray(config.masses, dtype=float)
+    n = masses.size
+    q0 = config.positions.reshape(-1, 2)
+    theta_pin = float(np.arctan2(q0[0, 1], q0[0, 0]))
+    z = _reference_normalize(config.positions.copy(), masses, theta_pin, fix_inertia)
+    floor = 1e-6 * BodyConfiguration(masses, z).min_pair_distance()
+    F, merit, cfg, lam = _reference_residual(z, masses, spec)
+    history = [merit]
+    for _ in range(max_iter):
+        if merit <= tol:
+            break
+        H = potential_hessian(cfg, spec)
+        Mz = cfg.mass_vector * z
+        I = moment_of_inertia(cfg)
+        grad_weighted = np.zeros(2 * n)
+        for c, a in spec.terms:
+            grad_weighted += a * potential_gradient(cfg, PotentialSpec(((c, a),)))
+        grad_lam = grad_weighted / (2.0 * I) - lam * Mz / I
+        J = H + lam * np.diag(cfg.mass_vector) + np.outer(Mz, grad_lam)
+        gauge = central._gauge_basis(z, masses)
+        P = np.eye(2 * n) - gauge @ gauge.T
+        step = -P @ np.linalg.lstsq(J @ P, F, rcond=1e-12)[0]
+        for _halving in range(40):
+            z_new = _reference_normalize(z + step, masses, theta_pin, fix_inertia)
+            try:
+                trial = BodyConfiguration(masses, z_new)
+            except CollisionError:
+                step *= 0.5
+                continue
+            if trial.min_pair_distance() < floor:
+                step *= 0.5
+                continue
+            F_new, merit_new, cfg_new, lam_new = _reference_residual(z_new, masses, spec)
+            if merit_new < merit or merit_new <= tol:
+                z, F, merit, cfg, lam = z_new, F_new, merit_new, cfg_new, lam_new
+                history.append(merit)
+                break
+            step *= 0.5
+        else:
+            raise RefinementError("no progress")
+    if merit > tol:
+        raise RefinementError("not converged")
+    return cfg, history
+
+
+def _collinear_guesses():
+    rng = np.random.default_rng(7)
+    for n in range(3, 11):
+        for name, spec in BENCH_SPECS.items():
+            masses = rng.uniform(0.5, 2.0, n)
+            guess = np.zeros(2 * n)
+            guess[0::2] = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.2, 0.2, n) / (n - 1)
+            yield pytest.param(BodyConfiguration(masses, guess), spec, id=f"n={n}-{name}")
 
 
 class TestRegularPolygon:
@@ -136,3 +231,58 @@ class TestRefine:
                 start, spec, fix_inertia=moment_of_inertia(poly)
             )
             assert is_central_configuration(refined, spec).is_central
+
+
+class TestRefineAgainstReference:
+    def _assert_same(self, start, spec, **kwargs):
+        ref, ref_history = _reference_refine(start, spec, **kwargs)
+        got, history = refine_central_configuration(start, spec, return_history=True, **kwargs)
+        assert got.positions.tobytes() == ref.positions.tobytes()
+        assert history == ref_history
+        return history
+
+    @pytest.mark.parametrize("start,spec", _collinear_guesses())
+    def test_collinear_guesses(self, start, spec):
+        assert len(self._assert_same(start, spec)) > 2
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("name", BENCH_SPECS)
+    def test_perturbed_polygons_at_fixed_inertia(self, n, name):
+        poly = regular_polygon(n)
+        noise = np.random.default_rng(n).standard_normal(2 * n)
+        start = poly.with_positions(poly.positions + 0.03 * noise / np.linalg.norm(noise))
+        self._assert_same(start, BENCH_SPECS[name], fix_inertia=moment_of_inertia(poly))
+
+    def test_one_pass_over_the_pairs_per_trial_point(self, monkeypatch):
+        # one BodyPairs for the refinement, one separation pass per trial
+        # point (the start included), none more for the Jacobian, and one
+        # BodyConfiguration, the result
+        made, passes, trials, configs = [], [], [], []
+
+        class CountedPairs(model.BodyPairs):
+            def __init__(self, masses):
+                super().__init__(masses)
+                made.append(self)
+
+            def separations(self, points):
+                passes.append(self)
+                return super().separations(points)
+
+        normalize = central._normalize_gauges
+
+        def counted_normalize(*args):
+            trials.append(args)
+            return normalize(*args)
+
+        def counted_config(*args):
+            configs.append(args)
+            return BodyConfiguration(*args)
+
+        monkeypatch.setattr(central, "BodyPairs", CountedPairs)
+        monkeypatch.setattr(central, "_normalize_gauges", counted_normalize)
+        monkeypatch.setattr(central, "BodyConfiguration", counted_config)
+        start, spec = next(iter(_collinear_guesses())).values
+        _, history = refine_central_configuration(start, spec, return_history=True)
+        assert len(made) == 1 and len(configs) == 1
+        assert len(trials) >= len(history) > 2
+        assert passes == made * len(trials)

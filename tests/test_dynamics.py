@@ -38,13 +38,16 @@ class _ReferenceFrame:
         self.Jh = block_symplectic(config.n)
         self.acc_offset = None
 
+    def _sep(self, pos):
+        return self.pairs.separations(pos.reshape(-1, 2))
+
     def rhs(self, state):
         half = state.size // 2
         pos, vel = state[:half], state[half:]
         acc = (
             2.0 * self.omega * (self.Jh @ vel)
             + self.omega2 * pos
-            + self.pairs.gradient(pos.reshape(-1, 2), self.spec) / self.mass_vector
+            + self.pairs.gradient(self._sep(pos), self.spec.terms) / self.mass_vector
         )
         if self.acc_offset is not None:
             acc = acc - self.acc_offset
@@ -62,7 +65,7 @@ class _ReferenceFrame:
         return (
             0.5 * float(self.mass_vector @ (vel * vel)),
             0.5 * self.omega2 * float(self.mass_vector @ (pos * pos)),
-            float(self.pairs.energy_terms(pos.reshape(-1, 2), self.spec).sum()),
+            float(self.pairs.energy_terms(self._sep(pos), self.spec.terms).sum()),
         )
 
     def energy(self, state):
@@ -312,6 +315,33 @@ class TestGrowthRate:
         )
         assert est.no_growth
         assert est.rate == 0.0
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_stopping_at_the_window_keeps_the_fit(self, monkeypatch, name):
+        # the first sample above window_upper closes the stretch the fit
+        # reads, so a full-length run (the 12 periods, stop_deviation
+        # dropped) fits the same rate to the bit
+        case = get_case(name)
+        eq = Equilibrium(case.configuration(), case.potential)
+        direction, dt = _worst_direction(eq), eq.period / 500.0
+        integrate, runs = dynamics.integrate_rotating_frame, []
+
+        def recorded(*args, **kwargs):
+            runs.append(integrate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(dynamics, "integrate_rotating_frame", recorded)
+        stopped = estimate_growth_rate(eq, direction, dt=dt)
+        monkeypatch.setattr(dynamics, "integrate_rotating_frame",
+                            lambda *args, stop_deviation, **kwargs: recorded(*args, **kwargs))
+        full = estimate_growth_rate(eq, direction, dt=dt)
+        assert not stopped.no_growth
+        assert stopped == full
+        assert not runs[0].blew_up and runs[0].times[-1] < runs[1].times[-1]
+
+    def test_stop_deviation_needs_a_reference(self, newton_triangle):
+        with pytest.raises(ValueError, match="reference_equilibrium"):
+            integrate_rotating_frame(*newton_triangle, stop_deviation=1e-2)
 
     def test_rejects_zero_direction(self, newton_triangle):
         eq = Equilibrium(*newton_triangle)

@@ -140,6 +140,9 @@ class TestReports:
         assert [name for name in cases if name in PRESET_NAMES] == list(PRESET_NAMES)
         rows = run("scripts/alpha_sweep.py", "--grid", "1.9,2.0,2.1")
         assert [float(ln.split()[0]) for ln in rows[1:]] == [1.9, 2.0, 2.1]
+        # the byte-level golden check: every golden file regenerates unchanged
+        golden = run("scripts/make_goldens.py", "--check")
+        assert golden == [f"all {len(PRESET_NAMES)} goldens match"]
 
     def test_schema_version_checked(self):
         report = run_analysis(_preset_request("triangle-homogeneous"))

@@ -314,6 +314,22 @@ class TestDeflation:
                             full_linearization_spectrum(eq), tol=1e-9)
         assert m.matches, m.max_distance / m.scale
 
+    def test_plain_coupled_block_skips_the_qr(self, monkeypatch):
+        # with nothing to deflate, eigvals(B) alone gives the bits of the
+        # QR route, whose complete Q of no vectors is the identity
+        eq = Equilibrium(regular_polygon(16).rotated(0.7), PotentialSpec.homogeneous(1.0))
+        plain = [cb for cb in decompose_blocks(eq).coupled
+                 if cb.trivial[0].shape[1] == 0 and cb.trivial[1] is None]
+        assert plain
+        for cb in plain:
+            B = first_order_matrix(cb.omega ** 2, cb.omega, cb.h_sub, cb.j_sub)
+            Q = np.linalg.qr(np.zeros((B.shape[0], 0)), mode="complete")[0]
+            expected = np.linalg.eigvals(Q.T @ B @ Q).astype(complex)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "qr", None)
+                got = cb.spectrum()
+            assert got.dtype == complex and got.tobytes() == expected.tobytes()
+
     def test_wrong_omega_is_not_invariant(self):
         eq = _collinear_manev()
         w = eq.omega * (1.0 + 1e-6)
