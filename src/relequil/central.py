@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 # the centrality test lives in model; central re-exports it
 from .model import BodyConfiguration, BodyPairs, CentralityReport, is_central_configuration
+from .model import potential_hessian
+
+# a Newton iterate's pairs and separations, which potential_hessian reads
+_Point = namedtuple("_Point", "pairs separations")
 
 
 class RefinementError(RuntimeError):
@@ -99,7 +105,7 @@ def refine_central_configuration(config, spec, max_iter=60, tol=1e-12,
             break
         # Jacobian of F(z) = grad U + lam(z) M z with
         # grad lam = (sum_k a_k grad U_k)/(2I) - lam M z / I
-        H = pairs.hessian(sep, spec.terms)
+        H = potential_hessian(_Point(pairs, sep), spec)
         Mz = mass_vector * z
         I = pairs.inertia(z.reshape(-1, 2))
         grad_weighted = sum(a * pairs.gradient(sep, ((c, a),)) for c, a in spec.terms)

@@ -128,14 +128,13 @@ class BodyConfiguration:
     order, if two bodies coincide and ValueError for non-positive masses.
     ``centered`` records whether the weighted center of mass sits at the
     origin (within CENTER_TOL) at construction time; ``pairs`` holds the
-    bodies' BodyPairs and ``separations`` their (d, r) at the positions.
+    bodies' BodyPairs.
     """
 
     masses: np.ndarray
     positions: np.ndarray
     centered: bool = field(init=False)
     pairs: BodyPairs = field(init=False, repr=False, compare=False)
-    separations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         masses = _readonly(self.masses)
@@ -151,9 +150,8 @@ class BodyConfiguration:
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "pairs", BodyPairs(masses))
-        q = self.points
-        object.__setattr__(self, "separations", tuple(map(_readonly, self.pairs.separations(q))))
         self.pairs.check_distinct(self.pair_distances())
+        q = self.points
         com = masses @ q / masses.sum()
         object.__setattr__(self, "centered", bool(np.hypot(*com) <= CENTER_TOL))
 
@@ -170,6 +168,11 @@ class BodyConfiguration:
     def mass_vector(self):
         """Per-coordinate masses, i.e. diag of the 2n x 2n mass matrix."""
         return np.repeat(self.masses, 2)
+
+    @property
+    def separations(self):
+        """(d, r) of the pairs at the positions, computed on each access."""
+        return self.pairs.separations(self.points)
 
     def pair_distances(self):
         """Condensed upper-triangle pairwise distances (i < j order)."""
@@ -285,7 +288,8 @@ def potential_gradient(config, spec):
 
 
 def potential_hessian(config, spec):
-    """Exact symmetric 2n x 2n Hessian D^2 U (see BodyPairs.hessian)."""
+    """Exact symmetric 2n x 2n Hessian D^2 U (see BodyPairs.hessian); ``config``
+    needs only its ``pairs`` and ``separations``, computed or kept."""
     return config.pairs.hessian(config.separations, spec.terms)
 
 

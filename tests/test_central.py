@@ -256,8 +256,9 @@ class TestRefineAgainstReference:
     def test_one_pass_over_the_pairs_per_trial_point(self, monkeypatch):
         # one BodyPairs for the refinement, one separation pass per trial
         # point (the start included), none more for the Jacobian, and one
-        # BodyConfiguration, the result
-        made, passes, trials, configs = [], [], [], []
+        # BodyConfiguration, the result; each Jacobian's Hessian comes from
+        # model.potential_hessian, at the accepted point's separations
+        made, passes, trials, configs, hessians = [], [], [], [], []
 
         class CountedPairs(model.BodyPairs):
             def __init__(self, masses):
@@ -278,7 +279,12 @@ class TestRefineAgainstReference:
             configs.append(args)
             return BodyConfiguration(*args)
 
+        def counted_hessian(point, spec):
+            hessians.append(point.separations)
+            return potential_hessian(point, spec)
+
         monkeypatch.setattr(central, "BodyPairs", CountedPairs)
+        monkeypatch.setattr(central, "potential_hessian", counted_hessian)
         monkeypatch.setattr(central, "_normalize_gauges", counted_normalize)
         monkeypatch.setattr(central, "BodyConfiguration", counted_config)
         start, spec = next(iter(_collinear_guesses())).values
@@ -286,3 +292,4 @@ class TestRefineAgainstReference:
         assert len(made) == 1 and len(configs) == 1
         assert len(trials) >= len(history) > 2
         assert passes == made * len(trials)
+        assert len(hessians) == len(history) - 1

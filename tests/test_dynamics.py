@@ -316,28 +316,71 @@ class TestGrowthRate:
         assert est.no_growth
         assert est.rate == 0.0
 
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_stopping_at_the_window_keeps_the_fit(self, monkeypatch, name):
-        # the first sample above window_upper closes the stretch the fit
-        # reads, so a full-length run (the 12 periods, stop_deviation
-        # dropped) fits the same rate to the bit
-        case = get_case(name)
-        eq = Equilibrium(case.configuration(), case.potential)
-        direction, dt = _worst_direction(eq), eq.period / 500.0
+    @staticmethod
+    def _stopped_and_full(monkeypatch, eq, direction, **kwargs):
+        """(estimate, its runs, full-length estimate, its run): the second
+        with stop_deviation dropped, so it integrates the whole duration."""
         integrate, runs = dynamics.integrate_rotating_frame, []
 
-        def recorded(*args, **kwargs):
-            runs.append(integrate(*args, **kwargs))
+        def recorded(*args, **kw):
+            runs.append(integrate(*args, **kw))
             return runs[-1]
 
         monkeypatch.setattr(dynamics, "integrate_rotating_frame", recorded)
-        stopped = estimate_growth_rate(eq, direction, dt=dt)
+        stopped = estimate_growth_rate(eq, direction, **kwargs)
+        stopped_runs = list(runs)
         monkeypatch.setattr(dynamics, "integrate_rotating_frame",
-                            lambda *args, stop_deviation, **kwargs: recorded(*args, **kwargs))
-        full = estimate_growth_rate(eq, direction, dt=dt)
+                            lambda *args, stop_deviation, **kw: recorded(*args, **kw))
+        full = estimate_growth_rate(eq, direction, **kwargs)
+        return stopped, stopped_runs, full, runs[-1]
+
+    @pytest.mark.parametrize("case_kind", ["default", "epsilon=1e-4", "scaled by 100"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_stopping_at_the_window_keeps_the_fit(self, monkeypatch, name, case_kind):
+        # the run ends past both window_upper and 300 epsilon, which closes
+        # the stretch the fit reads and passes the growth test, so a
+        # full-length run (the 12 periods) fits the same rate to the bit;
+        # at epsilon = 1e-4, and at the default 1e-6 * radius of a preset
+        # scaled by 100, 300 epsilon lies above window_upper
+        case = get_case(name)
+        config, kwargs = case.configuration(), {}
+        if case_kind == "scaled by 100":
+            config = config.scaled(100.0)
+        elif case_kind == "epsilon=1e-4":
+            kwargs["epsilon"] = 1e-4
+        eq = Equilibrium(config, case.potential)
+        direction = _worst_direction(eq)
+        stopped, runs, full, full_run = self._stopped_and_full(
+            monkeypatch, eq, direction, dt=eq.period / 500.0, **kwargs)
         assert not stopped.no_growth
         assert stopped == full
-        assert not runs[0].blew_up and runs[0].times[-1] < runs[1].times[-1]
+        assert len(runs) == 1
+        assert not runs[0].blew_up and runs[0].times[-1] < full_run.times[-1]
+
+    def test_returns_into_the_window_integrate_the_whole_duration(self, monkeypatch):
+        # the presets' deviations never come back into the window, so a
+        # recorded one that does stands in: 3 samples inside, out past the
+        # stop, then 10 inside.  The stopped run sees fewer than the 8
+        # samples the fit needs, so the full duration is integrated again
+        # and the later return counts, as in a full-length run
+        case = get_case("triangle-homogeneous")
+        eq = Equilibrium(case.configuration(), case.potential)
+        u = np.zeros(2 * eq.config.n)
+        u[0] = 1.0
+        dev = np.concatenate([[1e-6], np.geomspace(2e-5, 8e-3, 3), [5e-2],
+                              np.geomspace(2e-3, 9e-3, 10), [6e-2]])
+
+        def recorded(config, spec, reference_equilibrium, stop_deviation, **kwargs):
+            past = np.flatnonzero(dev > stop_deviation) if stop_deviation else []
+            k = past[0] + 1 if len(past) else dev.size
+            positions = reference_equilibrium + dev[:k, None] * u
+            return dynamics.Trajectory(np.arange(k) * 0.1, np.hstack([positions, 0 * positions]),
+                                       np.zeros(k), eq.omega)
+
+        monkeypatch.setattr(dynamics, "integrate_rotating_frame", recorded)
+        est = estimate_growth_rate(eq, u, epsilon=1e-6)
+        assert not est.no_growth
+        assert est.n_samples == 3 and est.window == (0.1, 3 * 0.1)
 
     def test_stop_deviation_needs_a_reference(self, newton_triangle):
         with pytest.raises(ValueError, match="reference_equilibrium"):
