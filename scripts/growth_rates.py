@@ -17,7 +17,7 @@ def main():
     print(f"{'case':<24} {'predicted':>10} {'measured':>10} {'rel err':>9}")
     for case in all_standard_cases():
         eq = Equilibrium(case.configuration(), case.potential)
-        predicted = full_linearization_spectrum(eq).max_real_part()
+        predicted = float(full_linearization_spectrum(eq).real.max())
         if predicted <= 0.05 * eq.omega:
             print(f"{case.name:<24} {predicted:>10.6f} {'(skipped)':>10}")
             continue

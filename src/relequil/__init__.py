@@ -22,7 +22,6 @@ from .model import (
     Equilibrium,
     NonCentralConfigurationError,
     PotentialSpec,
-    Spectrum,
     angular_frequency_squared,
     moment_of_inertia,
     potential_energy,
@@ -52,14 +51,12 @@ from .spectrum import (
 )
 from .symmetry import (
     CharacterTable,
-    GroupElement,
     IsotypicDecomposition,
     SymmetryGroup,
     build_polygon_symmetry_group,
     character_table,
     decompose_multiplicities,
     eigenvalues_by_trace_equations,
-    representation_matrix,
     verify_invariance,
 )
 

@@ -27,7 +27,6 @@ from .spectrum import (
 from .symmetry import (
     build_polygon_symmetry_group,
     character_table,
-    representation_matrix,
     verify_invariance,
     wave_number_basis,
 )
@@ -93,24 +92,36 @@ def check_hessian_fd(n_samples=100, tol=1e-5, seed=12):
     return "hessian vs finite differences", worst <= tol, f"worst rel {worst:.3e}"
 
 
+def representation_matrices(group):
+    """The 2n x 2n matrices D(g) of every element as a (2n, 2n, 2n) stack:
+    block (perms[g, i], i) of D(g) is orthos[g]."""
+    order, n = group.perms.shape
+    D = np.zeros((order, n, 2, n, 2))
+    D[np.arange(order)[:, None], group.perms, :, np.arange(n), :] = group.orthos[:, None]
+    return D.reshape(order, 2 * n, 2 * n)
+
+
 def check_homomorphism(tol=1e-13):
-    """The closed-form table against the representation matrices; the classes
-    must partition the group and be closed under conjugation."""
+    """The matrices against the dihedral presentation on a = D[1] and
+    r = D[n]: a^n = r^2 = (ra)^2 = e, D[k] = a^k and D[n + k] = a^k r.  The
+    classes must partition the group, and conjugation by a and by r, which
+    generate it, must map each class onto itself."""
     worst, classes_ok = 0.0, True
     for n in range(3, 9):
         group = build_polygon_symmetry_group(n)
-        table = group.multiplication_table
-        mats = [representation_matrix(g, n) for g in group.elements]
-        for i in range(group.order):
-            for j in range(group.order):
-                worst = max(worst, float(np.max(np.abs(
-                    mats[i] @ mats[j] - mats[table[i, j]]))))
+        D = representation_matrices(group)
+        e, a, r = np.eye(2 * n), D[1], D[n]
+        ra = r @ a
+        defects = (D[0] - e, D[1:n] - D[:n - 1] @ a, D[n - 1] @ a - e,
+                   D[n:] - D[:n] @ r, r @ r - e, ra @ ra - e)
+        worst = max(worst, *(float(np.max(np.abs(x))) for x in defects))
         members = sorted(i for cl in group.conjugacy_classes for i in cl)
         classes_ok &= members == list(range(group.order))
-        inverse = [int(np.flatnonzero(row == group.identity_index)[0]) for row in table]
-        for cl in group.conjugacy_classes:
-            for g in range(group.order):
-                classes_ok &= {int(table[table[g, c], inverse[g]]) for c in cl} == set(cl)
+        for g in (a, r):
+            # the element each conjugate g D g^T lands on
+            image = np.abs(g @ D @ g.T - D[:, None]).max(axis=(2, 3)).argmin(axis=0)
+            classes_ok &= all(set(image[list(cl)]) == set(cl)
+                              for cl in group.conjugacy_classes)
     return ("representation homomorphism and conjugacy classes",
             worst <= tol and classes_ok,
             f"worst defect {worst:.3e}, classes {'ok' if classes_ok else 'BROKEN'}")
@@ -127,11 +138,11 @@ def check_invariance_bound(seed=15):
     worst = 0.0
     for n in range(3, 9):
         group = build_polygon_symmetry_group(n, axis_angle=0.3)
-        mats = [representation_matrix(g, n) for g in group.elements]
+        D = representation_matrices(group)
         M, E = (X + X.T for X in rng.standard_normal((2, 2 * n, 2 * n)))
-        averaged = sum(D @ M @ D.T for D in mats) / len(mats)
+        averaged = sum(D @ M @ D.transpose(0, 2, 1)) / len(D)
         for H in (averaged, averaged + 1e-9 * E, E):
-            full = max(float(np.max(np.abs(D @ H - H @ D))) for D in mats)
+            full = float(np.max(np.abs(D @ H - H @ D)))
             _, bound = verify_invariance(H, group)
             worst = max(worst, full / (bound + 8 * eps * float(np.max(np.abs(H)))))
     return ("invariance defect bounds every element", worst <= 1.0,
@@ -155,8 +166,7 @@ def check_wave_number_bases(tol=1e-12):
         group = build_polygon_symmetry_group(n, axis_angle=0.3)
         table = character_table(group)
         rows = dict(zip(table.names, table.values))
-        reps = [representation_matrix(group.elements[i], n)
-                for i in group.class_representatives()]
+        reps = representation_matrices(group)[group.class_representatives()]
         bases = [wave_number_basis(group.vertices(), k) for k in range(n // 2 + 1)]
         V = np.column_stack(bases)
         worst = max(worst, float(np.max(np.abs(V.T @ V - np.eye(2 * n)))))
@@ -176,9 +186,7 @@ def check_wave_number_bases(tol=1e-12):
 def check_hamiltonian_symmetry(tol=1e-9):
     worst = 0.0
     for case in all_standard_cases():
-        spec = full_linearization_spectrum(
-            Equilibrium(case.configuration(), case.potential))
-        v = spec.values
+        v = full_linearization_spectrum(Equilibrium(case.configuration(), case.potential))
         scale = max(float(np.max(np.abs(v))), 1e-300)
         for transform in (lambda s: -s, np.conj):
             worst = max(worst, compare_spectra(v, transform(v)).max_distance / scale)
@@ -190,10 +198,8 @@ def check_scaling_law(tol=1e-8):
     worst = 0.0
     for n, alpha, rho in ((3, 1.0, 1.7), (4, 1.4, 0.6), (5, 0.8, 2.3)):
         spec = PotentialSpec.homogeneous(alpha)
-        base = full_linearization_spectrum(Equilibrium(regular_polygon(n), spec)).values
-        scaled = full_linearization_spectrum(
-            Equilibrium(regular_polygon(n, radius=rho), spec)
-        ).values
+        base = full_linearization_spectrum(Equilibrium(regular_polygon(n), spec))
+        scaled = full_linearization_spectrum(Equilibrium(regular_polygon(n, radius=rho), spec))
         predicted = base * rho ** (-(alpha + 2.0) / 2.0)
         scale = max(float(np.max(np.abs(predicted))), 1e-300)
         worst = max(worst, compare_spectra(predicted, scaled).max_distance / scale)

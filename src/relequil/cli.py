@@ -18,6 +18,7 @@ from .pipeline import (
     AnalysisRequest,
     ConsistencyError,
     InputError,
+    require_positive,
     run_analysis,
     run_sweep,
 )
@@ -76,7 +77,7 @@ def _request_from_args(args, alpha=None):
         potential=potential,
         masses=_parse_floats(args.masses, "--masses"),
         positions=_parse_floats(args.positions, "--positions"),
-        compare_tol=args.tol if args.tol else 1e-9,
+        compare_tol=args.tol,
         with_dynamics=getattr(args, "dynamics", False),
         with_timing=getattr(args, "timing", False),
     )
@@ -113,6 +114,10 @@ def cmd_simulate(args):
     from .dynamics import equilibrium_check, estimate_growth_rate
     from .pipeline import _worst_direction
 
+    require_positive("--periods", args.periods)
+    require_positive("--steps-per-period", args.steps_per_period)
+    if args.epsilon is not None:
+        require_positive("--epsilon", args.epsilon)
     eq, _case = _request_from_args(args).equilibrium()
     pin_ratio, drift, traj = equilibrium_check(
         eq.config, eq.spec, eq.omega2, args.periods, args.steps_per_period,
@@ -205,7 +210,7 @@ def build_parser():
                        help="flat x1,y1,x2,y2,... for explicit configurations")
         p.add_argument("--masses", default=None,
                        help="m1,m2,... for explicit configurations (default all 1)")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float, default=AnalysisRequest.compare_tol,
                        help="block-vs-oracle comparison tolerance")
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--format", choices=("json", "table"), default="table")

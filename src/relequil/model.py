@@ -125,7 +125,8 @@ class BodyConfiguration:
     """Masses and flattened planar positions of n >= 2 point bodies.
 
     Raises CollisionError, naming the first coinciding pair in i < j
-    order, if two bodies coincide and ValueError for non-positive masses.
+    order, if two bodies coincide and ValueError for non-finite entries or
+    non-positive masses.
     ``centered`` records whether the weighted center of mass sits at the
     origin (within CENTER_TOL) at construction time; ``pairs`` holds the
     bodies' BodyPairs.
@@ -145,6 +146,9 @@ class BodyConfiguration:
             raise ValueError(
                 f"positions must be flat with length {2 * masses.size}"
             )
+        for name, values in (("masses", masses), ("positions", positions)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(masses <= 0):
             raise ValueError("all masses must be strictly positive")
         object.__setattr__(self, "masses", masses)
@@ -208,6 +212,8 @@ class PotentialSpec:
         terms = tuple((float(c), float(a)) for c, a in self.terms)
         if not terms:
             raise ValueError("potential needs at least one term")
+        if not np.isfinite(terms).all():
+            raise ValueError("potential coefficients and exponents must be finite")
         for c, a in terms:
             if c <= 0 or a <= 0:
                 raise ValueError("coefficients and exponents must be positive")
@@ -228,43 +234,8 @@ class PotentialSpec:
     def schwarzschild(cls):
         return cls(((1.0, 1.0), (1.0, 3.0)))
 
-    @property
-    def exponents(self):
-        return tuple(a for _, a in self.terms)
-
     def describe(self):
         return " + ".join(f"{c:g}*r^-{a:g}" for c, a in self.terms)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Multiset of complex eigenvalues with a deterministic ordering."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __len__(self):
-        return self.values.size
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def sorted_values(self, tol=1e-12):
-        """Values sorted by (Re, Im) after rounding at tol * scale."""
-        v = np.asarray(self.values)
-        scale = max(float(np.max(np.abs(v))) if v.size else 0.0, 1e-300)
-        step = tol * scale
-        key_re = np.round(v.real / step) * step
-        key_im = np.round(v.imag / step) * step
-        order = np.lexsort((key_im, key_re))
-        return v[order]
-
-    def max_real_part(self):
-        return float(np.max(self.values.real)) if len(self) else 0.0
 
 
 def moment_of_inertia(config):

@@ -17,7 +17,6 @@ from .model import (
     Equilibrium,
     NonCentralConfigurationError,
     PotentialSpec,
-    Spectrum,
     first_order_matrix,
     moment_of_inertia,
     potential_energy_terms,
@@ -31,6 +30,7 @@ from .spectrum import (
     decompose_blocks,
     eigenvalue_labels,
     full_linearization_spectrum,
+    sorted_spectrum,
 )
 from .symmetry import (
     build_polygon_symmetry_group,
@@ -48,6 +48,12 @@ class InputError(ValueError):
     """Request cannot be resolved into a valid analysis."""
 
 
+def require_positive(name, value):
+    """InputError unless the value is finite and positive."""
+    if not (np.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnalysisRequest:
     case: str | None = None
@@ -59,6 +65,10 @@ class AnalysisRequest:
     classify_tol: float = CLASSIFY_TOL
     with_dynamics: bool = False
     with_timing: bool = False
+
+    def __post_init__(self):
+        require_positive("compare_tol", self.compare_tol)
+        require_positive("classify_tol", self.classify_tol)
 
     def resolve(self):
         """(config, spec, case_definition_or_None)."""
@@ -112,8 +122,8 @@ def _c(values):
     return [{"re": re, "im": im} for re, im in zip(v.real.tolist(), v.imag.tolist())]
 
 
-def _spectrum_dicts(spectrum):
-    return _c(spectrum.sorted_values())
+def _spectrum_dicts(values):
+    return _c(sorted_spectrum(values))
 
 
 def polygon_group_for(config, tol=1e-8):
@@ -291,11 +301,11 @@ def run_analysis(request):
         "lam1": float(blk.lam1),
         "lam2": float(blk.lam2),
         "omega": float(blk.omega),
-        "eigenvalues": _spectrum_dicts(Spectrum(eigs)),
+        "eigenvalues": _spectrum_dicts(eigs),
     } for blk, eigs in zip(decomposition.blocks, decomposition.block_spectra)]
     coupled = [{
         "dim": int(cb.dim),
-        "eigenvalues": _spectrum_dicts(Spectrum(eigs)),
+        "eigenvalues": _spectrum_dicts(eigs),
     } for cb, eigs in zip(decomposition.coupled, decomposition.coupled_spectra)]
     union = decomposition.union_spectrum()
 
@@ -304,7 +314,7 @@ def run_analysis(request):
     if not match.matches:
         raise ConsistencyError("block union vs oracle", _mismatch(match, union, oracle))
     # labelled in the order the report prints the oracle spectrum
-    oracle_sorted = oracle.sorted_values()
+    oracle_sorted = sorted_spectrum(oracle)
     verdict = classify(oracle_sorted, tol=request.classify_tol)
 
     dynamics_entry = None

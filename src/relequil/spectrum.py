@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import Spectrum, first_order_matrix
+from .model import first_order_matrix
 from .symmetry import J2, symplectic_pairs
 
 SNAP_TOL = 1e-12            # coefficient snap in the closed-form quartic
@@ -142,7 +142,7 @@ class BlockDecomposition:
                            tuple(c.spectrum() for c in self.coupled))
 
     def union_spectrum(self):
-        return Spectrum(np.concatenate(self.block_spectra + self.coupled_spectra))
+        return np.concatenate(self.block_spectra + self.coupled_spectra)
 
 
 def decompose_blocks(eq):
@@ -232,7 +232,15 @@ def full_linearization_spectrum(eq):
     Jhat), which diag(M^{1/2}, M^{1/2}) makes similar to the A of M^{-1} H,
     with its trivial subspace deflated.
     """
-    return Spectrum(deflated_eigenvalues(eq.omega2, eq.omega, eq.Hw, eq.Jh, *eq.trivial))
+    return deflated_eigenvalues(eq.omega2, eq.omega, eq.Hw, eq.Jh, *eq.trivial)
+
+
+def sorted_spectrum(values, tol=1e-12):
+    """The eigenvalues as a complex array sorted by (Re, Im), each rounded
+    at tol times the spectral radius for the sort."""
+    v = np.asarray(values, dtype=complex)
+    step = tol * max(float(np.max(np.abs(v), initial=0.0)), 1e-300)
+    return v[np.lexsort((np.round(v.imag / step) * step, np.round(v.real / step) * step))]
 
 
 @dataclass(frozen=True)
@@ -269,8 +277,7 @@ def classify(eigs, tol=CLASSIFY_TOL):
     Labels are measured against tol times the spectral radius; the verdict
     is unstable iff some real part exceeds that threshold.
     """
-    vals = np.asarray(eigs.values if isinstance(eigs, Spectrum) else eigs,
-                      dtype=complex)
+    vals = np.asarray(eigs, dtype=complex)
     thr = tol * float(np.max(np.abs(vals), initial=1e-300))
     labels = eigenvalue_labels(vals, thr)
     max_re = float(np.max(vals.real)) if vals.size else 0.0
@@ -298,8 +305,7 @@ def compare_spectra(a, b, tol=1e-9, n_worst=4):
     scale is the larger spectral radius.  A cardinality mismatch is its own
     structural failure, reported rather than raised.
     """
-    va = np.asarray(a.values if isinstance(a, Spectrum) else a, dtype=complex)
-    vb = np.asarray(b.values if isinstance(b, Spectrum) else b, dtype=complex)
+    va, vb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     scale = float(np.max(np.abs(np.concatenate([va, vb])), initial=1e-300))
     if va.size != vb.size:
         return SpectrumMatch(False, np.inf, tol, scale, (), True)

@@ -1,9 +1,10 @@
 """Dihedral symmetry groups acting on planar configurations.
 
 A group element is a body permutation combined with one planar orthogonal
-map applied to every body; it acts on flattened coordinates through a
-2n x 2n block-permutation matrix, which nothing on the analysis path
-forms: the trace equations and the invariance gate read the 2x2 body
+map applied to every body, held as the arrays ``perms`` and ``orthos``;
+it acts on flattened coordinates through a 2n x 2n block-permutation
+matrix (``checks.representation_matrices``), which the analysis path
+never forms: the trace equations and the invariance gate read the 2x2 body
 blocks of the Hessian that the permutation pairs up, and the isotypic
 components of multiplicity two are the wave-number subspaces of the
 regular polygon.  Characters, trace equations, the pairing of
@@ -14,7 +15,6 @@ wave-number subspaces all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import schur
@@ -62,53 +62,19 @@ def reflection(axis_angle):
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """Pair (perm, ortho): body i is sent to slot perm[i] with planar map ortho."""
-
-    perm: tuple
-    ortho: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        ortho = np.array(self.ortho, dtype=float)
-        if np.max(np.abs(ortho @ ortho.T - np.eye(2))) > ORTHO_TOL:
-            raise ValueError("ortho part must be orthogonal")
-        ortho.flags.writeable = False
-        object.__setattr__(self, "ortho", ortho)
-        object.__setattr__(self, "perm", tuple(int(p) for p in self.perm))
-
-    @property
-    def n(self):
-        return len(self.perm)
-
-
-def representation_matrix(g, n):
-    """The 2n x 2n orthogonal matrix by which g acts on flat coordinates."""
-    if g.n != n:
-        raise ValueError(f"element acts on {g.n} bodies, configuration has {n}")
-    D = np.zeros((2 * n, 2 * n))
-    for i, p in enumerate(g.perm):
-        D[2 * p : 2 * p + 2, 2 * i : 2 * i + 2] = g.ortho
-    return D
-
-
-@dataclass(frozen=True)
 class SymmetryGroup:
     """The dihedral group of the regular n-gon with its conjugacy classes.
 
     Element k < n is a^k and element n + k is a^k r; element 0 is the
     identity.  ``perms[k]`` sends body i to slot perms[k, i] and
-    ``orthos[k]`` is its planar map.  ``multiplication_table[i, j]`` is the
-    index of the product element i after element j.  ``axis_angle`` is the
-    angle of body 1, on the reflection axis of r.
+    ``orthos[k]`` is its planar map.  ``axis_angle`` is the angle of body 1,
+    on the reflection axis of r.
     """
 
     perms: np.ndarray           # (2n, n) int
     orthos: np.ndarray          # (2n, 2, 2)
     conjugacy_classes: tuple
-    multiplication_table: np.ndarray
     axis_angle: float
-    identity_index = 0
 
     @property
     def order(self):
@@ -117,16 +83,6 @@ class SymmetryGroup:
     @property
     def n(self):
         return self.perms.shape[1]
-
-    @cached_property
-    def elements(self):
-        """The elements as GroupElement objects, named e, a1.., r, a1r..;
-        nothing on the analysis path builds them."""
-        n = self.n
-        names = ["e", *(f"a{k}" for k in range(1, n)),
-                 "r", *(f"a{k}r" for k in range(1, n))]
-        return tuple(GroupElement(p, o, name)
-                     for p, o, name in zip(self.perms, self.orthos, names))
 
     def class_representatives(self):
         """Index of the first element of each class."""
@@ -150,11 +106,10 @@ def build_polygon_symmetry_group(n, axis_angle=0.0):
     the axis through body 1).  ``axis_angle`` rotates the whole polygon's
     reference frame, matching configurations whose body 1 is off the x-axis.
     The rotations a^k are rotation(2 pi k / n) in closed form, so no
-    rounding accumulates with k.  The multiplication table and the
-    conjugacy classes have closed forms too: a^i r a^j = a^(i-j) r, and the
-    classes are {e}, {a^k, a^-k} and the reflections (one class for odd n,
-    two by the parity of k for even n), ordered by (not identity, size,
-    element indices).
+    rounding accumulates with k.  The conjugacy classes have a closed form
+    too: {e}, {a^k, a^-k} and the reflections (one class for odd n, two by
+    the parity of k for even n), ordered by (not identity, size, element
+    indices).
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -163,20 +118,15 @@ def build_polygon_symmetry_group(n, axis_angle=0.0):
     orthos = np.concatenate([rots, rots @ reflection(axis_angle)])
     if np.max(np.abs(orthos @ orthos.transpose(0, 2, 1) - np.eye(2))) > ORTHO_TOL:
         raise ValueError("ortho part must be orthogonal")
-    power = np.arange(2 * n) % n
-    is_refl = np.arange(2 * n) >= n
-    sign = np.where(is_refl, -1, 1)
     # a^k sends body i to k + i, a^k r sends it to k - i
-    perms = (power[:, None] + sign[:, None] * ks) % n
-    table = ((power[:, None] + sign[:, None] * power[None, :]) % n
-             + n * (is_refl[:, None] ^ is_refl[None, :]))
-    for arr in (perms, orthos, table):
+    perms = np.concatenate([ks[:, None] + ks, ks[:, None] - ks]) % n
+    for arr in (perms, orthos):
         arr.flags.writeable = False
     refl = tuple(range(n, 2 * n))
     classes = [(0,)] + [tuple(sorted({k, n - k})) for k in range(1, n // 2 + 1)]
     classes += [refl] if n % 2 else [refl[0::2], refl[1::2]]
     classes.sort(key=lambda cl: (cl != (0,), len(cl), cl))
-    return SymmetryGroup(perms, orthos, tuple(classes), table, float(axis_angle))
+    return SymmetryGroup(perms, orthos, tuple(classes), float(axis_angle))
 
 
 @dataclass(frozen=True)

@@ -204,9 +204,8 @@ def test_criterion_4_block_oracle_equivalence():
         assert m.matches, (n, spec.describe(), m.max_distance)
         worst = max(worst, m.max_distance / m.scale)
         # the oracle multiset itself respects the Hamiltonian symmetries
-        v = oracle.values
         for transform in (lambda s: -s, np.conj):
-            cost = np.abs(v[:, None] - transform(v)[None, :])
+            cost = np.abs(oracle[:, None] - transform(oracle)[None, :])
             r, c = linear_sum_assignment(cost)
             assert cost[r, c].max() <= 1e-9 * m.scale
         count += 1
@@ -291,7 +290,7 @@ def test_criterion_9_dynamics_confirmation():
         ok &= eq_ok
 
         eq = Equilibrium(cfg, spec)
-        predicted = full_linearization_spectrum(eq).max_real_part()
+        predicted = float(full_linearization_spectrum(eq).real.max())
         if predicted <= 0.05 * omega:
             details.append(f"{case.name}: {eq_detail}, growth skipped")
             continue

@@ -299,7 +299,7 @@ class TestGrowthRate:
     def test_matches_spectral_prediction(self, newton_triangle):
         cfg, spec = newton_triangle
         eq = Equilibrium(cfg, spec)
-        predicted = full_linearization_spectrum(eq).max_real_part()
+        predicted = float(full_linearization_spectrum(eq).real.max())
         direction = _worst_direction(eq)
         est = estimate_growth_rate(eq, direction)
         assert not est.no_growth

@@ -35,6 +35,15 @@ class TestBodyConfiguration:
         with pytest.raises(ValueError):
             BodyConfiguration(np.array([1.0, -1.0]), np.array([0.0, 0, 1, 0]))
 
+    @pytest.mark.parametrize("field", ["masses", "positions"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, field, bad):
+        # named before any RuntimeWarning or a later "not central: residual nan"
+        args = {"masses": np.ones(2), "positions": np.array([0.0, 0, 1, 0])}
+        args[field][-1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            BodyConfiguration(**args)
+
     def test_centered_flag(self, triangle):
         assert triangle.centered
         shifted = triangle.with_positions(triangle.positions + 0.3)
@@ -58,6 +67,12 @@ class TestPotentialSpec:
             PotentialSpec(((1.0, 2.0), (1.0, 1.0)))  # not increasing
         with pytest.raises(ValueError):
             PotentialSpec(((-1.0, 1.0),))
+
+    @pytest.mark.parametrize("terms", [((np.nan, 1.0),), ((1.0, np.inf),),
+                                       ((1.0, 1.0), (1.0, np.nan))])
+    def test_rejects_non_finite_terms(self, terms):
+        with pytest.raises(ValueError, match="coefficients and exponents must be finite"):
+            PotentialSpec(terms)
 
 
 class TestMomentOfInertia:

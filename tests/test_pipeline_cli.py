@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from relequil import dynamics, model, pipeline, symmetry
+from relequil import checks, dynamics, model, pipeline, symmetry
 from relequil.central import refine_central_configuration, regular_polygon
 from relequil.cli import main as cli_main
 from relequil.model import BodyConfiguration, PotentialSpec
@@ -57,6 +57,12 @@ class TestRequestResolution:
     def test_missing_everything(self):
         with pytest.raises(InputError):
             AnalysisRequest().resolve()
+
+    @pytest.mark.parametrize("field", ["compare_tol", "classify_tol"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_tolerance_not_finite_and_positive(self, field, tol):
+        with pytest.raises(InputError, match=f"^{field} must be finite and positive"):
+            AnalysisRequest(case="triangle-homogeneous", **{field: tol})
 
     def test_noncentral_explicit_rejected(self, rng):
         pos = rng.uniform(-1, 1, size=8)
@@ -140,6 +146,11 @@ class TestReports:
         assert [name for name in cases if name in PRESET_NAMES] == list(PRESET_NAMES)
         rows = run("scripts/alpha_sweep.py", "--grid", "1.9,2.0,2.1")
         assert [float(ln.split()[0]) for ln in rows[1:]] == [1.9, 2.0, 2.1]
+        # every preset is unstable, so none is skipped; each measured growth
+        # rate is within 10% of the spectral prediction
+        rows = [ln.split() for ln in run("scripts/growth_rates.py")[1:]]
+        assert sorted(row[0] for row in rows) == sorted(PRESET_NAMES)
+        assert all(len(row) == 4 and float(row[3].rstrip("%")) <= 10.0 for row in rows)
         # the byte-level golden check: every golden file regenerates unchanged
         golden = run("scripts/make_goldens.py", "--check")
         assert golden == [f"all {len(PRESET_NAMES)} goldens match"]
@@ -261,24 +272,10 @@ class TestComputedOnce:
     def test_no_representation_matrix_is_built(self, monkeypatch):
         # the trace route reads H's body blocks and the wave-number bases;
         # no 2n x 2n representation matrix (nor a projector summed from them)
-        def refuse(g, n):
-            raise AssertionError(f"representation matrix of {g.name} built for n = {n}")
+        def refuse(group):
+            raise AssertionError(f"representation matrices built for n = {group.n}")
 
-        monkeypatch.setattr(symmetry, "representation_matrix", refuse)
-        for request in (AnalysisRequest(case="square-homogeneous", alpha=1.0),
-                        AnalysisRequest(positions=tuple(regular_polygon(24).positions),
-                                        alpha=1.0)):
-            isotypic = run_analysis(request).to_dict()["isotypic"]
-            assert [c["irrep"] for c in isotypic][:2] == ["A1", "A2"]
-
-
-    def test_no_group_element_is_built(self, monkeypatch):
-        # the analysis path reads the group's perms and orthos arrays; the
-        # GroupElement objects are a view for tests and the selfcheck
-        def refuse(self):
-            raise AssertionError(f"group element {self.name} built")
-
-        monkeypatch.setattr(symmetry.GroupElement, "__post_init__", refuse)
+        monkeypatch.setattr(checks, "representation_matrices", refuse)
         for request in (AnalysisRequest(case="square-homogeneous", alpha=1.0),
                         AnalysisRequest(positions=tuple(regular_polygon(24).positions),
                                         alpha=1.0)):
@@ -387,6 +384,41 @@ class TestCli:
         assert cli_main(["analyze", "--positions", "1,0,-1,0", *spec]) == 2
         assert ("input error: coefficients and exponents must be positive"
                 in capsys.readouterr().err)
+
+    def test_tol_is_passed_through(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli_main(["analyze", "--case", "manev-triangle", "--tol", "1e-6",
+                         "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["spectra_match"]["tol"] == 1e-6
+        for tol in ("0", "-1", "nan"):
+            assert cli_main(["analyze", "--case", "manev-triangle", "--tol", tol]) == 2
+            assert ("input error: compare_tol must be finite and positive"
+                    in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--kick", "--epsilon", "0"], "--epsilon"),
+        (["--periods", "nan"], "--periods"),
+        (["--periods", "-1"], "--periods"),
+        (["--steps-per-period", "0"], "--steps-per-period"),
+    ], ids=["epsilon-zero", "periods-nan", "periods-negative", "steps-zero"])
+    def test_simulate_rejects_bad_numbers(self, capsys, argv, flag):
+        assert cli_main(["simulate", "--case", "manev-triangle", *argv]) == 2
+        assert (f"input error: {flag} must be finite and positive"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--positions", "1,0,-1,nan", "--alpha", "1"], "positions must be finite"),
+        (["--positions", "1,0,-1,0", "--masses", "1,inf", "--alpha", "1"],
+         "masses must be finite"),
+        (["--positions", "1,0,-1,0", "--alpha", "nan"],
+         "potential coefficients and exponents must be finite"),
+        (["--positions", "1,0,-1,0", "--potential", "1:1,inf:2"],
+         "potential coefficients and exponents must be finite"),
+    ], ids=["positions", "masses", "alpha", "potential"])
+    def test_non_finite_input_is_named(self, capsys, argv, message):
+        with np.errstate(all="raise"):
+            assert cli_main(["analyze", *argv]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_sweep_table(self, capsys):
         code = cli_main([

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from relequil import checks
 from relequil.central import regular_polygon
+from relequil.checks import representation_matrices
 from relequil.model import PotentialSpec, potential_hessian
 from relequil.pipeline import polygon_group_for
 from relequil.symmetry import (
@@ -13,7 +17,6 @@ from relequil.symmetry import (
     decompose_multiplicities,
     eigenvalues_by_trace_equations,
     representation_character,
-    representation_matrix,
     symplectic_pairs,
     verify_invariance,
     wave_number_basis,
@@ -64,43 +67,27 @@ class TestGroupConstruction:
             build_polygon_symmetry_group(2)
 
     def test_generator_matrices_match_expected(self):
-        g = build_polygon_symmetry_group(3)
-        by_name = {e.name: e for e in g.elements}
-        np.testing.assert_allclose(
-            representation_matrix(by_name["a1"], 3), D_TURN_3, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            representation_matrix(by_name["r"], 3), D_FLIP_3, atol=1e-15
-        )
+        D = representation_matrices(build_polygon_symmetry_group(3))
+        # a is element 1 and r element n
+        np.testing.assert_allclose(D[1], D_TURN_3, atol=1e-15)
+        np.testing.assert_allclose(D[3], D_FLIP_3, atol=1e-15)
 
     def test_identity_maps_to_identity(self):
-        g = build_polygon_symmetry_group(4)
-        e = g.elements[g.identity_index]
-        np.testing.assert_allclose(representation_matrix(e, 4), np.eye(8))
+        D = representation_matrices(build_polygon_symmetry_group(4))
+        np.testing.assert_allclose(D[0], np.eye(8))
 
     def test_group_fixes_polygon(self):
         for n in (3, 4, 5):
             cfg = regular_polygon(n)
-            group = build_polygon_symmetry_group(n)
-            for el in group.elements:
-                D = representation_matrix(el, n)
+            for D in representation_matrices(build_polygon_symmetry_group(n)):
                 np.testing.assert_allclose(
                     D @ cfg.positions, cfg.positions, atol=1e-14
                 )
 
-    def test_homomorphism(self):
-        for n in (3, 4, 5, 6):
-            group = build_polygon_symmetry_group(n)
-            mats = [representation_matrix(g, n) for g in group.elements]
-            for i in range(group.order):
-                for j in range(group.order):
-                    k = group.multiplication_table[i, j]
-                    assert np.max(np.abs(mats[i] @ mats[j] - mats[k])) <= 1e-13
-
     @pytest.mark.parametrize("n", range(3, 13))
-    def test_closed_form_table_and_classes_match_brute_force(self, n):
+    def test_closed_form_classes_match_brute_force(self, n):
         group = build_polygon_symmetry_group(n, axis_angle=0.37)
-        mats = [representation_matrix(g, n) for g in group.elements]
+        mats = representation_matrices(group)
 
         def index_of(M):
             hits = [k for k, D in enumerate(mats) if np.allclose(D, M, atol=1e-12)]
@@ -108,9 +95,8 @@ class TestGroupConstruction:
             return hits[0]
 
         table = np.array([[index_of(A @ B) for B in mats] for A in mats])
-        np.testing.assert_array_equal(group.multiplication_table, table)
         identity = index_of(np.eye(2 * n))
-        assert identity == group.identity_index == 0
+        assert identity == 0
         inverse = [index_of(A.T) for A in mats]
         classes = {tuple(sorted({int(table[table[h, i], inverse[h]])
                                  for h in range(2 * n)}))
@@ -122,20 +108,8 @@ class TestGroupConstruction:
         cfg = regular_polygon(5).rotated(0.37)
         base = np.arctan2(cfg.points[0, 1], cfg.points[0, 0])
         group = build_polygon_symmetry_group(5, axis_angle=base)
-        for el in group.elements:
-            D = representation_matrix(el, 5)
+        for D in representation_matrices(group):
             np.testing.assert_allclose(D @ cfg.positions, cfg.positions, atol=1e-13)
-
-    @pytest.mark.parametrize("n", range(3, 13))
-    def test_elements_view_matches_the_arrays(self, n):
-        for axis_angle in (0.0, 0.37):
-            group = build_polygon_symmetry_group(n, axis_angle=axis_angle)
-            names = ["e", *(f"a{k}" for k in range(1, n)),
-                     "r", *(f"a{k}r" for k in range(1, n))]
-            assert [g.name for g in group.elements] == names
-            for k, g in enumerate(group.elements):
-                assert g.perm == tuple(group.perms[k])
-                np.testing.assert_array_equal(g.ortho, group.orthos[k])
 
     @pytest.mark.parametrize("n", [129, 200])
     def test_large_polygons_build(self, n):
@@ -148,10 +122,42 @@ class TestGroupConstruction:
         deco = eigenvalues_by_trace_equations(H, group)
         assert deco.full_multiset().size == 2 * n
 
-    def test_representation_size_mismatch(self):
-        g = build_polygon_symmetry_group(3)
-        with pytest.raises(ValueError):
-            representation_matrix(g.elements[0], 4)
+
+class TestHomomorphismCheck:
+    """The selfcheck's check_homomorphism on groups broken in one array: a
+    wrong reflection row breaks the presentation, a moved element the
+    classes; each detail names its half."""
+
+    @staticmethod
+    def _check(monkeypatch, damage):
+        monkeypatch.setattr(checks, "build_polygon_symmetry_group",
+                            lambda n: damage(build_polygon_symmetry_group(n)))
+        _, passed, detail = checks.check_homomorphism()
+        worst = float(detail.split()[2].rstrip(","))
+        return passed, worst, detail
+
+    def test_intact_group_passes(self, monkeypatch):
+        passed, worst, detail = self._check(monkeypatch, lambda group: group)
+        assert passed and worst <= 1e-13 and detail.endswith("classes ok")
+
+    def test_permuted_reflection_row_fails(self, monkeypatch):
+        def damage(group):
+            perms = group.perms.copy()
+            row = perms[group.n + 1]        # a r
+            row[[0, 1]] = row[[1, 0]]
+            return dataclasses.replace(group, perms=perms)
+
+        passed, worst, _ = self._check(monkeypatch, damage)
+        assert not passed and worst >= 1.0
+
+    def test_element_moved_to_another_class_fails(self, monkeypatch):
+        def damage(group):
+            # a leaves {a, a^-1} for the last class, of reflections
+            *rest, last = [tuple(i for i in cl if i != 1) for cl in group.conjugacy_classes]
+            return dataclasses.replace(group, conjugacy_classes=(*rest, (*last, 1)))
+
+        passed, worst, detail = self._check(monkeypatch, damage)
+        assert not passed and worst <= 1e-13 and detail.endswith("classes BROKEN")
 
 
 class TestCharacters:
@@ -242,9 +248,9 @@ class TestInvariance:
         M = _group_averaged(rng, group)
         E = rng.standard_normal(M.shape)
         H = potential_hessian(regular_polygon(n).rotated(0.2 * n), PotentialSpec.manev())
+        D = representation_matrices(group)
         for A in (M, M + 1e-9 * (E + E.T), E + E.T, H):
-            expected = max(float(np.max(np.abs(D @ A - A @ D)))
-                           for D in (representation_matrix(g, n) for g in group.elements))
+            expected = float(np.max(np.abs(D @ A - A @ D)))
             _, defect = verify_invariance(A, group)
             slack = 8 * np.finfo(float).eps * np.max(np.abs(A))
             assert expected <= defect + slack
@@ -258,8 +264,8 @@ class TestInvariance:
         h = np.minimum(np.arange(n), n - np.arange(n)).astype(float)
         H = np.diag(np.repeat(h, 2))
         group = build_polygon_symmetry_group(n)
-        expected = max(float(np.max(np.abs(D @ H - H @ D)))
-                       for D in (representation_matrix(g, n) for g in group.elements))
+        D = representation_matrices(group)
+        expected = float(np.max(np.abs(D @ H - H @ D)))
         _, defect = verify_invariance(H, group)
         assert expected == pytest.approx(n // 2, rel=1e-12)
         assert expected > np.sqrt(2 * n)
@@ -271,7 +277,7 @@ class TestInvariance:
         # with r; averaged over {e, r} only, with r but not with a: the
         # default gate rejects both
         group = build_polygon_symmetry_group(n, axis_angle=0.2 * n)
-        mats = [representation_matrix(g, n) for g in group.elements]
+        mats = representation_matrices(group)
         M = rng.standard_normal((2 * n, 2 * n))
         M = M + M.T
         for subgroup in (mats[:n], [mats[0], mats[n]]):
@@ -290,7 +296,7 @@ def _reference_projectors(group, table):
     """P_i = (d_i/|G|) sum_g chi_i(g) D(g), one per irreducible, summed over
     the 2n x 2n representation matrices as the projector route did."""
     n, class_of = group.n, _class_of(group)
-    mats = [representation_matrix(g, n) for g in group.elements]
+    mats = representation_matrices(group)
     return [table.degrees[i] / group.order
             * sum(table.values[i][class_of[k]] * D for k, D in enumerate(mats))
             for i in range(table.n_irreps)]
@@ -303,8 +309,8 @@ def _reference_trace_route(H, group):
     table = character_table(group)
     class_of = _class_of(group)
     trace_fn = np.zeros(len(group.conjugacy_classes))
-    for idx, g in enumerate(group.elements):
-        trace_fn[class_of[idx]] += np.trace(H @ representation_matrix(g, group.n))
+    for idx, D in enumerate(representation_matrices(group)):
+        trace_fn[class_of[idx]] += np.trace(H @ D)
     trace_fn /= group.class_sizes()
     mult = decompose_multiplicities(representation_character(group), table)
     out = []
@@ -321,7 +327,7 @@ def _reference_trace_route(H, group):
 
 
 def _group_averaged(rng, group):
-    mats = [representation_matrix(g, group.n) for g in group.elements]
+    mats = representation_matrices(group)
     M = rng.standard_normal((2 * group.n, 2 * group.n))
     return sum(D @ (M + M.T) @ D.T for D in mats) / len(mats)
 
@@ -459,7 +465,7 @@ class TestTraceEquations:
     def test_random_invariant_matrices(self, rng):
         for n in (3, 4):
             group = build_polygon_symmetry_group(n)
-            mats = [representation_matrix(g, n) for g in group.elements]
+            mats = representation_matrices(group)
             for _ in range(25):
                 M = rng.standard_normal((2 * n, 2 * n))
                 M = sum(D @ (M + M.T) @ D.T for D in mats)
@@ -481,8 +487,7 @@ class TestTraceEquations:
         H = potential_hessian(triangle, spec)
         group = build_polygon_symmetry_group(3)
         base = np.sort(np.linalg.eigvalsh(H))
-        for g in group.elements:
-            D = representation_matrix(g, 3)
+        for D in representation_matrices(group):
             conj = np.sort(np.linalg.eigvalsh(D @ H @ D.T))
             np.testing.assert_allclose(conj, base, atol=1e-12)
 
