@@ -25,10 +25,13 @@ from .spectrum import (
     full_linearization_spectrum,
 )
 from .symmetry import (
+    J2,
+    block_symplectic,
     build_polygon_symmetry_group,
     character_table,
     verify_invariance,
     wave_number_basis,
+    wave_number_stack,
 )
 
 PRESET_POTENTIALS = {
@@ -183,6 +186,36 @@ def check_wave_number_bases(tol=1e-12):
         f"worst defect {worst:.3e}"
 
 
+def check_wave_number_blocks(tol=1e-12, seed=16):
+    """On Hessians of random configurations averaged over the group, each
+    h_k = W_k^T H W_k of the wave-number stack is the realification
+    [[A, -B], [B, A]] of the 2x2 Hermitian K_k = A + iB, and W_k^T Jhat W_k
+    is diag(J2, J2); where W_k has dimension 2, the sine half of both is
+    zero.  The wave-number pairing and coupled blocks rest on these.  The
+    detail is the worst defect, relative to max |H| for h_k."""
+    rng = np.random.default_rng(seed)
+    spec = PRESET_POTENTIALS["manev"]
+    worst = 0.0
+    for n in range(3, 9):
+        for angle in (0.0, 0.3):
+            group = build_polygon_symmetry_group(n, axis_angle=angle)
+            D = representation_matrices(group)
+            H = potential_hessian(random_configuration(rng, n), spec)
+            H = (D @ H @ D.transpose(0, 2, 1)).mean(axis=0)
+            W = wave_number_stack(group.vertices())
+            h = W.transpose(0, 2, 1) @ H @ W
+            half = ((2 * np.arange(len(W))) % n != 0)[:, None, None]
+            A, B = h[:, :2, :2], h[:, 2:, :2]
+            realified = np.block([[A, -B], [B, A * half]])
+            Jw = W.transpose(0, 2, 1) @ block_symplectic(n) @ W
+            zero = np.zeros_like(A)
+            expected = np.block([[J2 + zero, zero], [zero, J2 * half]])
+            worst = max(worst, float(np.max(np.abs(h - realified))) / float(np.max(np.abs(H))),
+                        float(np.max(np.abs(Jw - expected))))
+    return "wave-number blocks are realified 2x2 Hermitian", worst <= tol, \
+        f"worst defect {worst:.3e}"
+
+
 def check_hamiltonian_symmetry(tol=1e-9):
     worst = 0.0
     for case in all_standard_cases():
@@ -228,6 +261,7 @@ ALL_CHECKS = (
     check_invariance_bound,
     check_character_orthonormality,
     check_wave_number_bases,
+    check_wave_number_blocks,
     check_hamiltonian_symmetry,
     check_scaling_law,
     check_block_closed_form,

@@ -28,6 +28,13 @@ COLLISION_FACTOR = 1e-6     # blow-up when min distance falls below this x initi
 DEFAULT_STEPS_PER_PERIOD = 10_000
 
 
+def _require_positive(**values):
+    """ValueError unless every given value is finite and positive."""
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
@@ -229,8 +236,11 @@ def equilibrium_check(config, spec, omega2=None, periods=1.0, steps_per_period=2
     pin_ratio is the pin's distance from F / m over that bound, at most 1
     at an equilibrium.  drift is the largest coordinate's distance from the
     start over the unpinned ``trajectory`` of ``periods``: a wrong frame or
-    a moved body leaves within a period.
+    a moved body leaves within a period.  The three run lengths must be
+    finite and positive (ValueError).
     """
+    _require_positive(periods=periods, steps_per_period=steps_per_period,
+                      sample_every=sample_every)
     _, grad, residual = centrality_residual(config, spec)
     frame = _RotatingFrame(config, spec, omega2=omega2)
     frame.set_reference_equilibrium(config.positions)
@@ -263,7 +273,8 @@ def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None,
     is closed there and the test passed.  Only when fewer than 8 samples
     fell inside the window by then, so that later returns into it decide,
     is the full ``duration`` integrated again.  The result is the full
-    run's either way.
+    run's either way.  epsilon, duration and dt, given or defaulted, must be
+    finite and positive (ValueError).
     """
     direction = np.asarray(direction, dtype=float)
     nrm = np.linalg.norm(direction)
@@ -278,6 +289,7 @@ def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None,
         duration = 12.0 * eq.period
     if dt is None:
         dt = eq.period / 4000.0
+    _require_positive(epsilon=epsilon, duration=duration, dt=dt)
     perturbed = config.with_positions(config.positions + epsilon * direction)
 
     def deviations(stop_deviation):

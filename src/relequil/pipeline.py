@@ -37,6 +37,7 @@ from .symmetry import (
     character_table,
     eigenvalues_by_trace_equations,
     polygon_axis_angle,
+    wave_number_stack,
 )
 
 SCHEMA_VERSION = 1
@@ -263,9 +264,11 @@ def run_analysis(request):
     group = polygon_group_for(config)
     isotypic = []
     eigen_reference = None
+    waves = None
     if group is not None:
         table = character_table(group)
-        deco = eigenvalues_by_trace_equations(H, group, table)
+        waves = wave_number_stack(group.vertices())
+        deco = eigenvalues_by_trace_equations(H, group, table, waves=waves)
         for comp in deco.components:
             isotypic.append({
                 "irrep": comp.irrep,
@@ -296,7 +299,7 @@ def run_analysis(request):
                     "diagonalization; computed values take precedence"
                 )
 
-    decomposition = decompose_blocks(eq)
+    decomposition = decompose_blocks(eq, waves)
     blocks = [{
         "lam1": float(blk.lam1),
         "lam2": float(blk.lam2),

@@ -18,10 +18,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .model import first_order_matrix
-from .symmetry import J2, symplectic_pairs
+from .symmetry import J2, symplectic_pairs, wave_number_pairs
 
 SNAP_TOL = 1e-12            # coefficient snap in the closed-form quartic
 CLASSIFY_TOL = 1e-8         # |Re|, |Im| thresholds relative to spectral radius
+_J4 = np.kron(np.eye(2), J2)    # Jhat on a wave-number subspace W_k
 
 UNSTABLE = "spectrally-unstable"
 NOT_UNSTABLE = "not-unstable-at-linear-order"
@@ -126,34 +127,37 @@ class CoupledBlock:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks of the linearization, each solved once at construction."""
+    """Blocks of the linearization with the eigenvalues of each; the plain
+    blocks are solved at construction."""
 
     omega: float
     pairs: tuple               # JPair objects backing the plain blocks
     blocks: tuple              # LinearBlock per pair
     coupled: tuple             # CoupledBlock for unpairable subspaces
+    coupled_spectra: tuple     # eigenvalues per CoupledBlock
     block_spectra: tuple = field(init=False)     # eigenvalues per LinearBlock
-    coupled_spectra: tuple = field(init=False)   # eigenvalues per CoupledBlock
 
     def __post_init__(self):
         object.__setattr__(self, "block_spectra",
                            tuple(block_spectrum(b) for b in self.blocks))
-        object.__setattr__(self, "coupled_spectra",
-                           tuple(c.spectrum() for c in self.coupled))
 
     def union_spectrum(self):
         return np.concatenate(self.block_spectra + self.coupled_spectra)
 
 
-def decompose_blocks(eq):
+def decompose_blocks(eq, waves=None):
     """Block decomposition of the linearization at a central configuration.
 
-    Every eigenvector pair found by the symplectic pairing of the
-    mass-weighted Hessian ``eq.Hw`` yields a closed-form 4x4 block; every
-    Jhat-coupled part of what the pairs leave over yields one coupled block.
-    On a regular polygon those parts are the wave-number subspaces the pairs
-    do not cover (the classical ring reduction).
+    Every eigenvector pair of the mass-weighted Hessian ``eq.Hw`` compatible
+    with Jhat yields a closed-form 4x4 block, and every Jhat-coupled part of
+    what the pairs leave over one coupled block.  With ``waves``, the
+    ``wave_number_stack`` of a regular polygon, the pairs are found per wave
+    number (``wave_number_pairs``) and each unpaired W_k is one coupled
+    block: the classical ring reduction.  Otherwise the whole-space
+    ``symplectic_pairs`` finds them.
     """
+    if waves is not None:
+        return _decompose_by_wave_number(eq, waves)
     pairs, bases = symplectic_pairs(eq.Hw)
     T, z, slack = eq.trivial
     coupled = []
@@ -165,7 +169,49 @@ def decompose_blocks(eq):
         zv = zv if zv @ zv > 0.5 * (z @ z) else None
         coupled.append(CoupledBlock(eq.omega, V.T @ eq.Hw @ V, V.T @ eq.Jh @ V, (Tv, zv, slack)))
     blocks = tuple(build_block(eq.omega, p.lam1, p.lam2) for p in pairs)
-    return BlockDecomposition(eq.omega, tuple(pairs), blocks, tuple(coupled))
+    return BlockDecomposition(eq.omega, tuple(pairs), blocks, tuple(coupled),
+                              tuple(c.spectrum() for c in coupled))
+
+
+def _decompose_by_wave_number(eq, waves):
+    """``decompose_blocks`` of a regular polygon from its wave-number stack.
+
+    The trivial vectors lie in W_0 (z and Jhat z) and W_1 (the
+    translations); both must pair, so that no coupled block needs a
+    deflation.  Each unpaired W_k is one coupled block, whose h_sub and
+    j_sub are h_k and diag(J2, J2) restricted to its dimension.
+    """
+    pairs, h, K, paired = wave_number_pairs(eq.Hw, waves)
+    for k in (0, 1):
+        if not paired[k]:
+            raise ConsistencyError("wave-number pairing", f"wave number {k}, which holds "
+                                   "trivial modes, fails the pair residual test")
+    ks = np.flatnonzero(~paired)
+    dims = np.where((2 * ks) % eq.n, 4, 2)
+    coupled = tuple(CoupledBlock(eq.omega, h[k, :d, :d], _J4[:d, :d],
+                                 (np.zeros((d, 0)), None, eq.trivial[2]))
+                    for k, d in zip(ks, dims))
+    blocks = tuple(build_block(eq.omega, p.lam1, p.lam2) for p in pairs)
+    return BlockDecomposition(eq.omega, tuple(pairs), blocks, coupled,
+                              wave_number_block_spectra(eq.omega, K[ks], dims))
+
+
+def wave_number_block_spectra(omega, K, dims):
+    """Eigenvalues of the linearization on wave-number subspaces, from their
+    Hermitian 2x2 matrices K_k (``wave_number_pairs``) and dimensions 2 or 4.
+
+    On a W_k of dimension 4 the real 8x8 [[0, I], [omega^2 + h_k, 2 omega
+    diag(J2, J2)]] is the realification of the complex 4x4 [[0, I],
+    [omega^2 + K_k, 2 omega J2]]: its eigenvalues are the complex matrix's
+    and their conjugates.  On one of dimension 2, K_k is real and the 4x4 is
+    the whole block.  One stacked eigvals solves every 4x4.
+    """
+    C = np.zeros((len(dims), 4, 4), dtype=complex)
+    C[:, :2, 2:] = np.eye(2)
+    C[:, 2:, :2] = omega * omega * np.eye(2) + K
+    C[:, 2:, 2:] = 2.0 * omega * J2
+    return tuple(np.concatenate([e, e.conj()]) if d == 4 else e
+                 for e, d in zip(np.linalg.eigvals(C), dims))
 
 
 def deflated_eigenvalues(omega2, omega, h, j, T, z, slack):

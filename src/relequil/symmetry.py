@@ -8,8 +8,9 @@ never forms: the trace equations and the invariance gate read the 2x2 body
 blocks of the Hessian that the permutation pairs up, and the isotypic
 components of multiplicity two are the wave-number subspaces of the
 regular polygon.  Characters, trace equations, the pairing of
-eigenvectors compatible with the block symplectic operator, and the
-wave-number subspaces all live here.
+eigenvectors compatible with the block symplectic operator (per wave number
+on a polygon, over the whole space otherwise), and the stacked wave-number
+subspaces all live here.
 """
 
 from __future__ import annotations
@@ -198,14 +199,14 @@ def representation_character(group):
 
 def decompose_multiplicities(rep_character, table, tol=1e-9):
     """Multiplicities n_i = (chi_i, chi); must be integers within tol."""
-    mult = []
-    for i in range(table.n_irreps):
-        x = table.inner(table.values[i], np.asarray(rep_character, dtype=float))
-        r = round(x)
-        if abs(x - r) > tol or r < 0:
-            raise ValueError(f"non-integer multiplicity {x} for irrep {table.names[i]}")
-        mult.append(int(r))
-    return mult
+    chi = np.asarray(rep_character, dtype=float)
+    x = table.values @ (table.class_sizes * chi) / table.group_order
+    r = np.round(x)
+    bad = np.flatnonzero((np.abs(x - r) > tol) | (r < 0))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"non-integer multiplicity {x[i]} for irrep {table.names[i]}")
+    return r.astype(int).tolist()
 
 
 def _commutator(H, perm, ortho):
@@ -287,7 +288,7 @@ class IsotypicDecomposition:
 
 
 def eigenvalues_by_trace_equations(H, group, table=None, invariance_tol=1e-8,
-                                   check_tol=1e-9):
+                                   check_tol=1e-9, waves=None):
     """Per-irreducible eigenvalues of an invariant symmetric matrix.
 
     The traces Tr(H D(g)) = sum_i tr(H_{i perm[i]} O) determine, through
@@ -296,9 +297,11 @@ def eigenvalues_by_trace_equations(H, group, table=None, invariance_tol=1e-8,
     representation, so every irreducible of degree d has multiplicity d.
     The one-dimensional components are finished by their sums; the
     component of E_j is the wave-number-j subspace W_j of the polygon,
-    where the 4x4 matrix W_j^T H W_j carries each of its two eigenvalues
-    twice.  The assembled multiset is validated against a direct symmetric
-    diagonalization of H before returning.
+    where W_j^T H W_j is the realification of a 2x2 Hermitian K_j whose two
+    eigenvalues each carry twice; one stacked eigh of every K_j gives them.
+    ``waves`` is the polygon's ``wave_number_stack``, built from the group's
+    vertices when not given.  The assembled multiset is validated against a
+    direct symmetric diagonalization of H before returning.
     """
     H = np.asarray(H, dtype=float)
     if table is None:
@@ -313,24 +316,24 @@ def eigenvalues_by_trace_equations(H, group, table=None, invariance_tol=1e-8,
         class_of[list(cl)] = c
     sums = table.values[:, class_of] @ traces / group.order
     mult = decompose_multiplicities(representation_character(group), table)
-    # the rows E1, E2, ... follow the one-dimensional irreducibles
-    first_wave = int(np.sum(table.degrees == 1)) - 1
-    vertices = group.vertices()
+    # the rows E1, E2, ... follow the one-dimensional irreducibles, and E_j
+    # is carried by W_j, j = 1..n_two_dim
+    n_one = int(np.sum(table.degrees == 1))
+    if waves is None:
+        waves = wave_number_stack(group.vertices())
+    K = _wave_number_reduction(H, waves[1:table.n_irreps - n_one + 1])[2]
+    wave_eigs = np.linalg.eigvalsh(K)
+    off = np.abs(wave_eigs.sum(axis=1) - sums[n_one:])
+    bad = np.flatnonzero(off > check_tol * (1.0 + np.abs(sums[n_one:])))
+    if bad.size:
+        raise InvarianceError(
+            f"component {table.names[n_one + bad[0]]}: wave-number eigenvalues do not "
+            f"add up to the trace-equation sum"
+        )
     components = []
     for i in range(table.n_irreps):
         d, m = int(table.degrees[i]), mult[i]
-        if m == 1:
-            lams = (float(sums[i]),)
-        else:
-            W = wave_number_basis(vertices, i - first_wave)
-            w = np.linalg.eigvalsh(W.T @ H @ W)
-            # eigenvalues repeat `d` times inside the component
-            lams = tuple(float(np.mean(w[k * d : (k + 1) * d])) for k in range(m))
-            if abs(sum(lams) - sums[i]) > check_tol * (1.0 + abs(sums[i])):
-                raise InvarianceError(
-                    f"component {table.names[i]}: wave-number eigenvalues do not "
-                    f"add up to the trace-equation sum"
-                )
+        lams = (float(sums[i]),) if m == 1 else tuple(wave_eigs[i - n_one].tolist())
         components.append(IsotypicComponent(table.names[i], d, m, lams))
     deco = IsotypicDecomposition(tuple(components))
     direct = np.sort(np.linalg.eigvalsh(H))
@@ -482,21 +485,102 @@ def polygon_axis_angle(config, tol=1e-8):
     return base
 
 
-def wave_number_basis(points, k):
-    """Orthonormal basis of the real wave-number-k subspace of a regular polygon.
+def wave_number_stack(points):
+    """Orthonormal bases of the real wave-number subspaces W_k of a regular
+    polygon, k = 0..n//2, as one (n//2 + 1, 2n, 4) stack.
 
-    Columns are the radial and tangential unit vectors of the bodies weighted
-    by cos(2 pi j k / n) and sin(2 pi j k / n): dimension 4, or 2 at k = 0 and
-    k = n/2 where the sine patterns vanish.  At an equal-mass regular polygon
-    the subspace is invariant under the Hessian of any pair potential and
-    under the block symplectic map.
+    The columns of W_k are the radial and tangential unit vectors of the
+    bodies weighted by cos(2 pi j k / n) and sin(2 pi j k / n), in the order
+    (r cos, t cos, r sin, t sin).  Where 2k = 0 mod n (k = 0, and k = n/2 for
+    even n) the sine patterns vanish, W_k has dimension 2 and its last two
+    columns are zero.  At an equal-mass regular polygon each W_k is invariant
+    under the Hessian of any pair potential and under Jhat, which acts on it
+    as diag(J2, J2).
     """
     q = np.asarray(points, dtype=float)
     n = q.shape[0]
     radial = q / np.hypot(q[:, 0], q[:, 1])[:, None]
-    tangential = radial @ J2
-    phase = 2.0 * np.pi * k * np.arange(n) / n
-    waves = [np.cos(phase)] + ([] if (2 * k) % n == 0 else [np.sin(phase)])
-    cols = [(w[:, None] * e).ravel() for e in (radial, tangential) for w in waves]
-    V = np.column_stack(cols)
-    return V / np.linalg.norm(V, axis=0)
+    frame = np.stack([radial, radial @ J2], axis=1)          # (n, [r, t], 2)
+    ks = np.arange(n // 2 + 1)
+    phase = 2.0 * np.pi * ks[:, None] * np.arange(n) / n
+    waves = np.stack([np.cos(phase), np.sin(phase)], axis=1)  # (k, [cos, sin], n)
+    waves[(2 * ks) % n == 0, 1] = 0.0
+    # the frame vectors are unit vectors, so normalizing the patterns
+    # normalizes the columns
+    norms = np.sqrt((waves * waves).sum(axis=2, keepdims=True))
+    waves /= np.where(norms > 0.0, norms, 1.0)
+    # W[k, (j, x), (wave, frame vector)] = waves[k, wave, j] frame[j, vector, x]
+    return (waves.transpose(0, 2, 1)[:, :, None, :, None]
+            * frame.transpose(0, 2, 1)[None, :, :, None, :]).reshape(ks.size, 2 * n, 4)
+
+
+def wave_number_basis(points, k):
+    """The nonzero columns of ``wave_number_stack(points)[k]``: an
+    orthonormal basis of W_k, of dimension 4, or 2 where 2k = 0 mod n."""
+    W = wave_number_stack(points)[k]
+    return W[:, :2] if (2 * k) % (W.shape[0] // 2) == 0 else W
+
+
+def _wave_number_reduction(M, waves):
+    """(images, h, K) of a symmetric M on a wave-number stack.
+
+    images = M W_k and h_k = W_k^T M W_k for every k, from one product with
+    M and one batched product.  Where M commutes with the polygon's group,
+    h_k is the realification [[A, -B], [B, A]] of the 2x2 Hermitian
+    K_k = A + iB (``checks.check_wave_number_blocks``); where W_k has
+    dimension 2, B and the lower right block are zero and K_k = A.
+    """
+    m, n2 = waves.shape[0], waves.shape[1]
+    images = (M @ waves.transpose(1, 0, 2).reshape(n2, 4 * m)).reshape(n2, m, 4)
+    images = images.transpose(1, 0, 2)
+    h = waves.transpose(0, 2, 1) @ images
+    return images, h, h[:, :2, :2] + 1j * h[:, 2:, :2]
+
+
+def wave_number_pairs(M, waves):
+    """Eigenvector pairs of an invariant symmetric M compatible with Jhat,
+    read off the Hermitian 2x2 matrices K_k of every wave number at once.
+
+    Jhat acts on W_k as diag(J2, J2), which is J2 on the complex coordinates
+    of K_k, so a pair inside W_k comes from an eigenvector u of K_k in one of
+    two ways.  If u is real up to a phase, J2 u is the other eigenvector:
+    v1 = W_k (u, 0) gives the pair (lam_low, lam_high), and where W_k has
+    dimension 4, W_k (0, u) a second one.  If u is an eigenvector (1, +-i) of
+    J2, span{u, i u} is a Jhat-invariant plane: v1 = W_k (Re u, Im u) gives
+    (lam, lam), one pair per eigenvector.  Since |u^T u| is 1 in the first
+    case and 0 in the second, it picks the case.  v2 = -Jhat v1 as in
+    ``symplectic_pairs``.  A wave number pairs when all of its pairs pass the
+    residual test of ``PAIR_TOL``, at the scale max |lam| = |M|_2 over every
+    K_k; otherwise all of W_k stays unpaired.  On polygons n = 3..32, 48, 64
+    under the four benchmark potentials and on the presets' alpha grid, the
+    accepted pairs' residuals are <= 32 eps |M|_2 and the rejected ones
+    >= 8e-4 |M|_2.
+
+    Returns (pairs, h, K, paired): the JPair objects sorted by (lam1, lam2),
+    the stacks of ``_wave_number_reduction`` and whether each k paired.
+    """
+    images, h, K = _wave_number_reduction(np.asarray(M, dtype=float), waves)
+    lam, U = np.linalg.eigh(K)
+    m, n = lam.shape[0], waves.shape[1] // 2
+    full = (2 * np.arange(m)) % n != 0
+    res_tol = PAIR_TOL * float(np.max(np.abs(lam)))
+    s = (U * U).sum(axis=1)
+    real = (np.abs(s[:, 0]) >= 0.5) | ~full
+    # X[k] holds the coordinates of each v1 in W_k, then those of its v2
+    X = np.zeros((m, 4, 4))
+    u = (U[:, :, 0] * np.exp(-0.5j * np.angle(s[:, :1]))).real
+    X[:, :2, 0] = X[:, 2:, 1] = u / np.linalg.norm(u, axis=1, keepdims=True)
+    plane = ~real
+    X[plane, :2, :2], X[plane, 2:, :2] = U[plane].real, U[plane].imag
+    # -diag(J2, J2) maps (a, b) on each half to (-b, a)
+    X[:, 0::2, 2:], X[:, 1::2, 2:] = -X[:, 1::2, :2], X[:, 0::2, :2]
+    L = np.where(real[:, None], lam[:, [0, 0, 1, 1]], lam[:, [0, 1, 0, 1]])
+    V = waves @ X
+    R = images @ X - V * L[:, None, :]
+    ok = (R * R).sum(axis=1) <= res_tol ** 2
+    ok = ok[:, :2] & ok[:, 2:]
+    ok[~full, 1] = True
+    paired = ok.all(axis=1)
+    pairs = [JPair(float(L[k, c]), float(L[k, c + 2]), V[k, :, c], V[k, :, c + 2])
+             for k in np.flatnonzero(paired) for c in range(1 + full[k])]
+    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), h, K, paired

@@ -3,7 +3,7 @@ import pytest
 
 from relequil import dynamics
 from relequil.central import refine_central_configuration, regular_polygon
-from relequil.dynamics import estimate_growth_rate, integrate_rotating_frame
+from relequil.dynamics import equilibrium_check, estimate_growth_rate, integrate_rotating_frame
 from relequil.model import (
     BodyConfiguration,
     Equilibrium,
@@ -390,3 +390,34 @@ class TestGrowthRate:
         eq = Equilibrium(*newton_triangle)
         with pytest.raises(ValueError):
             estimate_growth_rate(eq, np.zeros(6))
+
+    def test_zero_epsilon_is_refused(self):
+        # a kick of zero never leaves the equilibrium; it used to be fitted
+        # as rate nan, no_growth False, from the log of zero deviations
+        case = get_case("manev-triangle")
+        eq = Equilibrium(case.configuration(), case.potential)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            estimate_growth_rate(eq, _worst_direction(eq), epsilon=0.0)
+
+    @pytest.mark.parametrize("name", ["epsilon", "duration", "dt"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_growth_run_lengths_must_be_finite_and_positive(self, newton_triangle,
+                                                             name, value):
+        eq = Equilibrium(*newton_triangle)
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            estimate_growth_rate(eq, np.ones(6), **{name: value})
+
+
+class TestEquilibriumCheck:
+    def test_negative_periods_are_refused(self):
+        # a run of no steps used to report a drift of 0.0
+        case = get_case("manev-triangle")
+        eq = Equilibrium(case.configuration(), case.potential)
+        with pytest.raises(ValueError, match="periods must be finite and positive"):
+            equilibrium_check(eq.config, eq.spec, eq.omega2, periods=-1)
+
+    @pytest.mark.parametrize("name", ["periods", "steps_per_period", "sample_every"])
+    @pytest.mark.parametrize("value", [0, -1, np.nan, np.inf])
+    def test_run_lengths_must_be_finite_and_positive(self, newton_triangle, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            equilibrium_check(*newton_triangle, **{name: value})

@@ -128,9 +128,19 @@ class TestReports:
             (tmp_path / golden.name).write_text(golden.read_text())
         stale = tmp_path / "manev-square.json"
         stale.write_text(stale.read_text().replace("spectrally", "Spectrally"))
+        moved = tmp_path / "triangle-homogeneous.json"
+        data = json.loads(moved.read_text())
+        data["blocks"][2]["lam1"] += 2.0 ** -50
+        moved.write_text(json.dumps(data, indent=2) + "\n")
         monkeypatch.setattr(script, "OUT", tmp_path)
         assert script.main(["--check"]) == 1
-        assert capsys.readouterr().out.split() == ["differs:", str(stale)]
+        # under each differing golden, every changed field with its JSON path
+        assert capsys.readouterr().out.splitlines() == [
+            f"differs: {moved}",
+            "  blocks[2].lam1 8.9e-16",
+            f"differs: {stale}",
+            "  verdict.verdict 'Spectrally-unstable' -> 'spectrally-unstable'",
+        ]
         assert "Spectrally" in stale.read_text()
 
     def test_scripts_run(self):
@@ -199,9 +209,10 @@ class TestConsistencyError:
     def test_names_both_sizes_on_cardinality_mismatch(self, monkeypatch):
         real = pipeline.decompose_blocks
 
-        def drop_a_block(eq):
-            deco = real(eq)
-            return type(deco)(deco.omega, deco.pairs[1:], deco.blocks[1:], deco.coupled)
+        def drop_a_block(eq, waves=None):
+            deco = real(eq, waves)
+            return type(deco)(deco.omega, deco.pairs[1:], deco.blocks[1:], deco.coupled,
+                              deco.coupled_spectra)
 
         monkeypatch.setattr(pipeline, "decompose_blocks", drop_a_block)
         with pytest.raises(ConsistencyError) as err:

@@ -6,7 +6,7 @@ import pytest
 from relequil import checks
 from relequil.central import regular_polygon
 from relequil.checks import representation_matrices
-from relequil.model import PotentialSpec, potential_hessian
+from relequil.model import BodyConfiguration, PotentialSpec, potential_hessian
 from relequil.pipeline import polygon_group_for
 from relequil.symmetry import (
     J2,
@@ -415,12 +415,14 @@ class TestAgainstProjectorRoute:
             cfg = case.configuration()
             self._assert_same(potential_hessian(cfg, case.potential), polygon_group_for(cfg))
 
-    @pytest.mark.parametrize("n", [*range(3, 25), 32, 48])
+    @pytest.mark.parametrize("n", [*range(3, 25), 32, 48, 64])
     def test_polygons(self, n):
         cfg = regular_polygon(n, radius=1.3).rotated(0.7)
         group = polygon_group_for(cfg)
-        for spec in BENCHMARK_POTENTIALS.values():
-            self._assert_same(potential_hessian(cfg, spec), group)
+        for mass in (1.0, 2.5):
+            cfg = BodyConfiguration(np.full(n, mass), cfg.positions)
+            for spec in BENCHMARK_POTENTIALS.values():
+                self._assert_same(potential_hessian(cfg, spec), group)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_random_invariant_matrices(self, n, rng):

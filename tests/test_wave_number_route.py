@@ -1,0 +1,233 @@
+"""The per-wave-number route for regular polygons against the whole-space one.
+
+``decompose_blocks(eq, waves)`` pairs each wave-number subspace W_k from its
+2x2 Hermitian K_k and solves the unpaired ones as stacked 4x4s;
+``decompose_blocks(eq)`` runs the whole-space ``symplectic_pairs`` and
+solves each coupled block on its own.  On regular polygons both must find
+the same pairs, the same coupled-block dimensions, the same spectra and the
+same verdicts; ``run_analysis`` takes the first route exactly for the inputs
+that have a dihedral group.
+"""
+
+import numpy as np
+import pytest
+
+from relequil import pipeline, spectrum, symmetry
+from relequil.central import refine_central_configuration, regular_polygon
+from relequil.model import BodyConfiguration, Equilibrium, PotentialSpec
+from relequil.pipeline import AnalysisRequest, polygon_group_for, run_analysis
+from relequil.presets import HOMOGENEOUS_PRESETS, get_case
+from relequil.spectrum import (
+    BlockDecomposition,
+    CoupledBlock,
+    ConsistencyError,
+    build_block,
+    classify,
+    compare_spectra,
+    decompose_blocks,
+)
+from relequil.symmetry import J2, symplectic_pairs, wave_number_stack
+
+BENCHMARK_POTENTIALS = {
+    "r-1": ((1.0, 1.0),),
+    "r-2.5": ((1.0, 2.5),),
+    "manev": ((1.0, 1.0), (1.0, 2.0)),
+    "schwarzschild": ((1.0, 1.0), (1.0, 3.0)),
+}
+# the presets deck of the benchmark: alpha in 0.5..3 by 0.1 and 1.965..2.035 by 0.005
+ALPHAS = sorted({float(round(a, 3)) for a in (*np.linspace(0.5, 3.0, 26),
+                                             *np.linspace(1.965, 2.035, 15))})
+
+
+def _both_routes(eq):
+    waves = wave_number_stack(polygon_group_for(eq.config).vertices())
+    return decompose_blocks(eq, waves), decompose_blocks(eq)
+
+
+def _translation_free(deco, scale):
+    """The union spectrum without the blocks of the translation pairs.
+
+    Those blocks are LinearBlock(omega, lam, lam) with lam zero up to the
+    rounding of Hw, about eps |Hw|.  Their exact eigenvalues +-i omega are a
+    defective double root, so each route's spectrum there moves by
+    sqrt(omega |lam|) (1e-8 relative at n = 48); the two routes' lam are
+    compared instead."""
+    keep = [s for p, s in zip(deco.pairs, deco.block_spectra)
+            if not (abs(p.lam1) <= 1e-12 * scale and abs(p.lam2) <= 1e-12 * scale)]
+    return np.concatenate(keep + list(deco.coupled_spectra))
+
+
+def _assert_same(eq, label):
+    wave, whole = _both_routes(eq)
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(eq.Hw))))
+    lams = [sorted((p.lam1, p.lam2) for p in d.pairs) for d in (wave, whole)]
+    assert len(lams[0]) == len(lams[1]), label
+    np.testing.assert_allclose(lams[0], lams[1], rtol=0, atol=1e-13 * scale, err_msg=label)
+    assert sorted(c.dim for c in wave.coupled) == sorted(c.dim for c in whole.coupled), label
+    a, b = _translation_free(wave, scale), _translation_free(whole, scale)
+    match = compare_spectra(a, b, tol=1e-12)
+    assert match.matches, (label, match.max_distance / match.scale)
+    assert classify(wave.union_spectrum()).verdict == classify(whole.union_spectrum()).verdict
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("n", [*range(3, 33), 48, 64])
+    @pytest.mark.parametrize("potential", BENCHMARK_POTENTIALS)
+    def test_polygons(self, n, potential):
+        # rotated, scaled, and with equal masses of 1 and of 2.5
+        spec = PotentialSpec(BENCHMARK_POTENTIALS[potential])
+        cfg = regular_polygon(n, radius=0.6 + 0.05 * n).rotated(0.3 + 0.1 * n)
+        for mass in (1.0, 2.5):
+            eq = Equilibrium(BodyConfiguration(np.full(n, mass), cfg.positions), spec)
+            _assert_same(eq, f"n={n} {potential} m={mass}")
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_pairs_are_jhat_planes_of_eigenvectors(self, n):
+        # Hw v1 = lam1 v1, Hw v2 = lam2 v2 and v2 = -Jhat v1, so that Jhat
+        # acts on (v1, v2) as J2, with orthonormal vectors
+        cfg = regular_polygon(n, radius=1.4).rotated(0.2 * n)
+        eq = Equilibrium(cfg, PotentialSpec(BENCHMARK_POTENTIALS["schwarzschild"]))
+        wave, _ = _both_routes(eq)
+        scale = float(np.max(np.abs(eq.Hw)))
+        V = np.column_stack([v for p in wave.pairs for v in (p.v1, p.v2)])
+        np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-13)
+        for p in wave.pairs:
+            P = np.column_stack([p.v1, p.v2])
+            np.testing.assert_allclose(eq.Jh @ P, P @ J2, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(eq.Hw @ P, P * [p.lam1, p.lam2], rtol=0,
+                                       atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("name", HOMOGENEOUS_PRESETS)
+    def test_presets_alpha_grid(self, name):
+        for alpha in ALPHAS:
+            case = get_case(name, alpha)
+            _assert_same(Equilibrium(case.configuration(), case.potential),
+                         f"{name} alpha={alpha}")
+
+
+def _collinear_deck():
+    """The benchmark's collinear deck: unequal-mass collinear configurations,
+    n = 3..10, two draws per potential, Newton-refined to central."""
+    rng = np.random.default_rng(20220713)
+    out = []
+    for n in range(3, 11):
+        for name, terms in BENCHMARK_POTENTIALS.items():
+            for _ in range(2):
+                masses = rng.uniform(0.5, 2.0, n)
+                guess = np.zeros(2 * n)
+                guess[0::2] = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.2, 0.2, n) / (n - 1)
+                spec = PotentialSpec(terms)
+                cfg = refine_central_configuration(BodyConfiguration(masses, guess), spec)
+                out.append((f"collinear n={n} {name}", cfg, spec))
+    return out
+
+
+def _rings():
+    """1+n rings: a central mass and n unit masses on the unit circle."""
+    out = []
+    for n in (3, 5, 8, 12):
+        for m0 in (1.0, 1e2):
+            ang = 2.0 * np.pi * np.arange(n) / n
+            q = np.vstack([[0.0, 0.0], np.column_stack([np.cos(ang), np.sin(ang)])])
+            out.append((f"1+{n} ring m0={m0}", BodyConfiguration(np.r_[m0, np.ones(n)], q.ravel()),
+                        PotentialSpec.homogeneous(1.0)))
+    return out
+
+
+def _reference_decompose_blocks(eq):
+    """The whole-space decomposition as it was before the wave-number route."""
+    pairs, bases = symplectic_pairs(eq.Hw)
+    T, z, slack = eq.trivial
+    coupled = []
+    for V in bases:
+        Tv, zv = V.T @ T, V.T @ z
+        Tv = Tv if np.sum(Tv * Tv) > 0.5 * np.sum(T * T) else Tv[:, :0]
+        zv = zv if zv @ zv > 0.5 * (z @ z) else None
+        coupled.append(CoupledBlock(eq.omega, V.T @ eq.Hw @ V, V.T @ eq.Jh @ V, (Tv, zv, slack)))
+    blocks = tuple(build_block(eq.omega, p.lam1, p.lam2) for p in pairs)
+    return BlockDecomposition(eq.omega, tuple(pairs), blocks, tuple(coupled),
+                              tuple(c.spectrum() for c in coupled))
+
+
+class TestRouting:
+    @pytest.mark.parametrize("request_", [
+        AnalysisRequest(case="square-homogeneous", alpha=1.0),
+        AnalysisRequest(positions=tuple(regular_polygon(24).rotated(0.4).positions),
+                        potential=BENCHMARK_POTENTIALS["manev"]),
+    ], ids=["square", "24-gon"])
+    def test_polygon_analysis_reads_the_wave_stack(self, monkeypatch, request_):
+        # one stack per run, shared by the trace route and the blocks; no
+        # whole-space pairing and no 2n x 2n eigh inside decompose_blocks
+        stacks, shapes, inside = [], [], [False]
+        real_stack, real_eigh = symmetry.wave_number_stack, np.linalg.eigh
+        real_decompose = pipeline.decompose_blocks
+
+        def counted_stack(points):
+            stacks.append(len(points))
+            return real_stack(points)
+
+        def recorded_eigh(a, *args, **kwargs):
+            if inside[0]:
+                shapes.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        def flagged_decompose(*args, **kwargs):
+            inside[0] = True
+            try:
+                return real_decompose(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def refuse(*args):
+            raise AssertionError("whole-space pairing on a polygon")
+
+        for module in (symmetry, pipeline):
+            monkeypatch.setattr(module, "wave_number_stack", counted_stack)
+        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        monkeypatch.setattr(pipeline, "decompose_blocks", flagged_decompose)
+        monkeypatch.setattr(spectrum, "symplectic_pairs", refuse)
+        report = run_analysis(request_)
+        n = report.to_dict()["configuration"]["n"]
+        assert report.matches_oracle and report.to_dict()["isotypic"]
+        assert stacks == [n]
+        assert shapes and all(s[-2:] == (2, 2) for s in shapes)
+
+    @pytest.mark.parametrize("label, cfg, spec", _collinear_deck() + _rings(),
+                             ids=lambda x: x if isinstance(x, str) else "")
+    def test_no_group_takes_the_whole_space_route(self, monkeypatch, label, cfg, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"wave-number route on {label}")
+
+        monkeypatch.setattr(pipeline, "wave_number_stack", refuse)
+        monkeypatch.setattr(spectrum, "wave_number_pairs", refuse)
+        request = AnalysisRequest(positions=tuple(cfg.positions), masses=tuple(cfg.masses),
+                                  potential=spec.terms)
+        data = run_analysis(request).to_dict()
+        assert data["isotypic"] == []
+        eq = Equilibrium(cfg, spec)
+        got, ref = decompose_blocks(eq), _reference_decompose_blocks(eq)
+        assert [(p.lam1, p.lam2) for p in got.pairs] == [(p.lam1, p.lam2) for p in ref.pairs]
+        assert [c.dim for c in got.coupled] == [c.dim for c in ref.coupled]
+        assert got.union_spectrum().tobytes() == ref.union_spectrum().tobytes(), label
+
+
+class TestTrivialWaveNumbers:
+    @staticmethod
+    def _broken(k, other, eps=1e-6):
+        """A square's equilibrium whose Hw gains eps |Hw| between the radial
+        cosine directions of W_k and W_other: inside W_1 that splits the
+        translation pair's K_1, across W_0 and W_2 it leaks out of both."""
+        eq = Equilibrium(regular_polygon(4), PotentialSpec.homogeneous(1.0))
+        waves = wave_number_stack(polygon_group_for(eq.config).vertices())
+        u, v = waves[k, :, 0], waves[other, :, 0]
+        Hw = eq.Hw + eps * np.max(np.abs(eq.Hw)) * (np.outer(u, v) + np.outer(v, u))
+        fields = {"Hw": Hw, "omega": eq.omega, "n": eq.n, "trivial": eq.trivial}
+        return type("Broken", (), fields)(), waves
+
+    @pytest.mark.parametrize("k, other", [(0, 2), (1, 1)])
+    def test_unpaired_trivial_wave_number_raises(self, k, other):
+        eq, waves = self._broken(k, other)
+        with pytest.raises(ConsistencyError) as err:
+            decompose_blocks(eq, waves)
+        assert err.value.stage == "wave-number pairing"
+        assert f"wave number {k}," in str(err.value)
