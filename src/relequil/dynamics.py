@@ -8,12 +8,18 @@ at the equilibrium frequency,
 not its linearization, so instability rates measured here are an
 end-to-end check on the spectral predictions.
 
-The integrator holds its state as a (2, n, 2) array: positions, then
-velocities, one (x, y) row per body, so a stage input s + h k is one array
-operation.  The potential's field is read from the pair incidence matrix
-D (rows e_i - e_j over the pairs i < j): d = D q gives every separation at
-once and D^T / m scatters the pair forces back onto the bodies as
-accelerations.  Trajectory.states stays flat, (positions | velocities).
+The integrator holds each body's position and velocity as complex numbers
+z = x + iy and u = v_x + i v_y, a complex state (z | u) of length 2n.  J is
+then multiplication by i, so one matmul with a fixed matrix gives both the
+pair separations d = D z (D the pair incidence matrix, rows e_i - e_j over
+the pairs i < j) and the linear part of the field; a second one adds the
+pair forces.  RK4 steps a block of BLOCK_STEPS states into a buffer with no
+test between them.  The stopping rules (finite states, the distance floor,
+the energy tear and, at samples, the deviation) are then read off the
+whole block at once, and the run is cut at the first step that fails them,
+where a test after every step would have stopped.  Trajectory.states stays
+flat, (positions | velocities) with (x, y) interleaved: the float view of
+the complex states.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .model import centrality_residual, euler_omega_squared, rotation_period
 
 COLLISION_FACTOR = 1e-6     # blow-up when min distance falls below this x initial
 DEFAULT_STEPS_PER_PERIOD = 10_000
+BLOCK_STEPS = 64            # steps taken between two checks of the stopping rules
 
 
 def _require_positive(**values):
@@ -33,6 +40,11 @@ def _require_positive(**values):
     for name, value in values.items():
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _complex_state(positions, velocities):
+    """The complex state (z | u) of flat (x, y)-interleaved vectors."""
+    return np.concatenate((np.ravel(positions), np.ravel(velocities)), dtype=float).view(complex)
 
 
 @dataclass(frozen=True)
@@ -56,20 +68,25 @@ class Trajectory:
 
 
 class _RotatingFrame:
-    """Vector field and Jacobi integral of one (config, spec) pair on states
-    of shape (2, n, 2): positions q and velocities v, one row per body.
+    """Vector field and Jacobi integral of one (config, spec) pair on complex
+    states (z | u) of length 2n: the positions z = x + iy, then the
+    velocities u = v_x + i v_y, one entry per body.
 
     With the pair incidence matrix D (P x n, rows e_i - e_j for the pairs
-    i < j), the separations are d = D q and r^2 = sum(d^2) per pair.  The
-    potential U = sum_k c_k sum_{i<j} m_i m_j r^-a_k gives the pair weights
-    w = sum_k -a_k c_k m_i m_j (r^2)^(-a_k/2 - 1), and M^-1 grad U is
-    (D^T / m)(w d).  The acceleration is
+    i < j), the separations are d = D z.  The potential
+    U = sum_k c_k sum_{i<j} m_i m_j |d|^-a_k gives M^-1 grad U as
+    W (|d|^(-a_k - 2) d) over the (term, pair) entries, where
+    W[i, (k, p)] = D[p, i] (-a_k c_k m_i m_j) / m_i folds the force weights
+    and the inverse masses into one n x KP matrix.  J is multiplication by
+    i, so 2 omega J v is -2i omega u and one matmul gives the separations
+    and the linear part of the field together:
 
-        omega^2 q + v @ Lv + (D^T / m)(w d) - offset,
+        A (z | u) = (d | u | omega^2 z - 2i omega u),
+        A = [[D, 0], [0, I], [omega^2 I, -2i omega I]].
 
-    with Lv = [[0, -2 omega], [2 omega, 0]], so that v @ Lv is 2 omega J v
-    body by body; ``offset`` is the pin (see set_reference_equilibrium),
-    zero until one is set.  D, D^T / m and the per-term weights and
+    The field is its last 2n entries, (u | acc), with the pair forces added
+    to acc and then ``offset``, the pin (see set_reference_equilibrium),
+    subtracted last; it is zero until one is set.  A, W and the per-term
     exponents are built once per frame.
     """
 
@@ -79,62 +96,59 @@ class _RotatingFrame:
         self.omega2 = float(omega2)
         self.omega = float(np.sqrt(self.omega2))
         pairs, n = config.pairs, config.n
+        self.n, self.P = n, pairs.iu.size
         self.mass_vector = config.mass_vector
-        self.D = np.zeros((pairs.iu.size, n))
-        rows = np.arange(pairs.iu.size)
-        self.D[rows, pairs.iu] = 1.0
-        self.D[rows, pairs.ju] = -1.0
-        self.DTm = self.D.T / config.masses[:, None]
+        rows = np.arange(self.P)
+        D = np.zeros((self.P, n))
+        D[rows, pairs.iu] = 1.0
+        D[rows, pairs.ju] = -1.0
+        eye, zero = np.eye(n), np.zeros((n, n))
+        # complex, so that no matmul converts them on every call
+        self.A = np.block([[D, np.zeros_like(D)], [zero, eye],
+                           [self.omega2 * eye, -2j * self.omega * eye]])
+        self.DT = D.T.astype(complex)
         c, a = np.array(spec.terms).T[:, :, None]
-        self.force_weights = -a * c * pairs.mm       # (K, P)
-        self.force_exponents = -0.5 * a - 1.0        # (K, 1), on r^2
-        self.energy_weights = c * pairs.mm
-        self.energy_exponents = -0.5 * a
-        # state @ L = (omega^2 q, v @ Lv)
-        w2 = 2.0 * self.omega
-        self.L = np.array([[[self.omega2, 0.0], [0.0, self.omega2]],
-                           [[0.0, -w2], [w2, 0.0]]])
+        DTm = D.T / config.masses[:, None]
+        self.W = (DTm[:, None, :] * (-a * c * pairs.mm)).reshape(n, -1).astype(complex)
+        self.force_exponents = -a - 2.0             # (K, 1), on |d|
+        self.energy_weights = (c * pairs.mm).ravel()
+        self.energy_exponents = -a
+        # (squared flat positions | velocities) @ masses = (m |z|^2, m |u|^2)
+        self.masses2 = np.kron(np.eye(2), self.mass_vector[:, None])
         self.offset = 0.0
 
-    def geometry(self, q):
-        """Separations d = D q (P x 2) and squared distances r^2 (P,)."""
-        d = self.D @ q
-        return d, (d * d).sum(axis=1)
-
-    def field(self, state, geometry=None):
-        """Time derivative (v, acc) of a (2, n, 2) state; ``geometry`` is the
-        state's (d, r^2) when already computed."""
-        d, r2 = self.geometry(state[0]) if geometry is None else geometry
-        w = (self.force_weights * r2 ** self.force_exponents).sum(axis=0)
-        linear = state @ self.L
-        acc = linear[0] + linear[1] + (self.DTm * w) @ d - self.offset
-        # np.array of the two (n, 2) rows costs a third of np.stack
-        return np.array((state[1], acc))
+    def field(self, state):
+        """Time derivative (u | acc) of a complex state (z | u)."""
+        # ndarray.dot: for these few entries half the call cost of matmul
+        y = self.A.dot(state)
+        d = y[: self.P]
+        acc = y[self.P + self.n:]
+        acc += self.W.dot((abs(d) ** self.force_exponents * d).ravel())
+        acc -= self.offset
+        return y[self.P:]
 
     def set_reference_equilibrium(self, positions):
         """Pin an equilibrium: subtract the field's float residual there.
 
         The offset is the acceleration at (positions, zero velocity),
-        omega^2 q + M^-1 grad U, which at an equilibrium is F / m (F the
+        omega^2 z + M^-1 grad U, which at an equilibrium is F / m (F the
         centrality residual) and of machine-eps scale.  Subtracting it
         makes the field bitwise zero at the equilibrium, so the discrete
         map fixes it exactly; without it, rounding noise seeds the
         unstable modes and is amplified exponentially over long windows.
         """
         self.offset = 0.0
-        q = np.asarray(positions, float).reshape(-1, 2)
-        self.offset = self.field(np.stack((q, np.zeros_like(q))))[1]
+        q = np.ravel(positions)
+        self.offset = self.field(_complex_state(q, np.zeros_like(q)))[self.n:]
 
-    def energy_parts(self, state, r2):
-        """Kinetic, centrifugal and potential parts of the Jacobi integral at
-        a (2, n, 2) state whose squared pair distances are r2."""
-        mq2, mv2 = np.square(state).reshape(2, -1) @ self.mass_vector
-        potential = np.vdot(self.energy_weights, r2 ** self.energy_exponents)
-        return 0.5 * float(mv2), 0.5 * self.omega2 * float(mq2), float(potential)
-
-    def energy(self, state, r2):
-        kinetic, centrifugal, potential = self.energy_parts(state, r2)
-        return kinetic - centrifugal - potential
+    def energy_parts(self, states):
+        """Kinetic, centrifugal and potential parts of the Jacobi integral,
+        and the pair distances (B x P), of a B x 2n stack of states."""
+        mq2, mv2 = (np.square(states.view(float)) @ self.masses2).T
+        r = abs(states[:, : self.n] @ self.DT)
+        terms = r[:, None] ** self.energy_exponents               # (B, K, P)
+        potential = terms.reshape(r.shape[0], -1) @ self.energy_weights
+        return 0.5 * mv2, 0.5 * self.omega2 * mq2, potential, r
 
 
 def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
@@ -152,8 +166,13 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
     ``stop_deviation`` the run ends, without ``blew_up``, at the first
     sample whose positions lie farther than that (Euclidean norm) from
     ``reference_equilibrium``.
-    Defaults: duration = one rotation period, dt = period / 10^4.
+    Defaults: duration = one rotation period, dt = period / 10^4.  duration
+    and dt must be finite and positive, sample_every a positive integer
+    (ValueError).
     """
+    if not (np.isfinite(sample_every) and sample_every > 0
+            and sample_every == int(sample_every)):
+        raise ValueError(f"sample_every must be a positive integer, got {sample_every!r}")
     frame = _RotatingFrame(config, spec, omega2=omega2)
     if reference_equilibrium is not None:
         frame.set_reference_equilibrium(reference_equilibrium)
@@ -165,55 +184,61 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
         duration = period
     if dt is None:
         dt = period / DEFAULT_STEPS_PER_PERIOD
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _require_positive(duration=duration, dt=dt)
     if initial_velocity is None:
         initial_velocity = np.zeros(2 * config.n)
-    state = np.stack((config.points, np.asarray(initial_velocity, float).reshape(-1, 2)))
-    floor2 = (COLLISION_FACTOR * config.min_pair_distance()) ** 2
+    state = _complex_state(config.positions, initial_velocity)
+    floor = COLLISION_FACTOR * config.min_pair_distance()
 
     steps = int(np.ceil(duration / dt))
-    geometry = frame.geometry(state[0])
-    e0 = frame.energy(state, geometry[1])
+    kinetic, centrifugal, potential, _ = frame.energy_parts(state[None])
+    e0 = kinetic - centrifugal - potential
     # the integral's scale: the sum of its parts' sizes
-    energy_cap = 1e3 * (sum(map(abs, frame.energy_parts(state, geometry[1]))) + 1.0)
-    # every step makes a new state array, so the samples can be its views
-    times, states, energies = [0.0], [state.ravel()], [e0]
-    half, sixth = 0.5 * dt, dt / 6.0
-    blew_up = True              # until every step has passed its checks
-    for k in range(1, steps + 1):
-        k1 = frame.field(state, geometry)
-        k2 = frame.field(state + half * k1)
-        k3 = frame.field(state + half * k2)
-        k4 = frame.field(state + dt * k3)
-        state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # a fixed-step scheme can hop straight across the singularity with
-        # finite garbage values; the conserved energy tearing away from its
-        # initial value is the reliable collision tell alongside the
-        # distance floor.  The new state's (d, r^2) serves the floor, the
-        # energy and the next step's first stage.
-        if not np.isfinite(state).all():
+    energy_cap = 1e3 * (abs(kinetic) + abs(centrifugal) + abs(potential) + 1.0)
+    times, states, energies = [np.zeros(1)], [state.view(float)[None]], [e0]
+    # 0-d complex arrays: a Python float is converted at every product
+    half, full, sixth, two = (np.array(h, complex) for h in (0.5 * dt, dt, dt / 6.0, 2.0))
+    buffer = np.empty((BLOCK_STEPS, state.size), complex)
+    blew_up, done = False, 0
+    while done < steps:
+        block = buffer[: min(BLOCK_STEPS, steps - done)]
+        k = np.arange(done + 1, done + block.shape[0] + 1)
+        # the steps past a failure in the block compute garbage, silently
+        with np.errstate(all="ignore"):
+            for j in range(block.shape[0]):
+                k1 = frame.field(state)
+                k2 = frame.field(state + half * k1)
+                k3 = frame.field(state + half * k2)
+                k4 = frame.field(state + full * k3)
+                state = state + sixth * (k1 + two * (k2 + k3) + k4)
+                block[j] = state
+            # a fixed-step scheme can hop straight across the singularity
+            # with finite garbage values; the conserved energy tearing away
+            # from its initial value is the reliable collision tell
+            # alongside the distance floor
+            kinetic, centrifugal, potential, r = frame.energy_parts(block)
+            energy = kinetic - centrifugal - potential
+            failed = (~np.isfinite(block).all(axis=1) | (r.min(axis=1) < floor)
+                      | (abs(energy - e0) > energy_cap))
+            blew_up, stopped = bool(failed.any()), False
+            kept = int(np.argmax(failed)) if blew_up else block.shape[0]
+            sampled = (k % sample_every == 0) | (k == steps)
+            if stop_deviation is not None:
+                # axis given: summed as estimate_growth_rate's row norms
+                deviation = np.linalg.norm(block[:kept, : config.n].view(float) - origin, axis=1)
+                over = sampled[:kept] & (deviation > stop_deviation)
+                stopped = bool(over.any())
+                if stopped:
+                    kept, blew_up = int(np.argmax(over)) + 1, False
+        rows = np.flatnonzero(sampled[:kept])
+        times.append(k[rows] * dt)
+        states.append(block[rows].view(float))
+        energies.append(energy[rows])
+        if blew_up or stopped:
             break
-        geometry = frame.geometry(state[0])
-        if geometry[1].min() < floor2:
-            break
-        energy = frame.energy(state, geometry[1])
-        if abs(energy - e0) > energy_cap:
-            break
-        if k % sample_every == 0 or k == steps:
-            times.append(k * dt)
-            states.append(state.ravel())
-            energies.append(energy)
-            # axis given: summed as estimate_growth_rate's row norms, not by a dot product
-            if stop_deviation is not None and (
-                    np.linalg.norm(state[0].ravel() - origin, axis=0) > stop_deviation):
-                blew_up = False
-                break
-    else:
-        blew_up = False
-    return Trajectory(
-        np.array(times), np.array(states), np.array(energies), frame.omega, blew_up
-    )
+        done += block.shape[0]
+    return Trajectory(np.concatenate(times), np.concatenate(states),
+                      np.concatenate(energies), frame.omega, blew_up)
 
 
 @dataclass(frozen=True)
@@ -244,7 +269,7 @@ def equilibrium_check(config, spec, omega2=None, periods=1.0, steps_per_period=2
     _, grad, residual = centrality_residual(config, spec)
     frame = _RotatingFrame(config, spec, omega2=omega2)
     frame.set_reference_equilibrium(config.positions)
-    pin_defect = float(np.max(np.abs(frame.offset.ravel() - residual / config.mass_vector)))
+    pin_defect = float(np.max(np.abs(frame.offset.view(float) - residual / config.mass_vector)))
     pin_bound = 4.0 * np.finfo(float).eps * (
         frame.omega2 * np.max(np.abs(config.positions))
         + np.max(np.abs(grad / config.mass_vector))

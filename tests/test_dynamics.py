@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,23 @@ def _collinear_case():
     )
 
 
+def _head_on():
+    # two Schwarzschild bodies falling head-on across the singularity
+    cfg = regular_polygon(2, radius=0.5)
+    return cfg, PotentialSpec.schwarzschild(), dict(
+        initial_velocity=-4.0 * cfg.positions, duration=5.0, dt=1e-3)
+
+
+def _growth_run():
+    # the triangle kicked along its worst direction, stopped once 1e-2 away
+    case = get_case("triangle-homogeneous")
+    eq = Equilibrium(case.configuration(), case.potential)
+    config = eq.config.with_positions(eq.config.positions + 1e-6 * _worst_direction(eq))
+    return config, eq.spec, dict(
+        duration=12.0 * eq.period, dt=eq.period / 500.0, sample_every=10, omega2=eq.omega2,
+        reference_equilibrium=eq.config.positions, stop_deviation=1e-2)
+
+
 @pytest.fixture(scope="module")
 def newton_triangle():
     return regular_polygon(3), PotentialSpec.homogeneous(1.0)
@@ -213,13 +232,8 @@ class TestIntegrator:
         assert e_coarse / e_half > 10.0
 
     def test_collision_truncates(self):
-        cfg = regular_polygon(2, radius=0.5)
-        spec = PotentialSpec.schwarzschild()
-        # head-on infall across the singularity
-        kick = -4.0 * cfg.positions
-        traj = integrate_rotating_frame(
-            cfg, spec, initial_velocity=kick, duration=5.0, dt=1e-3
-        )
+        cfg, spec, kwargs = _head_on()
+        traj = integrate_rotating_frame(cfg, spec, **kwargs)
         assert traj.blew_up
         assert traj.times[-1] < 5.0
 
@@ -231,6 +245,110 @@ class TestIntegrator:
         assert set(recs[0]) == {"t", "state", "energy"}
         assert len(recs[0]["state"]) == 12
 
+    @pytest.mark.parametrize("name", ["duration", "dt"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_run_lengths_must_be_finite_and_positive(self, newton_triangle, name, value):
+        # a negative duration used to return one sample, a nan or infinite
+        # one to end in a conversion error
+        kwargs = {"duration": 0.05, "dt": 0.01, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            integrate_rotating_frame(*newton_triangle, **kwargs)
+
+    @pytest.mark.parametrize("value", [0, -1, np.nan, np.inf, 2.5])
+    def test_sample_every_must_be_a_positive_integer(self, newton_triangle, value):
+        # 0 used to divide by zero, -3 to sample every third step and 2.5
+        # only at the end
+        with pytest.raises(ValueError, match="sample_every must be a positive integer"):
+            integrate_rotating_frame(*newton_triangle, duration=0.05, dt=0.01,
+                                     sample_every=value)
+
+
+class TestBlocks:
+    """The stopping rules are read once per block of BLOCK_STEPS steps; a
+    run must not depend on where its steps fall in the blocks."""
+
+    @staticmethod
+    def _place(step, block):
+        """Where a 1-based step falls in blocks of the given length."""
+        position = (step - 1) % block
+        return "first" if position == 0 else "last" if position == block - 1 else "middle"
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_truncates_at_the_failing_step_anywhere_in_a_block(self, monkeypatch, where):
+        cfg, spec, kwargs = _head_on()
+        times, states, _, blew_up = _reference_integrate(cfg, spec, **kwargs)
+        failing = times.size            # every step before it was sampled
+        block = {"first": failing - 1, "middle": 2 * failing // 3, "last": failing}[where]
+        assert self._place(failing, block) == where
+        monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
+        traj = integrate_rotating_frame(cfg, spec, **kwargs)
+        assert traj.blew_up and blew_up
+        assert np.array_equal(traj.times, times)
+        assert _rel(traj.states, states) <= TestAgainstReference.PARITY_TOL
+
+    @pytest.mark.parametrize("where", ["middle", "last"])
+    def test_stops_at_the_deviation_anywhere_in_a_block(self, monkeypatch, where):
+        config, spec, kwargs = _growth_run()
+        monkeypatch.setattr(dynamics, "BLOCK_STEPS", 1)
+        per_step = integrate_rotating_frame(config, spec, **kwargs)
+        stop = round(per_step.times[-1] / kwargs["dt"])
+        block = {"middle": 2 * stop // 3, "last": stop}[where]
+        assert self._place(stop, block) == where
+        monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
+        traj = integrate_rotating_frame(config, spec, **kwargs)
+        assert not traj.blew_up
+        assert np.array_equal(traj.times, per_step.times)
+        assert np.array_equal(traj.states, per_step.states)
+        # the last sample is the first past the stop
+        dev = np.linalg.norm(traj.positions - kwargs["reference_equilibrium"], axis=1)
+        assert dev[-1] > kwargs["stop_deviation"] >= dev[:-1].max()
+        assert traj.times[-1] < kwargs["duration"]
+
+    def test_the_last_step_is_sampled(self, monkeypatch, newton_triangle):
+        # 23 steps in blocks of 7, sampled every 5: 5, 10, 15, 20 and 23
+        monkeypatch.setattr(dynamics, "BLOCK_STEPS", 7)
+        cfg, spec = newton_triangle
+        kwargs = dict(initial_velocity=np.array([0.0, 0.01, -0.01, 0.0, 0.01, -0.01]),
+                      duration=0.2295, dt=0.01, sample_every=5)
+        traj = integrate_rotating_frame(cfg, spec, **kwargs)
+        times, states, energies, _ = _reference_integrate(cfg, spec, **kwargs)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(np.round(times / 0.01), [0, 5, 10, 15, 20, 23])
+        assert _rel(traj.states, states) <= TestAgainstReference.PARITY_TOL
+        assert _rel(traj.jacobi_energy, energies) <= TestAgainstReference.PARITY_TOL
+
+    def test_steps_past_the_failure_stay_silent(self):
+        # a head-on infall timed so that the first step's second stage puts
+        # both bodies on the origin: that stage divides by a zero distance,
+        # and the rest of the block steps on nan.  The run ends blown up at
+        # the start, and no floating-point warning reaches the caller
+        cfg = BodyConfiguration(np.ones(2), np.array([0.5, 0.0, -0.5, 0.0]))
+        kwargs = dict(initial_velocity=np.array([-1024.0, 0.0, 1024.0, 0.0]),
+                      duration=0.1, dt=2.0 ** -10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_rotating_frame(cfg, PotentialSpec.schwarzschild(), **kwargs)
+        assert traj.blew_up
+        assert np.array_equal(traj.times, [0.0])
+
+    def test_only_the_steps_ignore_floating_point_errors(self, monkeypatch):
+        # the pin and the initial energy are computed under the caller's
+        # error state; only the steps and their checks ignore errors
+        seen = {"field": [], "energy_parts": []}
+        for name, calls in seen.items():
+            method = getattr(dynamics._RotatingFrame, name)
+
+            def spy(self, *args, _method=method, _calls=calls):
+                _calls.append(np.geterr()["invalid"])
+                return _method(self, *args)
+
+            monkeypatch.setattr(dynamics._RotatingFrame, name, spy)
+        cfg, spec, kwargs = _deck_case("manev-square", np.zeros(8))
+        with np.errstate(all="raise"):
+            integrate_rotating_frame(cfg, spec, **kwargs)
+        for calls in seen.values():
+            assert calls[0] == "raise" and set(calls[1:]) == {"ignore"}
+
 
 class TestAgainstReference:
     """The fused kernel against the per-body scatter loop it replaced:
@@ -238,6 +356,10 @@ class TestAgainstReference:
     ulps, not bitwise."""
 
     PARITY_TOL = 1e-13
+
+    @pytest.fixture(params=[1, 7, dynamics.BLOCK_STEPS], ids=lambda b: f"block={b}")
+    def block_steps(self, request, monkeypatch):
+        monkeypatch.setattr(dynamics, "BLOCK_STEPS", request.param)
 
     def _assert_parity(self, config, spec, kwargs):
         traj = integrate_rotating_frame(config, spec, **kwargs)
@@ -249,24 +371,22 @@ class TestAgainstReference:
         assert _rel(traj.jacobi_energy, energies) <= self.PARITY_TOL
 
     @pytest.mark.parametrize("name, kick", _deck(), ids=lambda v: v if isinstance(v, str) else "")
-    def test_dynamics_deck(self, name, kick):
+    def test_dynamics_deck(self, block_steps, name, kick):
         self._assert_parity(*_deck_case(name, kick))
 
-    def test_unequal_mass_ring(self):
+    def test_unequal_mass_ring(self, block_steps):
         self._assert_parity(*_ring_case())
 
-    def test_unequal_mass_collinear(self):
+    def test_unequal_mass_collinear(self, block_steps):
         self._assert_parity(*_collinear_case())
 
     @pytest.mark.parametrize("floor_factor", [dynamics.COLLISION_FACTOR, 0.5])
     def test_truncates_at_the_same_step(self, monkeypatch, floor_factor):
         # head-on infall across the singularity; a floor at half the initial
         # distance is crossed long before the energy tears away, so there
-        # the squared-distance test is the one that fires
+        # the distance floor is the test that fires
         monkeypatch.setattr(dynamics, "COLLISION_FACTOR", floor_factor)
-        cfg = regular_polygon(2, radius=0.5)
-        spec = PotentialSpec.schwarzschild()
-        kwargs = dict(initial_velocity=-4.0 * cfg.positions, duration=5.0, dt=1e-3)
+        cfg, spec, kwargs = _head_on()
         traj = integrate_rotating_frame(cfg, spec, **kwargs)
         times, _, _, blew_up = _reference_integrate(cfg, spec, **kwargs)
         assert traj.blew_up and blew_up
@@ -284,12 +404,13 @@ class TestAgainstReference:
 
     def test_gradient_term_matches_potential_gradient(self, rng, any_spec):
         # with omega^2 = 0 and zero velocity the field's acceleration is
-        # the kernel's (D^T / m)(w d) alone
+        # the kernel's pair forces W (|d|^(-a - 2) d) alone
         for n in (2, 3, 5, 8):
             for _ in range(5):
                 cfg = random_safe_configuration(rng, n=n, masses=rng.uniform(0.5, 2.0, n))
                 frame = dynamics._RotatingFrame(cfg, any_spec, omega2=0.0)
-                acc = frame.field(np.stack((cfg.points, np.zeros((n, 2)))))[1]
+                state = dynamics._complex_state(cfg.positions, np.zeros(2 * n))
+                acc = frame.field(state)[n:].view(float).reshape(-1, 2)
                 ref = (potential_gradient(cfg, any_spec) / cfg.mass_vector).reshape(-1, 2)
                 pairs = n * (n - 1) // 2
                 assert np.max(np.abs(acc - ref)) <= 8 * pairs * EPS * np.max(np.abs(ref))
