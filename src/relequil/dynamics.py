@@ -179,11 +179,11 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
         origin = np.ravel(reference_equilibrium)
     elif stop_deviation is not None:
         raise ValueError("stop_deviation needs a reference_equilibrium")
-    period = rotation_period(frame.omega2)
-    if duration is None:
-        duration = period
-    if dt is None:
-        dt = period / DEFAULT_STEPS_PER_PERIOD
+    if duration is None or dt is None:
+        # only the defaults need the period, which omega2 = 0 lacks
+        period = rotation_period(frame.omega2)
+        duration = period if duration is None else duration
+        dt = period / DEFAULT_STEPS_PER_PERIOD if dt is None else dt
     _require_positive(duration=duration, dt=dt)
     if initial_velocity is None:
         initial_velocity = np.zeros(2 * config.n)

@@ -148,13 +148,13 @@ class BlockDecomposition:
 def decompose_blocks(eq, waves=None):
     """Block decomposition of the linearization at a central configuration.
 
-    Every eigenvector pair of the mass-weighted Hessian ``eq.Hw`` compatible
-    with Jhat yields a closed-form 4x4 block, and every Jhat-coupled part of
-    what the pairs leave over one coupled block.  With ``waves``, the
-    ``wave_number_stack`` of a regular polygon, the pairs are found per wave
-    number (``wave_number_pairs``) and each unpaired W_k is one coupled
-    block: the classical ring reduction.  Otherwise the whole-space
-    ``symplectic_pairs`` finds them.
+    The mass-weighted Hessian ``eq.Hw`` and Jhat split the space into joint
+    invariant subspaces: each that is one eigenvector pair compatible with
+    Jhat yields a closed-form 4x4 block, and each other one a coupled block.
+    With ``waves``, the ``wave_number_stack`` of a regular polygon, these are
+    the wave-number subspaces (``wave_number_pairs``), each unpaired W_k one
+    coupled block: the classical ring reduction.  Otherwise they are the
+    Jhat-coupled components of the eigen-clusters of Hw (``symplectic_pairs``).
     """
     if waves is not None:
         return _decompose_by_wave_number(eq, waves)

@@ -18,32 +18,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 ORTHO_TOL = 1e-14
 # Eigenvalues closer than CLUSTER_TOL times the spectral radius share a cluster.
 CLUSTER_TOL = 1e-8
-# A singular value of B_j^T Jhat B_i within PAIR_TOL of 1 is a candidate
-# pair.  There 1 - sigma = O(theta^2 + 2n eps), where theta <~ eps / CLUSTER_TOL
-# bounds the rounding error of the cluster bases.  Over the presets, the
-# polygons and the collinear inputs, exact pairs lie at 1 - sigma <= 2.0e-15
-# and near-pairs (collinear Schwarzschild) at >= 1.16e-8.  As 1 - sigma <
-# PAIR_TOL still lets v2 stray sqrt(2 PAIR_TOL) from its cluster, a candidate
-# is kept only when both vectors have |H v - lam v| <= PAIR_TOL |H|_2, which
-# puts an eigenvalue of the symmetric H that close to lam (Weyl).  Exact
-# pairs, lam a cluster mean, stay below 1.2e3 eps |H|_2 on those inputs
-# (1e3 eps would reject some of the n = 15 Manev polygon); the false pairs of
-# 1+n rings with a central mass of 1e4 sit at 7e-6 |H|_2.
+# A Jhat-coupled component of dimension 2 is a pair only when v1 and
+# v2 = -Jhat v1 both have |H v - lam v| <= PAIR_TOL |H|_2, which puts an
+# eigenvalue of the symmetric H that close to lam (Weyl).  Exact pairs, lam
+# a cluster mean, stay below 1.2e3 eps |H|_2 over the presets, the polygons
+# and the collinear inputs (1e3 eps would reject some of the n = 15 Manev
+# polygon).  The test rejects a plane that Jhat links to the rest of the
+# space by less than COUPLE_TOL but more than PAIR_TOL; no input of the
+# deck below has one.
 PAIR_TOL = 1e-10
-# Two clusters' leftovers (what the pairs leave of them) form one coupled
-# block when Jhat links them: |R_b^T Jhat R_a|_F > COUPLE_TOL.  Over the
-# presets, polygons (n = 3..24) and collinear inputs of the benchmark and
-# thirty 1+n rings (n <= 24, central mass up to 1e4), that norm sits either
-# at <= 2.1e-12 (rounding) or at >= 2.2e-6 (real links, collinear
-# Schwarzschild).  A spurious link only merges two invariant blocks; a
-# missed one breaks invariance, and the oracle comparison fails.
+# Two eigen-clusters B_a, B_b belong to one coupled component when Jhat
+# links them: |B_b^T Jhat B_a|_F > COUPLE_TOL.  Over the presets, polygons
+# (n = 3..24), the collinear inputs of the benchmark, 1+n rings (n <= 24,
+# central mass up to 3e4), random Newton-refined configurations (n = 3..7)
+# and unequal-mass Lagrange triangles, that norm sits either at <= 7.9e-13
+# (rounding; up to 6.3e-10 on the rings with a central mass of 1e3 or more,
+# whose nearest clusters eigh resolves only that well) or at >= 1.9e-7 (real
+# links).  A spurious link only merges two invariant blocks; a missed one
+# breaks invariance, and the oracle comparison fails.
 COUPLE_TOL = 1e-8
 
 
@@ -383,82 +381,48 @@ def _eigen_clusters(H):
 def symplectic_pairs(H):
     """Eigenvector pairs of a symmetric H compatible with Jhat, and the rest.
 
-    With B_i an orthonormal basis of the eigen-cluster E_i, the directions
-    v in E_i with Jhat v in E_j are B_i times the right singular vectors of
-    C_ij = B_j^T Jhat B_i at singular value 1 (within ``PAIR_TOL``).  These
-    subspaces are mutually orthogonal, so one pass over the cluster pairs
-    j >= i finds them all: for j > i each such singular value is one pair
-    (lam_i, lam_j) with v2 = -Jhat v1; for j = i they span Jhat-invariant
-    planes of E_i, one pair each.  A pair whose vectors fail the
-    eigen-residual test of ``PAIR_TOL`` stays in the rest.  Since
-    sigma_max(C) <= |C|_F, a block whose Frobenius norm is below
-    1 - 2 PAIR_TOL needs no SVD.
+    The eigen-clusters of H (``_eigen_clusters``) fall into the components
+    that Jhat couples (``_coupled_components``), each a joint (H, Jhat)-
+    invariant subspace.  A component of dimension 2, two one-dimensional
+    clusters that Jhat maps onto each other or one Jhat-invariant plane, is
+    one pair when v1, its first basis vector, and v2 = -Jhat v1 pass the
+    residual test of ``PAIR_TOL``; lam1 and lam2 are the means of its first
+    and last cluster.  Every other component stays whole, even a sum of planes.
 
-    Returns (pairs, rests): the JPair objects sorted by (lam1, lam2), and
-    the complement, inside each cluster, of every paired direction, as one
-    orthonormal basis per block that Jhat couples (``_coupled_components``).
+    Returns (pairs, rests): the JPair objects sorted by (lam1, lam2), and one
+    orthonormal basis per remaining component, its clusters in ascending order.
     """
     H = np.asarray(H, dtype=float)
     clusters = _eigen_clusters(H)
     res_tol = PAIR_TOL * max(abs(lam) for lam, _ in clusters)
-    edges = np.cumsum([0] + [B.shape[1] for _, B in clusters])
-    V = np.column_stack([B for _, B in clusters])
-    # V^T Jhat = (Jhat (-V))^T; made contiguous like the product V.T @ Jhat,
-    # the matmul sums in the same order and G keeps its bytes
-    G = np.ascontiguousarray(_apply_symplectic(-V).T) @ V   # block (j, i) is C_ij
-    frob2 = np.add.reduceat(np.add.reduceat(G * G, edges[:-1], axis=0),
-                            edges[:-1], axis=1)
-    pairs, taken = [], [[np.zeros((B.shape[1], 0))] for _, B in clusters]
-    for j, i in zip(*np.nonzero(np.tril(frob2 >= (1.0 - 2.0 * PAIR_TOL) ** 2))):
-        (lam_i, Bi), (lam_j, _) = clusters[i], clusters[j]
-        C = G[edges[j]:edges[j + 1], edges[i]:edges[i + 1]]
-        U, S, Vh = np.linalg.svd(C, full_matrices=False)
-        hit = S >= 1.0 - PAIR_TOL
-        X = Vh[hit].T           # paired directions, as coefficients in B_i
-        step = 1 if i != j else 2
-        if i == j:
-            # the real Schur form of Jhat on span(X) lines its invariant
-            # planes up as column pairs; the first of each pair is v1
-            X = X @ schur(X.T @ C @ X)[1]
-        V1 = Bi @ X[:, ::step]
-        V2 = _apply_symplectic(-V1)
-        R1, R2 = H @ V1 - lam_i * V1, H @ V2 - lam_j * V2
-        ok = np.maximum((R1 * R1).sum(axis=0), (R2 * R2).sum(axis=0)) <= res_tol ** 2
-        taken[i].append(X[:, np.repeat(ok, step)[:X.shape[1]]])
-        if i != j:
-            taken[j].append(U[:, hit][:, ok])
-        pairs.extend(JPair(lam_i, lam_j, v1, v2) for v1, v2 in zip(V1.T[ok], V2.T[ok]))
-    rests = []
-    for (_, B), t in zip(clusters, taken):
-        T = np.column_stack(t)
-        if T.shape[1] < B.shape[1]:
-            # the left singular vectors past rank(T) span its complement
-            rests.append(B @ np.linalg.svd(T)[0][:, T.shape[1]:])
-    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), _coupled_components(rests)
+    pairs, rests = [], []
+    for comp in _coupled_components([B for _, B in clusters]):
+        V = np.column_stack([clusters[c][1] for c in comp])
+        if V.shape[1] == 2:
+            lam1, lam2 = clusters[comp[0]][0], clusters[comp[-1]][0]
+            v1, v2 = V[:, 0], _apply_symplectic(-V[:, 0])
+            r1, r2 = H @ v1 - lam1 * v1, H @ v2 - lam2 * v2
+            if max(r1 @ r1, r2 @ r2) <= res_tol ** 2:
+                pairs.append(JPair(lam1, lam2, v1, v2))
+                continue
+        rests.append(V)
+    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), rests
 
 
-def _coupled_components(rests):
-    """One orthonormal basis per connected component of the clusters'
-    leftovers R_c, two of them linked when |R_b^T Jhat R_a|_F > COUPLE_TOL.
-
-    The leftover is H-invariant (each R_c lies in an eigen-cluster) and
-    Jhat-invariant (the orthogonal complement of the Jhat-invariant pair
-    planes), so each component is a joint invariant subspace.  A component
-    keeps its clusters' order, and a single one keeps its bytes.
-    """
-    if len(rests) < 2:
-        return rests
-    edges = np.cumsum([0] + [R.shape[1] for R in rests])[:-1]
-    L = np.column_stack(rests)
+def _coupled_components(bases):
+    """The components of the eigen-cluster bases B_c that Jhat links, two
+    when |B_b^T Jhat B_a|_F > COUPLE_TOL, as ascending lists of indices.
+    Each is H-invariant, and Jhat-invariant up to the links it drops."""
+    edges = np.cumsum([0] + [B.shape[1] for B in bases])[:-1]
+    L = np.column_stack(bases)
     G = _apply_symplectic(L).T @ L
     frob2 = np.add.reduceat(np.add.reduceat(G * G, edges, axis=0), edges, axis=1)
-    reach = (frob2 > COUPLE_TOL ** 2) | np.eye(len(rests), dtype=bool)
+    reach = (frob2 > COUPLE_TOL ** 2) | np.eye(len(bases), dtype=bool)
     # squaring the symmetric relation until it stops growing closes it
     while ((grown := reach @ reach) != reach).any():
         reach = grown
     label = reach.argmax(axis=1)        # the first cluster of each component
-    return [np.column_stack([R for R, c in zip(rests, label) if c == comp])
-            for comp in dict.fromkeys(label)]
+    return [np.flatnonzero(label == comp).tolist() for comp in dict.fromkeys(label)]
 
 
 def polygon_axis_angle(config, tol=1e-8):

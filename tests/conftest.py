@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relequil.central import regular_polygon
+from relequil.central import RefinementError, refine_central_configuration, regular_polygon
 from relequil.model import BodyConfiguration, PotentialSpec
 from relequil.presets import all_standard_cases
 
@@ -46,3 +46,84 @@ def random_safe_configuration(rng, n=4, min_distance=0.35, masses=None):
             continue
         if cfg.min_pair_distance() >= min_distance:
             return cfg
+
+
+BENCHMARK_POTENTIALS = {
+    "r-1": ((1.0, 1.0),),
+    "r-2.5": ((1.0, 2.5),),
+    "manev": ((1.0, 1.0), (1.0, 2.0)),
+    "schwarzschild": ((1.0, 1.0), (1.0, 3.0)),
+}
+
+
+def collinear_deck():
+    """The benchmark's collinear deck: unequal-mass collinear configurations,
+    n = 3..10, two draws per potential, Newton-refined to central."""
+    rng = np.random.default_rng(20220713)
+    out = []
+    for n in range(3, 11):
+        for name, terms in BENCHMARK_POTENTIALS.items():
+            for _ in range(2):
+                masses = rng.uniform(0.5, 2.0, n)
+                guess = np.zeros(2 * n)
+                guess[0::2] = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.2, 0.2, n) / (n - 1)
+                spec = PotentialSpec(terms)
+                cfg = refine_central_configuration(BodyConfiguration(masses, guess), spec)
+                out.append((f"collinear n={n} {name}", cfg, spec))
+    return out
+
+
+def rings(ns=(3, 5, 8, 12), m0s=(1.0, 1e2), potentials=("r-1",)):
+    """1+n rings: a central mass m0 and n unit masses on the unit circle."""
+    out = []
+    for n in ns:
+        ang = 2.0 * np.pi * np.arange(n) / n
+        q = np.vstack([[0.0, 0.0], np.column_stack([np.cos(ang), np.sin(ang)])])
+        for m0 in m0s:
+            for name in potentials:
+                # the 1/r rings keep the bare label
+                label = f"1+{n} ring m0={m0}" + ("" if name == "r-1" else f" {name}")
+                out.append((label,
+                            BodyConfiguration(np.r_[m0, np.ones(n)], q.ravel()),
+                            PotentialSpec(BENCHMARK_POTENTIALS[name])))
+    return out
+
+
+def random_draws():
+    """Newton-refined central configurations from random unequal masses and
+    positions, n = 3..7, eight draws each, the potentials in turn; the one
+    draw from which the refinement finds no configuration is left out."""
+    rng = np.random.default_rng(20221031)
+    out = []
+    for n in range(3, 8):
+        for k in range(8):
+            name = list(BENCHMARK_POTENTIALS)[k % 4]
+            spec = PotentialSpec(BENCHMARK_POTENTIALS[name])
+            masses, guess = rng.uniform(0.5, 2.0, n), rng.uniform(-1.0, 1.0, 2 * n)
+            try:
+                cfg = refine_central_configuration(BodyConfiguration(masses, guess), spec)
+            except RefinementError:
+                continue
+            out.append((f"draw n={n} #{k} {name}", cfg, spec))
+    return out
+
+
+def lagrange_triangles():
+    """Unequal-mass equilateral triangles, central under any pair potential."""
+    ang = 2.0 * np.pi * np.arange(3) / 3
+    q = np.column_stack([np.cos(ang), np.sin(ang)])
+    out = []
+    for masses in ((1.0, 2.0, 3.0), (1.0, 1.0, 5.0), (0.5, 1.0, 2.0), (1.0, 10.0, 100.0)):
+        for name in ("r-1", "manev"):
+            m = np.array(masses)
+            cfg = BodyConfiguration(m, (q - m @ q / m.sum()).ravel())
+            out.append((f"lagrange m={masses} {name}", cfg,
+                        PotentialSpec(BENCHMARK_POTENTIALS[name])))
+    return out
+
+
+# the inputs without a dihedral group, which take the whole-space pairing
+WHOLE_SPACE_DECK = (collinear_deck()
+                    + rings((3, 4, 5, 6, 7, 8, 12, 16, 24), (1.0, 1e2, 1e3, 1e4, 3e4),
+                            ("r-1", "schwarzschild", "r-2.5"))
+                    + random_draws() + lagrange_triangles())

@@ -30,12 +30,7 @@ from relequil.symmetry import (
     symplectic_pairs,
 )
 
-BENCHMARK_POTENTIALS = {
-    "r-1": ((1.0, 1.0),),
-    "r-2.5": ((1.0, 2.5),),
-    "manev": ((1.0, 1.0), (1.0, 2.0)),
-    "schwarzschild": ((1.0, 1.0), (1.0, 3.0)),
-}
+from conftest import BENCHMARK_POTENTIALS, WHOLE_SPACE_DECK
 
 
 def _reference_hessian(config, spec):
@@ -198,8 +193,16 @@ class TestStrictPairs:
 
     def test_each_leftover_block_is_invariant(self):
         # every coupled basis spans a subspace that both Hw and Jhat map
-        # into itself; a missed Jhat link would leave a defect of order 1e-6
-        for label, cfg, spec in ANALYSIS_INPUTS:
+        # into itself; a missed Jhat link would leave a defect of order 1e-6.
+        # Besides the presets and polygons, the inputs without a dihedral
+        # group: collinear, 1+n rings, random draws and Lagrange triangles.
+        # Rings with a central mass of 1e3 or more are left out: their
+        # nearest eigen-clusters lie so close that eigh resolves each basis
+        # only to about 1e-10, and the Jhat defect of a coupled basis there
+        # reaches 6.3e-10 (1+7 ring, m0 = 3e4, 1/r)
+        light = [(label, cfg, spec) for label, cfg, spec in WHOLE_SPACE_DECK
+                 if "ring" not in label or cfg.masses[0] <= 1e2]
+        for label, cfg, spec in ANALYSIS_INPUTS + light:
             eq = Equilibrium(cfg, spec)
             for V in symplectic_pairs(eq.Hw)[1]:
                 np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-12)

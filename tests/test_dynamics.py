@@ -237,6 +237,15 @@ class TestIntegrator:
         assert traj.blew_up
         assert traj.times[-1] < 5.0
 
+    def test_non_rotating_frame_with_given_run_lengths_stays_silent(self):
+        # omega^2 = 0 has no rotation period; with duration and dt given
+        # none is needed, so nothing divides by zero
+        cfg, spec, kwargs = _head_on()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_rotating_frame(cfg, spec, omega2=0.0, **kwargs)
+        assert traj.blew_up
+
     def test_trajectory_records(self, newton_triangle):
         cfg, spec = newton_triangle
         traj = integrate_rotating_frame(cfg, spec, duration=0.05, dt=0.01)

@@ -406,8 +406,8 @@ class TestBlockOracleAgreement:
         assert m.matches, m.max_distance / m.scale
 
     def test_collinear_near_pairs_stay_in_the_coupled_block(self):
-        # a collinear Schwarzschild case of the benchmark deck: two cluster
-        # pairs sit 4.3e-8 from singular value 1, near-pairs but not pairs,
+        # a collinear Schwarzschild case of the benchmark deck: Jhat links
+        # four one-dimensional clusters, two near-pairs, into one component,
         # so one exact pair remains and a 4-dimensional block holds the rest
         masses = np.array([1.1480608566549848, 0.8093387529663701, 1.1182770341820232])
         guess = np.zeros(6)

@@ -8,6 +8,7 @@ from relequil.central import regular_polygon
 from relequil.checks import representation_matrices
 from relequil.model import BodyConfiguration, PotentialSpec, potential_hessian
 from relequil.pipeline import polygon_group_for
+from relequil.spectrum import CoupledBlock, block_spectrum, build_block, compare_spectra
 from relequil.symmetry import (
     J2,
     InvarianceError,
@@ -539,14 +540,33 @@ class TestJPairs:
             pairs, rests = symplectic_pairs(H)
             assert len(pairs) == case.n and rests == [], case.name
 
+    @staticmethod
+    def _assert_same_blocks(H, pairs, rests, planes, omega=1.0):
+        # each coupled basis is an invariant subspace of H and Jhat, and the
+        # blocks' first-order spectrum is that of one 4x4 block per plane
+        # (lam1, lam2) in which Jhat acts as J2
+        Jh = block_symplectic(H.shape[0] // 2)
+        for V in rests:
+            for M in (H, Jh):
+                defect = np.linalg.norm(M @ V - V @ (V.T @ M @ V), 2)
+                assert defect <= 1e-12 * np.linalg.norm(M, 2)
+        got = [block_spectrum(build_block(omega, p.lam1, p.lam2)) for p in pairs]
+        got += [CoupledBlock(omega, V.T @ H @ V, V.T @ Jh @ V,
+                             (np.zeros((V.shape[1], 0)), None, 0.0)).spectrum()
+                for V in rests]
+        want = [block_spectrum(build_block(omega, a, b)) for a, b in planes]
+        match = compare_spectra(np.concatenate(got), np.concatenate(want), tol=1e-12)
+        assert match.matches, match.max_distance
+
     @pytest.mark.parametrize(
         "n, rotated", [(2, False), (3, False), (3, True), (4, True)],
         ids=["identity-2", "identity-3", "unitary-3", "unitary-4"],
     )
-    def test_invariant_cluster_splits_into_planes(self, n, rotated):
+    def test_invariant_cluster_stays_one_block(self, n, rotated):
         # a cluster that Jhat keeps invariant, of dimension 2n (2.5 I) or
         # 2n - 2 (conjugated by the real form of a random unitary, which
-        # commutes with Jhat): each of its planes is one pair
+        # commutes with Jhat), is a sum of n or n - 1 planes (2.5, 2.5);
+        # it is not split into them but solved as one coupled block
         lams = np.full(n, 2.5)
         U = np.eye(2 * n)
         if rotated:
@@ -556,29 +576,45 @@ class TestJPairs:
             U = np.kron(W.real, np.eye(2)) + np.kron(W.imag, J2.T)
         H = U @ np.diag(np.repeat(lams, 2)) @ U.T
         pairs, rests = symplectic_pairs(H)
-        assert len(pairs) == n and rests == []
-        for p, lam in zip(pairs, np.sort(lams)):
-            assert p.lam1 == pytest.approx(lam) and p.lam2 == pytest.approx(lam)
-            np.testing.assert_allclose(H @ p.v1, lam * p.v1, atol=1e-13)
-            np.testing.assert_allclose(H @ p.v2, lam * p.v2, atol=1e-13)
-        V = np.column_stack([v for p in pairs for v in (p.v1, p.v2)])
-        np.testing.assert_allclose(V.T @ V, np.eye(2 * n), atol=1e-13)
+        assert [V.shape[1] for V in rests] == [2 * n - 2 * rotated]
+        assert len(pairs) == rotated
+        for p in pairs:
+            assert p.lam1 == pytest.approx(4.0) and p.lam2 == pytest.approx(4.0)
+            np.testing.assert_allclose(H @ p.v1, 4.0 * p.v1, atol=1e-13)
+            np.testing.assert_allclose(H @ p.v2, 4.0 * p.v2, atol=1e-13)
+        self._assert_same_blocks(H, pairs, rests, [(lam, lam) for lam in lams])
 
     @pytest.mark.parametrize("angle", [0.0, 0.3], ids=["axes", "rotated"])
-    def test_cluster_pairs_with_two_smaller_clusters(self, angle):
-        # the lam = 1 cluster span{e1, e3} pairs with {e2} (lam = 2) and
-        # with {e4} (lam = 3): blocks between clusters of unequal size
+    def test_cluster_linked_to_two_smaller_clusters_stays_one_block(self, angle):
+        # the lam = 1 cluster span{e1, e3} holds the planes (1, 2) with {e2}
+        # and (1, 3) with {e4}; Jhat links all three clusters, and they are
+        # solved as one coupled block of dimension 4
         c, s = np.cos(angle), np.sin(angle)
         R = np.eye(4)
         R[np.ix_([0, 2], [0, 2])] = [[c, -s], [s, c]]
         H = R @ np.diag([1.0, 2.0, 1.0, 3.0]) @ R.T
         pairs, rests = symplectic_pairs(H)
-        assert [(p.lam1, p.lam2) for p in pairs] == [
-            pytest.approx((1.0, 2.0)), pytest.approx((1.0, 3.0))]
-        assert rests == []
+        assert pairs == [] and [V.shape[1] for V in rests] == [4]
+        self._assert_same_blocks(H, pairs, rests, [(1.0, 2.0), (1.0, 3.0)])
+
+    @pytest.mark.parametrize("tilt, n_pairs", [(1e-11, 2), (1e-9, 0)])
+    def test_near_pair_fails_the_residual_test(self, tilt, n_pairs):
+        # the planes span{e1, e2} and span{e3, e4}, each a pair, with the
+        # eigenvectors of 2 and 3 turned by tilt between e2 and e3: Jhat
+        # links e1 to e3 and e4 to e2 only by tilt, below COUPLE_TOL, so
+        # both components have dimension 2.  -Jhat v1 strays tilt from its
+        # eigenvector, which passes the residual test of PAIR_TOL |H| = 4e-10
+        # at 1e-11 and fails it at 1e-9
+        c, s = np.cos(tilt), np.sin(tilt)
+        Q = np.eye(4)
+        Q[1:3, 1:3] = [[c, -s], [s, c]]
+        H = Q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ Q.T
+        pairs, rests = symplectic_pairs(H)
+        assert len(pairs) == n_pairs
+        assert [V.shape[1] for V in rests] == [2] * (2 - n_pairs)
         for p in pairs:
-            np.testing.assert_allclose(H @ p.v1, p.lam1 * p.v1, atol=1e-13)
-            np.testing.assert_allclose(H @ p.v2, p.lam2 * p.v2, atol=1e-13)
+            np.testing.assert_allclose(H @ p.v1, p.lam1 * p.v1, atol=1e-10)
+            np.testing.assert_allclose(H @ p.v2, p.lam2 * p.v2, atol=1e-10)
 
     def test_pentagon_leaves_four_dimensions(self):
         # wave number 2 of a pentagon admits no compatible pairs

@@ -11,9 +11,10 @@ that have a dihedral group.
 
 import numpy as np
 import pytest
+from scipy.linalg import schur
 
 from relequil import pipeline, spectrum, symmetry
-from relequil.central import refine_central_configuration, regular_polygon
+from relequil.central import regular_polygon
 from relequil.model import BodyConfiguration, Equilibrium, PotentialSpec
 from relequil.pipeline import AnalysisRequest, polygon_group_for, run_analysis
 from relequil.presets import HOMOGENEOUS_PRESETS, get_case
@@ -26,14 +27,18 @@ from relequil.spectrum import (
     compare_spectra,
     decompose_blocks,
 )
-from relequil.symmetry import J2, symplectic_pairs, wave_number_stack
+from relequil.symmetry import (
+    COUPLE_TOL,
+    J2,
+    PAIR_TOL,
+    JPair,
+    _apply_symplectic,
+    _eigen_clusters,
+    wave_number_stack,
+)
 
-BENCHMARK_POTENTIALS = {
-    "r-1": ((1.0, 1.0),),
-    "r-2.5": ((1.0, 2.5),),
-    "manev": ((1.0, 1.0), (1.0, 2.0)),
-    "schwarzschild": ((1.0, 1.0), (1.0, 3.0)),
-}
+from conftest import BENCHMARK_POTENTIALS, WHOLE_SPACE_DECK, collinear_deck, rings
+
 # the presets deck of the benchmark: alpha in 0.5..3 by 0.1 and 1.965..2.035 by 0.005
 ALPHAS = sorted({float(round(a, 3)) for a in (*np.linspace(0.5, 3.0, 26),
                                              *np.linspace(1.965, 2.035, 15))})
@@ -105,38 +110,70 @@ class TestEquivalence:
                          f"{name} alpha={alpha}")
 
 
-def _collinear_deck():
-    """The benchmark's collinear deck: unequal-mass collinear configurations,
-    n = 3..10, two draws per potential, Newton-refined to central."""
-    rng = np.random.default_rng(20220713)
-    out = []
-    for n in range(3, 11):
-        for name, terms in BENCHMARK_POTENTIALS.items():
-            for _ in range(2):
-                masses = rng.uniform(0.5, 2.0, n)
-                guess = np.zeros(2 * n)
-                guess[0::2] = np.linspace(-1.0, 1.0, n) + rng.uniform(-0.2, 0.2, n) / (n - 1)
-                spec = PotentialSpec(terms)
-                cfg = refine_central_configuration(BodyConfiguration(masses, guess), spec)
-                out.append((f"collinear n={n} {name}", cfg, spec))
-    return out
+def _reference_coupled_components(rests):
+    """``symmetry._coupled_components`` as it was before the pairing read
+    its pairs off the coupled clusters: one basis per component."""
+    if len(rests) < 2:
+        return rests
+    edges = np.cumsum([0] + [R.shape[1] for R in rests])[:-1]
+    L = np.column_stack(rests)
+    G = _apply_symplectic(L).T @ L
+    frob2 = np.add.reduceat(np.add.reduceat(G * G, edges, axis=0), edges, axis=1)
+    reach = (frob2 > COUPLE_TOL ** 2) | np.eye(len(rests), dtype=bool)
+    while ((grown := reach @ reach) != reach).any():
+        reach = grown
+    label = reach.argmax(axis=1)
+    return [np.column_stack([R for R, c in zip(rests, label) if c == comp])
+            for comp in dict.fromkeys(label)]
 
 
-def _rings():
-    """1+n rings: a central mass and n unit masses on the unit circle."""
-    out = []
-    for n in (3, 5, 8, 12):
-        for m0 in (1.0, 1e2):
-            ang = 2.0 * np.pi * np.arange(n) / n
-            q = np.vstack([[0.0, 0.0], np.column_stack([np.cos(ang), np.sin(ang)])])
-            out.append((f"1+{n} ring m0={m0}", BodyConfiguration(np.r_[m0, np.ones(n)], q.ravel()),
-                        PotentialSpec.homogeneous(1.0)))
-    return out
+def _reference_symplectic_pairs(H):
+    """``symmetry.symplectic_pairs`` as it was before it read its pairs off
+    the coupled clusters.
+
+    The directions of cluster E_i that Jhat maps into E_j are B_i times the
+    right singular vectors of C_ij = B_j^T Jhat B_i at singular value 1
+    (within PAIR_TOL); inside one cluster the real Schur form of Jhat splits
+    them into planes.  Each candidate must pass the residual test, and what
+    the pairs leave of every cluster is split into Jhat-coupled bases.
+    """
+    H = np.asarray(H, dtype=float)
+    clusters = _eigen_clusters(H)
+    res_tol = PAIR_TOL * max(abs(lam) for lam, _ in clusters)
+    edges = np.cumsum([0] + [B.shape[1] for _, B in clusters])
+    V = np.column_stack([B for _, B in clusters])
+    G = np.ascontiguousarray(_apply_symplectic(-V).T) @ V   # block (j, i) is C_ij
+    frob2 = np.add.reduceat(np.add.reduceat(G * G, edges[:-1], axis=0),
+                            edges[:-1], axis=1)
+    pairs, taken = [], [[np.zeros((B.shape[1], 0))] for _, B in clusters]
+    for j, i in zip(*np.nonzero(np.tril(frob2 >= (1.0 - 2.0 * PAIR_TOL) ** 2))):
+        (lam_i, Bi), (lam_j, _) = clusters[i], clusters[j]
+        C = G[edges[j]:edges[j + 1], edges[i]:edges[i + 1]]
+        U, S, Vh = np.linalg.svd(C, full_matrices=False)
+        hit = S >= 1.0 - PAIR_TOL
+        X = Vh[hit].T
+        step = 1 if i != j else 2
+        if i == j:
+            X = X @ schur(X.T @ C @ X)[1]
+        V1 = Bi @ X[:, ::step]
+        V2 = _apply_symplectic(-V1)
+        R1, R2 = H @ V1 - lam_i * V1, H @ V2 - lam_j * V2
+        ok = np.maximum((R1 * R1).sum(axis=0), (R2 * R2).sum(axis=0)) <= res_tol ** 2
+        taken[i].append(X[:, np.repeat(ok, step)[:X.shape[1]]])
+        if i != j:
+            taken[j].append(U[:, hit][:, ok])
+        pairs.extend(JPair(lam_i, lam_j, v1, v2) for v1, v2 in zip(V1.T[ok], V2.T[ok]))
+    rests = []
+    for (_, B), t in zip(clusters, taken):
+        T = np.column_stack(t)
+        if T.shape[1] < B.shape[1]:
+            rests.append(B @ np.linalg.svd(T)[0][:, T.shape[1]:])
+    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), _reference_coupled_components(rests)
 
 
 def _reference_decompose_blocks(eq):
-    """The whole-space decomposition as it was before the wave-number route."""
-    pairs, bases = symplectic_pairs(eq.Hw)
+    """The whole-space decomposition from the reference pairing."""
+    pairs, bases = _reference_symplectic_pairs(eq.Hw)
     T, z, slack = eq.trivial
     coupled = []
     for V in bases:
@@ -192,7 +229,7 @@ class TestRouting:
         assert stacks == [n]
         assert shapes and all(s[-2:] == (2, 2) for s in shapes)
 
-    @pytest.mark.parametrize("label, cfg, spec", _collinear_deck() + _rings(),
+    @pytest.mark.parametrize("label, cfg, spec", collinear_deck() + rings(),
                              ids=lambda x: x if isinstance(x, str) else "")
     def test_no_group_takes_the_whole_space_route(self, monkeypatch, label, cfg, spec):
         def refuse(*args, **kwargs):
@@ -204,7 +241,14 @@ class TestRouting:
                                   potential=spec.terms)
         data = run_analysis(request).to_dict()
         assert data["isotypic"] == []
+
+    @pytest.mark.parametrize("label, cfg, spec", WHOLE_SPACE_DECK,
+                             ids=lambda x: x if isinstance(x, str) else "")
+    def test_whole_space_route_matches_the_reference(self, label, cfg, spec):
+        # the same pairs to the bit, the same coupled dimensions and the same
+        # union spectrum to the byte as the SVD and Schur pair search
         eq = Equilibrium(cfg, spec)
+        assert polygon_group_for(cfg) is None, label
         got, ref = decompose_blocks(eq), _reference_decompose_blocks(eq)
         assert [(p.lam1, p.lam2) for p in got.pairs] == [(p.lam1, p.lam2) for p in ref.pairs]
         assert [c.dim for c in got.coupled] == [c.dim for c in ref.coupled]
