@@ -50,7 +50,9 @@ class BodyPairs:
 
     def __init__(self, masses):
         self.masses = masses
-        self.iu, self.ju = np.triu_indices(masses.size, 1)
+        r = np.arange(masses.size)
+        # the indices of np.triu_indices(n, 1), without its index grid
+        self.iu, self.ju = np.nonzero(r[:, None] < r)
         self.mm = masses[self.iu] * masses[self.ju]
 
     def separations(self, points):

@@ -300,12 +300,13 @@ def run_analysis(request):
                 )
 
     decomposition = decompose_blocks(eq, waves)
+    block_spectra = sorted_spectrum(np.reshape(decomposition.block_spectra, (-1, 4)))
     blocks = [{
         "lam1": float(blk.lam1),
         "lam2": float(blk.lam2),
         "omega": float(blk.omega),
-        "eigenvalues": _spectrum_dicts(eigs),
-    } for blk, eigs in zip(decomposition.blocks, decomposition.block_spectra)]
+        "eigenvalues": _c(eigs),
+    } for blk, eigs in zip(decomposition.blocks, block_spectra)]
     coupled = [{
         "dim": int(cb.dim),
         "eigenvalues": _spectrum_dicts(eigs),

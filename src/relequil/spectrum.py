@@ -13,9 +13,9 @@ independent oracle and the two routes are compared eigenvalue-by-eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import first_order_matrix
 from .symmetry import J2, symplectic_pairs, wave_number_pairs
@@ -23,6 +23,7 @@ from .symmetry import J2, symplectic_pairs, wave_number_pairs
 SNAP_TOL = 1e-12            # coefficient snap in the closed-form quartic
 CLASSIFY_TOL = 1e-8         # |Re|, |Im| thresholds relative to spectral radius
 _J4 = np.kron(np.eye(2), J2)    # Jhat on a wave-number subspace W_k
+_PERMS4 = np.array(list(permutations(range(4))))    # lexicographic order
 
 UNSTABLE = "spectrally-unstable"
 NOT_UNSTABLE = "not-unstable-at-linear-order"
@@ -283,10 +284,12 @@ def full_linearization_spectrum(eq):
 
 def sorted_spectrum(values, tol=1e-12):
     """The eigenvalues as a complex array sorted by (Re, Im), each rounded
-    at tol times the spectral radius for the sort."""
+    at tol times the spectral radius for the sort.  Each row of a 2-D array
+    is one spectrum, sorted on its own with its own radius, in one lexsort."""
     v = np.asarray(values, dtype=complex)
-    step = tol * max(float(np.max(np.abs(v), initial=0.0)), 1e-300)
-    return v[np.lexsort((np.round(v.imag / step) * step, np.round(v.real / step) * step))]
+    step = tol * np.abs(v).max(-1, initial=1e-300, keepdims=True)
+    order = np.lexsort((np.round(v.imag / step) * step, np.round(v.real / step) * step))
+    return v[order] if v.ndim == 1 else np.take_along_axis(v, order, -1)
 
 
 @dataclass(frozen=True)
@@ -350,18 +353,79 @@ def compare_spectra(a, b, tol=1e-9, n_worst=4):
     Passing means the worst matched distance is at most tol * scale where
     scale is the larger spectral radius.  A cardinality mismatch is its own
     structural failure, reported rather than raised.
+
+    The matching minimizes the summed distance.  Two spectra of one
+    linearization are near-equal clusters, and ``_cluster_assignment``
+    certifies that the matching splits into those clusters and solves each
+    of at most 4 members by enumeration.  Where that certificate fails, or
+    a cluster is larger, scipy's ``linear_sum_assignment`` solves the whole
+    matching; every input that fails the gate takes that path.
     """
     va, vb = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     scale = float(np.max(np.abs(np.concatenate([va, vb])), initial=1e-300))
     if va.size != vb.size:
         return SpectrumMatch(False, np.inf, tol, scale, (), True)
     cost = np.abs(va[:, None] - vb[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    dists = cost[rows, cols]
+    cols = _cluster_assignment(cost, tol * scale)
+    if cols is None:
+        from scipy.optimize import linear_sum_assignment
+
+        cols = linear_sum_assignment(cost)[1]
+    dists = cost[np.arange(va.size), cols]
     order = np.argsort(dists)[::-1]
     worst = tuple(
-        (complex(va[rows[k]]), complex(vb[cols[k]]), float(dists[k]))
+        (complex(va[k]), complex(vb[cols[k]]), float(dists[k]))
         for k in order[:n_worst]
     )
     max_d = float(dists.max()) if dists.size else 0.0
     return SpectrumMatch(max_d <= tol * scale, max_d, tol, scale, worst)
+
+
+def _cluster_assignment(cost, bound):
+    """Columns of a minimum-sum assignment of the square ``cost``, found
+    inside its clusters, or None where no certificate holds.
+
+    Let E = (cost <= bound).  Each row is keyed by its first column in E,
+    each column by the key of its first row in E.  The certificate is:
+    (1) E holds exactly where the keys of row and column agree, so E is a
+    disjoint union of complete bipartite blocks; (2) each key has as many
+    rows as columns; (3) the least cost off E exceeds N times the largest
+    on E.  Then one entry off E costs more than a whole assignment inside
+    the blocks, so every minimum-sum assignment stays inside them and each
+    block is solved on its own: a block of one is its row's key, and one of
+    2 to 4, padded to 4 with entries that only match one another, takes
+    the first of its 24 permutations of least sum.  A row or column with
+    no entry in E breaks (1) or (2).  Blocks above 4 give None.
+    """
+    n = len(cost)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    near = cost <= bound
+    rk = near.argmax(1)
+    ck = rk[near.argmax(0)]
+    counts = np.bincount(rk, minlength=n)
+    if not ((near == (rk[:, None] == ck)).all()
+            and (counts == np.bincount(ck, minlength=n)).all()
+            and cost[~near].min(initial=np.inf) > n * cost[near].max()):
+        return None
+    size = counts.max()
+    if size == 1:
+        return rk
+    if size > 4:
+        return None
+    # rows and columns sorted by key share one sequence of keys; each takes
+    # the next slot of its key's row in a padded (key, 4) table
+    ro = rk.argsort(kind="stable")
+    keys = rk[ro]
+    slot = np.arange(n) - keys.searchsorted(keys)
+    table = np.full((2, n, 4), n)
+    table[:, keys, slot] = ro, ck.argsort(kind="stable")
+    R, C = table[:, counts > 1]
+    # a padding row costs 0 anywhere; a real row costs inf at a padding column
+    padded = np.zeros((n + 1, n + 1))
+    padded[:n, :n] = cost
+    padded[:n, n] = np.inf
+    best = padded[R[:, None, :], C[:, _PERMS4]].sum(2).argmin(1)
+    cols = np.concatenate((rk, [n]))
+    cols[R] = C[np.arange(len(C))[:, None], _PERMS4[best]]
+    return cols[:n]

@@ -55,6 +55,10 @@ BENCHMARK_POTENTIALS = {
     "schwarzschild": ((1.0, 1.0), (1.0, 3.0)),
 }
 
+# the alphas of the benchmark's presets deck: 0.5..3 by 0.1 and 1.965..2.035 by 0.005
+PRESET_ALPHAS = sorted({float(round(a, 3)) for a in (*np.linspace(0.5, 3.0, 26),
+                                                    *np.linspace(1.965, 2.035, 15))})
+
 
 def collinear_deck():
     """The benchmark's collinear deck: unequal-mass collinear configurations,

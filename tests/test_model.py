@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_safe_configuration
 from relequil.model import (
     BodyConfiguration,
+    BodyPairs,
     CollisionError,
     NonCentralConfigurationError,
     PotentialSpec,
@@ -176,6 +177,15 @@ class TestGradient:
             assert zdotg == pytest.approx(
                 -alpha * potential_energy(cfg, spec), rel=1e-12
             )
+
+
+class TestBodyPairs:
+    def test_pair_indices_are_the_upper_triangle(self):
+        for n in range(2, 41):
+            pairs = BodyPairs(np.ones(n))
+            for got, want in zip((pairs.iu, pairs.ju), np.triu_indices(n, 1)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
 
 class TestHessian:

@@ -27,6 +27,7 @@ from relequil.spectrum import (
     decompose_blocks,
     deflated_eigenvalues,
     full_linearization_spectrum,
+    sorted_spectrum,
 )
 from relequil.symmetry import block_symplectic, symplectic_pairs, wave_number_basis
 
@@ -174,6 +175,24 @@ class TestClassify:
         v = classify(np.array([1e-12 + 1j, -1e-12 - 1j, 1.0, -1.0]))
         assert v.labels[:2] in (("pure-imaginary", "pure-imaginary"),)
         assert "real" in v.labels
+
+
+class TestSortedSpectrum:
+    def test_each_row_sorts_on_its_own(self, rng):
+        def one(v, tol=1e-12):
+            # the sort of a single spectrum, at its own spectral radius
+            step = tol * max(float(np.max(np.abs(v), initial=0.0)), 1e-300)
+            return v[np.lexsort((np.round(v.imag / step) * step, np.round(v.real / step) * step))]
+
+        rows = rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4))
+        rows *= 10.0 ** rng.uniform(-6.0, 6.0, (60, 1))
+        rows[::3, 1] = rows[::3, 0].conj() * (1.0 + 1e-14)     # Re equal after rounding
+        got = sorted_spectrum(rows)
+        assert got.shape == rows.shape
+        for row, sorted_row in zip(rows, got):
+            assert sorted_row.tobytes() == one(row).tobytes()
+        assert sorted_spectrum(np.zeros((0, 4))).shape == (0, 4)
+        assert sorted_spectrum([]).shape == (0,)
 
 
 class TestCompareSpectra:

@@ -37,11 +37,7 @@ from relequil.symmetry import (
     wave_number_stack,
 )
 
-from conftest import BENCHMARK_POTENTIALS, WHOLE_SPACE_DECK, collinear_deck, rings
-
-# the presets deck of the benchmark: alpha in 0.5..3 by 0.1 and 1.965..2.035 by 0.005
-ALPHAS = sorted({float(round(a, 3)) for a in (*np.linspace(0.5, 3.0, 26),
-                                             *np.linspace(1.965, 2.035, 15))})
+from conftest import BENCHMARK_POTENTIALS, PRESET_ALPHAS, WHOLE_SPACE_DECK, collinear_deck, rings
 
 
 def _both_routes(eq):
@@ -104,7 +100,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("name", HOMOGENEOUS_PRESETS)
     def test_presets_alpha_grid(self, name):
-        for alpha in ALPHAS:
+        for alpha in PRESET_ALPHAS:
             case = get_case(name, alpha)
             _assert_same(Equilibrium(case.configuration(), case.potential),
                          f"{name} alpha={alpha}")
