@@ -40,10 +40,8 @@ from .pipeline import (
 from .presets import PRESET_NAMES, get_case
 from .spectrum import (
     CoupledBlock,
-    LinearBlock,
     StabilityVerdict,
     block_spectrum,
-    build_block,
     classify,
     compare_spectra,
     decompose_blocks,

@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symmetry import block_symplectic
+from .symmetry import (
+    SymmetryGroup,
+    block_symplectic,
+    build_polygon_symmetry_group,
+    polygon_axis_angle,
+    wave_number_stack,
+)
 
 
 class CollisionError(ValueError):
@@ -343,6 +349,11 @@ class Equilibrium:
     H Jhat q = Jhat grad U, so with the centrality residual
     F = grad U + omega^2 M q, (omega^2 + Hw) Jhat z = M^{-1/2} Jhat F, which
     slack = |F| / (sqrt(min m) |z|) bounds for unit z.
+
+    ``group`` and ``waves`` are the dihedral group of an equal-mass regular
+    polygon (``polygon_axis_angle``) and the ``wave_number_stack`` of its
+    vertices, which pick the symmetry route of the analysis; both are None
+    for any other configuration.
     """
 
     config: BodyConfiguration
@@ -354,6 +365,8 @@ class Equilibrium:
     Hw: np.ndarray = field(init=False, repr=False)
     Jh: np.ndarray = field(init=False, repr=False)
     trivial: tuple = field(init=False, repr=False)
+    group: SymmetryGroup | None = field(init=False, repr=False)
+    waves: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         config = self.config
@@ -371,6 +384,11 @@ class Equilibrium:
         object.__setattr__(self, "Hw", _readonly((H * inv_sqrt).T * inv_sqrt))
         object.__setattr__(self, "Jh", _readonly(block_symplectic(config.n)))
         object.__setattr__(self, "trivial", (_readonly(T), _readonly(z), float(slack)))
+        base = polygon_axis_angle(config)
+        group = None if base is None else build_polygon_symmetry_group(config.n, axis_angle=base)
+        waves = None if group is None else _readonly(wave_number_stack(group.vertices()))
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "waves", waves)
 
     @property
     def n(self):

@@ -32,13 +32,7 @@ from .spectrum import (
     full_linearization_spectrum,
     sorted_spectrum,
 )
-from .symmetry import (
-    build_polygon_symmetry_group,
-    character_table,
-    eigenvalues_by_trace_equations,
-    polygon_axis_angle,
-    wave_number_stack,
-)
+from .symmetry import eigenvalues_by_trace_equations
 
 SCHEMA_VERSION = 1
 
@@ -83,6 +77,8 @@ class AnalysisRequest:
                 raise InputError("give either a preset case or a potential")
             if self.masses is not None:
                 raise InputError("give either a preset case or masses")
+            if self.positions is not None:
+                raise InputError("give either a preset case or positions")
             return case.configuration(), spec, case
         if self.positions is None:
             raise InputError("need a preset case or explicit positions")
@@ -125,15 +121,6 @@ def _c(values):
 
 def _spectrum_dicts(values):
     return _c(sorted_spectrum(values))
-
-
-def polygon_group_for(config, tol=1e-8):
-    """The dihedral group fixing the configuration, if it is a regular polygon
-    (possibly rotated); None otherwise."""
-    base = polygon_axis_angle(config, tol)
-    if base is None:
-        return None
-    return build_polygon_symmetry_group(config.n, axis_angle=base)
 
 
 @dataclass(frozen=True)
@@ -261,14 +248,10 @@ def run_analysis(request):
         entry_check = {"index": [row, col], **_against_reference(
             f"Hessian entry {(row, col)}", float(H[row, col]), ref, 1e-12, discrepancies)}
 
-    group = polygon_group_for(config)
     isotypic = []
     eigen_reference = None
-    waves = None
-    if group is not None:
-        table = character_table(group)
-        waves = wave_number_stack(group.vertices())
-        deco = eigenvalues_by_trace_equations(H, group, table, waves=waves)
+    if eq.group is not None:
+        deco = eigenvalues_by_trace_equations(H, eq.group, eq.waves)
         for comp in deco.components:
             isotypic.append({
                 "irrep": comp.irrep,
@@ -299,14 +282,14 @@ def run_analysis(request):
                     "diagonalization; computed values take precedence"
                 )
 
-    decomposition = decompose_blocks(eq, waves)
+    decomposition = decompose_blocks(eq)
     block_spectra = sorted_spectrum(np.reshape(decomposition.block_spectra, (-1, 4)))
     blocks = [{
-        "lam1": float(blk.lam1),
-        "lam2": float(blk.lam2),
-        "omega": float(blk.omega),
+        "lam1": float(pair.lam1),
+        "lam2": float(pair.lam2),
+        "omega": decomposition.omega,
         "eigenvalues": _c(eigs),
-    } for blk, eigs in zip(decomposition.blocks, block_spectra)]
+    } for pair, eigs in zip(decomposition.blocks, block_spectra)]
     coupled = [{
         "dim": int(cb.dim),
         "eigenvalues": _spectrum_dicts(eigs),
@@ -442,7 +425,9 @@ class SweepResult:
 
 
 def run_sweep(base_request, grid):
-    """Run the analysis across an alpha grid for a homogeneous case.
+    """Run the analysis across an alpha grid for a homogeneous case, or for
+    an explicit configuration under c r^-alpha, c the coefficient of its one
+    potential term (1 without one).
 
     The summary labels the two non-structural eigenvalues of the block
     built on the configuration-direction/rotation pair (the trichotomy
@@ -451,10 +436,12 @@ def run_sweep(base_request, grid):
     """
     if base_request.potential is not None and len(base_request.potential) != 1:
         raise InputError("alpha sweeps need a single-term potential")
+    coef = None if base_request.potential is None else base_request.potential[0][0]
     reports, failures, summary = [], [], []
     for alpha in grid:
+        potential = None if coef is None else ((coef, float(alpha)),)
         try:
-            report = run_analysis(replace(base_request, alpha=float(alpha), potential=None))
+            report = run_analysis(replace(base_request, alpha=float(alpha), potential=potential))
         except (InputError, ConsistencyError) as exc:
             failures.append((float(alpha), str(exc)))
             reports.append((float(alpha), None))

@@ -41,26 +41,6 @@ class ConsistencyError(RuntimeError):
         super().__init__(f"{stage}: {detail}")
 
 
-@dataclass(frozen=True)
-class LinearBlock:
-    """4x4 block [[0, I2], [omega^2 I2 + diag(lam1, lam2), 2 omega J]]."""
-
-    omega: float
-    lam1: float
-    lam2: float
-
-    @property
-    def matrix(self):
-        return first_order_matrix(self.omega ** 2, self.omega,
-                                  np.diag([self.lam1, self.lam2]), J2)
-
-
-def build_block(omega, lam1, lam2):
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    return LinearBlock(float(omega), float(lam1), float(lam2))
-
-
 def _principal_sqrt(u):
     """Square root with nonnegative real part; ties toward +i."""
     s = np.sqrt(complex(u))
@@ -69,8 +49,9 @@ def _principal_sqrt(u):
     return s
 
 
-def block_spectrum(block):
-    """Four eigenvalues of the block from its biquadratic in closed form.
+def block_spectrum(omega, lam1, lam2):
+    """Four eigenvalues of the 4x4 block of a pair, first_order_matrix(omega^2,
+    omega, diag(lam1, lam2), J2), from its biquadratic in closed form.
 
     With c_k = omega^2 + lam_k the characteristic polynomial is
     s^4 + p s^2 + q with p = 4 omega^2 - c1 - c2 and q = c1 c2.  Below
@@ -80,11 +61,13 @@ def block_spectrum(block):
     float residue would otherwise be amplified to ~sqrt(eps) by the root
     extraction.  The roots are therefore the exact roots of a biquadratic
     whose p moved by at most SNAP_TOL scale and whose q and disc / 4 each
-    moved by at most SNAP_TOL scale^2.
+    moved by at most SNAP_TOL scale^2.  ValueError unless omega > 0.
     """
-    w2 = block.omega ** 2
-    c1, c2 = w2 + block.lam1, w2 + block.lam2
-    scale = max(w2, abs(block.lam1), abs(block.lam2), 1e-300)
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    w2 = omega ** 2
+    c1, c2 = w2 + lam1, w2 + lam2
+    scale = max(w2, abs(lam1), abs(lam2), 1e-300)
     p = 4.0 * w2 - c1 - c2
     q = c1 * c2
     if abs(p) <= SNAP_TOL * scale:
@@ -128,37 +111,68 @@ class CoupledBlock:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks of the linearization with the eigenvalues of each; the plain
-    blocks are solved at construction."""
+    """Blocks of the linearization with the eigenvalues of each."""
 
     omega: float
-    pairs: tuple               # JPair objects backing the plain blocks
-    blocks: tuple              # LinearBlock per pair
+    blocks: tuple              # JPair per closed-form 4x4 block
+    block_spectra: tuple       # eigenvalues per pair
     coupled: tuple             # CoupledBlock for unpairable subspaces
     coupled_spectra: tuple     # eigenvalues per CoupledBlock
-    block_spectra: tuple = field(init=False)     # eigenvalues per LinearBlock
-
-    def __post_init__(self):
-        object.__setattr__(self, "block_spectra",
-                           tuple(block_spectrum(b) for b in self.blocks))
 
     def union_spectrum(self):
         return np.concatenate(self.block_spectra + self.coupled_spectra)
 
 
-def decompose_blocks(eq, waves=None):
+def decompose_blocks(eq):
     """Block decomposition of the linearization at a central configuration.
 
     The mass-weighted Hessian ``eq.Hw`` and Jhat split the space into joint
     invariant subspaces: each that is one eigenvector pair compatible with
     Jhat yields a closed-form 4x4 block, and each other one a coupled block.
-    With ``waves``, the ``wave_number_stack`` of a regular polygon, these are
-    the wave-number subspaces (``wave_number_pairs``), each unpaired W_k one
-    coupled block: the classical ring reduction.  Otherwise they are the
-    Jhat-coupled components of the eigen-clusters of Hw (``symplectic_pairs``).
+    On a regular polygon (``eq.waves`` set) these are the wave-number
+    subspaces (``wave_number_pairs``), each unpaired W_k one coupled block:
+    the classical ring reduction.  The trivial vectors lie in W_0 (z and
+    Jhat z) and W_1 (the translations); where either fails to pair, as on a
+    polygon regular only to the detector's 1e-8, and for every other input,
+    they are the Jhat-coupled components of the eigen-clusters of Hw
+    (``symplectic_pairs``).
     """
-    if waves is not None:
-        return _decompose_by_wave_number(eq, waves)
+    if eq.waves is not None:
+        pairs, h, K, paired = wave_number_pairs(eq.Hw, eq.waves)
+        if paired[:2].all():
+            # each unpaired W_k is one coupled block with nothing to deflate,
+            # its h_sub and j_sub h_k and diag(J2, J2) cut to its dimension
+            ks = np.flatnonzero(~paired)
+            dims = np.where((2 * ks) % eq.n, 4, 2)
+            coupled = tuple(CoupledBlock(eq.omega, h[k, :d, :d], _J4[:d, :d],
+                                         (np.zeros((d, 0)), None, eq.trivial[2]))
+                            for k, d in zip(ks, dims))
+            return BlockDecomposition(eq.omega, tuple(pairs), _pair_spectra(eq, pairs), coupled,
+                                      wave_number_block_spectra(eq.omega, K[ks], dims))
+    return _decompose_whole_space(eq)
+
+
+def _pair_spectra(eq, pairs):
+    """The closed-form eigenvalues of each pair's block.  A pair whose v1
+    lies in span(T), the translations of ``eq.trivial``, takes their exact
+    +-i omega twice, as the oracle's deflation does: its lam1 and lam2 are
+    zero only up to the rounding of Hw, and the closed form would split
+    that defective double root by sqrt(omega |lam|).  The columns of T are
+    orthogonal and of one norm, so |Q^T v1|^2 > 1/2 for the orthonormal
+    Q = T / |T e1| reads |T^T v1|^2 > |T e1|^2 / 2."""
+    T = eq.trivial[0]
+    half = 0.5 * (T[:, 0] @ T[:, 0])
+    w = 1j * eq.omega
+    spectra = []
+    for p in pairs:
+        c = p.v1 @ T
+        spectra.append(np.array([w, -w, w, -w]) if c @ c > half
+                       else block_spectrum(eq.omega, p.lam1, p.lam2))
+    return tuple(spectra)
+
+
+def _decompose_whole_space(eq):
+    """``decompose_blocks`` from the whole-space pairing of ``eq.Hw``."""
     pairs, bases = symplectic_pairs(eq.Hw)
     T, z, slack = eq.trivial
     coupled = []
@@ -169,32 +183,8 @@ def decompose_blocks(eq, waves=None):
         Tv = Tv if np.sum(Tv * Tv) > 0.5 * np.sum(T * T) else Tv[:, :0]
         zv = zv if zv @ zv > 0.5 * (z @ z) else None
         coupled.append(CoupledBlock(eq.omega, V.T @ eq.Hw @ V, V.T @ eq.Jh @ V, (Tv, zv, slack)))
-    blocks = tuple(build_block(eq.omega, p.lam1, p.lam2) for p in pairs)
-    return BlockDecomposition(eq.omega, tuple(pairs), blocks, tuple(coupled),
+    return BlockDecomposition(eq.omega, tuple(pairs), _pair_spectra(eq, pairs), tuple(coupled),
                               tuple(c.spectrum() for c in coupled))
-
-
-def _decompose_by_wave_number(eq, waves):
-    """``decompose_blocks`` of a regular polygon from its wave-number stack.
-
-    The trivial vectors lie in W_0 (z and Jhat z) and W_1 (the
-    translations); both must pair, so that no coupled block needs a
-    deflation.  Each unpaired W_k is one coupled block, whose h_sub and
-    j_sub are h_k and diag(J2, J2) restricted to its dimension.
-    """
-    pairs, h, K, paired = wave_number_pairs(eq.Hw, waves)
-    for k in (0, 1):
-        if not paired[k]:
-            raise ConsistencyError("wave-number pairing", f"wave number {k}, which holds "
-                                   "trivial modes, fails the pair residual test")
-    ks = np.flatnonzero(~paired)
-    dims = np.where((2 * ks) % eq.n, 4, 2)
-    coupled = tuple(CoupledBlock(eq.omega, h[k, :d, :d], _J4[:d, :d],
-                                 (np.zeros((d, 0)), None, eq.trivial[2]))
-                    for k, d in zip(ks, dims))
-    blocks = tuple(build_block(eq.omega, p.lam1, p.lam2) for p in pairs)
-    return BlockDecomposition(eq.omega, tuple(pairs), blocks, coupled,
-                              wave_number_block_spectra(eq.omega, K[ks], dims))
 
 
 def wave_number_block_spectra(omega, K, dims):
@@ -223,7 +213,7 @@ def deflated_eigenvalues(omega2, omega, h, j, T, z, slack):
     That subspace is the translations (T, 0), (0, T), eigenvalues +-i omega
     twice, plus either the homographic plane {z, Jhat z} x {position,
     velocity} when h z = mu z, eigenvalues 0, 0, +-sqrt(mu - 3 omega^2) from
-    its own LinearBlock(omega, mu, nu), nu = -omega^2 up to slack; or else
+    its own block_spectrum(omega, mu, nu), nu = -omega^2 up to slack; or else
     the rotation chain (Jhat z, 0), (a, Jhat z) with (omega^2 + h) a =
     2 omega z, eigenvalues 0, 0.  In the basis Q = [Q1, Q2] of a complete QR
     of these vectors, B is block triangular up to the invariance defect
@@ -251,7 +241,7 @@ def deflated_eigenvalues(omega2, omega, h, j, T, z, slack):
         # vectors map into it up to slack; at rounding level it is invariant.
         if np.linalg.norm(hz - mu * z) <= rounding:
             P.append(np.column_stack([z, r]))
-            values += list(block_spectrum(build_block(omega, mu, r @ h @ r)))
+            values += list(block_spectrum(omega, mu, r @ h @ r))
         else:
             # r r^T lifts the kernel span(r) of the symmetric omega^2 + h;
             # as r^T z = 0, the solution has r^T a = 0 up to slack

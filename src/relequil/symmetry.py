@@ -43,6 +43,10 @@ PAIR_TOL = 1e-10
 # links).  A spurious link only merges two invariant blocks; a missed one
 # breaks invariance, and the oracle comparison fails.
 COUPLE_TOL = 1e-8
+# The trace route's invariance gate (relative to max |H|) and its checks
+# against the trace-equation sums and a direct eigvalsh.
+INVARIANCE_TOL = 1e-8
+TRACE_CHECK_TOL = 1e-9
 
 
 class InvarianceError(ValueError):
@@ -246,15 +250,15 @@ def verify_invariance(H, group, tol=1e-10):
     return defect <= tol, float(defect)
 
 
-def _require_invariance(H, group, rel_tol=1e-8):
+def _require_invariance(H, group):
     """max |H| (at least 1e-300); InvarianceError when the defect of
-    ``verify_invariance`` exceeds rel_tol times it.  That defect bounds
+    ``verify_invariance`` exceeds INVARIANCE_TOL times it.  That defect bounds
     max |D H - H D| over every element, so this gate is no looser than one
     on that maximum.  On the Hessians of regular polygons under the four
     benchmark potentials it sits at <= 7.6e-13 max |H| for n <= 24, 6.0e-12
-    at n <= 64 and 8.9e-11 at n = 200, far below the default 1e-8."""
+    at n <= 64 and 8.9e-11 at n = 200, far below INVARIANCE_TOL."""
     scale = max(float(np.max(np.abs(H))), 1e-300)
-    ok, defect = verify_invariance(H, group, tol=rel_tol * scale)
+    ok, defect = verify_invariance(H, group, tol=INVARIANCE_TOL * scale)
     if not ok:
         raise InvarianceError(
             f"matrix does not commute with the group action (defect {defect:.3e})"
@@ -285,8 +289,7 @@ class IsotypicDecomposition:
         return np.sort(np.array(out))
 
 
-def eigenvalues_by_trace_equations(H, group, table=None, invariance_tol=1e-8,
-                                   check_tol=1e-9, waves=None):
+def eigenvalues_by_trace_equations(H, group, waves=None):
     """Per-irreducible eigenvalues of an invariant symmetric matrix.
 
     The traces Tr(H D(g)) = sum_i tr(H_{i perm[i]} O) determine, through
@@ -302,9 +305,8 @@ def eigenvalues_by_trace_equations(H, group, table=None, invariance_tol=1e-8,
     direct symmetric diagonalization of H before returning.
     """
     H = np.asarray(H, dtype=float)
-    if table is None:
-        table = character_table(group)
-    scale = _require_invariance(H, group, invariance_tol)
+    table = character_table(group)
+    scale = _require_invariance(H, group)
     n = group.n
     # [g, i] is the 2x2 block H_{i perm_g[i]}
     blocks = H.reshape(n, 2, n, 2)[np.arange(n), :, group.perms]
@@ -322,7 +324,7 @@ def eigenvalues_by_trace_equations(H, group, table=None, invariance_tol=1e-8,
     K = _wave_number_reduction(H, waves[1:table.n_irreps - n_one + 1])[2]
     wave_eigs = np.linalg.eigvalsh(K)
     off = np.abs(wave_eigs.sum(axis=1) - sums[n_one:])
-    bad = np.flatnonzero(off > check_tol * (1.0 + np.abs(sums[n_one:])))
+    bad = np.flatnonzero(off > TRACE_CHECK_TOL * (1.0 + np.abs(sums[n_one:])))
     if bad.size:
         raise InvarianceError(
             f"component {table.names[n_one + bad[0]]}: wave-number eigenvalues do not "
@@ -336,7 +338,7 @@ def eigenvalues_by_trace_equations(H, group, table=None, invariance_tol=1e-8,
     deco = IsotypicDecomposition(tuple(components))
     direct = np.sort(np.linalg.eigvalsh(H))
     assembled = deco.full_multiset()
-    if np.max(np.abs(direct - assembled)) > check_tol * (scale + 1.0):
+    if np.max(np.abs(direct - assembled)) > TRACE_CHECK_TOL * (scale + 1.0):
         raise InvarianceError(
             "trace-equation eigenvalues disagree with direct diagonalization"
         )

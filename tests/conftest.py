@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relequil.central import RefinementError, refine_central_configuration, regular_polygon
-from relequil.model import BodyConfiguration, PotentialSpec
+from relequil.model import BodyConfiguration, PotentialSpec, moment_of_inertia
 from relequil.presets import all_standard_cases
 
 
@@ -123,6 +123,33 @@ def lagrange_triangles():
             cfg = BodyConfiguration(m, (q - m @ q / m.sum()).ravel())
             out.append((f"lagrange m={masses} {name}", cfg,
                         PotentialSpec(BENCHMARK_POTENTIALS[name])))
+    return out
+
+
+def refined_polygons():
+    """Acceptance criterion 4's 25 near-regular polygons: n = 3, 4, 5 moved
+    by 2% noise and Newton-refined at the polygon's moment of inertia, the
+    five potentials in turn."""
+    rng = np.random.default_rng(424242)
+    specs = [
+        PotentialSpec.manev(),
+        PotentialSpec.schwarzschild(),
+        PotentialSpec.homogeneous(1.0),
+        PotentialSpec.homogeneous(1.5),
+        PotentialSpec.homogeneous(0.8),
+    ]
+    out = []
+    for k in range(25):
+        n = (3, 4, 5)[k % 3]
+        spec = specs[k % 5]
+        poly = regular_polygon(n)
+        noise = rng.standard_normal(2 * n)
+        noise *= 0.02 / np.linalg.norm(noise)
+        start = poly.with_positions(poly.positions + noise)
+        refined = refine_central_configuration(
+            start, spec, fix_inertia=moment_of_inertia(poly)
+        )
+        out.append((f"refined k={k} n={n} {spec.describe()}", refined, spec))
     return out
 
 

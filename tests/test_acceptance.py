@@ -7,17 +7,13 @@ per criterion.
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from relequil.central import (
-    refine_central_configuration,
-    regular_polygon,
-)
+from relequil.central import regular_polygon
 from relequil.checks import run_selfcheck
 from relequil.dynamics import equilibrium_check, estimate_growth_rate
 from relequil.model import (
     Equilibrium,
     PotentialSpec,
     angular_frequency_squared,
-    moment_of_inertia,
     potential_gradient,
     potential_hessian,
 )
@@ -29,6 +25,8 @@ from relequil.spectrum import (
     full_linearization_spectrum,
 )
 from relequil.symmetry import build_polygon_symmetry_group, eigenvalues_by_trace_equations
+
+from conftest import refined_polygons
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -177,25 +175,9 @@ def test_criterion_4_block_oracle_equivalence():
         worst = max(worst, m.max_distance / m.scale)
         count += 1
 
-    rng = np.random.default_rng(424242)
-    specs = [
-        PotentialSpec.manev(),
-        PotentialSpec.schwarzschild(),
-        PotentialSpec.homogeneous(1.0),
-        PotentialSpec.homogeneous(1.5),
-        PotentialSpec.homogeneous(0.8),
-    ]
     coupled_used = 0
-    for k in range(25):
-        n = (3, 4, 5)[k % 3]
-        spec = specs[k % 5]
-        poly = regular_polygon(n)
-        noise = rng.standard_normal(2 * n)
-        noise *= 0.02 / np.linalg.norm(noise)
-        start = poly.with_positions(poly.positions + noise)
-        refined = refine_central_configuration(
-            start, spec, fix_inertia=moment_of_inertia(poly)
-        )
+    for _, refined, spec in refined_polygons():
+        n = refined.n
         eq = Equilibrium(refined, spec)
         deco = decompose_blocks(eq)
         coupled_used += len(deco.coupled)

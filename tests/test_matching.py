@@ -20,7 +20,6 @@ from scipy.optimize import linear_sum_assignment
 import relequil
 from relequil.central import regular_polygon
 from relequil.model import Equilibrium, PotentialSpec
-from relequil.pipeline import polygon_group_for
 from relequil.presets import HOMOGENEOUS_PRESETS, PRESET_NAMES, get_case
 from relequil.spectrum import (
     SpectrumMatch,
@@ -28,7 +27,6 @@ from relequil.spectrum import (
     decompose_blocks,
     full_linearization_spectrum,
 )
-from relequil.symmetry import wave_number_stack
 
 from conftest import BENCHMARK_POTENTIALS, PRESET_ALPHAS, WHOLE_SPACE_DECK
 
@@ -64,8 +62,8 @@ def solver_calls(monkeypatch):
     return calls
 
 
-def _union_and_oracle(eq, waves=None):
-    return decompose_blocks(eq, waves).union_spectrum(), full_linearization_spectrum(eq)
+def _union_and_oracle(eq):
+    return decompose_blocks(eq).union_spectrum(), full_linearization_spectrum(eq)
 
 
 def _preset_pairs():
@@ -79,9 +77,8 @@ def _polygon_pairs():
     out = []
     for n in range(3, 25):
         config = regular_polygon(n)
-        waves = wave_number_stack(polygon_group_for(config).vertices())
         for terms in BENCHMARK_POTENTIALS.values():
-            out.append(_union_and_oracle(Equilibrium(config, PotentialSpec(terms)), waves))
+            out.append(_union_and_oracle(Equilibrium(config, PotentialSpec(terms))))
     return out
 
 

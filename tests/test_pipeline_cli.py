@@ -10,13 +10,12 @@ import pytest
 from relequil import checks, dynamics, model, pipeline, symmetry
 from relequil.central import refine_central_configuration, regular_polygon
 from relequil.cli import main as cli_main
-from relequil.model import BodyConfiguration, PotentialSpec
+from relequil.model import BodyConfiguration, Equilibrium, PotentialSpec
 from relequil.pipeline import (
     AnalysisRequest,
     ConsistencyError,
     InputError,
     StabilityReport,
-    polygon_group_for,
     run_analysis,
     run_sweep,
 )
@@ -54,6 +53,11 @@ class TestRequestResolution:
             AnalysisRequest(case="triangle-homogeneous", alpha=1.0,
                             masses=(1.0, 1.0, 1.0)).resolve()
 
+    def test_positions_on_preset_rejected(self):
+        with pytest.raises(InputError, match="preset case or positions"):
+            AnalysisRequest(case="triangle-homogeneous", alpha=1.0,
+                            positions=(0.0, 0.0, 3.0, 0.0, 0.0, 5.0)).resolve()
+
     def test_missing_everything(self):
         with pytest.raises(InputError):
             AnalysisRequest().resolve()
@@ -75,21 +79,30 @@ class TestRequestResolution:
 class TestPolygonGroupDetection:
     def test_detects_rotated_polygon(self):
         cfg = regular_polygon(4).rotated(0.31)
-        group = polygon_group_for(cfg)
-        assert group is not None and group.order == 8
+        eq = Equilibrium(cfg, PotentialSpec.homogeneous(1.0))
+        assert eq.group is not None and eq.group.order == 8
+        assert eq.waves.shape == (3, 8, 4) and not eq.waves.flags.writeable
 
     def test_rejects_non_polygon(self, rng):
         from conftest import random_safe_configuration
 
         cfg = random_safe_configuration(rng)
-        assert polygon_group_for(cfg) is None
+        assert symmetry.polygon_axis_angle(cfg) is None
 
     def test_rejects_unequal_masses(self):
         from relequil.model import BodyConfiguration
 
         tri = regular_polygon(3)
         cfg = BodyConfiguration(np.array([1.0, 2.0, 1.0]), tri.positions)
-        assert polygon_group_for(cfg) is None
+        assert symmetry.polygon_axis_angle(cfg) is None
+
+    def test_no_group_without_a_polygon(self):
+        # a collinear central configuration: no group and no wave stack
+        cfg = refine_central_configuration(
+            BodyConfiguration(np.ones(3), np.array([-1.0, 0.0, 0.1, 0.0, 1.0, 0.0])),
+            PotentialSpec.homogeneous(1.0))
+        eq = Equilibrium(cfg, PotentialSpec.homogeneous(1.0))
+        assert eq.group is None and eq.waves is None
 
 
 class TestReports:
@@ -209,9 +222,9 @@ class TestConsistencyError:
     def test_names_both_sizes_on_cardinality_mismatch(self, monkeypatch):
         real = pipeline.decompose_blocks
 
-        def drop_a_block(eq, waves=None):
-            deco = real(eq, waves)
-            return type(deco)(deco.omega, deco.pairs[1:], deco.blocks[1:], deco.coupled,
+        def drop_a_block(eq):
+            deco = real(eq)
+            return type(deco)(deco.omega, deco.blocks[1:], deco.block_spectra[1:], deco.coupled,
                               deco.coupled_spectra)
 
         monkeypatch.setattr(pipeline, "decompose_blocks", drop_a_block)
@@ -314,6 +327,16 @@ class TestSweep:
     def test_empty_grid(self):
         result = run_sweep(AnalysisRequest(case="triangle-homogeneous"), [])
         assert result.reports == () and result.summary == ()
+
+    def test_keeps_the_coefficient_of_a_single_term_potential(self):
+        # each grid point analyzes c r^-alpha, as analyze does
+        positions = tuple(regular_polygon(3).positions)
+        swept = run_sweep(AnalysisRequest(positions=positions, potential=((2.0, 1.0),)), [1.0])
+        alone = run_analysis(AnalysisRequest(positions=positions, potential=((2.0, 1.0),)))
+        data = swept.reports[0][1].to_dict()
+        assert data["potential"] == alone.to_dict()["potential"] == "2*r^-1"
+        for key in ("omega_squared", "blocks", "oracle_spectrum", "verdict"):
+            assert data[key] == alone.to_dict()[key], key
 
 
 class TestCli:
@@ -430,6 +453,13 @@ class TestCli:
         with np.errstate(all="raise"):
             assert cli_main(["analyze", *argv]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_case_with_positions_exit_2(self, capsys):
+        code = cli_main(["analyze", "--case", "triangle-homogeneous", "--alpha", "1",
+                         "--positions", "0,0,3,0,0,5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "input error: give either a preset case or positions\n")
 
     def test_sweep_table(self, capsys):
         code = cli_main([

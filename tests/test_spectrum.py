@@ -21,7 +21,6 @@ from relequil.spectrum import (
     UNSTABLE,
     ConsistencyError,
     block_spectrum,
-    build_block,
     classify,
     compare_spectra,
     decompose_blocks,
@@ -29,7 +28,7 @@ from relequil.spectrum import (
     full_linearization_spectrum,
     sorted_spectrum,
 )
-from relequil.symmetry import block_symplectic, symplectic_pairs, wave_number_basis
+from relequil.symmetry import J2, block_symplectic, symplectic_pairs, wave_number_basis
 
 
 def _match_distance(a, b):
@@ -54,10 +53,14 @@ def _collinear_manev():
                        spec)
 
 
-class TestLinearBlock:
+def _block_matrix(omega, lam1, lam2):
+    """The dense 4x4 block of a pair (lam1, lam2)."""
+    return first_order_matrix(omega ** 2, omega, np.diag([lam1, lam2]), J2)
+
+
+class TestBlockSpectrum:
     def test_matrix_layout(self):
-        blk = build_block(2.0, 3.0, 5.0)
-        B = blk.matrix
+        B = _block_matrix(2.0, 3.0, 5.0)
         np.testing.assert_allclose(B[:2, 2:], np.eye(2))
         assert B[2, 0] == pytest.approx(4.0 + 3.0)
         assert B[3, 1] == pytest.approx(4.0 + 5.0)
@@ -68,10 +71,10 @@ class TestLinearBlock:
 
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(ValueError):
-            build_block(0.0, 1.0, 1.0)
+            block_spectrum(0.0, 1.0, 1.0)
 
     def test_translation_block_unit_frequency(self):
-        eigs = block_spectrum(build_block(1.0, 0.0, 0.0))
+        eigs = block_spectrum(1.0, 0.0, 0.0)
         np.testing.assert_allclose(
             np.sort_complex(eigs), [-1j, -1j, 1j, 1j], atol=1e-14
         )
@@ -81,8 +84,7 @@ class TestLinearBlock:
         for alpha in (0.5, 1.0, 1.9):
             w2 = 3.0 ** (-alpha / 2.0) * alpha
             w = np.sqrt(w2)
-            blk = build_block(w, w2 * (1.0 + alpha), -w2)
-            eigs = np.sort_complex(block_spectrum(blk))
+            eigs = np.sort_complex(block_spectrum(w, w2 * (1.0 + alpha), -w2))
             expected = np.sort_complex(
                 [0.0, 0.0, 1j * w * np.sqrt(2.0 - alpha), -1j * w * np.sqrt(2.0 - alpha)]
             )
@@ -91,8 +93,8 @@ class TestLinearBlock:
     def test_alpha_two_all_zero(self):
         alpha = 2.0
         w2 = 3.0 ** (-alpha / 2.0) * alpha
-        blk = build_block(np.sqrt(w2), w2 * (1.0 + alpha), -w2)
-        np.testing.assert_allclose(block_spectrum(blk), 0.0, atol=1e-13)
+        np.testing.assert_allclose(block_spectrum(np.sqrt(w2), w2 * (1.0 + alpha), -w2), 0.0,
+                                   atol=1e-13)
 
     # near-zero lam make the near-defective blocks where the snaps act
     LAM = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-8, 1e-8))
@@ -108,7 +110,7 @@ class TestLinearBlock:
         # plus rounding.  The biquadratic of the roots, p' = -(s1^2 + s2^2)
         # and q' = s1^2 s2^2, is formed in 50-digit arithmetic and compared
         # with the block's exact p and q.
-        s1, _, s2, _ = block_spectrum(build_block(omega, lam1, lam2))
+        s1, _, s2, _ = block_spectrum(omega, lam1, lam2)
         eps = np.finfo(float).eps
         with mpmath.workdps(50):
             w2 = mpmath.mpf(omega) ** 2
@@ -130,7 +132,7 @@ class TestLinearBlock:
             exact = mpmath.polyroots([1, 0, 4 * w2 - c1 - c2, 0, c1 * c2],
                                      maxsteps=200, extraprec=200)
             exact = np.array([complex(r) for r in exact])
-        closed = block_spectrum(build_block(omega, lam1, lam2))
+        closed = block_spectrum(omega, lam1, lam2)
         assert _match_distance(closed, exact) <= 1e-9 * np.max(np.abs(exact))
 
     def test_closed_form_matches_dense_random_sweep(self, rng):
@@ -139,15 +141,14 @@ class TestLinearBlock:
         for _ in range(1000):
             omega = rng.uniform(0.1, 10.0)
             lam1, lam2 = rng.uniform(-10.0, 10.0, size=2)
-            blk = build_block(omega, lam1, lam2)
-            closed = block_spectrum(blk)
-            dense = np.linalg.eigvals(blk.matrix)
+            closed = block_spectrum(omega, lam1, lam2)
+            dense = np.linalg.eigvals(_block_matrix(omega, lam1, lam2))
             scale = max(np.max(np.abs(dense)), 1e-30)
             worst = max(worst, _match_distance(closed, dense) / scale)
         assert worst <= 1e-10
 
     def test_spectrum_symmetric(self):
-        eigs = block_spectrum(build_block(1.3, 2.0, -0.4))
+        eigs = block_spectrum(1.3, 2.0, -0.4)
         assert _match_distance(eigs, -eigs) <= 1e-14
         assert _match_distance(eigs, np.conj(eigs)) <= 1e-14
 

@@ -6,9 +6,8 @@ import pytest
 from relequil import checks
 from relequil.central import regular_polygon
 from relequil.checks import representation_matrices
-from relequil.model import BodyConfiguration, PotentialSpec, potential_hessian
-from relequil.pipeline import polygon_group_for
-from relequil.spectrum import CoupledBlock, block_spectrum, build_block, compare_spectra
+from relequil.model import BodyConfiguration, Equilibrium, PotentialSpec, potential_hessian
+from relequil.spectrum import CoupledBlock, block_spectrum, compare_spectra
 from relequil.symmetry import (
     J2,
     InvarianceError,
@@ -17,6 +16,7 @@ from relequil.symmetry import (
     character_table,
     decompose_multiplicities,
     eigenvalues_by_trace_equations,
+    polygon_axis_angle,
     representation_character,
     symplectic_pairs,
     verify_invariance,
@@ -116,11 +116,9 @@ class TestGroupConstruction:
     def test_large_polygons_build(self, n):
         # the rotations are built in closed form; a product of n - 1 turns
         # drifts past ORTHO_TOL from n = 129
-        cfg = regular_polygon(n)
-        group = polygon_group_for(cfg)
-        assert group.order == 2 * n
-        H = potential_hessian(cfg, PotentialSpec.homogeneous(1.0))
-        deco = eigenvalues_by_trace_equations(H, group)
+        eq = Equilibrium(regular_polygon(n), PotentialSpec.homogeneous(1.0))
+        assert eq.group.order == 2 * n
+        deco = eigenvalues_by_trace_equations(eq.H, eq.group, eq.waves)
         assert deco.full_multiset().size == 2 * n
 
 
@@ -413,13 +411,13 @@ class TestAgainstProjectorRoute:
 
     def test_presets(self, standard_cases):
         for case in standard_cases:
-            cfg = case.configuration()
-            self._assert_same(potential_hessian(cfg, case.potential), polygon_group_for(cfg))
+            eq = Equilibrium(case.configuration(), case.potential)
+            self._assert_same(eq.H, eq.group)
 
     @pytest.mark.parametrize("n", [*range(3, 25), 32, 48, 64])
     def test_polygons(self, n):
         cfg = regular_polygon(n, radius=1.3).rotated(0.7)
-        group = polygon_group_for(cfg)
+        group = build_polygon_symmetry_group(n, axis_angle=polygon_axis_angle(cfg))
         for mass in (1.0, 2.5):
             cfg = BodyConfiguration(np.full(n, mass), cfg.positions)
             for spec in BENCHMARK_POTENTIALS.values():
@@ -550,11 +548,11 @@ class TestJPairs:
             for M in (H, Jh):
                 defect = np.linalg.norm(M @ V - V @ (V.T @ M @ V), 2)
                 assert defect <= 1e-12 * np.linalg.norm(M, 2)
-        got = [block_spectrum(build_block(omega, p.lam1, p.lam2)) for p in pairs]
+        got = [block_spectrum(omega, p.lam1, p.lam2) for p in pairs]
         got += [CoupledBlock(omega, V.T @ H @ V, V.T @ Jh @ V,
                              (np.zeros((V.shape[1], 0)), None, 0.0)).spectrum()
                 for V in rests]
-        want = [block_spectrum(build_block(omega, a, b)) for a, b in planes]
+        want = [block_spectrum(omega, a, b) for a, b in planes]
         match = compare_spectra(np.concatenate(got), np.concatenate(want), tol=1e-12)
         assert match.matches, match.max_distance
 

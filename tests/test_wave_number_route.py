@@ -1,28 +1,27 @@
 """The per-wave-number route for regular polygons against the whole-space one.
 
-``decompose_blocks(eq, waves)`` pairs each wave-number subspace W_k from its
-2x2 Hermitian K_k and solves the unpaired ones as stacked 4x4s;
-``decompose_blocks(eq)`` runs the whole-space ``symplectic_pairs`` and
-solves each coupled block on its own.  On regular polygons both must find
-the same pairs, the same coupled-block dimensions, the same spectra and the
-same verdicts; ``run_analysis`` takes the first route exactly for the inputs
-that have a dihedral group.
+On a regular polygon ``decompose_blocks(eq)`` pairs each wave-number
+subspace W_k from its 2x2 Hermitian K_k and solves the unpaired ones as
+stacked 4x4s; the whole-space route ``spectrum._decompose_whole_space(eq)``
+runs ``symplectic_pairs`` and solves each coupled block on its own.  On
+regular polygons both must find the same pairs, the same coupled-block
+dimensions, the same spectra and the same verdicts; the first route runs
+exactly for the inputs whose ``Equilibrium`` has a dihedral group.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import schur
 
-from relequil import pipeline, spectrum, symmetry
+from relequil import model, pipeline, spectrum, symmetry
 from relequil.central import regular_polygon
 from relequil.model import BodyConfiguration, Equilibrium, PotentialSpec
-from relequil.pipeline import AnalysisRequest, polygon_group_for, run_analysis
+from relequil.pipeline import AnalysisRequest, run_analysis
 from relequil.presets import HOMOGENEOUS_PRESETS, get_case
 from relequil.spectrum import (
     BlockDecomposition,
     CoupledBlock,
-    ConsistencyError,
-    build_block,
+    block_spectrum,
     classify,
     compare_spectra,
     decompose_blocks,
@@ -34,39 +33,27 @@ from relequil.symmetry import (
     JPair,
     _apply_symplectic,
     _eigen_clusters,
-    wave_number_stack,
+    wave_number_pairs,
 )
 
 from conftest import BENCHMARK_POTENTIALS, PRESET_ALPHAS, WHOLE_SPACE_DECK, collinear_deck, rings
 
 
 def _both_routes(eq):
-    waves = wave_number_stack(polygon_group_for(eq.config).vertices())
-    return decompose_blocks(eq, waves), decompose_blocks(eq)
-
-
-def _translation_free(deco, scale):
-    """The union spectrum without the blocks of the translation pairs.
-
-    Those blocks are LinearBlock(omega, lam, lam) with lam zero up to the
-    rounding of Hw, about eps |Hw|.  Their exact eigenvalues +-i omega are a
-    defective double root, so each route's spectrum there moves by
-    sqrt(omega |lam|) (1e-8 relative at n = 48); the two routes' lam are
-    compared instead."""
-    keep = [s for p, s in zip(deco.pairs, deco.block_spectra)
-            if not (abs(p.lam1) <= 1e-12 * scale and abs(p.lam2) <= 1e-12 * scale)]
-    return np.concatenate(keep + list(deco.coupled_spectra))
+    assert eq.waves is not None
+    return decompose_blocks(eq), spectrum._decompose_whole_space(eq)
 
 
 def _assert_same(eq, label):
+    # both routes give the translation pairs the exact +-i omega twice, so
+    # the whole unions compare
     wave, whole = _both_routes(eq)
     scale = float(np.max(np.abs(np.linalg.eigvalsh(eq.Hw))))
-    lams = [sorted((p.lam1, p.lam2) for p in d.pairs) for d in (wave, whole)]
+    lams = [sorted((p.lam1, p.lam2) for p in d.blocks) for d in (wave, whole)]
     assert len(lams[0]) == len(lams[1]), label
     np.testing.assert_allclose(lams[0], lams[1], rtol=0, atol=1e-13 * scale, err_msg=label)
     assert sorted(c.dim for c in wave.coupled) == sorted(c.dim for c in whole.coupled), label
-    a, b = _translation_free(wave, scale), _translation_free(whole, scale)
-    match = compare_spectra(a, b, tol=1e-12)
+    match = compare_spectra(wave.union_spectrum(), whole.union_spectrum(), tol=1e-12)
     assert match.matches, (label, match.max_distance / match.scale)
     assert classify(wave.union_spectrum()).verdict == classify(whole.union_spectrum()).verdict
 
@@ -90,9 +77,9 @@ class TestEquivalence:
         eq = Equilibrium(cfg, PotentialSpec(BENCHMARK_POTENTIALS["schwarzschild"]))
         wave, _ = _both_routes(eq)
         scale = float(np.max(np.abs(eq.Hw)))
-        V = np.column_stack([v for p in wave.pairs for v in (p.v1, p.v2)])
+        V = np.column_stack([v for p in wave.blocks for v in (p.v1, p.v2)])
         np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-13)
-        for p in wave.pairs:
+        for p in wave.blocks:
             P = np.column_stack([p.v1, p.v2])
             np.testing.assert_allclose(eq.Jh @ P, P @ J2, rtol=0, atol=1e-14)
             np.testing.assert_allclose(eq.Hw @ P, P * [p.lam1, p.lam2], rtol=0,
@@ -168,7 +155,8 @@ def _reference_symplectic_pairs(H):
 
 
 def _reference_decompose_blocks(eq):
-    """The whole-space decomposition from the reference pairing."""
+    """The whole-space decomposition from the reference pairing; a pair
+    whose v1 lies in span(T) takes the translations' +-i omega twice."""
     pairs, bases = _reference_symplectic_pairs(eq.Hw)
     T, z, slack = eq.trivial
     coupled = []
@@ -177,8 +165,11 @@ def _reference_decompose_blocks(eq):
         Tv = Tv if np.sum(Tv * Tv) > 0.5 * np.sum(T * T) else Tv[:, :0]
         zv = zv if zv @ zv > 0.5 * (z @ z) else None
         coupled.append(CoupledBlock(eq.omega, V.T @ eq.Hw @ V, V.T @ eq.Jh @ V, (Tv, zv, slack)))
-    blocks = tuple(build_block(eq.omega, p.lam1, p.lam2) for p in pairs)
-    return BlockDecomposition(eq.omega, tuple(pairs), blocks, tuple(coupled),
+    Q = np.linalg.qr(T)[0]
+    w = 1j * eq.omega
+    spectra = tuple(np.array([w, -w, w, -w]) if np.sum((Q.T @ p.v1) ** 2) > 0.5
+                    else block_spectrum(eq.omega, p.lam1, p.lam2) for p in pairs)
+    return BlockDecomposition(eq.omega, tuple(pairs), spectra, tuple(coupled),
                               tuple(c.spectrum() for c in coupled))
 
 
@@ -214,7 +205,7 @@ class TestRouting:
         def refuse(*args):
             raise AssertionError("whole-space pairing on a polygon")
 
-        for module in (symmetry, pipeline):
+        for module in (symmetry, model):
             monkeypatch.setattr(module, "wave_number_stack", counted_stack)
         monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
         monkeypatch.setattr(pipeline, "decompose_blocks", flagged_decompose)
@@ -231,7 +222,7 @@ class TestRouting:
         def refuse(*args, **kwargs):
             raise AssertionError(f"wave-number route on {label}")
 
-        monkeypatch.setattr(pipeline, "wave_number_stack", refuse)
+        monkeypatch.setattr(model, "wave_number_stack", refuse)
         monkeypatch.setattr(spectrum, "wave_number_pairs", refuse)
         request = AnalysisRequest(positions=tuple(cfg.positions), masses=tuple(cfg.masses),
                                   potential=spec.terms)
@@ -244,9 +235,9 @@ class TestRouting:
         # the same pairs to the bit, the same coupled dimensions and the same
         # union spectrum to the byte as the SVD and Schur pair search
         eq = Equilibrium(cfg, spec)
-        assert polygon_group_for(cfg) is None, label
+        assert eq.group is None, label
         got, ref = decompose_blocks(eq), _reference_decompose_blocks(eq)
-        assert [(p.lam1, p.lam2) for p in got.pairs] == [(p.lam1, p.lam2) for p in ref.pairs]
+        assert [(p.lam1, p.lam2) for p in got.blocks] == [(p.lam1, p.lam2) for p in ref.blocks]
         assert [c.dim for c in got.coupled] == [c.dim for c in ref.coupled]
         assert got.union_spectrum().tobytes() == ref.union_spectrum().tobytes(), label
 
@@ -258,16 +249,44 @@ class TestTrivialWaveNumbers:
         cosine directions of W_k and W_other: inside W_1 that splits the
         translation pair's K_1, across W_0 and W_2 it leaks out of both."""
         eq = Equilibrium(regular_polygon(4), PotentialSpec.homogeneous(1.0))
-        waves = wave_number_stack(polygon_group_for(eq.config).vertices())
-        u, v = waves[k, :, 0], waves[other, :, 0]
+        u, v = eq.waves[k, :, 0], eq.waves[other, :, 0]
         Hw = eq.Hw + eps * np.max(np.abs(eq.Hw)) * (np.outer(u, v) + np.outer(v, u))
-        fields = {"Hw": Hw, "omega": eq.omega, "n": eq.n, "trivial": eq.trivial}
-        return type("Broken", (), fields)(), waves
+        fields = {"Hw": Hw, "Jh": eq.Jh, "omega": eq.omega, "n": eq.n, "trivial": eq.trivial,
+                  "waves": eq.waves}
+        return type("Broken", (), fields)()
 
     @pytest.mark.parametrize("k, other", [(0, 2), (1, 1)])
-    def test_unpaired_trivial_wave_number_raises(self, k, other):
-        eq, waves = self._broken(k, other)
-        with pytest.raises(ConsistencyError) as err:
-            decompose_blocks(eq, waves)
-        assert err.value.stage == "wave-number pairing"
-        assert f"wave number {k}," in str(err.value)
+    def test_unpaired_trivial_wave_number_takes_the_whole_space_route(self, monkeypatch,
+                                                                       k, other):
+        # the wave route pairs once; where W_0 or W_1 fails to pair, the
+        # whole-space route decomposes the same equilibrium instead
+        eq = self._broken(k, other)
+        assert not wave_number_pairs(eq.Hw, eq.waves)[3][k]
+        pairings, routed = [], []
+        real_pairs = spectrum.wave_number_pairs
+
+        def counted_pairs(*args):
+            pairings.append(args)
+            return real_pairs(*args)
+
+        def whole_space(e):
+            routed.append(e)
+            return "whole space"
+
+        monkeypatch.setattr(spectrum, "wave_number_pairs", counted_pairs)
+        monkeypatch.setattr(spectrum, "_decompose_whole_space", whole_space)
+        assert decompose_blocks(eq) == "whole space"
+        assert len(pairings) == 1 and routed == [eq]
+
+    def test_triangle_typed_to_nine_digits(self):
+        # regular to the detector's 1e-8 but not to the pair residual test's
+        # 1e-10: the whole-space route matches the oracle
+        positions = np.round(regular_polygon(3).positions, 9)
+        eq = Equilibrium(BodyConfiguration(np.ones(3), positions), PotentialSpec.homogeneous(1.0))
+        assert eq.waves is not None
+        assert not wave_number_pairs(eq.Hw, eq.waves)[3][:2].all()
+        got = decompose_blocks(eq)
+        assert got.union_spectrum().tobytes() == \
+            spectrum._decompose_whole_space(eq).union_spectrum().tobytes()
+        report = run_analysis(AnalysisRequest(positions=tuple(positions), alpha=1.0))
+        assert report.matches_oracle
