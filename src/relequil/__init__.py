@@ -39,7 +39,6 @@ from .pipeline import (
 )
 from .presets import PRESET_NAMES, get_case
 from .spectrum import (
-    CoupledBlock,
     StabilityVerdict,
     block_spectrum,
     classify,

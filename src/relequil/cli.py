@@ -1,8 +1,10 @@
 """Command line interface.
 
-Subcommands: analyze, sweep, simulate, presets, selfcheck.  Exit codes:
-0 = completed (whatever the verdict), 2 = input error, 3 = internal
-consistency failure.  RELEQUIL_OUT_DIR sets the default output directory.
+Subcommands: analyze, sweep, simulate, presets, selfcheck, each taking
+only the flags it reads.  Exit codes: 0 = completed (whatever the
+verdict), 2 = input error, 3 = internal consistency failure; a sweep
+exits 2 when an input error is among its failed grid points.
+RELEQUIL_OUT_DIR sets the default output directory.
 """
 
 from __future__ import annotations
@@ -69,15 +71,15 @@ def _parse_floats(text, flag):
         raise InputError(f"{flag}: {exc}") from exc
 
 
-def _request_from_args(args, alpha=None):
+def _request_from_args(args):
     potential = _parse_potential(args.potential) if args.potential else None
     return AnalysisRequest(
         case=args.case,
-        alpha=alpha if alpha is not None else args.alpha,
+        alpha=getattr(args, "alpha", None),
         potential=potential,
         masses=_parse_floats(args.masses, "--masses"),
         positions=_parse_floats(args.positions, "--positions"),
-        compare_tol=args.tol,
+        compare_tol=getattr(args, "tol", AnalysisRequest.compare_tol),
         with_dynamics=getattr(args, "dynamics", False),
         with_timing=getattr(args, "timing", False),
     )
@@ -100,13 +102,15 @@ def cmd_sweep(args):
     payload = {
         "grid": grid,
         "summary": [{"alpha": a, "label": lab} for a, lab in result.summary],
-        "failures": [{"alpha": a, "message": m} for a, m in result.failures],
+        "failures": [{"alpha": a, "message": str(e)} for a, e in result.failures],
         "reports": [
             {"alpha": a, "report": (r.to_dict() if r is not None else None)}
             for a, r in result.reports
         ],
     }
     _emit(args, payload, result.render_table(), "sweep.json")
+    if any(isinstance(e, InputError) for _, e in result.failures):
+        return EXIT_INPUT
     return EXIT_CONSISTENCY if result.failures else EXIT_OK
 
 
@@ -201,19 +205,24 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--case", choices=PRESET_NAMES, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--potential", default=None,
-                       help="explicit terms 'c1:a1,c2:a2'")
-        p.add_argument("--positions", default=None,
-                       help="flat x1,y1,x2,y2,... for explicit configurations")
-        p.add_argument("--masses", default=None,
-                       help="m1,m2,... for explicit configurations (default all 1)")
-        p.add_argument("--tol", type=float, default=AnalysisRequest.compare_tol,
-                       help="block-vs-oracle comparison tolerance")
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--format", choices=("json", "table"), default="table")
+    flags = {
+        "--case": dict(choices=PRESET_NAMES, default=None),
+        "--alpha": dict(type=float, default=None),
+        "--potential": dict(default=None, help="explicit terms 'c1:a1,c2:a2'"),
+        "--positions": dict(default=None,
+                            help="flat x1,y1,x2,y2,... for explicit configurations"),
+        "--masses": dict(default=None,
+                         help="m1,m2,... for explicit configurations (default all 1)"),
+        "--tol": dict(type=float, default=AnalysisRequest.compare_tol,
+                      help="block-vs-oracle comparison tolerance"),
+        "--out": dict(default=None, help="write output to this path"),
+        "--format": dict(choices=("json", "table"), default="table"),
+    }
+
+    def common(p, *skip):
+        for name, kwargs in flags.items():
+            if name not in skip:
+                p.add_argument(name, **kwargs)
 
     p = sub.add_parser("analyze", help="full stability report for one case")
     common(p)
@@ -223,12 +232,12 @@ def build_parser():
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("sweep", help="alpha sweep for a homogeneous case")
-    common(p)
+    common(p, "--alpha")
     p.add_argument("--grid", required=True, help="comma-separated alphas")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("simulate", help="integrate the nonlinear system")
-    common(p)
+    common(p, "--tol")
     p.add_argument("--periods", type=float, default=10.0)
     p.add_argument("--steps-per-period", type=int, default=10000)
     p.add_argument("--kick", action="store_true",
@@ -239,11 +248,11 @@ def build_parser():
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("presets", help="list the preset cases")
-    common(p)
+    p.add_argument("--out", **flags["--out"])
+    p.add_argument("--format", **flags["--format"])
     p.set_defaults(fn=cmd_presets)
 
     p = sub.add_parser("selfcheck", help="run the invariant battery")
-    common(p)
     p.add_argument("--fast", action="store_true")
     p.set_defaults(fn=cmd_selfcheck)
     return parser

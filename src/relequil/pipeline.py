@@ -57,13 +57,11 @@ class AnalysisRequest:
     masses: tuple | None = None
     positions: tuple | None = None
     compare_tol: float = 1e-9
-    classify_tol: float = CLASSIFY_TOL
     with_dynamics: bool = False
     with_timing: bool = False
 
     def __post_init__(self):
         require_positive("compare_tol", self.compare_tol)
-        require_positive("classify_tol", self.classify_tol)
 
     def resolve(self):
         """(config, spec, case_definition_or_None)."""
@@ -287,13 +285,13 @@ def run_analysis(request):
     blocks = [{
         "lam1": float(pair.lam1),
         "lam2": float(pair.lam2),
-        "omega": decomposition.omega,
+        "omega": eq.omega,
         "eigenvalues": _c(eigs),
     } for pair, eigs in zip(decomposition.blocks, block_spectra)]
     coupled = [{
-        "dim": int(cb.dim),
+        "dim": len(eigs) // 2,
         "eigenvalues": _spectrum_dicts(eigs),
-    } for cb, eigs in zip(decomposition.coupled, decomposition.coupled_spectra)]
+    } for eigs in decomposition.coupled_spectra]
     union = decomposition.union_spectrum()
 
     oracle = full_linearization_spectrum(eq)
@@ -302,7 +300,7 @@ def run_analysis(request):
         raise ConsistencyError("block union vs oracle", _mismatch(match, union, oracle))
     # labelled in the order the report prints the oracle spectrum
     oracle_sorted = sorted_spectrum(oracle)
-    verdict = classify(oracle_sorted, tol=request.classify_tol)
+    verdict = classify(oracle_sorted)
 
     dynamics_entry = None
     if request.with_dynamics:
@@ -314,7 +312,7 @@ def run_analysis(request):
             "case": request.case,
             "alpha": request.alpha,
             "compare_tol": request.compare_tol,
-            "classify_tol": request.classify_tol,
+            "classify_tol": CLASSIFY_TOL,
         },
         "potential": spec.describe(),
         "configuration": {
@@ -409,7 +407,7 @@ def _worst_direction(eq):
 @dataclass(frozen=True)
 class SweepResult:
     reports: tuple              # (alpha, report-or-None) in grid order
-    failures: tuple             # (alpha, message)
+    failures: tuple             # (alpha, InputError or ConsistencyError)
     summary: tuple              # (alpha, label of the non-structural pair modes)
 
     def render_table(self):
@@ -419,8 +417,8 @@ class SweepResult:
             lines.append(
                 f"{alpha:<7g} {label:<19} {verdicts.get(alpha, 'failed')}"
             )
-        for alpha, msg in self.failures:
-            lines.append(f"{alpha:<7g} FAILED: {msg}")
+        for alpha, error in self.failures:
+            lines.append(f"{alpha:<7g} FAILED: {error}")
         return "\n".join(lines)
 
 
@@ -443,7 +441,7 @@ def run_sweep(base_request, grid):
         try:
             report = run_analysis(replace(base_request, alpha=float(alpha), potential=potential))
         except (InputError, ConsistencyError) as exc:
-            failures.append((float(alpha), str(exc)))
+            failures.append((float(alpha), exc))
             reports.append((float(alpha), None))
             continue
         reports.append((float(alpha), report))
@@ -451,7 +449,7 @@ def run_sweep(base_request, grid):
     return SweepResult(tuple(reports), tuple(failures), tuple(summary))
 
 
-def _trichotomy_label(report, tol=CLASSIFY_TOL):
+def _trichotomy_label(report):
     """Label of the non-structural mode pair of the trivial/rotation block."""
     data = report.to_dict()
     if not data["blocks"]:
@@ -465,5 +463,5 @@ def _trichotomy_label(report, tol=CLASSIFY_TOL):
             best, best_err = blk, err
     eigs = np.array([complex(e["re"], e["im"]) for e in best["eigenvalues"]])
     keep = np.argsort(np.abs(eigs))[2:]      # drop the two structural zeros
-    labels = set(eigenvalue_labels(eigs[keep], tol * omega))
+    labels = set(eigenvalue_labels(eigs[keep], CLASSIFY_TOL * omega))
     return labels.pop() if len(labels) == 1 else "/".join(sorted(labels))

@@ -22,7 +22,6 @@ from .symmetry import J2, symplectic_pairs, wave_number_pairs
 
 SNAP_TOL = 1e-12            # coefficient snap in the closed-form quartic
 CLASSIFY_TOL = 1e-8         # |Re|, |Im| thresholds relative to spectral radius
-_J4 = np.kron(np.eye(2), J2)    # Jhat on a wave-number subspace W_k
 _PERMS4 = np.array(list(permutations(range(4))))    # lexicographic order
 
 UNSTABLE = "spectrally-unstable"
@@ -86,38 +85,13 @@ def block_spectrum(omega, lam1, lam2):
 
 
 @dataclass(frozen=True)
-class CoupledBlock:
-    """Joint (H, Jhat)-invariant subspace that admits no 4x4 splitting.
-
-    Holds the restrictions of the Hessian and the block symplectic map to
-    an orthonormal basis of the subspace, and the (T, z, slack) of
-    ``Equilibrium.trivial`` in that basis (T empty, z None where they lie outside)
-    for ``deflated_eigenvalues``.
-    """
-
-    omega: float
-    h_sub: np.ndarray
-    j_sub: np.ndarray
-    trivial: tuple
-
-    @property
-    def dim(self):
-        return self.h_sub.shape[0]
-
-    def spectrum(self):
-        return deflated_eigenvalues(self.omega ** 2, self.omega, self.h_sub, self.j_sub,
-                                    *self.trivial)
-
-
-@dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks of the linearization with the eigenvalues of each."""
+    """The pairs of the linearization's closed-form 4x4 blocks, the
+    eigenvalues of each, and those of each coupled block."""
 
-    omega: float
     blocks: tuple              # JPair per closed-form 4x4 block
     block_spectra: tuple       # eigenvalues per pair
-    coupled: tuple             # CoupledBlock for unpairable subspaces
-    coupled_spectra: tuple     # eigenvalues per CoupledBlock
+    coupled_spectra: tuple     # eigenvalues per coupled block
 
     def union_spectrum(self):
         return np.concatenate(self.block_spectra + self.coupled_spectra)
@@ -138,53 +112,58 @@ def decompose_blocks(eq):
     (``symplectic_pairs``).
     """
     if eq.waves is not None:
-        pairs, h, K, paired = wave_number_pairs(eq.Hw, eq.waves)
+        pairs, K, paired = wave_number_pairs(eq.Hw, eq.waves)
         if paired[:2].all():
-            # each unpaired W_k is one coupled block with nothing to deflate,
-            # its h_sub and j_sub h_k and diag(J2, J2) cut to its dimension
+            # W_0 and W_1 paired, so no unpaired W_k holds a trivial vector
             ks = np.flatnonzero(~paired)
             dims = np.where((2 * ks) % eq.n, 4, 2)
-            coupled = tuple(CoupledBlock(eq.omega, h[k, :d, :d], _J4[:d, :d],
-                                         (np.zeros((d, 0)), None, eq.trivial[2]))
-                            for k, d in zip(ks, dims))
-            return BlockDecomposition(eq.omega, tuple(pairs), _pair_spectra(eq, pairs), coupled,
+            return BlockDecomposition(tuple(pairs), _pair_spectra(eq, pairs),
                                       wave_number_block_spectra(eq.omega, K[ks], dims))
     return _decompose_whole_space(eq)
 
 
+def _trivial_in(eq, V):
+    """The trivial vectors of ``eq.trivial`` that lie in span(V), in the
+    orthonormal basis V of an invariant subspace: (T_V, z_V, slack) for
+    ``deflated_eigenvalues``, T_V without columns and z_V None where span(V)
+    does not hold them.  A stack (m, 2n, d) of bases gives a list of m such.
+
+    Each trivial vector lies in span(V) or orthogonal to it: span(V) holds
+    it when more than half of its norm^2 projects onto span(V), and one in
+    between fails the deflation's defect test.
+    """
+    T, z, slack = eq.trivial
+    Vt = (V if V.ndim == 3 else V[None]).transpose(0, 2, 1)
+    Tv, zv = Vt @ T, Vt @ z
+    t_in = (Tv * Tv).sum((1, 2)) > 0.5 * np.sum(T * T)
+    z_in = (zv * zv).sum(1) > 0.5 * (z @ z)
+    held = [(t if ti else t[:, :0], v if zi else None, slack)
+            for t, v, ti, zi in zip(Tv, zv, t_in.tolist(), z_in.tolist())]
+    return held if V.ndim == 3 else held[0]
+
+
 def _pair_spectra(eq, pairs):
-    """The closed-form eigenvalues of each pair's block.  A pair whose v1
-    lies in span(T), the translations of ``eq.trivial``, takes their exact
-    +-i omega twice, as the oracle's deflation does: its lam1 and lam2 are
-    zero only up to the rounding of Hw, and the closed form would split
-    that defective double root by sqrt(omega |lam|).  The columns of T are
-    orthogonal and of one norm, so |Q^T v1|^2 > 1/2 for the orthonormal
-    Q = T / |T e1| reads |T^T v1|^2 > |T e1|^2 / 2."""
-    T = eq.trivial[0]
-    half = 0.5 * (T[:, 0] @ T[:, 0])
+    """The closed-form eigenvalues of each pair's block.  A pair whose plane
+    holds the translations T (``_trivial_in``) takes their exact +-i omega
+    twice, as the oracle's deflation does: its lam1 and lam2 are zero only
+    up to the rounding of Hw, and the closed form would split that
+    defective double root by sqrt(omega |lam|)."""
+    if not pairs:
+        return ()
     w = 1j * eq.omega
-    spectra = []
-    for p in pairs:
-        c = p.v1 @ T
-        spectra.append(np.array([w, -w, w, -w]) if c @ c > half
-                       else block_spectrum(eq.omega, p.lam1, p.lam2))
-    return tuple(spectra)
+    held = _trivial_in(eq, np.array([[p.v1, p.v2] for p in pairs]).transpose(0, 2, 1))
+    return tuple(np.array([w, -w, w, -w]) if T.shape[1]
+                 else block_spectrum(eq.omega, p.lam1, p.lam2)
+                 for p, (T, _, _) in zip(pairs, held))
 
 
 def _decompose_whole_space(eq):
     """``decompose_blocks`` from the whole-space pairing of ``eq.Hw``."""
     pairs, bases = symplectic_pairs(eq.Hw)
-    T, z, slack = eq.trivial
-    coupled = []
-    for V in bases:
-        # trivial vectors lie in the invariant span(V) or orthogonal to it;
-        # halfway splits the two, and any in between fail the defect test
-        Tv, zv = V.T @ T, V.T @ z
-        Tv = Tv if np.sum(Tv * Tv) > 0.5 * np.sum(T * T) else Tv[:, :0]
-        zv = zv if zv @ zv > 0.5 * (z @ z) else None
-        coupled.append(CoupledBlock(eq.omega, V.T @ eq.Hw @ V, V.T @ eq.Jh @ V, (Tv, zv, slack)))
-    return BlockDecomposition(eq.omega, tuple(pairs), _pair_spectra(eq, pairs), tuple(coupled),
-                              tuple(c.spectrum() for c in coupled))
+    return BlockDecomposition(tuple(pairs), _pair_spectra(eq, pairs), tuple(
+        deflated_eigenvalues(eq.omega2, eq.omega, V.T @ eq.Hw @ V, V.T @ eq.Jh @ V,
+                             *_trivial_in(eq, V))
+        for V in bases))
 
 
 def wave_number_block_spectra(omega, K, dims):

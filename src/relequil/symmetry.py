@@ -522,10 +522,10 @@ def wave_number_pairs(M, waves):
     accepted pairs' residuals are <= 32 eps |M|_2 and the rejected ones
     >= 8e-4 |M|_2.
 
-    Returns (pairs, h, K, paired): the JPair objects sorted by (lam1, lam2),
-    the stacks of ``_wave_number_reduction`` and whether each k paired.
+    Returns (pairs, K, paired): the JPair objects sorted by (lam1, lam2),
+    the stack K of ``_wave_number_reduction`` and whether each k paired.
     """
-    images, h, K = _wave_number_reduction(np.asarray(M, dtype=float), waves)
+    images, _, K = _wave_number_reduction(np.asarray(M, dtype=float), waves)
     lam, U = np.linalg.eigh(K)
     m, n = lam.shape[0], waves.shape[1] // 2
     full = (2 * np.arange(m)) % n != 0
@@ -549,4 +549,4 @@ def wave_number_pairs(M, waves):
     paired = ok.all(axis=1)
     pairs = [JPair(float(L[k, c]), float(L[k, c + 2]), V[k, :, c], V[k, :, c + 2])
              for k in np.flatnonzero(paired) for c in range(1 + full[k])]
-    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), h, K, paired
+    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), K, paired

@@ -180,7 +180,7 @@ def test_criterion_4_block_oracle_equivalence():
         n = refined.n
         eq = Equilibrium(refined, spec)
         deco = decompose_blocks(eq)
-        coupled_used += len(deco.coupled)
+        coupled_used += len(deco.coupled_spectra)
         oracle = full_linearization_spectrum(eq)
         m = compare_spectra(deco.union_spectrum(), oracle, tol=1e-9)
         assert m.matches, (n, spec.describe(), m.max_distance)

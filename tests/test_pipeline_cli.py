@@ -25,6 +25,12 @@ from relequil.spectrum import eigenvalue_labels
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
 
+_INPUT_FLAGS = ("--case", "--alpha", "--potential", "--positions", "--masses")
+_FLAG_VALUES = {"--case": "manev-square", "--alpha": "7", "--potential": "1:1",
+                "--positions": "1,2", "--masses": "1", "--tol": "5", "--out": "x.json",
+                "--format": "json"}
+
+
 def _preset_request(name):
     alpha = 1.0 if name in HOMOGENEOUS_PRESETS else None
     return AnalysisRequest(case=name, alpha=alpha)
@@ -62,7 +68,7 @@ class TestRequestResolution:
         with pytest.raises(InputError):
             AnalysisRequest().resolve()
 
-    @pytest.mark.parametrize("field", ["compare_tol", "classify_tol"])
+    @pytest.mark.parametrize("field", ["compare_tol"])
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_tolerance_not_finite_and_positive(self, field, tol):
         with pytest.raises(InputError, match=f"^{field} must be finite and positive"):
@@ -224,8 +230,7 @@ class TestConsistencyError:
 
         def drop_a_block(eq):
             deco = real(eq)
-            return type(deco)(deco.omega, deco.blocks[1:], deco.block_spectra[1:], deco.coupled,
-                              deco.coupled_spectra)
+            return type(deco)(deco.blocks[1:], deco.block_spectra[1:], deco.coupled_spectra)
 
         monkeypatch.setattr(pipeline, "decompose_blocks", drop_a_block)
         with pytest.raises(ConsistencyError) as err:
@@ -468,6 +473,35 @@ class TestCli:
         assert code == 0
         text = capsys.readouterr().out
         assert "pure-imaginary" in text and "zero" in text and "real" in text
+
+    @pytest.mark.parametrize("argv", [
+        ["--case", "manev-triangle", "--grid", "1"],
+        ["--case", "triangle-homogeneous", "--positions", "1,0,0,1,-1,0", "--grid", "1"],
+        ["--case", "triangle-homogeneous", "--grid", "1,-1"],
+    ], ids=["alpha-on-fixed-preset", "case-with-positions", "negative-alpha"])
+    def test_sweep_with_input_errors_exit_2(self, capsys, argv):
+        # the table still lists every grid point, the failed ones with their error
+        assert cli_main(["sweep", *argv]) == 2
+        assert "FAILED: " in capsys.readouterr().out
+
+    def test_sweep_with_only_consistency_failures_exit_3(self, capsys):
+        assert cli_main(["sweep", "--case", "triangle-homogeneous", "--tol", "1e-30",
+                         "--grid", "1,2"]) == 3
+        assert capsys.readouterr().out.count("FAILED: block union vs oracle") == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        *(("presets", flag) for flag in _INPUT_FLAGS + ("--tol",)),
+        *(("selfcheck", flag) for flag in _INPUT_FLAGS + ("--tol", "--out", "--format")),
+        ("simulate", "--tol"),
+        ("sweep", "--alpha"),
+    ])
+    def test_flag_the_command_does_not_read_exit_2(self, capsys, command, flag):
+        required = {"simulate": ["--case", "manev-square"],
+                    "sweep": ["--case", "triangle-homogeneous", "--grid", "1"]}
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, *required.get(command, []), flag, _FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_presets_listing(self, capsys):
         code = cli_main(["presets"])

@@ -26,6 +26,7 @@ from relequil.spectrum import (
     decompose_blocks,
     deflated_eigenvalues,
     full_linearization_spectrum,
+    _trivial_in,
     sorted_spectrum,
 )
 from relequil.symmetry import J2, block_symplectic, symplectic_pairs, wave_number_basis
@@ -335,16 +336,18 @@ class TestDeflation:
         # with nothing to deflate, eigvals(B) alone gives the bits of the
         # QR route, whose complete Q of no vectors is the identity
         eq = Equilibrium(regular_polygon(16).rotated(0.7), PotentialSpec.homogeneous(1.0))
-        plain = [cb for cb in decompose_blocks(eq).coupled
-                 if cb.trivial[0].shape[1] == 0 and cb.trivial[1] is None]
+        blocks = [(V.T @ eq.Hw @ V, V.T @ eq.Jh @ V, _trivial_in(eq, V))
+                  for V in symplectic_pairs(eq.Hw)[1]]
+        plain = [(h, j, trivial) for h, j, trivial in blocks
+                 if trivial[0].shape[1] == 0 and trivial[1] is None]
         assert plain
-        for cb in plain:
-            B = first_order_matrix(cb.omega ** 2, cb.omega, cb.h_sub, cb.j_sub)
+        for h, j, trivial in plain:
+            B = first_order_matrix(eq.omega2, eq.omega, h, j)
             Q = np.linalg.qr(np.zeros((B.shape[0], 0)), mode="complete")[0]
             expected = np.linalg.eigvals(Q.T @ B @ Q).astype(complex)
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "qr", None)
-                got = cb.spectrum()
+                got = deflated_eigenvalues(eq.omega2, eq.omega, h, j, *trivial)
             assert got.dtype == complex and got.tobytes() == expected.tobytes()
 
     def test_wrong_omega_is_not_invariant(self):
@@ -361,7 +364,7 @@ class TestBlockOracleAgreement:
         for case in standard_cases:
             eq = Equilibrium(case.configuration(), case.potential)
             deco = decompose_blocks(eq)
-            assert len(deco.coupled) == 0, case.name
+            assert len(deco.coupled_spectra) == 0, case.name
             union = deco.union_spectrum()
             oracle = full_linearization_spectrum(eq)
             m = compare_spectra(union, oracle, tol=1e-9)
@@ -372,7 +375,7 @@ class TestBlockOracleAgreement:
         spec = PotentialSpec.homogeneous(1.0)
         eq = Equilibrium(cfg, spec)
         deco = decompose_blocks(eq)
-        assert len(deco.blocks) == 3 and len(deco.coupled) == 1
+        assert len(deco.blocks) == 3 and len(deco.coupled_spectra) == 1
         union = deco.union_spectrum()
         oracle = full_linearization_spectrum(eq)
         assert compare_spectra(union, oracle, tol=1e-9).matches
@@ -386,7 +389,7 @@ class TestBlockOracleAgreement:
         spec = PotentialSpec(terms)
         eq = Equilibrium(cfg, spec)
         deco = decompose_blocks(eq)
-        assert all(cb.dim in (2, 4) for cb in deco.coupled)
+        assert all(len(s) in (4, 8) for s in deco.coupled_spectra)
         union = deco.union_spectrum()
         assert len(union) == 4 * n
         m = compare_spectra(union, full_linearization_spectrum(eq), tol=1e-9)
@@ -438,7 +441,7 @@ class TestBlockOracleAgreement:
         pairs, rests = symplectic_pairs(eq.Hw)
         assert (len(pairs), [V.shape[1] for V in rests]) == (1, [4])
         deco = decompose_blocks(eq)
-        assert len(deco.blocks) == 1 and [cb.dim for cb in deco.coupled] == [4]
+        assert len(deco.blocks) == 1 and [len(s) for s in deco.coupled_spectra] == [8]
         m = compare_spectra(deco.union_spectrum(), full_linearization_spectrum(eq), tol=1e-9)
         assert m.matches, m.max_distance / m.scale
 
@@ -458,7 +461,7 @@ class TestBlockOracleAgreement:
         masses = np.r_[m0, np.ones(n)]
         eq = Equilibrium(BodyConfiguration(masses, q.ravel()), PotentialSpec(terms))
         deco = decompose_blocks(eq)
-        assert all(cb.dim == 4 for cb in deco.coupled)
+        assert all(len(s) == 8 for s in deco.coupled_spectra)
         union = deco.union_spectrum()
         assert len(union) == 4 * (n + 1)
         m = compare_spectra(union, full_linearization_spectrum(eq), tol=1e-9)
