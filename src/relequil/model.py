@@ -137,13 +137,15 @@ class BodyConfiguration:
     non-positive masses.
     ``centered`` records whether the weighted center of mass sits at the
     origin (within CENTER_TOL) at construction time; ``pairs`` holds the
-    bodies' BodyPairs.
+    bodies' BodyPairs and ``separations`` the read-only (d, r) of its one
+    separation pass, which the collision check and every pair formula read.
     """
 
     masses: np.ndarray
     positions: np.ndarray
     centered: bool = field(init=False)
     pairs: BodyPairs = field(init=False, repr=False, compare=False)
+    separations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         masses = _readonly(self.masses)
@@ -162,7 +164,10 @@ class BodyConfiguration:
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "pairs", BodyPairs(masses))
-        self.pairs.check_distinct(self.pair_distances())
+        d, r = self.pairs.separations(self.points)
+        d.flags.writeable = r.flags.writeable = False
+        object.__setattr__(self, "separations", (d, r))
+        self.pairs.check_distinct(r)
         q = self.points
         com = masses @ q / masses.sum()
         object.__setattr__(self, "centered", bool(np.hypot(*com) <= CENTER_TOL))
@@ -180,11 +185,6 @@ class BodyConfiguration:
     def mass_vector(self):
         """Per-coordinate masses, i.e. diag of the 2n x 2n mass matrix."""
         return np.repeat(self.masses, 2)
-
-    @property
-    def separations(self):
-        """(d, r) of the pairs at the positions, computed on each access."""
-        return self.pairs.separations(self.points)
 
     def pair_distances(self):
         """Condensed upper-triangle pairwise distances (i < j order)."""
@@ -382,7 +382,7 @@ class Equilibrium:
         object.__setattr__(self, "period", rotation_period(omega2))
         object.__setattr__(self, "H", _readonly(H))
         object.__setattr__(self, "Hw", _readonly((H * inv_sqrt).T * inv_sqrt))
-        object.__setattr__(self, "Jh", _readonly(block_symplectic(config.n)))
+        object.__setattr__(self, "Jh", block_symplectic(config.n))
         object.__setattr__(self, "trivial", (_readonly(T), _readonly(z), float(slack)))
         base = polygon_axis_angle(config)
         group = None if base is None else build_polygon_symmetry_group(config.n, axis_angle=base)

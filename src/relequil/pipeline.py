@@ -98,6 +98,10 @@ class AnalysisRequest:
                     else PotentialSpec.homogeneous(self.alpha))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+        if self.potential is not None and self.alpha is not None and (
+                len(spec.terms) != 1 or spec.terms[0][1] != float(self.alpha)):
+            raise InputError(f"alpha={self.alpha:g} contradicts the potential "
+                             f"{spec.describe()}; give alpha only with the one term c:alpha")
         return config, spec, None
 
     def equilibrium(self):

@@ -10,11 +10,13 @@ components of multiplicity two are the wave-number subspaces of the
 regular polygon.  Characters, trace equations, the pairing of
 eigenvectors compatible with the block symplectic operator (per wave number
 on a polygon, over the whole space otherwise), and the stacked wave-number
-subspaces all live here.
+subspaces all live here.  Everything about a group but its reflection axis
+depends on n alone and is built and checked once per n (``_dihedral``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,9 @@ COUPLE_TOL = 1e-8
 # against the trace-equation sums and a direct eigvalsh.
 INVARIANCE_TOL = 1e-8
 TRACE_CHECK_TOL = 1e-9
+# Entries kept by each per-n cache (``_dihedral``, ``block_symplectic``): at
+# least the 22 polygons n = 3..24 that one pass over a deck of them meets.
+DIHEDRAL_CACHE_SIZE = 32
 
 
 class InvarianceError(ValueError):
@@ -71,7 +76,8 @@ class SymmetryGroup:
     Element k < n is a^k and element n + k is a^k r; element 0 is the
     identity.  ``perms[k]`` sends body i to slot perms[k, i] and
     ``orthos[k]`` is its planar map.  ``axis_angle`` is the angle of body 1,
-    on the reflection axis of r.
+    on the reflection axis of r.  ``perms`` and ``conjugacy_classes`` depend
+    on n alone and are shared, read-only, by every group of the same n.
     """
 
     perms: np.ndarray           # (2n, n) int
@@ -108,28 +114,17 @@ def build_polygon_symmetry_group(n, axis_angle=0.0):
     r = (the permutation induced by reflecting the polygon, reflection about
     the axis through body 1).  ``axis_angle`` rotates the whole polygon's
     reference frame, matching configurations whose body 1 is off the x-axis.
-    The rotations a^k are rotation(2 pi k / n) in closed form, so no
-    rounding accumulates with k.  The conjugacy classes have a closed form
-    too: {e}, {a^k, a^-k} and the reflections (one class for odd n, two by
-    the parity of k for even n), ordered by (not identity, size, element
-    indices).
+    The permutations, the rotations a^k and the conjugacy classes depend on
+    n alone and come from ``_dihedral``; only the reflections a^k r are formed
+    here, and every planar map is checked to be orthogonal.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    ks = np.arange(n)
-    rots = np.moveaxis(rotation(2.0 * np.pi * ks / n), -1, 0)
+    dihedral = _dihedral(n)
+    rots = dihedral.rots
     orthos = np.concatenate([rots, rots @ reflection(axis_angle)])
     if np.max(np.abs(orthos @ orthos.transpose(0, 2, 1) - np.eye(2))) > ORTHO_TOL:
         raise ValueError("ortho part must be orthogonal")
-    # a^k sends body i to k + i, a^k r sends it to k - i
-    perms = np.concatenate([ks[:, None] + ks, ks[:, None] - ks]) % n
-    for arr in (perms, orthos):
-        arr.flags.writeable = False
-    refl = tuple(range(n, 2 * n))
-    classes = [(0,)] + [tuple(sorted({k, n - k})) for k in range(1, n // 2 + 1)]
-    classes += [refl] if n % 2 else [refl[0::2], refl[1::2]]
-    classes.sort(key=lambda cl: (cl != (0,), len(cl), cl))
-    return SymmetryGroup(perms, orthos, tuple(classes), float(axis_angle))
+    orthos.flags.writeable = False
+    return SymmetryGroup(dihedral.perms, orthos, dihedral.classes, float(axis_angle))
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,15 @@ class CharacterTable:
 
 
 def character_table(group):
-    """Closed-form dihedral character table aligned with the group's classes.
+    """Closed-form dihedral character table aligned with the group's classes
+    (``_closed_form_character_table``), built and checked once per n."""
+    if group.order != 2 * group.n:
+        raise ValueError("expected the dihedral group of the n-gon")
+    return _dihedral(group.n).table
+
+
+def _closed_form_character_table(group):
+    """The dihedral character table, checked for orthonormality.
 
     Row order: trivial, sign (det of the planar part), then for even n the
     two remaining one-dimensional characters, then the two-dimensional
@@ -167,8 +170,6 @@ def character_table(group):
     ``perms[rep, 0]``.
     """
     n = group.n
-    if group.order != 2 * n:
-        raise ValueError("expected the dihedral group of the n-gon")
     reps = group.class_representatives()
     refl, k = reps >= n, group.perms[reps, 0]
     sign = np.where(refl, -1.0, 1.0)
@@ -211,13 +212,79 @@ def decompose_multiplicities(rep_character, table, tol=1e-9):
     return r.astype(int).tolist()
 
 
-def _commutator(H, perm, ortho):
+@dataclass(frozen=True)
+class _Dihedral:
+    """The parts of the regular n-gon's dihedral group that depend on n alone,
+    every array read-only: the element permutations ``perms`` and rotations
+    ``rots`` (a^k, (n, 2, 2)), the sorted conjugacy ``classes`` and the class
+    of each element ``class_of``, the character ``table``, the
+    ``multiplicities`` of the configuration action per irrep, the row
+    gathers ``gathers`` of the generators a and r (``_commutator``) and the
+    unit cos/sin ``patterns`` of ``wave_number_stack``, (n//2 + 1, 2, n)."""
+
+    perms: np.ndarray
+    rots: np.ndarray
+    classes: tuple
+    class_of: np.ndarray
+    table: CharacterTable
+    multiplicities: tuple
+    gathers: np.ndarray
+    patterns: np.ndarray
+
+
+@functools.lru_cache(maxsize=DIHEDRAL_CACHE_SIZE)
+def _dihedral(n):
+    """The n-only structure of the dihedral group of the regular n-gon, built
+    once per n and kept for the last DIHEDRAL_CACHE_SIZE values of n; one
+    entry holds O(n^2) numbers (perms 2n^2, patterns about n^2, the table
+    about n^2 / 4).  The character table's orthonormality and the
+    multiplicities' integrality are checked here, when the entry is built.
+
+    The rotations a^k are rotation(2 pi k / n) in closed form, so no
+    rounding accumulates with k.  The conjugacy classes have a closed form
+    too: {e}, {a^k, a^-k} and the reflections (one class for odd n, two by
+    the parity of k for even n), ordered by (not identity, size, element
+    indices).
+    """
+    if n < 3:
+        raise ValueError("need n >= 3")
+    ks = np.arange(n)
+    rots = np.moveaxis(rotation(2.0 * np.pi * ks / n), -1, 0)
+    # a^k sends body i to k + i, a^k r sends it to k - i
+    perms = np.concatenate([ks[:, None] + ks, ks[:, None] - ks]) % n
+    refl = tuple(range(n, 2 * n))
+    classes = [(0,)] + [tuple(sorted({k, n - k})) for k in range(1, n // 2 + 1)]
+    classes += [refl] if n % 2 else [refl[0::2], refl[1::2]]
+    classes.sort(key=lambda cl: (cl != (0,), len(cl), cl))
+    classes = tuple(classes)
+    class_of = np.empty(2 * n, dtype=int)
+    for c, cl in enumerate(classes):
+        class_of[list(cl)] = c
+    # the group whose reflection axis is at angle 0: every reflection's
+    # planar map has trace exactly 0, and the characters depend on n alone
+    group = SymmetryGroup(perms, np.concatenate([rots, rots @ reflection(0.0)]), classes, 0.0)
+    table = _closed_form_character_table(group)
+    mult = tuple(decompose_multiplicities(representation_character(group), table))
+    # the rows 2 perm[i] + (0, 1) of a = element 1 and r = element n
+    gathers = (2 * perms[[1, n], :, None] + np.arange(2)).reshape(2, 2 * n)
+    kw = np.arange(n // 2 + 1)
+    phase = 2.0 * np.pi * kw[:, None] * ks / n
+    patterns = np.stack([np.cos(phase), np.sin(phase)], axis=1)    # (k, [cos, sin], n)
+    patterns[(2 * kw) % n == 0, 1] = 0.0
+    norms = np.sqrt((patterns * patterns).sum(axis=2, keepdims=True))
+    patterns /= np.where(norms > 0.0, norms, 1.0)
+    for arr in (perms, rots, class_of, gathers, patterns,
+                table.degrees, table.values, table.class_sizes):
+        arr.flags.writeable = False
+    return _Dihedral(perms, rots, classes, class_of, table, mult, gathers, patterns)
+
+
+def _commutator(H, idx, ortho):
     """D H - H D for the element (perm, ortho), its rows permuted, read off
     H's body blocks: with O the planar map, block (perm[i], j) of D H is
     O H_ij and that of H D is H_{perm[i] perm[j]} O; one gather of H by the
-    permutation lines the two up for every i and j."""
-    n = perm.size
-    idx = (2 * perm[:, None] + np.arange(2)).ravel()
+    rows idx = 2 perm[i] + (0, 1) lines the two up for every i and j."""
+    n = idx.size // 2
     DH = np.einsum("kl,ilc->ikc", ortho, H.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)
     HD = (H[np.ix_(idx, idx)].reshape(-1, 2) @ ortho).reshape(2 * n, 2 * n)
     return DH - HD
@@ -244,9 +311,9 @@ def verify_invariance(H, group, tol=1e-10):
     """
     H = np.asarray(H, dtype=float)
     n = group.n
-    a, r = 1, n         # a^1 and a^0 r
-    defect = (n // 2 * np.linalg.norm(_commutator(H, group.perms[a], group.orthos[a]))
-              + np.linalg.norm(_commutator(H, group.perms[r], group.orthos[r])))
+    gather_a, gather_r = _dihedral(n).gathers       # a^1 and a^0 r
+    defect = (n // 2 * np.linalg.norm(_commutator(H, gather_a, group.orthos[1]))
+              + np.linalg.norm(_commutator(H, gather_r, group.orthos[n])))
     return defect <= tol, float(defect)
 
 
@@ -301,21 +368,22 @@ def eigenvalues_by_trace_equations(H, group, waves=None):
     where W_j^T H W_j is the realification of a 2x2 Hermitian K_j whose two
     eigenvalues each carry twice; one stacked eigh of every K_j gives them.
     ``waves`` is the polygon's ``wave_number_stack``, built from the group's
-    vertices when not given.  The assembled multiset is validated against a
-    direct symmetric diagonalization of H before returning.
+    vertices when not given.  The character table, the class of each
+    element and the multiplicities come from ``_dihedral``, checked when it
+    was built; the invariance gate, the trace sums against the wave-number
+    eigenvalues and the assembled multiset against a direct symmetric
+    diagonalization of H are checked on every call.
     """
     H = np.asarray(H, dtype=float)
     table = character_table(group)
     scale = _require_invariance(H, group)
     n = group.n
+    dihedral = _dihedral(n)
     # [g, i] is the 2x2 block H_{i perm_g[i]}
     blocks = H.reshape(n, 2, n, 2)[np.arange(n), :, group.perms]
     traces = np.einsum("gikl,glk->g", blocks, group.orthos)
-    class_of = np.empty(group.order, dtype=int)
-    for c, cl in enumerate(group.conjugacy_classes):
-        class_of[list(cl)] = c
-    sums = table.values[:, class_of] @ traces / group.order
-    mult = decompose_multiplicities(representation_character(group), table)
+    sums = table.values[:, dihedral.class_of] @ traces / group.order
+    mult = dihedral.multiplicities
     # the rows E1, E2, ... follow the one-dimensional irreducibles, and E_j
     # is carried by W_j, j = 1..n_two_dim
     n_one = int(np.sum(table.degrees == 1))
@@ -355,11 +423,15 @@ class JPair:
     v2: np.ndarray
 
 
+@functools.lru_cache(maxsize=DIHEDRAL_CACHE_SIZE)
 def block_symplectic(n):
-    """diag(J, ..., J): the planar quarter-turn applied to every body."""
+    """diag(J, ..., J): the planar quarter-turn applied to every body, built
+    once per n (4n^2 numbers) and shared read-only."""
     # the kron product of eye(n) and J2 without np.kron's overhead; + 0.0
     # turns the -0.0 that 0 * -1 leaves off the diagonal into +0.0
-    return (np.eye(n)[:, None, :, None] * J2[None, :, None, :]).reshape(2 * n, 2 * n) + 0.0
+    Jh = (np.eye(n)[:, None, :, None] * J2[None, :, None, :]).reshape(2 * n, 2 * n) + 0.0
+    Jh.flags.writeable = False
+    return Jh
 
 
 def _apply_symplectic(V):
@@ -461,23 +533,18 @@ def wave_number_stack(points):
     even n) the sine patterns vanish, W_k has dimension 2 and its last two
     columns are zero.  At an equal-mass regular polygon each W_k is invariant
     under the Hessian of any pair potential and under Jhat, which acts on it
-    as diag(J2, J2).
+    as diag(J2, J2).  The unit cos/sin patterns depend on n alone
+    (``_dihedral``, n >= 3); only the bodies' frame is built here.
     """
     q = np.asarray(points, dtype=float)
     n = q.shape[0]
     radial = q / np.hypot(q[:, 0], q[:, 1])[:, None]
     frame = np.stack([radial, radial @ J2], axis=1)          # (n, [r, t], 2)
-    ks = np.arange(n // 2 + 1)
-    phase = 2.0 * np.pi * ks[:, None] * np.arange(n) / n
-    waves = np.stack([np.cos(phase), np.sin(phase)], axis=1)  # (k, [cos, sin], n)
-    waves[(2 * ks) % n == 0, 1] = 0.0
-    # the frame vectors are unit vectors, so normalizing the patterns
-    # normalizes the columns
-    norms = np.sqrt((waves * waves).sum(axis=2, keepdims=True))
-    waves /= np.where(norms > 0.0, norms, 1.0)
+    # the frame vectors are unit vectors, so the unit patterns give unit columns
+    waves = _dihedral(n).patterns                            # (k, [cos, sin], n)
     # W[k, (j, x), (wave, frame vector)] = waves[k, wave, j] frame[j, vector, x]
     return (waves.transpose(0, 2, 1)[:, :, None, :, None]
-            * frame.transpose(0, 2, 1)[None, :, :, None, :]).reshape(ks.size, 2 * n, 4)
+            * frame.transpose(0, 2, 1)[None, :, :, None, :]).reshape(waves.shape[0], 2 * n, 4)
 
 
 def wave_number_basis(points, k):

@@ -74,6 +74,20 @@ class TestRequestResolution:
         with pytest.raises(InputError, match=f"^{field} must be finite and positive"):
             AnalysisRequest(case="triangle-homogeneous", **{field: tol})
 
+    @pytest.mark.parametrize("potential", [((1.0, 1.0),), ((1.0, 2.0), (1.0, 3.0)),
+                                           ((1.0, 1.0), (1.0, 2.0))])
+    def test_alpha_contradicting_the_potential_rejected(self, potential):
+        # alpha = 2 with anything but the one term c r^-2
+        request = AnalysisRequest(positions=tuple(regular_polygon(3).positions),
+                                  potential=potential, alpha=2.0)
+        with pytest.raises(InputError, match="alpha=2 contradicts the potential"):
+            request.resolve()
+
+    def test_alpha_agreeing_with_a_single_term_potential_accepted(self):
+        _, spec, _ = AnalysisRequest(positions=tuple(regular_polygon(3).positions),
+                                     potential=((2.0, 2.0),), alpha=2.0).resolve()
+        assert spec.terms == ((2.0, 2.0),)
+
     def test_noncentral_explicit_rejected(self, rng):
         pos = rng.uniform(-1, 1, size=8)
         # keep bodies apart so construction succeeds
@@ -298,6 +312,25 @@ class TestComputedOnce:
         assert directions == (built if with_dynamics else [])
         assert (report.to_dict()["dynamics"] is not None) == with_dynamics
 
+    @pytest.mark.parametrize("request_", [
+        AnalysisRequest(case="square-homogeneous", alpha=1.0),
+        AnalysisRequest(positions=tuple(regular_polygon(5).positions),
+                        potential=((1.0, 1.0), (1.0, 3.0))),
+    ], ids=["preset", "explicit"])
+    def test_one_separation_pass_per_run(self, monkeypatch, request_):
+        # the configuration keeps the (d, r) of its collision check, and the
+        # centrality test, the Hessian and the report's energies read them
+        passes = []
+        real = model.BodyPairs.separations
+
+        def counted(pairs, points):
+            passes.append(points.shape)
+            return real(pairs, points)
+
+        monkeypatch.setattr(model.BodyPairs, "separations", counted)
+        run_analysis(request_)
+        assert len(passes) == 1
+
     def test_no_representation_matrix_is_built(self, monkeypatch):
         # the trace route reads H's body blocks and the wave-number bases;
         # no 2n x 2n representation matrix (nor a projector summed from them)
@@ -344,6 +377,19 @@ class TestSweep:
             assert data[key] == alone.to_dict()[key], key
 
 
+    def test_a_single_term_potential_sweeps_as_analyze_runs(self):
+        # every grid point's request gives alpha and its one term c:alpha,
+        # which resolve accepts
+        positions = tuple(regular_polygon(3).positions)
+        grid = [0.5, 1.0, 2.5]
+        swept = run_sweep(AnalysisRequest(positions=positions, potential=((2.0, 1.0),)), grid)
+        assert not swept.failures
+        for alpha, report in swept.reports:
+            alone = run_analysis(AnalysisRequest(positions=positions, alpha=alpha,
+                                                 potential=((2.0, alpha),)))
+            assert report.to_dict() == alone.to_dict(), alpha
+
+
 class TestCli:
     def test_analyze_json(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -359,6 +405,14 @@ class TestCli:
         code = cli_main(["analyze", "--case", "triangle-homogeneous",
                          "--alpha", "1.0", "--potential", "1:1"])
         assert code == 2
+
+    def test_analyze_alpha_contradicting_the_potential_exit_2(self, capsys):
+        code = cli_main(["analyze", "--positions=1,0,-0.5,0.8660254037844386,-0.5,"
+                         "-0.8660254037844386", "--potential", "1:1", "--alpha", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "input error: alpha=2 contradicts the potential 1*r^-1; give alpha only "
+            "with the one term c:alpha\n")
 
     def test_analyze_noncentral_exit_2(self, capsys):
         code = cli_main([
