@@ -47,14 +47,12 @@ from .spectrum import (
     full_linearization_spectrum,
 )
 from .symmetry import (
-    CharacterTable,
-    IsotypicDecomposition,
     SymmetryGroup,
     build_polygon_symmetry_group,
-    character_table,
     decompose_multiplicities,
+    dihedral,
     eigenvalues_by_trace_equations,
-    verify_invariance,
+    invariance_defect,
 )
 
 __version__ = "0.1.0"

@@ -28,8 +28,8 @@ from .symmetry import (
     J2,
     block_symplectic,
     build_polygon_symmetry_group,
-    character_table,
-    verify_invariance,
+    dihedral,
+    invariance_defect,
     wave_number_basis,
     wave_number_stack,
 )
@@ -131,7 +131,7 @@ def check_homomorphism(tol=1e-13):
 
 
 def check_invariance_bound(seed=15):
-    """The two-generator defect of verify_invariance bounds max |D H - H D|
+    """The two-generator defect of invariance_defect bounds max |D H - H D|
     over every representation matrix D, on group-averaged, slightly
     perturbed and random symmetric matrices.  The detail is the worst ratio
     of that maximum to the bound plus 8 eps max |H|, the rounding of either
@@ -146,7 +146,7 @@ def check_invariance_bound(seed=15):
         averaged = sum(D @ M @ D.transpose(0, 2, 1)) / len(D)
         for H in (averaged, averaged + 1e-9 * E, E):
             full = float(np.max(np.abs(D @ H - H @ D)))
-            _, bound = verify_invariance(H, group)
+            bound = invariance_defect(H, group)
             worst = max(worst, full / (bound + 8 * eps * float(np.max(np.abs(H)))))
     return ("invariance defect bounds every element", worst <= 1.0,
             f"worst max |DH - HD| / bound {worst:.3f}")
@@ -155,8 +155,9 @@ def check_invariance_bound(seed=15):
 def check_character_orthonormality(tol=1e-12):
     worst = 0.0
     for n in (3, 4, 5, 6):
-        table = character_table(build_polygon_symmetry_group(n))
-        worst = max(worst, float(np.max(np.abs(table.gram() - np.eye(table.n_irreps)))))
+        table = dihedral(n)
+        gram = (table.characters * table.class_sizes) @ table.characters.T / (2 * n)
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(len(table.names))))))
     return "character orthonormality", worst <= tol, f"worst defect {worst:.3e}"
 
 
@@ -167,9 +168,9 @@ def check_wave_number_bases(tol=1e-12):
     worst = 0.0
     for n in range(3, 9):
         group = build_polygon_symmetry_group(n, axis_angle=0.3)
-        table = character_table(group)
-        rows = dict(zip(table.names, table.values))
-        reps = representation_matrices(group)[group.class_representatives()]
+        table = dihedral(n)
+        rows = dict(zip(table.names, table.characters))
+        reps = representation_matrices(group)[[cl[0] for cl in group.conjugacy_classes]]
         bases = [wave_number_basis(group.vertices(), k) for k in range(n // 2 + 1)]
         V = np.column_stack(bases)
         worst = max(worst, float(np.max(np.abs(V.T @ V - np.eye(2 * n)))))

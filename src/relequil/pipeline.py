@@ -32,7 +32,7 @@ from .spectrum import (
     full_linearization_spectrum,
     sorted_spectrum,
 )
-from .symmetry import eigenvalues_by_trace_equations
+from .symmetry import InvarianceError, eigenvalues_by_trace_equations
 
 SCHEMA_VERSION = 1
 
@@ -253,16 +253,11 @@ def run_analysis(request):
     isotypic = []
     eigen_reference = None
     if eq.group is not None:
-        deco = eigenvalues_by_trace_equations(H, eq.group, eq.waves)
-        for comp in deco.components:
-            isotypic.append({
-                "irrep": comp.irrep,
-                "degree": comp.degree,
-                "multiplicity": comp.multiplicity,
-                "eigenvalues": [float(v) for v in comp.eigenvalues],
-            })
+        try:
+            isotypic, computed_multiset = eigenvalues_by_trace_equations(H, eq.group, eq.waves)
+        except InvarianceError as exc:
+            raise ConsistencyError("trace equations", str(exc)) from exc
         if case is not None:
-            computed_multiset = deco.full_multiset()
             ref_multiset = np.sort(np.concatenate([
                 np.full(m, rv.value)
                 for rv, m in zip(case.hessian_eigenvalues,

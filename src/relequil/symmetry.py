@@ -11,13 +11,13 @@ regular polygon.  Characters, trace equations, the pairing of
 eigenvectors compatible with the block symplectic operator (per wave number
 on a polygon, over the whole space otherwise), and the stacked wave-number
 subspaces all live here.  Everything about a group but its reflection axis
-depends on n alone and is built and checked once per n (``_dihedral``).
+depends on n alone and is built and checked once per n (``dihedral``).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +49,7 @@ COUPLE_TOL = 1e-8
 # against the trace-equation sums and a direct eigvalsh.
 INVARIANCE_TOL = 1e-8
 TRACE_CHECK_TOL = 1e-9
-# Entries kept by each per-n cache (``_dihedral``, ``block_symplectic``): at
+# Entries kept by each per-n cache (``dihedral``, ``block_symplectic``): at
 # least the 22 polygons n = 3..24 that one pass over a deck of them meets.
 DIHEDRAL_CACHE_SIZE = 32
 
@@ -93,13 +93,6 @@ class SymmetryGroup:
     def n(self):
         return self.perms.shape[1]
 
-    def class_representatives(self):
-        """Index of the first element of each class."""
-        return np.array([cl[0] for cl in self.conjugacy_classes])
-
-    def class_sizes(self):
-        return np.array([len(cl) for cl in self.conjugacy_classes])
-
     def vertices(self):
         """(n, 2) unit-circle points of the polygon the group fixes, body i
         at axis_angle + 2 pi i / n."""
@@ -115,97 +108,33 @@ def build_polygon_symmetry_group(n, axis_angle=0.0):
     the axis through body 1).  ``axis_angle`` rotates the whole polygon's
     reference frame, matching configurations whose body 1 is off the x-axis.
     The permutations, the rotations a^k and the conjugacy classes depend on
-    n alone and come from ``_dihedral``; only the reflections a^k r are formed
+    n alone and come from ``dihedral``; only the reflections a^k r are formed
     here, and every planar map is checked to be orthogonal.
     """
-    dihedral = _dihedral(n)
-    rots = dihedral.rots
+    entry = dihedral(n)
+    rots = entry.rots
     orthos = np.concatenate([rots, rots @ reflection(axis_angle)])
     if np.max(np.abs(orthos @ orthos.transpose(0, 2, 1) - np.eye(2))) > ORTHO_TOL:
         raise ValueError("ortho part must be orthogonal")
     orthos.flags.writeable = False
-    return SymmetryGroup(dihedral.perms, orthos, dihedral.classes, float(axis_angle))
-
-
-@dataclass(frozen=True)
-class CharacterTable:
-    """Irreducible characters indexed (irrep row, conjugacy-class column)."""
-
-    names: tuple
-    degrees: np.ndarray
-    values: np.ndarray          # shape (n_irreps, n_classes), real
-    class_sizes: np.ndarray
-    group_order: int
-
-    def inner(self, chi_a, chi_b):
-        """Group-averaged inner product of two class functions."""
-        return float(
-            np.sum(self.class_sizes * np.conj(chi_a) * chi_b) / self.group_order
-        )
-
-    def gram(self):
-        """Inner products of every pair of rows; the identity for a true table."""
-        return (self.values * self.class_sizes) @ self.values.T / self.group_order
-
-    @property
-    def n_irreps(self):
-        return len(self.names)
-
-
-def character_table(group):
-    """Closed-form dihedral character table aligned with the group's classes
-    (``_closed_form_character_table``), built and checked once per n."""
-    if group.order != 2 * group.n:
-        raise ValueError("expected the dihedral group of the n-gon")
-    return _dihedral(group.n).table
-
-
-def _closed_form_character_table(group):
-    """The dihedral character table, checked for orthonormality.
-
-    Row order: trivial, sign (det of the planar part), then for even n the
-    two remaining one-dimensional characters, then the two-dimensional
-    irreps by increasing rotation angle.  A class representative is a
-    reflection exactly when its index is >= n, and its rotation power k is
-    ``perms[rep, 0]``.
-    """
-    n = group.n
-    reps = group.class_representatives()
-    refl, k = reps >= n, group.perms[reps, 0]
-    sign = np.where(refl, -1.0, 1.0)
-    parity = np.where(k % 2, -1.0, 1.0)
-    rows, names = [np.ones(reps.size), sign], ["A1", "A2"]
-    if n % 2 == 0:
-        rows += [parity, sign * parity]
-        names += ["B1", "B2"]
-    n_two_dim = (n - 1) // 2 if n % 2 else n // 2 - 1
-    j = np.arange(1, n_two_dim + 1)
-    rows.extend(np.where(refl, 0.0, 2.0 * np.cos(2.0 * np.pi * j[:, None] * k / n)))
-    names += [f"E{i}" for i in j]
-    degrees = [1] * (len(names) - n_two_dim) + [2] * n_two_dim
-    values = np.array(rows, dtype=float)
-    table = CharacterTable(
-        tuple(names), np.array(degrees), values, group.class_sizes(), group.order
-    )
-    if np.max(np.abs(table.gram() - np.eye(len(rows)))) > 1e-12:
-        raise ValueError("character table failed orthonormality")
-    return table
+    return SymmetryGroup(entry.perms, orthos, entry.classes, float(axis_angle))
 
 
 def representation_character(group):
     """Character of the 2n-dimensional configuration action, per class: the
     bodies a representative fixes times the trace of its planar map."""
-    reps = group.class_representatives()
+    reps = [cl[0] for cl in group.conjugacy_classes]
     fixed = np.sum(group.perms[reps] == np.arange(group.n), axis=1)
     return fixed * np.trace(group.orthos[reps], axis1=1, axis2=2)
 
 
-def decompose_multiplicities(rep_character, table, tol=1e-9):
-    """Multiplicities n_i = (chi_i, chi); must be integers within tol."""
+def decompose_multiplicities(rep_character, table):
+    """Multiplicities n_i = (chi_i, chi) over the table of ``dihedral``; they
+    must be integers within 1e-9."""
     chi = np.asarray(rep_character, dtype=float)
-    x = table.values @ (table.class_sizes * chi) / table.group_order
+    x = table.characters @ (table.class_sizes * chi) / table.class_sizes.sum()
     r = np.round(x)
-    bad = np.flatnonzero((np.abs(x - r) > tol) | (r < 0))
+    bad = np.flatnonzero((np.abs(x - r) > 1e-9) | (r < 0))
     if bad.size:
         i = bad[0]
         raise ValueError(f"non-integer multiplicity {x[i]} for irrep {table.names[i]}")
@@ -213,38 +142,47 @@ def decompose_multiplicities(rep_character, table, tol=1e-9):
 
 
 @dataclass(frozen=True)
-class _Dihedral:
+class Dihedral:
     """The parts of the regular n-gon's dihedral group that depend on n alone,
     every array read-only: the element permutations ``perms`` and rotations
     ``rots`` (a^k, (n, 2, 2)), the sorted conjugacy ``classes`` and the class
-    of each element ``class_of``, the character ``table``, the
-    ``multiplicities`` of the configuration action per irrep, the row
-    gathers ``gathers`` of the generators a and r (``_commutator``) and the
-    unit cos/sin ``patterns`` of ``wave_number_stack``, (n//2 + 1, 2, n)."""
+    of each element ``class_of``; the character table, irreducible ``names``
+    and ``degrees``, ``characters`` indexed (irreducible, class) and the
+    ``class_sizes``; the ``multiplicities`` of the configuration action per
+    irreducible, the row gathers ``gathers`` of the generators a and r
+    (``_commutator``) and the unit cos/sin ``patterns`` of
+    ``wave_number_stack``, (n//2 + 1, 2, n)."""
 
     perms: np.ndarray
     rots: np.ndarray
     classes: tuple
     class_of: np.ndarray
-    table: CharacterTable
+    names: tuple
+    degrees: np.ndarray
+    characters: np.ndarray
+    class_sizes: np.ndarray
     multiplicities: tuple
     gathers: np.ndarray
     patterns: np.ndarray
 
 
 @functools.lru_cache(maxsize=DIHEDRAL_CACHE_SIZE)
-def _dihedral(n):
+def dihedral(n):
     """The n-only structure of the dihedral group of the regular n-gon, built
     once per n and kept for the last DIHEDRAL_CACHE_SIZE values of n; one
-    entry holds O(n^2) numbers (perms 2n^2, patterns about n^2, the table
-    about n^2 / 4).  The character table's orthonormality and the
+    entry holds O(n^2) numbers (perms 2n^2, patterns about n^2, the
+    characters about n^2 / 4).  The character table's orthonormality and the
     multiplicities' integrality are checked here, when the entry is built.
 
     The rotations a^k are rotation(2 pi k / n) in closed form, so no
     rounding accumulates with k.  The conjugacy classes have a closed form
     too: {e}, {a^k, a^-k} and the reflections (one class for odd n, two by
     the parity of k for even n), ordered by (not identity, size, element
-    indices).
+    indices).  So do the characters.  Row order: trivial, sign (det of the
+    planar part), then for even n the two remaining one-dimensional
+    characters, then the two-dimensional irreducibles by increasing rotation
+    angle.  A class representative is a reflection exactly when its index
+    is >= n, and its rotation power k is ``perms[rep, 0]``.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -260,11 +198,24 @@ def _dihedral(n):
     class_of = np.empty(2 * n, dtype=int)
     for c, cl in enumerate(classes):
         class_of[list(cl)] = c
-    # the group whose reflection axis is at angle 0: every reflection's
-    # planar map has trace exactly 0, and the characters depend on n alone
-    group = SymmetryGroup(perms, np.concatenate([rots, rots @ reflection(0.0)]), classes, 0.0)
-    table = _closed_form_character_table(group)
-    mult = tuple(decompose_multiplicities(representation_character(group), table))
+    reps = np.array([cl[0] for cl in classes])
+    is_refl, k = reps >= n, perms[reps, 0]
+    sign = np.where(is_refl, -1.0, 1.0)
+    parity = np.where(k % 2, -1.0, 1.0)
+    rows, names = [np.ones(reps.size), sign], ["A1", "A2"]
+    if n % 2 == 0:
+        rows += [parity, sign * parity]
+        names += ["B1", "B2"]
+    n_two_dim = (n - 1) // 2 if n % 2 else n // 2 - 1
+    j = np.arange(1, n_two_dim + 1)
+    rows.extend(np.where(is_refl, 0.0, 2.0 * np.cos(2.0 * np.pi * j[:, None] * k / n)))
+    names += [f"E{i}" for i in j]
+    degrees = np.array([1] * (len(names) - n_two_dim) + [2] * n_two_dim)
+    characters = np.array(rows, dtype=float)
+    class_sizes = np.array([len(cl) for cl in classes])
+    gram = (characters * class_sizes) @ characters.T / (2 * n)
+    if np.max(np.abs(gram - np.eye(len(names)))) > 1e-12:
+        raise ValueError("character table failed orthonormality")
     # the rows 2 perm[i] + (0, 1) of a = element 1 and r = element n
     gathers = (2 * perms[[1, n], :, None] + np.arange(2)).reshape(2, 2 * n)
     kw = np.arange(n // 2 + 1)
@@ -273,10 +224,16 @@ def _dihedral(n):
     patterns[(2 * kw) % n == 0, 1] = 0.0
     norms = np.sqrt((patterns * patterns).sum(axis=2, keepdims=True))
     patterns /= np.where(norms > 0.0, norms, 1.0)
-    for arr in (perms, rots, class_of, gathers, patterns,
-                table.degrees, table.values, table.class_sizes):
+    for arr in (perms, rots, class_of, degrees, characters, class_sizes, gathers, patterns):
         arr.flags.writeable = False
-    return _Dihedral(perms, rots, classes, class_of, table, mult, gathers, patterns)
+    entry = Dihedral(perms, rots, classes, class_of, tuple(names), degrees, characters,
+                     class_sizes, (), gathers, patterns)
+    # the configuration action (``representation_character``): the bodies a
+    # representative fixes times the trace of its planar map, which is 0 for
+    # a reflection about any axis
+    fixed = np.sum(perms[reps] == ks, axis=1)
+    chi = np.where(is_refl, 0.0, fixed * np.trace(rots[k], axis1=1, axis2=2))
+    return replace(entry, multiplicities=tuple(decompose_multiplicities(chi, entry)))
 
 
 def _commutator(H, idx, ortho):
@@ -290,9 +247,9 @@ def _commutator(H, idx, ortho):
     return DH - HD
 
 
-def verify_invariance(H, group, tol=1e-10):
-    """(commutes, defect): the defect bounds max |D H - H D| over the
-    representation matrices D of every element, from the two generators.
+def invariance_defect(H, group):
+    """A bound on max |D H - H D| over the representation matrices D of
+    every element, from the two generators.
 
     With E_g = D(g) H - H D(g), E_{gh} = D(g) E_h + E_g D(h), and the
     Frobenius norm is invariant under the orthogonal D, so
@@ -311,49 +268,9 @@ def verify_invariance(H, group, tol=1e-10):
     """
     H = np.asarray(H, dtype=float)
     n = group.n
-    gather_a, gather_r = _dihedral(n).gathers       # a^1 and a^0 r
-    defect = (n // 2 * np.linalg.norm(_commutator(H, gather_a, group.orthos[1]))
-              + np.linalg.norm(_commutator(H, gather_r, group.orthos[n])))
-    return defect <= tol, float(defect)
-
-
-def _require_invariance(H, group):
-    """max |H| (at least 1e-300); InvarianceError when the defect of
-    ``verify_invariance`` exceeds INVARIANCE_TOL times it.  That defect bounds
-    max |D H - H D| over every element, so this gate is no looser than one
-    on that maximum.  On the Hessians of regular polygons under the four
-    benchmark potentials it sits at <= 7.6e-13 max |H| for n <= 24, 6.0e-12
-    at n <= 64 and 8.9e-11 at n = 200, far below INVARIANCE_TOL."""
-    scale = max(float(np.max(np.abs(H))), 1e-300)
-    ok, defect = verify_invariance(H, group, tol=INVARIANCE_TOL * scale)
-    if not ok:
-        raise InvarianceError(
-            f"matrix does not commute with the group action (defect {defect:.3e})"
-        )
-    return scale
-
-
-@dataclass(frozen=True)
-class IsotypicComponent:
-    irrep: str
-    degree: int
-    multiplicity: int
-    eigenvalues: tuple
-
-
-@dataclass(frozen=True)
-class IsotypicDecomposition:
-    components: tuple
-
-    def eigenvalue_lists(self):
-        return [list(c.eigenvalues) for c in self.components]
-
-    def full_multiset(self):
-        out = []
-        for c in self.components:
-            for lam in c.eigenvalues:
-                out.extend([lam] * c.degree)
-        return np.sort(np.array(out))
+    gather_a, gather_r = dihedral(n).gathers        # a^1 and a^0 r
+    return float(n // 2 * np.linalg.norm(_commutator(H, gather_a, group.orthos[1]))
+                 + np.linalg.norm(_commutator(H, gather_r, group.orthos[n])))
 
 
 def eigenvalues_by_trace_equations(H, group, waves=None):
@@ -369,48 +286,61 @@ def eigenvalues_by_trace_equations(H, group, waves=None):
     eigenvalues each carry twice; one stacked eigh of every K_j gives them.
     ``waves`` is the polygon's ``wave_number_stack``, built from the group's
     vertices when not given.  The character table, the class of each
-    element and the multiplicities come from ``_dihedral``, checked when it
-    was built; the invariance gate, the trace sums against the wave-number
-    eigenvalues and the assembled multiset against a direct symmetric
-    diagonalization of H are checked on every call.
+    element and the multiplicities come from ``dihedral``, checked when it
+    was built.  Three checks run on every call, each raising
+    InvarianceError with its value and its bound: the invariance gate,
+    ``invariance_defect`` against INVARIANCE_TOL max |H| (on the Hessians
+    of regular polygons under the four benchmark potentials it sits at
+    <= 7.6e-13 max |H| for n <= 24, 6.0e-12 at n <= 64 and 8.9e-11 at
+    n = 200); the trace sums against the wave-number eigenvalues; and the
+    assembled multiset against a direct symmetric diagonalization of H.
+
+    Returns (components, multiset): per irreducible a dict of its name
+    ``irrep``, ``degree``, ``multiplicity`` and ``eigenvalues``, and the
+    sorted eigenvalues of H, each repeated by its degree.
     """
     H = np.asarray(H, dtype=float)
-    table = character_table(group)
-    scale = _require_invariance(H, group)
+    scale = max(float(np.max(np.abs(H))), 1e-300)
+    defect, bound = invariance_defect(H, group), INVARIANCE_TOL * scale
+    if defect > bound:
+        raise InvarianceError(f"matrix does not commute with the group action: invariance "
+                              f"defect {defect:.3e} exceeds its bound {bound:.3e}")
     n = group.n
-    dihedral = _dihedral(n)
+    table = dihedral(n)
     # [g, i] is the 2x2 block H_{i perm_g[i]}
     blocks = H.reshape(n, 2, n, 2)[np.arange(n), :, group.perms]
     traces = np.einsum("gikl,glk->g", blocks, group.orthos)
-    sums = table.values[:, dihedral.class_of] @ traces / group.order
-    mult = dihedral.multiplicities
+    sums = table.characters[:, table.class_of] @ traces / group.order
     # the rows E1, E2, ... follow the one-dimensional irreducibles, and E_j
     # is carried by W_j, j = 1..n_two_dim
     n_one = int(np.sum(table.degrees == 1))
     if waves is None:
         waves = wave_number_stack(group.vertices())
-    K = _wave_number_reduction(H, waves[1:table.n_irreps - n_one + 1])[2]
+    K = _wave_number_reduction(H, waves[1:len(table.names) - n_one + 1])[2]
     wave_eigs = np.linalg.eigvalsh(K)
     off = np.abs(wave_eigs.sum(axis=1) - sums[n_one:])
-    bad = np.flatnonzero(off > TRACE_CHECK_TOL * (1.0 + np.abs(sums[n_one:])))
+    bounds = TRACE_CHECK_TOL * (1.0 + np.abs(sums[n_one:]))
+    bad = np.flatnonzero(off > bounds)
     if bad.size:
+        i = bad[0]
         raise InvarianceError(
-            f"component {table.names[n_one + bad[0]]}: wave-number eigenvalues do not "
-            f"add up to the trace-equation sum"
+            f"component {table.names[n_one + i]}: the wave-number eigenvalues add up to "
+            f"{off[i]:.3e} off the trace-equation sum, beyond its bound {bounds[i]:.3e}"
         )
-    components = []
-    for i in range(table.n_irreps):
-        d, m = int(table.degrees[i]), mult[i]
-        lams = (float(sums[i]),) if m == 1 else tuple(wave_eigs[i - n_one].tolist())
-        components.append(IsotypicComponent(table.names[i], d, m, lams))
-    deco = IsotypicDecomposition(tuple(components))
-    direct = np.sort(np.linalg.eigvalsh(H))
-    assembled = deco.full_multiset()
-    if np.max(np.abs(direct - assembled)) > TRACE_CHECK_TOL * (scale + 1.0):
-        raise InvarianceError(
-            "trace-equation eigenvalues disagree with direct diagonalization"
-        )
-    return deco
+    # one eigenvalue per copy of each irreducible, in table order
+    values = np.concatenate([sums[:n_one], wave_eigs.ravel()])
+    lams = np.split(values, np.cumsum(table.multiplicities)[:-1])
+    components = [
+        {"irrep": name, "degree": int(d), "multiplicity": m, "eigenvalues": lam.tolist()}
+        for name, d, m, lam in zip(table.names, table.degrees, table.multiplicities, lams)
+    ]
+    multiset = np.sort(np.repeat(values, np.repeat(table.degrees, table.multiplicities)))
+    worst = float(np.max(np.abs(np.sort(np.linalg.eigvalsh(H)) - multiset)))
+    bound = TRACE_CHECK_TOL * (scale + 1.0)
+    if worst > bound:
+        raise InvarianceError(f"trace-equation eigenvalues are {worst:.3e} from a direct "
+                              f"diagonalization, beyond their bound {bound:.3e}")
+    return components, multiset
 
 
 @dataclass(frozen=True)
@@ -534,14 +464,14 @@ def wave_number_stack(points):
     columns are zero.  At an equal-mass regular polygon each W_k is invariant
     under the Hessian of any pair potential and under Jhat, which acts on it
     as diag(J2, J2).  The unit cos/sin patterns depend on n alone
-    (``_dihedral``, n >= 3); only the bodies' frame is built here.
+    (``dihedral``, n >= 3); only the bodies' frame is built here.
     """
     q = np.asarray(points, dtype=float)
     n = q.shape[0]
     radial = q / np.hypot(q[:, 0], q[:, 1])[:, None]
     frame = np.stack([radial, radial @ J2], axis=1)          # (n, [r, t], 2)
     # the frame vectors are unit vectors, so the unit patterns give unit columns
-    waves = _dihedral(n).patterns                            # (k, [cos, sin], n)
+    waves = dihedral(n).patterns                            # (k, [cos, sin], n)
     # W[k, (j, x), (wave, frame vector)] = waves[k, wave, j] frame[j, vector, x]
     return (waves.transpose(0, 2, 1)[:, :, None, :, None]
             * frame.transpose(0, 2, 1)[None, :, :, None, :]).reshape(waves.shape[0], 2 * n, 4)

@@ -1,7 +1,7 @@
 """The per-n dihedral cache against a build from scratch.
 
 Everything about the dihedral group of the regular n-gon but its
-reflection axis depends on n alone, so ``symmetry._dihedral`` builds it
+reflection axis depends on n alone, so ``symmetry.dihedral`` builds it
 once per n and every analysis of an n-gon shares it.  The ``_reference_*``
 functions below build each part per call, as the analysis did before the
 cache; the cached parts must match them byte for byte, and must be
@@ -19,7 +19,7 @@ from relequil.symmetry import (
     J2,
     block_symplectic,
     build_polygon_symmetry_group,
-    character_table,
+    dihedral,
     reflection,
     rotation,
     wave_number_stack,
@@ -90,20 +90,19 @@ def _reference_wave_number_stack(points):
 
 def _cached_arrays(n, group):
     """Every array that an analysis of the n-gon shares with the cache."""
-    entry = symmetry._dihedral(n)
-    table = entry.table
+    entry = dihedral(n)
     return {
         "perms": entry.perms, "rots": entry.rots, "class_of": entry.class_of,
         "gathers": entry.gathers, "patterns": entry.patterns,
-        "degrees": table.degrees, "values": table.values,
-        "class_sizes": table.class_sizes, "group.perms": group.perms,
+        "degrees": entry.degrees, "characters": entry.characters,
+        "class_sizes": entry.class_sizes, "group.perms": group.perms,
         "group.orthos": group.orthos, "block_symplectic": block_symplectic(n),
     }
 
 
 @pytest.mark.parametrize("n", range(3, 33))
 def test_cached_build_matches_a_build_from_scratch(n):
-    assert symmetry._dihedral(n) is symmetry._dihedral(n)
+    assert dihedral(n) is dihedral(n)
     for angle in AXIS_ANGLES:
         group = build_polygon_symmetry_group(n, axis_angle=angle)
         perms, orthos, classes = _reference_group(n, angle)
@@ -113,15 +112,15 @@ def test_cached_build_matches_a_build_from_scratch(n):
         class_of = np.empty(2 * n, dtype=int)
         for c, cl in enumerate(classes):
             class_of[list(cl)] = c
-        assert _same_bytes(symmetry._dihedral(n).class_of, class_of)
+        assert _same_bytes(dihedral(n).class_of, class_of)
 
-        table = character_table(group)
+        table = dihedral(n)
         names, degrees, values, sizes = _reference_table(n, perms, classes)
-        assert table.names == names and table.group_order == 2 * n
-        for got, want in ((table.degrees, degrees), (table.values, values),
+        assert table.names == names and table.class_sizes.sum() == 2 * n
+        for got, want in ((table.degrees, degrees), (table.characters, values),
                           (table.class_sizes, sizes)):
             assert _same_bytes(got, want), angle
-        assert (list(symmetry._dihedral(n).multiplicities)
+        assert (list(table.multiplicities)
                 == _reference_multiplicities(n, perms, orthos, classes, values, sizes))
 
         vertices = group.vertices()
@@ -141,12 +140,12 @@ def test_every_cached_array_is_read_only(n):
 
 def test_a_sweep_builds_its_group_once_and_equals_cold_runs():
     grid = [0.5, 1.0, 1.5, 2.0, 3.0]
-    symmetry._dihedral.cache_clear()
+    symmetry.dihedral.cache_clear()
     result = run_sweep(AnalysisRequest(case="triangle-homogeneous"), grid)
     assert not result.failures
-    assert symmetry._dihedral.cache_info().misses == 1
+    assert symmetry.dihedral.cache_info().misses == 1
     for alpha, report in result.reports:
-        symmetry._dihedral.cache_clear()
+        symmetry.dihedral.cache_clear()
         block_symplectic.cache_clear()
         cold = run_analysis(AnalysisRequest(case="triangle-homogeneous", alpha=alpha))
         assert report.to_dict() == cold.to_dict(), alpha
@@ -155,14 +154,14 @@ def test_a_sweep_builds_its_group_once_and_equals_cold_runs():
 def test_more_polygons_than_the_bound_stay_within_it():
     # the benchmark's polygons n = 3..24 stay cached through a whole pass
     assert DIHEDRAL_CACHE_SIZE >= 22
-    symmetry._dihedral.cache_clear()
+    symmetry.dihedral.cache_clear()
     block_symplectic.cache_clear()
     sizes = range(3, 3 + DIHEDRAL_CACHE_SIZE + 4)
     for n in sizes:
         report = run_analysis(AnalysisRequest(positions=tuple(regular_polygon(n).positions),
                                               alpha=1.0))
         assert report.matches_oracle, n
-        assert symmetry._dihedral.cache_info().currsize <= DIHEDRAL_CACHE_SIZE
+        assert symmetry.dihedral.cache_info().currsize <= DIHEDRAL_CACHE_SIZE
         assert block_symplectic.cache_info().currsize <= DIHEDRAL_CACHE_SIZE
-    info = symmetry._dihedral.cache_info()
+    info = symmetry.dihedral.cache_info()
     assert info.misses == len(sizes) and info.currsize == DIHEDRAL_CACHE_SIZE

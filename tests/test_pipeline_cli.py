@@ -254,6 +254,45 @@ class TestConsistencyError:
         )
 
 
+def _near_polygon_masses():
+    """200 masses that alternate 1 and 1 + 3e-11: central to within its test,
+    taken for a 200-gon, but its Hessian's invariance defect is 2.1e-3,
+    past the trace route's gate of 1e-8 max |H| = 1.5e-3."""
+    masses = np.ones(200)
+    masses[1::2] += 3e-11
+    return masses
+
+
+class TestTraceRouteFailure:
+    POSITIONS = tuple(regular_polygon(200).positions)
+
+    def test_is_a_consistency_error_naming_defect_and_bound(self):
+        with pytest.raises(ConsistencyError) as err:
+            run_analysis(AnalysisRequest(positions=self.POSITIONS,
+                                         masses=tuple(_near_polygon_masses()),
+                                         potential=((1.0, 1.0),)))
+        assert err.value.stage == "trace equations"
+        words = str(err.value).split()
+        defect = float(words[words.index("defect") + 1])
+        bound = float(words[words.index("bound") + 1])
+        assert defect == pytest.approx(2.13e-3, rel=1e-2)
+        assert bound == pytest.approx(1.55e-3, rel=1e-2)
+
+    def _argv(self):
+        return ["--positions=" + ",".join(repr(float(x)) for x in self.POSITIONS),
+                "--masses=" + ",".join(repr(float(m)) for m in _near_polygon_masses())]
+
+    def test_analyze_exits_3(self, capsys):
+        assert cli_main(["analyze", *self._argv(), "--potential", "1:1"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "internal consistency failure: trace equations: ")
+
+    def test_sweep_lists_the_point_and_exits_3(self, capsys):
+        assert cli_main(["sweep", *self._argv(), "--grid", "1"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("1       FAILED: trace equations: ")
+
+
 class TestComputedOnce:
     @pytest.mark.parametrize("with_dynamics", [False, True])
     def test_one_equilibrium_per_run(self, monkeypatch, with_dynamics):

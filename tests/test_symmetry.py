@@ -3,23 +3,25 @@ import dataclasses
 import numpy as np
 import pytest
 
-from relequil import checks
+from relequil import checks, symmetry
 from relequil.central import regular_polygon
 from relequil.checks import representation_matrices
 from relequil.model import BodyConfiguration, Equilibrium, PotentialSpec, potential_hessian
 from relequil.spectrum import block_spectrum, compare_spectra, deflated_eigenvalues
 from relequil.symmetry import (
+    INVARIANCE_TOL,
     J2,
+    TRACE_CHECK_TOL,
     InvarianceError,
     block_symplectic,
     build_polygon_symmetry_group,
-    character_table,
     decompose_multiplicities,
+    dihedral,
     eigenvalues_by_trace_equations,
+    invariance_defect,
     polygon_axis_angle,
     representation_character,
     symplectic_pairs,
-    verify_invariance,
     wave_number_basis,
 )
 
@@ -118,8 +120,8 @@ class TestGroupConstruction:
         # drifts past ORTHO_TOL from n = 129
         eq = Equilibrium(regular_polygon(n), PotentialSpec.homogeneous(1.0))
         assert eq.group.order == 2 * n
-        deco = eigenvalues_by_trace_equations(eq.H, eq.group, eq.waves)
-        assert deco.full_multiset().size == 2 * n
+        _, multiset = eigenvalues_by_trace_equations(eq.H, eq.group, eq.waves)
+        assert multiset.size == 2 * n
 
 
 class TestHomomorphismCheck:
@@ -162,29 +164,30 @@ class TestHomomorphismCheck:
 class TestCharacters:
     def test_triangle_table(self):
         group = build_polygon_symmetry_group(3)
-        table = character_table(group)
+        table = dihedral(3)
         assert table.names == ("A1", "A2", "E1")
         assert tuple(table.degrees) == (1, 1, 2)
         # trivial row all ones
-        np.testing.assert_allclose(table.values[0], 1.0)
+        np.testing.assert_allclose(table.characters[0], 1.0)
         # the 2-dim character takes -1 on the rotation class
         rot_col = [
             c for c, cl in enumerate(group.conjugacy_classes)
             if cl[0] < group.n and len(cl) == 2
         ][0]
-        assert table.values[2][rot_col] == pytest.approx(-1.0)
+        assert table.characters[2][rot_col] == pytest.approx(-1.0)
 
     def test_square_table_degrees(self):
-        table = character_table(build_polygon_symmetry_group(4))
+        table = dihedral(4)
         assert tuple(table.degrees) == (1, 1, 1, 1, 2)
         assert sum(d * d for d in table.degrees) == 8
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_orthonormality(self, n):
-        table = character_table(build_polygon_symmetry_group(n))
-        k = table.n_irreps
+        table = dihedral(n)
+        chars, k = table.characters, len(table.names)
         gram = np.array([
-            [table.inner(table.values[i], table.values[j]) for j in range(k)]
+            [np.sum(table.class_sizes * np.conj(chars[i]) * chars[j]) / (2 * n)
+             for j in range(k)]
             for i in range(k)
         ])
         assert np.max(np.abs(gram - np.eye(k))) <= 1e-12
@@ -198,24 +201,21 @@ class TestCharacters:
 
     def test_multiplicities_triangle(self):
         group = build_polygon_symmetry_group(3)
-        table = character_table(group)
         assert decompose_multiplicities(
-            representation_character(group), table
+            representation_character(group), dihedral(3)
         ) == [1, 1, 2]
 
     def test_multiplicities_square(self):
         group = build_polygon_symmetry_group(4)
-        table = character_table(group)
         assert decompose_multiplicities(
-            representation_character(group), table
+            representation_character(group), dihedral(4)
         ) == [1, 1, 1, 1, 2]
 
     def test_non_integer_multiplicity_rejected(self):
         group = build_polygon_symmetry_group(3)
-        table = character_table(group)
         broken = representation_character(group) + 0.5
         with pytest.raises(ValueError):
-            decompose_multiplicities(broken, table)
+            decompose_multiplicities(broken, dihedral(3))
 
 
 class TestInvariance:
@@ -223,19 +223,19 @@ class TestInvariance:
         for case in standard_cases:
             H = potential_hessian(case.configuration(), case.potential)
             group = build_polygon_symmetry_group(case.n)
-            ok, defect = verify_invariance(H, group, tol=1e-12)
-            assert ok, (case.name, defect)
+            defect = invariance_defect(H, group)
+            assert defect <= 1e-12, (case.name, defect)
 
     def test_identity_invariant(self):
         group = build_polygon_symmetry_group(4)
-        ok, defect = verify_invariance(np.eye(8), group, tol=1e-15)
-        assert ok and defect == 0.0
+        defect = invariance_defect(np.eye(8), group)
+        assert defect <= 1e-15 and defect == 0.0
 
     def test_random_symmetric_not_invariant(self, rng):
         group = build_polygon_symmetry_group(3)
         M = rng.standard_normal((6, 6))
-        ok, defect = verify_invariance(M + M.T, group, tol=1e-10)
-        assert not ok and defect > 1e-2
+        defect = invariance_defect(M + M.T, group)
+        assert not defect <= 1e-10 and defect > 1e-2
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_defect_is_the_matmul_form(self, n, rng):
@@ -250,7 +250,7 @@ class TestInvariance:
         D = representation_matrices(group)
         for A in (M, M + 1e-9 * (E + E.T), E + E.T, H):
             expected = float(np.max(np.abs(D @ A - A @ D)))
-            _, defect = verify_invariance(A, group)
+            defect = invariance_defect(A, group)
             slack = 8 * np.finfo(float).eps * np.max(np.abs(A))
             assert expected <= defect + slack
             assert defect <= (n // 2 + 1) * 2 * n * expected + slack
@@ -265,7 +265,7 @@ class TestInvariance:
         group = build_polygon_symmetry_group(n)
         D = representation_matrices(group)
         expected = float(np.max(np.abs(D @ H - H @ D)))
-        _, defect = verify_invariance(H, group)
+        defect = invariance_defect(H, group)
         assert expected == pytest.approx(n // 2, rel=1e-12)
         assert expected > np.sqrt(2 * n)
         assert expected <= defect
@@ -281,8 +281,8 @@ class TestInvariance:
         M = M + M.T
         for subgroup in (mats[:n], [mats[0], mats[n]]):
             A = sum(D @ M @ D.T for D in subgroup) / len(subgroup)
-            ok, defect = verify_invariance(A, group, tol=1e-8 * np.max(np.abs(A)))
-            assert not ok, defect
+            defect = invariance_defect(A, group)
+            assert not defect <= 1e-8 * np.max(np.abs(A)), defect
             with pytest.raises(InvarianceError):
                 eigenvalues_by_trace_equations(A, group)
 
@@ -297,26 +297,28 @@ def _reference_projectors(group, table):
     n, class_of = group.n, _class_of(group)
     mats = representation_matrices(group)
     return [table.degrees[i] / group.order
-            * sum(table.values[i][class_of[k]] * D for k, D in enumerate(mats))
-            for i in range(table.n_irreps)]
+            * sum(table.characters[i][class_of[k]] * D for k, D in enumerate(mats))
+            for i in range(len(table.names))]
 
 
 def _reference_trace_route(H, group):
     """Per-irreducible eigenvalue lists by the projector route: class-averaged
     Tr(H D(g)) from matrix products, the sums of the one-dimensional
     components from them, and eigvalsh of H on each projector's range."""
-    table = character_table(group)
+    table = dihedral(group.n)
     class_of = _class_of(group)
+    sizes = np.array([len(cl) for cl in group.conjugacy_classes])
     trace_fn = np.zeros(len(group.conjugacy_classes))
     for idx, D in enumerate(representation_matrices(group)):
         trace_fn[class_of[idx]] += np.trace(H @ D)
-    trace_fn /= group.class_sizes()
+    trace_fn /= sizes
     mult = decompose_multiplicities(representation_character(group), table)
     out = []
     for i, P in enumerate(_reference_projectors(group, table)):
         d, m = int(table.degrees[i]), mult[i]
         if m == 1:
-            out.append([table.inner(table.values[i], trace_fn)])
+            out.append([float(np.sum(sizes * np.conj(table.characters[i]) * trace_fn)
+                              / group.order)])
             continue
         w, V = np.linalg.eigh(P)
         B = V[:, np.argsort(w)[::-1][: d * m]]
@@ -348,7 +350,7 @@ class TestProjectors:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_algebra(self, n):
         group = build_polygon_symmetry_group(n)
-        projectors = _reference_projectors(group, character_table(group))
+        projectors = _reference_projectors(group, dihedral(group.n))
         total = sum(projectors)
         np.testing.assert_allclose(total, np.eye(2 * n), atol=1e-12)
         for i, P in enumerate(projectors):
@@ -360,7 +362,7 @@ class TestProjectors:
     def test_triangle_ranks(self):
         group = build_polygon_symmetry_group(3)
         ranks = [round(np.trace(P))
-                 for P in _reference_projectors(group, character_table(group))]
+                 for P in _reference_projectors(group, dihedral(group.n))]
         assert ranks == [1, 1, 4]
         # A1 + A2 is wave number 0 and E1 wave number 1
         dims = [wave_number_basis(group.vertices(), k).shape[1] for k in (0, 1)]
@@ -368,7 +370,7 @@ class TestProjectors:
 
     def test_trivial_component_is_configuration_direction(self, triangle):
         group = build_polygon_symmetry_group(3)
-        P0 = _reference_projectors(group, character_table(group))[0]
+        P0 = _reference_projectors(group, dihedral(group.n))[0]
         z = triangle.positions
         np.testing.assert_allclose(P0 @ z, z, atol=1e-13)
         W0 = wave_number_basis(group.vertices(), 0)
@@ -377,7 +379,7 @@ class TestProjectors:
     def test_commute_with_invariant_matrix(self, rng):
         group = build_polygon_symmetry_group(4)
         M = _group_averaged(rng, group)
-        for P in _reference_projectors(group, character_table(group)):
+        for P in _reference_projectors(group, dihedral(group.n)):
             assert np.max(np.abs(P @ M - M @ P)) <= 1e-11 * np.max(np.abs(M))
 
     @pytest.mark.parametrize("n", range(3, 9))
@@ -385,7 +387,7 @@ class TestProjectors:
         # each W_k is fixed by the projector of its irreducibles, and the
         # bases together are an orthonormal basis of R^{2n}
         group = build_polygon_symmetry_group(n, axis_angle=0.7)
-        table = character_table(group)
+        table = dihedral(n)
         projectors = _reference_projectors(group, table)
         bases = [wave_number_basis(group.vertices(), k) for k in range(n // 2 + 1)]
         for k, W in enumerate(bases):
@@ -403,7 +405,7 @@ class TestAgainstProjectorRoute:
 
     @staticmethod
     def _assert_same(H, group):
-        new = eigenvalues_by_trace_equations(H, group).eigenvalue_lists()
+        new = [c["eigenvalues"] for c in eigenvalues_by_trace_equations(H, group)[0]]
         ref = _reference_trace_route(H, group)
         assert [len(v) for v in new] == [len(v) for v in ref]
         np.testing.assert_allclose(np.concatenate(new), np.concatenate(ref), rtol=0,
@@ -436,9 +438,9 @@ class TestTraceEquations:
             spec = PotentialSpec.homogeneous(alpha)
             H = potential_hessian(triangle, spec)
             group = build_polygon_symmetry_group(3)
-            deco = eigenvalues_by_trace_equations(H, group)
+            components, _ = eigenvalues_by_trace_equations(H, group)
             w2 = 3.0 ** (-alpha / 2.0) * alpha
-            lists = deco.eigenvalue_lists()
+            lists = [c["eigenvalues"] for c in components]
             assert lists[0][0] == pytest.approx(w2 * (1.0 + alpha), rel=1e-12)
             assert lists[1][0] == pytest.approx(-w2, rel=1e-12)
             np.testing.assert_allclose(
@@ -449,18 +451,18 @@ class TestTraceEquations:
         for case in standard_cases:
             H = potential_hessian(case.configuration(), case.potential)
             group = build_polygon_symmetry_group(case.n)
-            deco = eigenvalues_by_trace_equations(H, group)
+            _, multiset = eigenvalues_by_trace_equations(H, group)
             direct = np.sort(np.linalg.eigvalsh(H))
             np.testing.assert_allclose(
-                deco.full_multiset(), direct,
+                multiset, direct,
                 atol=1e-9 * (1 + np.max(np.abs(direct))),
             )
 
     def test_scalar_matrix(self):
         group = build_polygon_symmetry_group(3)
-        deco = eigenvalues_by_trace_equations(2.5 * np.eye(6), group)
-        for comp in deco.components:
-            for lam in comp.eigenvalues:
+        components, _ = eigenvalues_by_trace_equations(2.5 * np.eye(6), group)
+        for comp in components:
+            for lam in comp["eigenvalues"]:
                 assert lam == pytest.approx(2.5, rel=1e-13)
 
     def test_random_invariant_matrices(self, rng):
@@ -470,10 +472,10 @@ class TestTraceEquations:
             for _ in range(25):
                 M = rng.standard_normal((2 * n, 2 * n))
                 M = sum(D @ (M + M.T) @ D.T for D in mats)
-                deco = eigenvalues_by_trace_equations(M, group)
+                _, multiset = eigenvalues_by_trace_equations(M, group)
                 direct = np.sort(np.linalg.eigvalsh(M))
                 np.testing.assert_allclose(
-                    deco.full_multiset(), direct,
+                    multiset, direct,
                     atol=1e-9 * (1 + np.max(np.abs(direct))),
                 )
 
@@ -482,6 +484,64 @@ class TestTraceEquations:
         M = rng.standard_normal((6, 6))
         with pytest.raises(InvarianceError):
             eigenvalues_by_trace_equations(M + M.T, group)
+
+    @staticmethod
+    def _figures(message):
+        """The two numbers of a failure message: its value and its bound."""
+        return [float(x.rstrip(",")) for x in message.split() if x[:1].isdigit()][-2:]
+
+    def test_gate_names_its_defect_and_bound(self, rng):
+        group = build_polygon_symmetry_group(3)
+        M = rng.standard_normal((6, 6))
+        M = M + M.T
+        with pytest.raises(InvarianceError, match="invariance defect") as err:
+            eigenvalues_by_trace_equations(M, group)
+        defect, bound = self._figures(str(err.value))
+        assert defect == pytest.approx(invariance_defect(M, group), rel=1e-3)
+        assert bound == pytest.approx(INVARIANCE_TOL * np.max(np.abs(M)), rel=1e-3)
+        assert defect > bound
+
+    @staticmethod
+    def _plant(monkeypatch, k, shift):
+        """Make the trace route read K_k + shift(K_k) for the k-th wave number."""
+        reduce = symmetry._wave_number_reduction
+
+        def planted(M, waves):
+            images, h, K = reduce(M, waves)
+            K = K.copy()
+            K[k - 1] += shift(K[k - 1])
+            return images, h, K
+
+        monkeypatch.setattr(symmetry, "_wave_number_reduction", planted)
+
+    def test_trace_sum_check_names_its_offset_and_bound(self, monkeypatch):
+        # K_2 + delta I moves the sum of its two eigenvalues by 2 delta
+        H = potential_hessian(regular_polygon(5), PotentialSpec.manev())
+        group, delta = build_polygon_symmetry_group(5), 1e-6
+        total = sum(eigenvalues_by_trace_equations(H, group)[0][-1]["eigenvalues"])
+        self._plant(monkeypatch, 2, lambda K: delta * np.eye(2))
+        with pytest.raises(InvarianceError, match="component E2: .* trace-equation sum") as err:
+            eigenvalues_by_trace_equations(H, group)
+        off, bound = self._figures(str(err.value))
+        assert off == pytest.approx(2 * delta, rel=1e-3)
+        assert bound == pytest.approx(TRACE_CHECK_TOL * (1.0 + abs(total)), rel=1e-3)
+
+    def test_direct_check_names_its_distance_and_bound(self, monkeypatch):
+        # moving the eigenvalues of K_1 by +delta and -delta keeps their sum,
+        # so only the check against a direct eigvalsh sees it
+        H = potential_hessian(regular_polygon(5), PotentialSpec.manev())
+        group, delta = build_polygon_symmetry_group(5), 1e-6
+
+        def split(K):
+            U = np.linalg.eigh(K)[1]
+            return delta * (np.outer(U[:, 1], U[:, 1].conj()) - np.outer(U[:, 0], U[:, 0].conj()))
+
+        self._plant(monkeypatch, 1, split)
+        with pytest.raises(InvarianceError, match="direct diagonalization") as err:
+            eigenvalues_by_trace_equations(H, group)
+        distance, bound = self._figures(str(err.value))
+        assert distance == pytest.approx(delta, rel=1e-3)
+        assert bound == pytest.approx(TRACE_CHECK_TOL * (np.max(np.abs(H)) + 1.0), rel=1e-3)
 
     def test_eigenvalue_conjugation_invariance(self, triangle):
         spec = PotentialSpec.manev()
