@@ -90,7 +90,9 @@ def refine_central_configuration(config, spec, max_iter=60, tol=1e-12,
 
     def residual(z, sep):
         """(F, merit, lam) at z, read from its separations sep."""
-        lam, g, F = pairs.centrality_residual(z.reshape(-1, 2), sep, spec.terms)
+        q = z.reshape(-1, 2)
+        U = pairs.energy_terms(sep, spec.terms)
+        lam, g, F = pairs.centrality_residual(q, sep, spec.terms, U, pairs.inertia(q))
         return F, float(np.linalg.norm(F) / (np.linalg.norm(g) + 1.0)), lam
 
     z = _normalize_gauges(config.positions.copy(), pairs, theta_pin, fix_inertia)

@@ -7,6 +7,7 @@ used everywhere else in the package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ def _readonly(a):
 
 
 class BodyPairs:
-    """Index arrays and mass products m_i m_j of the pairs i < j of n bodies,
+    """Read-only index arrays and mass products m_i m_j of the pairs i < j,
     with the potential's formulas; each reads the separations ``sep`` of one
     set of (n, 2) points, and ``terms`` are the (c_k, a_k) of PotentialSpec."""
 
@@ -60,6 +61,7 @@ class BodyPairs:
         # the indices of np.triu_indices(n, 1), without its index grid
         self.iu, self.ju = np.nonzero(r[:, None] < r)
         self.mm = masses[self.iu] * masses[self.ju]
+        self.iu.flags.writeable = self.ju.flags.writeable = self.mm.flags.writeable = False
 
     def separations(self, points):
         """Separations d_ij = q_i - q_j and distances r_ij for i < j."""
@@ -116,14 +118,14 @@ class BodyPairs:
             H[self.ju, self.iu] -= blk
         return H.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
 
-    def euler_omega_squared(self, points, sep, terms):
+    def euler_omega_squared(self, energies, inertia, terms):
         """Generalized Euler value (sum_k a_k U_k) / (2 I), no centrality check."""
         exps = np.array([a for _, a in terms])
-        return float((exps @ self.energy_terms(sep, terms)) / (2.0 * self.inertia(points)))
+        return float((exps @ energies) / (2.0 * inertia))
 
-    def centrality_residual(self, points, sep, terms):
+    def centrality_residual(self, points, sep, terms, energies, inertia):
         """(omega^2, grad U, grad U + omega^2 grad I) with the Euler omega^2."""
-        omega2 = self.euler_omega_squared(points, sep, terms)
+        omega2 = self.euler_omega_squared(energies, inertia, terms)
         g = self.gradient(sep, terms)
         return omega2, g, g + omega2 * np.repeat(self.masses, 2) * points.ravel()
 
@@ -139,6 +141,7 @@ class BodyConfiguration:
     origin (within CENTER_TOL) at construction time; ``pairs`` holds the
     bodies' BodyPairs and ``separations`` the read-only (d, r) of its one
     separation pass, which the collision check and every pair formula read.
+    ``inertia``, ``trivial_vectors``, ``group`` and ``waves`` are built once, on first use.
     """
 
     masses: np.ndarray
@@ -185,6 +188,29 @@ class BodyConfiguration:
     def mass_vector(self):
         """Per-coordinate masses, i.e. diag of the 2n x 2n mass matrix."""
         return np.repeat(self.masses, 2)
+
+    @functools.cached_property
+    def inertia(self):
+        """I = (1/2) sum_i m_i |q_i|^2."""
+        return self.pairs.inertia(self.points)
+
+    @functools.cached_property
+    def trivial_vectors(self):
+        """Read-only (T, z, |z|): translations T = M^{1/2}(1 x I2), z = M^{1/2} q."""
+        T = (np.sqrt(self.masses)[:, None, None] * np.eye(2)).reshape(-1, 2)
+        z = np.sqrt(self.mass_vector) * self.positions
+        return _readonly(T), _readonly(z), np.linalg.norm(z)
+
+    @functools.cached_property
+    def group(self):
+        """The dihedral group of an equal-mass regular polygon, else None."""
+        base = polygon_axis_angle(self)
+        return None if base is None else build_polygon_symmetry_group(self.n, axis_angle=base)
+
+    @functools.cached_property
+    def waves(self):
+        """The read-only ``wave_number_stack`` of the polygon's vertices, or None."""
+        return None if self.group is None else _readonly(wave_number_stack(self.group.vertices()))
 
     def pair_distances(self):
         """Condensed upper-triangle pairwise distances (i < j order)."""
@@ -248,7 +274,7 @@ class PotentialSpec:
 
 def moment_of_inertia(config):
     """I = (1/2) sum_i m_i |q_i|^2."""
-    return config.pairs.inertia(config.points)
+    return config.inertia
 
 
 def potential_energy_terms(config, spec):
@@ -272,14 +298,18 @@ def potential_hessian(config, spec):
     return config.pairs.hessian(config.separations, spec.terms)
 
 
-def centrality_residual(config, spec):
-    """(omega^2, grad U, grad U + omega^2 grad I) with the Euler omega^2."""
-    return config.pairs.centrality_residual(config.points, config.separations, spec.terms)
+def centrality_residual(config, spec, energies=None):
+    """(omega^2, grad U, grad U + omega^2 grad I) with the Euler omega^2 of the
+    per-term ``energies`` U_k, computed when not given."""
+    U = potential_energy_terms(config, spec) if energies is None else energies
+    return config.pairs.centrality_residual(config.points, config.separations, spec.terms, U,
+                                            config.inertia)
 
 
 def euler_omega_squared(config, spec):
     """Generalized Euler value (sum_k a_k U_k) / (2 I), no centrality check."""
-    return config.pairs.euler_omega_squared(config.points, config.separations, spec.terms)
+    return config.pairs.euler_omega_squared(potential_energy_terms(config, spec),
+                                            config.inertia, spec.terms)
 
 
 @dataclass(frozen=True)
@@ -288,6 +318,7 @@ class CentralityReport:
     multiplier: float
     tol: float
     is_central: bool
+    energy_terms: tuple     # the U_k of the Euler multiplier
 
     def omega_squared(self):
         """The multiplier omega^2; NonCentralConfigurationError if not central."""
@@ -301,10 +332,11 @@ def is_central_configuration(config, spec, tol_factor=CENTRALITY_TOL_FACTOR):
 
     Central means |grad U + lambda M z| <= tol_factor * (|grad U| + 1).
     """
-    lam, g, F = centrality_residual(config, spec)
+    energies = potential_energy_terms(config, spec)
+    lam, g, F = centrality_residual(config, spec, energies)
     res = float(np.linalg.norm(F))
     tol = tol_factor * (float(np.linalg.norm(g)) + 1.0)
-    return CentralityReport(res, lam, tol, res <= tol)
+    return CentralityReport(res, lam, tol, res <= tol, tuple(energies.tolist()))
 
 
 def angular_frequency_squared(config, spec, tol_factor=CENTRALITY_TOL_FACTOR):
@@ -343,17 +375,15 @@ class Equilibrium:
     is symmetric and similar to M^{-1} H, so eigenvector pairing applies
     when masses differ; ``Jh`` is the block symplectic map Jhat.
 
-    ``trivial`` is (T, z, slack): the mass-weighted translations
-    T = M^{1/2}(1 x I2), which Hw annihilates, the configuration direction
-    z = M^{1/2} q, and a slack.  Rotation invariance of U gives
-    H Jhat q = Jhat grad U, so with the centrality residual
+    ``trivial`` is (T, z, slack): the configuration's ``trivial_vectors``
+    T = M^{1/2}(1 x I2), which Hw annihilates, and z = M^{1/2} q, and a
+    slack, which alone depends on the potential.  Rotation invariance of U
+    gives H Jhat q = Jhat grad U, so with the centrality residual
     F = grad U + omega^2 M q, (omega^2 + Hw) Jhat z = M^{-1/2} Jhat F, which
     slack = |F| / (sqrt(min m) |z|) bounds for unit z.
 
-    ``group`` and ``waves`` are the dihedral group of an equal-mass regular
-    polygon (``polygon_axis_angle``) and the ``wave_number_stack`` of its
-    vertices, which pick the symmetry route of the analysis; both are None
-    for any other configuration.
+    ``group`` and ``waves``, the configuration's (None unless it is an
+    equal-mass regular polygon), pick the symmetry route of the analysis.
     """
 
     config: BodyConfiguration
@@ -374,21 +404,17 @@ class Equilibrium:
         omega2 = centrality.omega_squared()
         H = potential_hessian(config, self.spec)
         inv_sqrt = 1.0 / np.sqrt(config.mass_vector)
-        T = (np.sqrt(config.masses)[:, None, None] * np.eye(2)).reshape(-1, 2)
-        z = np.sqrt(config.mass_vector) * config.positions
-        slack = centrality.residual_norm / (np.sqrt(config.masses.min()) * np.linalg.norm(z))
+        T, z, z_norm = config.trivial_vectors
+        slack = centrality.residual_norm / (np.sqrt(config.masses.min()) * z_norm)
         object.__setattr__(self, "centrality", centrality)
         object.__setattr__(self, "omega", float(np.sqrt(omega2)))
         object.__setattr__(self, "period", rotation_period(omega2))
         object.__setattr__(self, "H", _readonly(H))
         object.__setattr__(self, "Hw", _readonly((H * inv_sqrt).T * inv_sqrt))
         object.__setattr__(self, "Jh", block_symplectic(config.n))
-        object.__setattr__(self, "trivial", (_readonly(T), _readonly(z), float(slack)))
-        base = polygon_axis_angle(config)
-        group = None if base is None else build_polygon_symmetry_group(config.n, axis_angle=base)
-        waves = None if group is None else _readonly(wave_number_stack(group.vertices()))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "waves", waves)
+        object.__setattr__(self, "trivial", (T, z, float(slack)))
+        object.__setattr__(self, "group", config.group)
+        object.__setattr__(self, "waves", config.waves)
 
     @property
     def n(self):

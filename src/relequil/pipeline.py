@@ -18,8 +18,6 @@ from .model import (
     NonCentralConfigurationError,
     PotentialSpec,
     first_order_matrix,
-    moment_of_inertia,
-    potential_energy_terms,
 )
 from .presets import get_case
 from .spectrum import (
@@ -319,8 +317,8 @@ def run_analysis(request):
             "masses": [float(m) for m in config.masses],
             "positions": [float(x) for x in config.positions],
         },
-        "moment_of_inertia": moment_of_inertia(config),
-        "potential_terms": [float(u) for u in potential_energy_terms(config, spec)],
+        "moment_of_inertia": config.inertia,
+        "potential_terms": list(eq.centrality.energy_terms),
         "centrality": {
             "residual": eq.centrality.residual_norm,
             "tol": eq.centrality.tol,

@@ -10,6 +10,7 @@ package binds to the computed route.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .model import PotentialSpec
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
+_unit_polygon = functools.cache(regular_polygon)   # one shared n-gon per n; presets have n = 3, 4
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class CaseDefinition:
     notes: str = ""
 
     def configuration(self):
-        return regular_polygon(self.n)
+        return _unit_polygon(self.n)
 
 
 def _triangle_homogeneous(alpha):

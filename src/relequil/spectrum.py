@@ -174,8 +174,10 @@ def wave_number_block_spectra(omega, K, dims):
     diag(J2, J2)]] is the realification of the complex 4x4 [[0, I],
     [omega^2 + K_k, 2 omega J2]]: its eigenvalues are the complex matrix's
     and their conjugates.  On one of dimension 2, K_k is real and the 4x4 is
-    the whole block.  One stacked eigvals solves every 4x4.
+    the whole block.  One stacked eigvals solves every 4x4; no W_k, no call.
     """
+    if not len(dims):
+        return ()
     C = np.zeros((len(dims), 4, 4), dtype=complex)
     C[:, :2, 2:] = np.eye(2)
     C[:, 2:, :2] = omega * omega * np.eye(2) + K

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from relequil import checks, dynamics, model, pipeline, symmetry
+from relequil import checks, dynamics, model, pipeline, presets, symmetry
 from relequil.central import refine_central_configuration, regular_polygon
 from relequil.cli import main as cli_main
 from relequil.model import BodyConfiguration, Equilibrium, PotentialSpec
@@ -197,6 +197,10 @@ class TestReports:
         # the byte-level golden check: every golden file regenerates unchanged
         golden = run("scripts/make_goldens.py", "--check")
         assert golden == [f"all {len(PRESET_NAMES)} goldens match"]
+        # one sha256 per benchmark deck
+        digests = [ln.split() for ln in run("scripts/report_digest.py")]
+        assert [d[0] for d in digests] == ["presets", "polygons", "collinear"]
+        assert all(len(d) == 2 and len(bytes.fromhex(d[1])) == 32 for d in digests)
 
     def test_schema_version_checked(self):
         report = run_analysis(_preset_request("triangle-homogeneous"))
@@ -358,7 +362,9 @@ class TestComputedOnce:
     ], ids=["preset", "explicit"])
     def test_one_separation_pass_per_run(self, monkeypatch, request_):
         # the configuration keeps the (d, r) of its collision check, and the
-        # centrality test, the Hessian and the report's energies read them
+        # centrality test, the Hessian and the report's energies read them:
+        # one pass per configuration, so a run on a cold configuration makes
+        # exactly one, and a second run on a preset's shared one none
         passes = []
         real = model.BodyPairs.separations
 
@@ -367,8 +373,33 @@ class TestComputedOnce:
             return real(pairs, points)
 
         monkeypatch.setattr(model.BodyPairs, "separations", counted)
+        presets._unit_polygon.cache_clear()
         run_analysis(request_)
         assert len(passes) == 1
+        run_analysis(request_)
+        assert len(passes) == (1 if request_.case else 2)
+
+    @pytest.mark.parametrize("request_", [
+        AnalysisRequest(case="manev-square"),
+        AnalysisRequest(positions=tuple(regular_polygon(5).positions),
+                        potential=((1.0, 1.0), (1.0, 3.0))),
+    ], ids=["preset", "explicit"])
+    def test_one_energy_pass_per_run(self, monkeypatch, request_):
+        # the report's energies and inertia are those of the centrality pass
+        calls = []
+        real = model.BodyPairs.energy_terms
+
+        def counted(pairs, sep, terms):
+            calls.append(terms)
+            return real(pairs, sep, terms)
+
+        monkeypatch.setattr(model.BodyPairs, "energy_terms", counted)
+        data = run_analysis(request_).to_dict()
+        assert len(calls) == 1
+        config, spec, _ = request_.resolve()
+        assert data["potential_terms"] == real(config.pairs, config.separations,
+                                               spec.terms).tolist()
+        assert data["moment_of_inertia"] == config.pairs.inertia(config.points)
 
     def test_no_representation_matrix_is_built(self, monkeypatch):
         # the trace route reads H's body blocks and the wave-number bases;

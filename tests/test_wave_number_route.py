@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import schur
 
-from relequil import model, pipeline, spectrum, symmetry
+from relequil import model, pipeline, presets, spectrum, symmetry
 from relequil.central import regular_polygon
 from relequil.model import BodyConfiguration, Equilibrium, PotentialSpec
 from relequil.pipeline import AnalysisRequest, run_analysis
@@ -181,8 +181,10 @@ class TestRouting:
                         potential=BENCHMARK_POTENTIALS["manev"]),
     ], ids=["square", "24-gon"])
     def test_polygon_analysis_reads_the_wave_stack(self, monkeypatch, request_):
-        # one stack per run, shared by the trace route and the blocks; no
-        # whole-space pairing and no 2n x 2n eigh inside decompose_blocks
+        # one stack per configuration, shared by the trace route and the
+        # blocks: exactly one on a cold configuration and none on a second run
+        # on a preset's shared one; no whole-space pairing and no 2n x 2n eigh
+        # inside decompose_blocks
         stacks, shapes, inside = [], [], [False]
         real_stack, real_eigh = symmetry.wave_number_stack, np.linalg.eigh
         real_decompose = pipeline.decompose_blocks
@@ -211,11 +213,14 @@ class TestRouting:
         monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
         monkeypatch.setattr(pipeline, "decompose_blocks", flagged_decompose)
         monkeypatch.setattr(spectrum, "symplectic_pairs", refuse)
+        presets._unit_polygon.cache_clear()
         report = run_analysis(request_)
         n = report.to_dict()["configuration"]["n"]
         assert report.matches_oracle and report.to_dict()["isotypic"]
         assert stacks == [n]
         assert shapes and all(s[-2:] == (2, 2) for s in shapes)
+        assert run_analysis(request_).to_dict() == report.to_dict()
+        assert stacks == ([n] if request_.case else [n, n])
 
     @pytest.mark.parametrize("label, cfg, spec", collinear_deck() + rings(),
                              ids=lambda x: x if isinstance(x, str) else "")
