@@ -6,9 +6,12 @@
 The decks are the presets, polygons and collinear workloads of
 ``perfbench/workloads.py``, dealt from its fixed deck seed.  Each case's
 ``to_dict()`` is hashed as sorted-key JSON, whose floats round-trip
-exactly; a case that raises is hashed by the error's type and message.  Two
-trees that print the same three lines give bit-identical reports on every
-case of the three decks.  BLAS runs on one thread, as in the benchmark.
+exactly; a case that raises is hashed by the error's type and message.
+The ``dynamics`` line hashes the dynamics deck's trajectories (the bytes
+of their times, states and Jacobi energies) and then the six presets'
+reports with the dynamics section.  Two trees that print the same four
+lines give bit-identical reports and trajectories on every case.  BLAS
+runs on one thread, as in the benchmark.
 """
 
 import hashlib
@@ -26,6 +29,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np
 import workloads
 
+from relequil.pipeline import AnalysisRequest, run_analysis
+from relequil.presets import HOMOGENEOUS_PRESETS, PRESET_NAMES
+
 DECKS = ("presets", "polygons", "collinear")
 
 
@@ -34,17 +40,39 @@ def digest(name):
     workload = workloads.make(name, ROOT / "golden")
     h = hashlib.sha256()
     for case in workload.deck(np.random.default_rng(workloads.DECK_SEED)):
-        try:
-            text = json.dumps(workload.run(case).to_dict(), sort_keys=True)
-        except Exception as exc:    # an error is part of the digest
-            text = f"{type(exc).__name__}: {exc}"
-        h.update(f"{case.label}\n{text}\n".encode())
+        h.update(f"{case.label}\n{_report_text(lambda: workload.run(case))}\n".encode())
+    return h.hexdigest()
+
+
+def _report_text(run):
+    """Sorted-key JSON of ``run().to_dict()``, or the error it raises."""
+    try:
+        return json.dumps(run().to_dict(), sort_keys=True)
+    except Exception as exc:    # an error is part of the digest
+        return f"{type(exc).__name__}: {exc}"
+
+
+def dynamics_digest():
+    """sha256 over the dynamics deck's trajectories, then the presets'
+    reports with dynamics."""
+    workload = workloads.make("dynamics", ROOT / "golden")
+    h = hashlib.sha256()
+    for case in workload.deck(np.random.default_rng(workloads.DECK_SEED)):
+        traj = workload.run(case)
+        h.update(case.label.encode())
+        for a in (traj.times, traj.states, traj.jacobi_energy):
+            h.update(np.ascontiguousarray(a).tobytes())
+    for name in PRESET_NAMES:
+        alpha = 1.0 if name in HOMOGENEOUS_PRESETS else None
+        request = AnalysisRequest(case=name, alpha=alpha, with_dynamics=True)
+        h.update(f"{name}\n{_report_text(lambda: run_analysis(request))}\n".encode())
     return h.hexdigest()
 
 
 def main():
     for name in DECKS:
         print(f"{name:<10} {digest(name)}")
+    print(f"{'dynamics':<10} {dynamics_digest()}")
 
 
 if __name__ == "__main__":

@@ -3,13 +3,7 @@ under power-law and quasi-homogeneous pair potentials, computed through
 symmetry-group block diagonalization and validated against a dense
 eigensolver oracle."""
 
-from .central import (
-    CentralityReport,
-    RefinementError,
-    is_central_configuration,
-    refine_central_configuration,
-    regular_polygon,
-)
+from .central import RefinementError, refine_central_configuration, regular_polygon
 from .dynamics import (
     GrowthEstimate,
     Trajectory,
@@ -18,12 +12,13 @@ from .dynamics import (
 )
 from .model import (
     BodyConfiguration,
+    CentralityReport,
     CollisionError,
     Equilibrium,
     NonCentralConfigurationError,
     PotentialSpec,
     angular_frequency_squared,
-    moment_of_inertia,
+    is_central_configuration,
     potential_energy,
     potential_energy_terms,
     potential_gradient,

@@ -6,9 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 
-# the centrality test lives in model; central re-exports it
-from .model import BodyConfiguration, BodyPairs, CentralityReport, is_central_configuration
-from .model import potential_hessian
+from .model import BodyConfiguration, BodyPairs, potential_hessian
 
 # a Newton iterate's pairs and separations, which potential_hessian reads
 _Point = namedtuple("_Point", "pairs separations")
@@ -75,8 +73,8 @@ def refine_central_configuration(config, spec, max_iter=60, tol=1e-12,
     Damping halves any step that fails to decrease the scale-free merit
     |F| / (|grad U| + 1) or that steps into a near-collision.
 
-    ``tol`` plays the role of the centrality tolerance factor: success
-    means the result passes is_central_configuration(..., tol_factor=tol).
+    ``tol`` bounds the merit at success, as CENTRALITY_TOL_FACTOR bounds it
+    in is_central_configuration.
     ``fix_inertia`` selects the scale of the returned configuration; leave
     None to stay near the initial scale (only meaningful when the solution
     family is scale-free, as for regular polygons under every potential

@@ -123,6 +123,17 @@ def cmd_simulate(args):
     if args.epsilon is not None:
         require_positive("--epsilon", args.epsilon)
     eq, _case = _request_from_args(args).equilibrium()
+    growth = None
+    if args.kick:
+        try:
+            est = estimate_growth_rate(eq, _worst_direction(eq), epsilon=args.epsilon)
+        except ValueError as exc:
+            raise InputError(f"--epsilon: {exc}") from exc
+        growth = {
+            "rate": est.rate,
+            "no_growth": est.no_growth,
+            "window": list(est.window),
+        }
     pin_ratio, drift, traj = equilibrium_check(
         eq.config, eq.spec, eq.omega2, args.periods, args.steps_per_period,
         sample_every=max(1, args.steps_per_period // 100),
@@ -135,15 +146,8 @@ def cmd_simulate(args):
         "equilibrium_drift": drift,
         "jacobi_energy_drift": energy_drift,
         "blew_up": traj.blew_up,
-        "growth": None,
+        "growth": growth,
     }
-    if args.kick:
-        est = estimate_growth_rate(eq, _worst_direction(eq), epsilon=args.epsilon)
-        payload["growth"] = {
-            "rate": est.rate,
-            "no_growth": est.no_growth,
-            "window": list(est.window),
-        }
     if args.dump:
         payload["trajectory"] = traj.records()
     text = "\n".join(

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import centrality_residual, euler_omega_squared, rotation_period
+from .model import is_central_configuration, rotation_period
 
 COLLISION_FACTOR = 1e-6     # blow-up when min distance falls below this x initial
+GROWTH_WINDOW_TOP = 1e-2    # the growth fit's window top, times the radius
 DEFAULT_STEPS_PER_PERIOD = 10_000
 BLOCK_STEPS = 64            # steps taken between two checks of the stopping rules
 
@@ -90,9 +91,7 @@ class _RotatingFrame:
     exponents are built once per frame.
     """
 
-    def __init__(self, config, spec, omega2=None):
-        if omega2 is None:
-            omega2 = euler_omega_squared(config, spec)
+    def __init__(self, config, spec, omega2):
         self.omega2 = float(omega2)
         self.omega = float(np.sqrt(self.omega2))
         pairs, n = config.pairs, config.n
@@ -173,7 +172,10 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
     if not (np.isfinite(sample_every) and sample_every > 0
             and sample_every == int(sample_every)):
         raise ValueError(f"sample_every must be a positive integer, got {sample_every!r}")
-    frame = _RotatingFrame(config, spec, omega2=omega2)
+    if omega2 is None:
+        # unchecked: non-central inputs integrate in their Euler frame too
+        omega2 = is_central_configuration(config, spec).multiplier
+    frame = _RotatingFrame(config, spec, omega2)
     if reference_equilibrium is not None:
         frame.set_reference_equilibrium(reference_equilibrium)
         origin = np.ravel(reference_equilibrium)
@@ -266,8 +268,9 @@ def equilibrium_check(config, spec, omega2=None, periods=1.0, steps_per_period=2
     """
     _require_positive(periods=periods, steps_per_period=steps_per_period,
                       sample_every=sample_every)
-    _, grad, residual = centrality_residual(config, spec)
-    frame = _RotatingFrame(config, spec, omega2=omega2)
+    centrality = is_central_configuration(config, spec)
+    grad, residual = centrality.gradient, centrality.residual
+    frame = _RotatingFrame(config, spec, centrality.multiplier if omega2 is None else omega2)
     frame.set_reference_equilibrium(config.positions)
     pin_defect = float(np.max(np.abs(frame.offset.view(float) - residual / config.mass_vector)))
     pin_bound = 4.0 * np.finfo(float).eps * (
@@ -283,23 +286,23 @@ def equilibrium_check(config, spec, omega2=None, periods=1.0, steps_per_period=2
     return pin_defect / pin_bound, drift, traj
 
 
-def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None,
-                         window_upper=1e-2):
+def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None):
     """Fit the exponential departure rate from a perturbed equilibrium.
 
     The equilibrium ``eq`` is kicked by epsilon * direction in position, the
     nonlinear system is integrated, and log |deviation| is fitted linearly
     over the stretch where the deviation sits between 10 * epsilon and
-    ``window_upper`` (staying inside the linear regime).  Returns rate 0
-    with ``no_growth`` when the deviation never reaches the window.
+    top = GROWTH_WINDOW_TOP * radius (staying inside the linear regime),
+    the radius being the largest |q_i|.  Returns rate 0 with ``no_growth``
+    when the deviation never reaches the window.
 
-    The integration ends at the first sample above both ``window_upper``
-    and the 300 * epsilon that the growth test asks for: the first stretch
-    is closed there and the test passed.  Only when fewer than 8 samples
-    fell inside the window by then, so that later returns into it decide,
-    is the full ``duration`` integrated again.  The result is the full
-    run's either way.  epsilon, duration and dt, given or defaulted, must be
-    finite and positive (ValueError).
+    The integration ends at the first sample above both ``top`` and the
+    300 * epsilon that the growth test asks for: the first stretch is
+    closed there and the test passed.  Only when fewer than 8 samples fell
+    inside the window by then, so that later returns into it decide, is
+    the full ``duration`` integrated again.  The result is the full run's
+    either way.  epsilon, duration and dt, given or defaulted, must be
+    finite and positive, and 10 * epsilon below ``top`` (ValueError).
     """
     direction = np.asarray(direction, dtype=float)
     nrm = np.linalg.norm(direction)
@@ -315,6 +318,10 @@ def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None,
     if dt is None:
         dt = eq.period / 4000.0
     _require_positive(epsilon=epsilon, duration=duration, dt=dt)
+    top = GROWTH_WINDOW_TOP * radius
+    if 10.0 * epsilon >= top:
+        raise ValueError(f"epsilon {epsilon!r} empties the fit window: 10 * epsilon must be "
+                         f"below GROWTH_WINDOW_TOP * radius = {top!r}")
     perturbed = config.with_positions(config.positions + epsilon * direction)
 
     def deviations(stop_deviation):
@@ -324,9 +331,9 @@ def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None,
             stop_deviation=stop_deviation,
         )
         dev = np.linalg.norm(traj.positions - config.positions[None, :], axis=1)
-        return traj.times, dev, (dev >= 10.0 * epsilon) & (dev <= window_upper)
+        return traj.times, dev, (dev >= 10.0 * epsilon) & (dev <= top)
 
-    stop_at = max(window_upper, 300.0 * epsilon)
+    stop_at = max(top, 300.0 * epsilon)
     times, dev, inside = deviations(stop_at)
     if inside.sum() < 8 and dev[-1] > stop_at:
         times, dev, inside = deviations(None)

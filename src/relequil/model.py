@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symmetry import (
-    SymmetryGroup,
     block_symplectic,
     build_polygon_symmetry_group,
     polygon_axis_angle,
@@ -118,14 +117,11 @@ class BodyPairs:
             H[self.ju, self.iu] -= blk
         return H.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
 
-    def euler_omega_squared(self, energies, inertia, terms):
-        """Generalized Euler value (sum_k a_k U_k) / (2 I), no centrality check."""
-        exps = np.array([a for _, a in terms])
-        return float((exps @ energies) / (2.0 * inertia))
-
     def centrality_residual(self, points, sep, terms, energies, inertia):
-        """(omega^2, grad U, grad U + omega^2 grad I) with the Euler omega^2."""
-        omega2 = self.euler_omega_squared(energies, inertia, terms)
+        """(omega^2, grad U, grad U + omega^2 grad I) with the generalized Euler
+        omega^2 = (sum_k a_k U_k) / (2 I) of the per-term ``energies`` U_k."""
+        exps = np.array([a for _, a in terms])
+        omega2 = float((exps @ energies) / (2.0 * inertia))
         g = self.gradient(sep, terms)
         return omega2, g, g + omega2 * np.repeat(self.masses, 2) * points.ravel()
 
@@ -212,12 +208,8 @@ class BodyConfiguration:
         """The read-only ``wave_number_stack`` of the polygon's vertices, or None."""
         return None if self.group is None else _readonly(wave_number_stack(self.group.vertices()))
 
-    def pair_distances(self):
-        """Condensed upper-triangle pairwise distances (i < j order)."""
-        return self.separations[1]
-
     def min_pair_distance(self):
-        return float(self.pair_distances().min())
+        return float(self.separations[1].min())
 
     def with_positions(self, positions):
         return BodyConfiguration(self.masses, positions)
@@ -272,11 +264,6 @@ class PotentialSpec:
         return " + ".join(f"{c:g}*r^-{a:g}" for c, a in self.terms)
 
 
-def moment_of_inertia(config):
-    """I = (1/2) sum_i m_i |q_i|^2."""
-    return config.inertia
-
-
 def potential_energy_terms(config, spec):
     """Per-term values U_k, so that U = sum_k U_k."""
     return config.pairs.energy_terms(config.separations, spec.terms)
@@ -298,27 +285,18 @@ def potential_hessian(config, spec):
     return config.pairs.hessian(config.separations, spec.terms)
 
 
-def centrality_residual(config, spec, energies=None):
-    """(omega^2, grad U, grad U + omega^2 grad I) with the Euler omega^2 of the
-    per-term ``energies`` U_k, computed when not given."""
-    U = potential_energy_terms(config, spec) if energies is None else energies
-    return config.pairs.centrality_residual(config.points, config.separations, spec.terms, U,
-                                            config.inertia)
-
-
-def euler_omega_squared(config, spec):
-    """Generalized Euler value (sum_k a_k U_k) / (2 I), no centrality check."""
-    return config.pairs.euler_omega_squared(potential_energy_terms(config, spec),
-                                            config.inertia, spec.terms)
-
-
 @dataclass(frozen=True)
 class CentralityReport:
+    """The centrality test's norms and its read-only grad U and residual
+    F = grad U + multiplier * M q, with the Euler multiplier."""
+
     residual_norm: float
     multiplier: float
     tol: float
     is_central: bool
     energy_terms: tuple     # the U_k of the Euler multiplier
+    gradient: np.ndarray = field(repr=False, compare=False)
+    residual: np.ndarray = field(repr=False, compare=False)
 
     def omega_squared(self):
         """The multiplier omega^2; NonCentralConfigurationError if not central."""
@@ -327,26 +305,28 @@ class CentralityReport:
         return self.multiplier
 
 
-def is_central_configuration(config, spec, tol_factor=CENTRALITY_TOL_FACTOR):
+def is_central_configuration(config, spec):
     """Residual test of grad(U) + lambda grad(I) = 0 with the Euler multiplier.
 
-    Central means |grad U + lambda M z| <= tol_factor * (|grad U| + 1).
+    Central means |grad U + lambda M z| <= CENTRALITY_TOL_FACTOR * (|grad U| + 1).
     """
     energies = potential_energy_terms(config, spec)
-    lam, g, F = centrality_residual(config, spec, energies)
+    lam, g, F = config.pairs.centrality_residual(config.points, config.separations,
+                                                 spec.terms, energies, config.inertia)
     res = float(np.linalg.norm(F))
-    tol = tol_factor * (float(np.linalg.norm(g)) + 1.0)
-    return CentralityReport(res, lam, tol, res <= tol, tuple(energies.tolist()))
+    tol = CENTRALITY_TOL_FACTOR * (float(np.linalg.norm(g)) + 1.0)
+    g.flags.writeable = F.flags.writeable = False
+    return CentralityReport(res, lam, tol, res <= tol, tuple(energies.tolist()), g, F)
 
 
-def angular_frequency_squared(config, spec, tol_factor=CENTRALITY_TOL_FACTOR):
+def angular_frequency_squared(config, spec):
     """omega^2 for the relative equilibrium through the configuration.
 
     Computed by the generalized Euler formula and cross-checked against the
     residual of grad(U + omega^2 I); raises NonCentralConfigurationError if
     the configuration is not central at the derived tolerance.
     """
-    return is_central_configuration(config, spec, tol_factor).omega_squared()
+    return is_central_configuration(config, spec).omega_squared()
 
 
 def rotation_period(omega2):
@@ -381,9 +361,6 @@ class Equilibrium:
     gives H Jhat q = Jhat grad U, so with the centrality residual
     F = grad U + omega^2 M q, (omega^2 + Hw) Jhat z = M^{-1/2} Jhat F, which
     slack = |F| / (sqrt(min m) |z|) bounds for unit z.
-
-    ``group`` and ``waves``, the configuration's (None unless it is an
-    equal-mass regular polygon), pick the symmetry route of the analysis.
     """
 
     config: BodyConfiguration
@@ -395,8 +372,6 @@ class Equilibrium:
     Hw: np.ndarray = field(init=False, repr=False)
     Jh: np.ndarray = field(init=False, repr=False)
     trivial: tuple = field(init=False, repr=False)
-    group: SymmetryGroup | None = field(init=False, repr=False)
-    waves: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         config = self.config
@@ -413,8 +388,6 @@ class Equilibrium:
         object.__setattr__(self, "Hw", _readonly((H * inv_sqrt).T * inv_sqrt))
         object.__setattr__(self, "Jh", block_symplectic(config.n))
         object.__setattr__(self, "trivial", (T, z, float(slack)))
-        object.__setattr__(self, "group", config.group)
-        object.__setattr__(self, "waves", config.waves)
 
     @property
     def n(self):

@@ -250,9 +250,10 @@ def run_analysis(request):
 
     isotypic = []
     eigen_reference = None
-    if eq.group is not None:
+    if config.group is not None:
         try:
-            isotypic, computed_multiset = eigenvalues_by_trace_equations(H, eq.group, eq.waves)
+            isotypic, computed_multiset = eigenvalues_by_trace_equations(H, config.group,
+                                                                         config.waves)
         except InvarianceError as exc:
             raise ConsistencyError("trace equations", str(exc)) from exc
         if case is not None:

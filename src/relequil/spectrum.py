@@ -103,7 +103,7 @@ def decompose_blocks(eq):
     The mass-weighted Hessian ``eq.Hw`` and Jhat split the space into joint
     invariant subspaces: each that is one eigenvector pair compatible with
     Jhat yields a closed-form 4x4 block, and each other one a coupled block.
-    On a regular polygon (``eq.waves`` set) these are the wave-number
+    On a regular polygon (``eq.config.waves`` set) these are the wave-number
     subspaces (``wave_number_pairs``), each unpaired W_k one coupled block:
     the classical ring reduction.  The trivial vectors lie in W_0 (z and
     Jhat z) and W_1 (the translations); where either fails to pair, as on a
@@ -111,8 +111,8 @@ def decompose_blocks(eq):
     they are the Jhat-coupled components of the eigen-clusters of Hw
     (``symplectic_pairs``).
     """
-    if eq.waves is not None:
-        pairs, K, paired = wave_number_pairs(eq.Hw, eq.waves)
+    if eq.config.waves is not None:
+        pairs, K, paired = wave_number_pairs(eq.Hw, eq.config.waves)
         if paired[:2].all():
             # W_0 and W_1 paired, so no unpaired W_k holds a trivial vector
             ks = np.flatnonzero(~paired)
@@ -311,14 +311,14 @@ class SpectrumMatch:
     max_distance: float
     tol: float
     scale: float
-    worst_pairs: tuple        # ((a, b, distance), ...) sorted worst-first
+    worst_pairs: tuple        # the 4 worst ((a, b, distance), ...), worst-first
     cardinality_mismatch: bool = False
 
     def __bool__(self):
         return self.matches
 
 
-def compare_spectra(a, b, tol=1e-9, n_worst=4):
+def compare_spectra(a, b, tol=1e-9):
     """Minimum-cost bipartite matching of two eigenvalue multisets.
 
     Passing means the worst matched distance is at most tol * scale where
@@ -346,7 +346,7 @@ def compare_spectra(a, b, tol=1e-9, n_worst=4):
     order = np.argsort(dists)[::-1]
     worst = tuple(
         (complex(va[k]), complex(vb[cols[k]]), float(dists[k]))
-        for k in order[:n_worst]
+        for k in order[:4]
     )
     max_d = float(dists.max()) if dists.size else 0.0
     return SpectrumMatch(max_d <= tol * scale, max_d, tol, scale, worst)

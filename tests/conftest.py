@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relequil.central import RefinementError, refine_central_configuration, regular_polygon
-from relequil.model import BodyConfiguration, PotentialSpec, moment_of_inertia
+from relequil.model import BodyConfiguration, PotentialSpec
 from relequil.presets import all_standard_cases
 
 
@@ -147,7 +147,7 @@ def refined_polygons():
         noise *= 0.02 / np.linalg.norm(noise)
         start = poly.with_positions(poly.positions + noise)
         refined = refine_central_configuration(
-            start, spec, fix_inertia=moment_of_inertia(poly)
+            start, spec, fix_inertia=poly.inertia
         )
         out.append((f"refined k={k} n={n} {spec.describe()}", refined, spec))
     return out

@@ -71,7 +71,7 @@ def test_polygons_typed_to_12_digits(n, potential):
     # rotation chain where the blocks have the homographic plane (ROADMAP)
     request = _assert_matches(np.round(regular_polygon(n).positions, 12),
                               BENCHMARK_POTENTIALS[potential], f"n={n} {potential}")
-    assert request.equilibrium()[0].waves is not None
+    assert request.equilibrium()[0].config.waves is not None
 
 
 def test_unit_64_gon_schwarzschild():

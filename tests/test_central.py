@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 from relequil import central, model
-from relequil.central import (
-    RefinementError,
-    is_central_configuration,
-    refine_central_configuration,
-    regular_polygon,
-)
+from relequil.central import RefinementError, refine_central_configuration, regular_polygon
 from relequil.model import (
     BodyConfiguration,
     CollisionError,
     PotentialSpec,
-    centrality_residual,
-    moment_of_inertia,
+    is_central_configuration,
     potential_gradient,
     potential_hessian,
 )
@@ -43,7 +37,8 @@ def _reference_normalize(z, masses, theta_pin, inertia_pin):
 
 def _reference_residual(positions, masses, spec):
     cfg = BodyConfiguration(masses, positions)
-    lam, g, F = centrality_residual(cfg, spec)
+    report = is_central_configuration(cfg, spec)
+    lam, g, F = report.multiplier, report.gradient, report.residual
     merit = np.linalg.norm(F) / (np.linalg.norm(g) + 1.0)
     return F, float(merit), cfg, lam
 
@@ -65,7 +60,7 @@ def _reference_refine(config, spec, max_iter=60, tol=1e-12, fix_inertia=None):
             break
         H = potential_hessian(cfg, spec)
         Mz = cfg.mass_vector * z
-        I = moment_of_inertia(cfg)
+        I = cfg.inertia
         grad_weighted = np.zeros(2 * n)
         for c, a in spec.terms:
             grad_weighted += a * potential_gradient(cfg, PotentialSpec(((c, a),)))
@@ -157,6 +152,19 @@ class TestIsCentral:
             report = is_central_configuration(case.configuration(), case.potential)
             assert report.residual_norm < 1e-12, case.name
 
+    @pytest.mark.parametrize("central", [True, False], ids=["polygon", "isosceles"])
+    def test_gradient_and_residual_are_kept_read_only(self, square, central):
+        cfg = square if central else BodyConfiguration(
+            np.ones(3), np.array([0.0, 1.3, -1.0, 0.0, 1.0, 0.0]))
+        spec = PotentialSpec.manev()
+        report = is_central_configuration(cfg, spec)
+        assert report.is_central == central
+        g, F = report.gradient, report.residual
+        assert not g.flags.writeable and not F.flags.writeable
+        assert np.array_equal(g, potential_gradient(cfg, spec))
+        assert np.array_equal(F, g + report.multiplier * cfg.mass_vector * cfg.positions)
+        assert report.residual_norm == float(np.linalg.norm(F))
+
 
 class TestRefine:
     def test_perturbed_triangle_returns_to_polygon(self, rng, triangle):
@@ -165,12 +173,12 @@ class TestRefine:
         noise *= 0.05 / np.linalg.norm(noise)
         start = triangle.with_positions(triangle.positions + noise)
         refined, history = refine_central_configuration(
-            start, spec, fix_inertia=moment_of_inertia(triangle),
+            start, spec, fix_inertia=triangle.inertia,
             return_history=True,
         )
         assert is_central_configuration(refined, spec).is_central
         np.testing.assert_allclose(
-            np.sort(refined.pair_distances()), np.full(3, SQRT3), atol=1e-8
+            np.sort(refined.separations[1]), np.full(3, SQRT3), atol=1e-8
         )
         # merit never increases between accepted steps
         assert all(b <= a for a, b in zip(history, history[1:]))
@@ -196,13 +204,13 @@ class TestRefine:
         noise = rng.standard_normal(8)
         noise *= 0.03 / np.linalg.norm(noise)
         start = square.with_positions(square.positions + noise)
-        target_inertia = moment_of_inertia(square)
+        target_inertia = square.inertia
         refined = refine_central_configuration(
             start, spec, fix_inertia=target_inertia
         )
         com = refined.masses @ refined.points / refined.masses.sum()
         assert np.max(np.abs(com)) <= 1e-14
-        assert moment_of_inertia(refined) == pytest.approx(
+        assert refined.inertia == pytest.approx(
             target_inertia, rel=1e-14
         )
         theta_start = np.arctan2(start.points[0, 1], start.points[0, 0])
@@ -228,7 +236,7 @@ class TestRefine:
             noise *= 0.02 / np.linalg.norm(noise)
             start = poly.with_positions(poly.positions + noise)
             refined = refine_central_configuration(
-                start, spec, fix_inertia=moment_of_inertia(poly)
+                start, spec, fix_inertia=poly.inertia
             )
             assert is_central_configuration(refined, spec).is_central
 
@@ -251,7 +259,7 @@ class TestRefineAgainstReference:
         poly = regular_polygon(n)
         noise = np.random.default_rng(n).standard_normal(2 * n)
         start = poly.with_positions(poly.positions + 0.03 * noise / np.linalg.norm(noise))
-        self._assert_same(start, BENCH_SPECS[name], fix_inertia=moment_of_inertia(poly))
+        self._assert_same(start, BENCH_SPECS[name], fix_inertia=poly.inertia)
 
     def test_one_pass_over_the_pairs_per_trial_point(self, monkeypatch):
         # one BodyPairs for the refinement, one separation pass per trial

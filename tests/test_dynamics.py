@@ -11,7 +11,7 @@ from relequil.model import (
     Equilibrium,
     PotentialSpec,
     angular_frequency_squared,
-    euler_omega_squared,
+    is_central_configuration,
     potential_gradient,
 )
 from relequil.pipeline import _worst_direction
@@ -34,7 +34,7 @@ class _ReferenceFrame:
         self.spec = spec
         self.mass_vector = config.mass_vector
         if omega2 is None:
-            omega2 = euler_omega_squared(config, spec)
+            omega2 = is_central_configuration(config, spec).multiplier
         self.omega2 = float(omega2)
         self.omega = float(np.sqrt(self.omega2))
         self.Jh = block_symplectic(config.n)
@@ -245,6 +245,21 @@ class TestIntegrator:
             warnings.simplefilter("error")
             traj = integrate_rotating_frame(cfg, spec, omega2=0.0, **kwargs)
         assert traj.blew_up
+
+    def test_default_frame_is_the_unchecked_euler_multiplier(self):
+        # a non-central configuration integrates in the frame of the
+        # centrality test's Euler multiplier, which is not checked here
+        cfg = BodyConfiguration(np.ones(3), np.array([0.0, 1.3, -1.0, 0.0, 1.0, 0.0]))
+        spec = PotentialSpec.manev()
+        report = is_central_configuration(cfg, spec)
+        assert not report.is_central
+        traj = integrate_rotating_frame(cfg, spec, duration=0.5, dt=0.01)
+        given = integrate_rotating_frame(cfg, spec, duration=0.5, dt=0.01,
+                                         omega2=report.multiplier)
+        assert traj.omega == float(np.sqrt(report.multiplier))
+        assert not traj.blew_up and traj.times.size == given.times.size > 1
+        assert np.array_equal(traj.states, given.states)
+        assert np.array_equal(traj.jacobi_energy, given.jacobi_energy)
 
     def test_trajectory_records(self, newton_triangle):
         cfg, spec = newton_triangle
@@ -467,11 +482,11 @@ class TestGrowthRate:
     @pytest.mark.parametrize("case_kind", ["default", "epsilon=1e-4", "scaled by 100"])
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_stopping_at_the_window_keeps_the_fit(self, monkeypatch, name, case_kind):
-        # the run ends past both window_upper and 300 epsilon, which closes
-        # the stretch the fit reads and passes the growth test, so a
+        # the run ends past both the window's top and 300 epsilon, which
+        # closes the stretch the fit reads and passes the growth test, so a
         # full-length run (the 12 periods) fits the same rate to the bit;
-        # at epsilon = 1e-4, and at the default 1e-6 * radius of a preset
-        # scaled by 100, 300 epsilon lies above window_upper
+        # at epsilon = 1e-4, 300 epsilon lies above the top, and scaled by
+        # 100 the default epsilon and the top both scale with the radius
         case = get_case(name)
         config, kwargs = case.configuration(), {}
         if case_kind == "scaled by 100":
@@ -511,6 +526,25 @@ class TestGrowthRate:
         est = estimate_growth_rate(eq, u, epsilon=1e-6)
         assert not est.no_growth
         assert est.n_samples == 3 and est.window == (0.1, 3 * 0.1)
+
+    @pytest.mark.parametrize("radius", [1e3, 1e4])
+    def test_rate_scales_with_the_radius(self, radius):
+        # under 1/r the rate scales as radius^-3/2.  The window's top was an
+        # absolute 1e-2, so from radius 1e3 up the window [10 eps, 1e-2] was
+        # empty and the fit read no growth.  The prediction is scaled from
+        # radius 1, since the dense oracle fails at radius 1e3
+        unit = Equilibrium(regular_polygon(3), PotentialSpec.homogeneous(1.0))
+        predicted = float(full_linearization_spectrum(unit).real.max()) * radius ** -1.5
+        eq = Equilibrium(unit.config.scaled(radius), unit.spec)
+        est = estimate_growth_rate(eq, _worst_direction(unit))
+        assert not est.no_growth
+        assert est.rate == pytest.approx(predicted, rel=0.10)
+
+    def test_epsilon_that_empties_the_window_is_refused(self):
+        case = get_case("manev-triangle")
+        eq = Equilibrium(case.configuration(), case.potential)
+        with pytest.raises(ValueError, match="GROWTH_WINDOW_TOP"):
+            estimate_growth_rate(eq, _worst_direction(eq), epsilon=1e-3)
 
     def test_stop_deviation_needs_a_reference(self, newton_triangle):
         with pytest.raises(ValueError, match="reference_equilibrium"):

@@ -11,7 +11,6 @@ from relequil.model import (
     NonCentralConfigurationError,
     PotentialSpec,
     angular_frequency_squared,
-    moment_of_inertia,
     potential_energy,
     potential_energy_terms,
     potential_gradient,
@@ -78,17 +77,17 @@ class TestPotentialSpec:
 
 class TestMomentOfInertia:
     def test_triangle(self, triangle):
-        assert moment_of_inertia(triangle) == pytest.approx(1.5, abs=1e-15)
+        assert triangle.inertia == pytest.approx(1.5, abs=1e-15)
 
     def test_square(self, square):
-        assert moment_of_inertia(square) == pytest.approx(2.0, abs=1e-15)
+        assert square.inertia == pytest.approx(2.0, abs=1e-15)
 
     @given(s=st.floats(0.1, 10.0))
     @settings(max_examples=25, deadline=None)
     def test_scales_quadratically(self, s):
         cfg = regular_polygon(3)
-        assert moment_of_inertia(cfg.scaled(s)) == pytest.approx(
-            s * s * moment_of_inertia(cfg), rel=1e-12
+        assert cfg.scaled(s).inertia == pytest.approx(
+            s * s * cfg.inertia, rel=1e-12
         )
 
 

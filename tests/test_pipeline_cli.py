@@ -100,8 +100,8 @@ class TestPolygonGroupDetection:
     def test_detects_rotated_polygon(self):
         cfg = regular_polygon(4).rotated(0.31)
         eq = Equilibrium(cfg, PotentialSpec.homogeneous(1.0))
-        assert eq.group is not None and eq.group.order == 8
-        assert eq.waves.shape == (3, 8, 4) and not eq.waves.flags.writeable
+        assert eq.config.group is not None and eq.config.group.order == 8
+        assert eq.config.waves.shape == (3, 8, 4) and not eq.config.waves.flags.writeable
 
     def test_rejects_non_polygon(self, rng):
         from conftest import random_safe_configuration
@@ -122,7 +122,7 @@ class TestPolygonGroupDetection:
             BodyConfiguration(np.ones(3), np.array([-1.0, 0.0, 0.1, 0.0, 1.0, 0.0])),
             PotentialSpec.homogeneous(1.0))
         eq = Equilibrium(cfg, PotentialSpec.homogeneous(1.0))
-        assert eq.group is None and eq.waves is None
+        assert eq.config.group is None and eq.config.waves is None
 
 
 class TestReports:
@@ -199,7 +199,7 @@ class TestReports:
         assert golden == [f"all {len(PRESET_NAMES)} goldens match"]
         # one sha256 per benchmark deck
         digests = [ln.split() for ln in run("scripts/report_digest.py")]
-        assert [d[0] for d in digests] == ["presets", "polygons", "collinear"]
+        assert [d[0] for d in digests] == ["presets", "polygons", "collinear", "dynamics"]
         assert all(len(d) == 2 and len(bytes.fromhex(d[1])) == 32 for d in digests)
 
     def test_schema_version_checked(self):
@@ -300,7 +300,7 @@ class TestTraceRouteFailure:
 class TestComputedOnce:
     @pytest.mark.parametrize("with_dynamics", [False, True])
     def test_one_equilibrium_per_run(self, monkeypatch, with_dynamics):
-        calls = {"potential_hessian": 0, "centrality_residual": 0, "block_symplectic": 0}
+        calls = {"potential_hessian": 0, "is_central_configuration": 0, "block_symplectic": 0}
 
         def counting(name, module):
             real = getattr(module, name)
@@ -317,8 +317,8 @@ class TestComputedOnce:
         monkeypatch.setattr(symmetry, "block_symplectic",
                             counting("block_symplectic", symmetry))
         # and dynamics' own binding, which the equilibrium check calls
-        monkeypatch.setattr(dynamics, "centrality_residual",
-                            counting("centrality_residual", dynamics))
+        monkeypatch.setattr(dynamics, "is_central_configuration",
+                            counting("is_central_configuration", dynamics))
         built, directions = [], []
         real_init = model.Equilibrium.__post_init__
 
@@ -346,9 +346,9 @@ class TestComputedOnce:
         report = run_analysis(request)
         # Jhat is built once, by the Equilibrium; the pairing and the
         # integrator apply it in closed form.  The dynamics section's
-        # equilibrium check reads the centrality residual once more, for the
-        # pin it compares with F / m.
-        assert calls == {"potential_hessian": 1, "centrality_residual": 1 + with_dynamics,
+        # equilibrium check runs the centrality test once more, for the
+        # residual F its pin is compared with as F / m.
+        assert calls == {"potential_hessian": 1, "is_central_configuration": 1 + with_dynamics,
                          "block_symplectic": 1}
         # Hw is built by the one Equilibrium; the growth fit uses that same one
         assert len(built) == 1
@@ -568,6 +568,14 @@ class TestCli:
         assert cli_main(["simulate", "--case", "manev-triangle", *argv]) == 2
         assert (f"input error: {flag} must be finite and positive"
                 in capsys.readouterr().err)
+
+    def test_simulate_rejects_an_epsilon_above_the_fit_window(self, capsys):
+        # 10 epsilon at the window's top left the window empty: it printed
+        # rate 0.0 with no_growth, though Re lambda = 0.977
+        argv = ["simulate", "--case", "manev-triangle", "--kick", "--epsilon", "1e-3"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --epsilon: ") and "GROWTH_WINDOW_TOP" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["--positions", "1,0,-1,nan", "--alpha", "1"], "positions must be finite"),

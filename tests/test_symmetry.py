@@ -119,8 +119,8 @@ class TestGroupConstruction:
         # the rotations are built in closed form; a product of n - 1 turns
         # drifts past ORTHO_TOL from n = 129
         eq = Equilibrium(regular_polygon(n), PotentialSpec.homogeneous(1.0))
-        assert eq.group.order == 2 * n
-        _, multiset = eigenvalues_by_trace_equations(eq.H, eq.group, eq.waves)
+        assert eq.config.group.order == 2 * n
+        _, multiset = eigenvalues_by_trace_equations(eq.H, eq.config.group, eq.config.waves)
         assert multiset.size == 2 * n
 
 
@@ -414,7 +414,7 @@ class TestAgainstProjectorRoute:
     def test_presets(self, standard_cases):
         for case in standard_cases:
             eq = Equilibrium(case.configuration(), case.potential)
-            self._assert_same(eq.H, eq.group)
+            self._assert_same(eq.H, eq.config.group)
 
     @pytest.mark.parametrize("n", [*range(3, 25), 32, 48, 64])
     def test_polygons(self, n):

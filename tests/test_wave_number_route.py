@@ -40,7 +40,7 @@ from conftest import BENCHMARK_POTENTIALS, PRESET_ALPHAS, WHOLE_SPACE_DECK, coll
 
 
 def _both_routes(eq):
-    assert eq.waves is not None
+    assert eq.config.waves is not None
     return decompose_blocks(eq), spectrum._decompose_whole_space(eq)
 
 
@@ -241,7 +241,7 @@ class TestRouting:
         # the same pairs to the bit, the same coupled dimensions and the same
         # union spectrum to the byte as the SVD and Schur pair search
         eq = Equilibrium(cfg, spec)
-        assert eq.group is None, label
+        assert eq.config.group is None, label
         got, ref = decompose_blocks(eq), _reference_decompose_blocks(eq)
         assert [(p.lam1, p.lam2) for p in got.blocks] == [(p.lam1, p.lam2) for p in ref.blocks]
         assert list(map(len, got.coupled_spectra)) == list(map(len, ref.coupled_spectra))
@@ -255,10 +255,10 @@ class TestTrivialWaveNumbers:
         cosine directions of W_k and W_other: inside W_1 that splits the
         translation pair's K_1, across W_0 and W_2 it leaks out of both."""
         eq = Equilibrium(regular_polygon(4), PotentialSpec.homogeneous(1.0))
-        u, v = eq.waves[k, :, 0], eq.waves[other, :, 0]
+        u, v = eq.config.waves[k, :, 0], eq.config.waves[other, :, 0]
         Hw = eq.Hw + eps * np.max(np.abs(eq.Hw)) * (np.outer(u, v) + np.outer(v, u))
         fields = {"Hw": Hw, "Jh": eq.Jh, "omega": eq.omega, "n": eq.n, "trivial": eq.trivial,
-                  "waves": eq.waves}
+                  "config": eq.config}
         return type("Broken", (), fields)()
 
     @pytest.mark.parametrize("k, other", [(0, 2), (1, 1)])
@@ -267,7 +267,7 @@ class TestTrivialWaveNumbers:
         # the wave route pairs once; where W_0 or W_1 fails to pair, the
         # whole-space route decomposes the same equilibrium instead
         eq = self._broken(k, other)
-        assert not wave_number_pairs(eq.Hw, eq.waves)[2][k]
+        assert not wave_number_pairs(eq.Hw, eq.config.waves)[2][k]
         pairings, routed = [], []
         real_pairs = spectrum.wave_number_pairs
 
@@ -289,8 +289,8 @@ class TestTrivialWaveNumbers:
         # 1e-10: the whole-space route matches the oracle
         positions = np.round(regular_polygon(3).positions, 9)
         eq = Equilibrium(BodyConfiguration(np.ones(3), positions), PotentialSpec.homogeneous(1.0))
-        assert eq.waves is not None
-        assert not wave_number_pairs(eq.Hw, eq.waves)[2][:2].all()
+        assert eq.config.waves is not None
+        assert not wave_number_pairs(eq.Hw, eq.config.waves)[2][:2].all()
         got = decompose_blocks(eq)
         assert got.union_spectrum().tobytes() == \
             spectrum._decompose_whole_space(eq).union_spectrum().tobytes()
