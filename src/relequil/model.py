@@ -137,7 +137,8 @@ class BodyConfiguration:
     origin (within CENTER_TOL) at construction time; ``pairs`` holds the
     bodies' BodyPairs and ``separations`` the read-only (d, r) of its one
     separation pass, which the collision check and every pair formula read.
-    ``inertia``, ``trivial_vectors``, ``group`` and ``waves`` are built once, on first use.
+    ``inertia``, ``trivial_vectors``, ``plane_basis``, ``group`` and ``waves``
+    are built once, on first use.
     """
 
     masses: np.ndarray
@@ -196,6 +197,15 @@ class BodyConfiguration:
         T = (np.sqrt(self.masses)[:, None, None] * np.eye(2)).reshape(-1, 2)
         z = np.sqrt(self.mass_vector) * self.positions
         return _readonly(T), _readonly(z), np.linalg.norm(z)
+
+    @functools.cached_property
+    def plane_basis(self):
+        """``position_basis`` of [T, z', Jhat z'], z' = z / |z|: the vectors
+        that the plane branch of ``spectrum.deflated_eigenvalues`` deflates."""
+        T, z, z_norm = self.trivial_vectors
+        z = z / z_norm
+        J = block_symplectic(self.n)
+        return position_basis(np.column_stack([T, z, J @ z]), J)
 
     @functools.cached_property
     def group(self):
@@ -344,6 +354,15 @@ def first_order_matrix(omega2, omega, h, j):
     B[k:, :k] = omega2 * np.eye(k) + h
     B[k:, k:] = 2.0 * omega * j
     return B
+
+
+def position_basis(P, j):
+    """Read-only (Q, Q^T j Q) of the complete QR Q = [Q1, Q2] of the columns
+    P: Q1 spans them and Q2 their orthogonal complement."""
+    Q = np.linalg.qr(P, mode="complete")[0]
+    jq = Q.T @ j @ Q
+    Q.flags.writeable = jq.flags.writeable = False
+    return Q, jq
 
 
 @dataclass(frozen=True)

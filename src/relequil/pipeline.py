@@ -76,6 +76,10 @@ class AnalysisRequest:
             if self.positions is not None:
                 raise InputError("give either a preset case or positions")
             return case.configuration(), spec, case
+        return self._configuration(), self._potential_spec(), None
+
+    def _configuration(self):
+        """The BodyConfiguration of the explicit positions and masses."""
         if self.positions is None:
             raise InputError("need a preset case or explicit positions")
         positions = np.asarray(self.positions, dtype=float)
@@ -85,9 +89,12 @@ class AnalysisRequest:
             else np.ones(positions.size // 2)
         )
         try:
-            config = BodyConfiguration(masses, positions)
+            return BodyConfiguration(masses, positions)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+
+    def _potential_spec(self):
+        """The PotentialSpec of an explicit configuration's potential or alpha."""
         if self.potential is None and self.alpha is None:
             raise InputError("explicit configurations need a potential or alpha")
         try:
@@ -100,17 +107,20 @@ class AnalysisRequest:
                 len(spec.terms) != 1 or spec.terms[0][1] != float(self.alpha)):
             raise InputError(f"alpha={self.alpha:g} contradicts the potential "
                              f"{spec.describe()}; give alpha only with the one term c:alpha")
-        return config, spec, None
+        return spec
 
     def equilibrium(self):
         """(Equilibrium, case_definition_or_None); not central is an input error."""
         config, spec, case = self.resolve()
-        try:
-            return Equilibrium(config, spec), case
-        except NonCentralConfigurationError as exc:
-            raise InputError(
-                f"configuration is not central: residual {exc.residual:.3e}"
-            ) from exc
+        return _equilibrium(config, spec), case
+
+
+def _equilibrium(config, spec):
+    """Equilibrium(config, spec); not central is an input error."""
+    try:
+        return Equilibrium(config, spec)
+    except NonCentralConfigurationError as exc:
+        raise InputError(f"configuration is not central: residual {exc.residual:.3e}") from exc
 
 
 def _c(values):
@@ -234,8 +244,17 @@ def _against_reference(name, computed, ref, tol, discrepancies):
 
 def run_analysis(request):
     """Execute the full pipeline for one request."""
+    return _analysis(request, None)
+
+
+def _analysis(request, config):
+    """``run_analysis`` on ``config``, the request's explicit configuration
+    resolved once by ``run_sweep``, or, when None, on the request's own."""
     t0 = time.perf_counter()
-    eq, case = request.equilibrium()
+    if config is None:
+        eq, case = request.equilibrium()
+    else:
+        eq, case = _equilibrium(config, request._potential_spec()), None
     config, spec, omega2, H = eq.config, eq.spec, eq.omega2, eq.H
     discrepancies = []
 
@@ -428,16 +447,25 @@ def run_sweep(base_request, grid):
     The summary labels the two non-structural eigenvalues of the block
     built on the configuration-direction/rotation pair (the trichotomy
     block): they move from pure-imaginary to zero to real as alpha crosses
-    the critical exponent.
+    the critical exponent.  Explicit positions are resolved into one
+    configuration for the whole grid, so what it builds once (its group,
+    wave stack, trivial vectors and oracle basis) is built once per sweep.
     """
     if base_request.potential is not None and len(base_request.potential) != 1:
         raise InputError("alpha sweeps need a single-term potential")
     coef = None if base_request.potential is None else base_request.potential[0][0]
+    config = None
+    if base_request.case is None:
+        try:
+            config = base_request._configuration()
+        except InputError:
+            pass        # each grid point resolves it again and reports the error
     reports, failures, summary = [], [], []
     for alpha in grid:
         potential = None if coef is None else ((coef, float(alpha)),)
         try:
-            report = run_analysis(replace(base_request, alpha=float(alpha), potential=potential))
+            report = _analysis(replace(base_request, alpha=float(alpha), potential=potential),
+                               config)
         except (InputError, ConsistencyError) as exc:
             failures.append((float(alpha), exc))
             reports.append((float(alpha), None))

@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .model import first_order_matrix
+from .model import first_order_matrix, position_basis
 from .symmetry import J2, symplectic_pairs, wave_number_pairs
 
 SNAP_TOL = 1e-12            # coefficient snap in the closed-form quartic
@@ -186,7 +186,7 @@ def wave_number_block_spectra(omega, K, dims):
                  for e, d in zip(np.linalg.eigvals(C), dims))
 
 
-def deflated_eigenvalues(omega2, omega, h, j, T, z, slack):
+def deflated_eigenvalues(omega2, omega, h, j, T, z, slack, basis=None):
     """Eigenvalues of B = first_order_matrix(omega2, omega, h, j), its trivial
     invariant subspace deflated in closed form (``Equilibrium.trivial`` gives
     T, z and slack; T may be empty and z None).
@@ -196,23 +196,33 @@ def deflated_eigenvalues(omega2, omega, h, j, T, z, slack):
     velocity} when h z = mu z, eigenvalues 0, 0, +-sqrt(mu - 3 omega^2) from
     its own block_spectrum(omega, mu, nu), nu = -omega^2 up to slack; or else
     the rotation chain (Jhat z, 0), (a, Jhat z) with (omega^2 + h) a =
-    2 omega z, eigenvalues 0, 0.  In the basis Q = [Q1, Q2] of a complete QR
-    of these vectors, B is block triangular up to the invariance defect
-    |Q2^T B Q1|_F, so the rest of the spectrum is eigvals(Q2^T B Q2).
-    Raises ConsistencyError when the defect exceeds its bound.
+    2 omega z, eigenvalues 0, 0.
+
+    Without the chain the deflation stays in position space: with the
+    complete QR [Q1, Q2] of P = [T, z, Jhat z] (or of T alone),
+    diag(Q, Q)^T B diag(Q, Q) is first_order_matrix(omega2, omega, Q^T h Q,
+    Q^T j Q), block triangular up to the couplings Q2^T h Q1 and
+    2 omega Q2^T j Q1, so the rest of the spectrum is that of
+    first_order_matrix(omega2, omega, Q2^T h Q2, Q2^T j Q2).  ``basis``,
+    when given, returns ``model.position_basis`` of exactly these P and j
+    (``BodyConfiguration.plane_basis``) and is called only on this branch;
+    without it the basis is built here.  The chain mixes positions with
+    velocities, so it is deflated in the 4k space by a complete QR
+    [Q1, Q2] of its vectors and B's block Q2^T B Q2.  Raises
+    ConsistencyError when the coupling left out exceeds its bound.
     """
     B = first_order_matrix(omega2, omega, h, j)
     if T.shape[1] == 0 and z is None:
-        # nothing to deflate: the complete QR below would be the identity
+        # nothing to deflate
         return np.linalg.eigvals(B).astype(complex)
     k = h.shape[0]
     # Rounding: the computed h annihilates T and Jhat z only up to the error
     # of its pair sums, about k eps |h|; Householder QR spans the given
-    # vectors to about 2k eps; and each entry of Q2^T B Q1 comes from two
-    # inner products of length 2k, each good to 2k eps |B|.  Together these
-    # stay below 8k eps |B|_F.
+    # vectors to about 2k eps; and each entry of the coupling left out comes
+    # from two inner products of length at most 2k, each good to 2k eps |B|.
+    # Together these stay below 8k eps |B|_F.
     rounding = 8.0 * k * np.finfo(float).eps * np.linalg.norm(B)
-    P, values, chain = [T], [1j * omega, -1j * omega] * T.shape[1], []
+    P, values = [T], [1j * omega, -1j * omega] * T.shape[1]
     if z is not None:
         z = z / np.linalg.norm(z)
         r, hz = j @ z, h @ z
@@ -220,27 +230,42 @@ def deflated_eigenvalues(omega2, omega, h, j, T, z, slack):
         # The plane's defect is |h z - mu z|, since (z, 0) maps to
         # (0, (omega^2 + mu) z + h z - mu z) and the other three of its
         # vectors map into it up to slack; at rounding level it is invariant.
-        if np.linalg.norm(hz - mu * z) <= rounding:
-            P.append(np.column_stack([z, r]))
-            values += list(block_spectrum(omega, mu, r @ h @ r))
-        else:
+        if np.linalg.norm(hz - mu * z) > rounding:
             # r r^T lifts the kernel span(r) of the symmetric omega^2 + h;
             # as r^T z = 0, the solution has r^T a = 0 up to slack
             a = np.linalg.solve(omega2 * np.eye(k) + h + np.outer(r, r), 2.0 * omega * z)
-            chain = [np.concatenate([r, 0.0 * r]), np.concatenate([a, r])]
-            values += [0.0, 0.0]
+            V = np.column_stack([np.vstack([T, 0.0 * T]), np.vstack([0.0 * T, T]),
+                                 np.concatenate([r, 0.0 * r]), np.concatenate([a, r])])
+            m = V.shape[1]
+            Q = np.linalg.qr(V, mode="complete")[0]
+            R = Q.T @ B @ Q
+            # slack moves (Jhat z, 0) and (a, Jhat z) out of the span
+            return _deflated(values + [0.0, 0.0], float(np.linalg.norm(R[m:, :m])),
+                             2.0 * slack + rounding, R[m:, m:])
+        P.append(np.column_stack([z, r]))
+        values += list(block_spectrum(omega, mu, r @ h @ r))
     P = np.column_stack(P)
-    V = np.column_stack([np.vstack([P, 0.0 * P]), np.vstack([0.0 * P, P])] + chain)
-    m = V.shape[1]
-    Q = np.linalg.qr(V, mode="complete")[0]
-    R = Q.T @ B @ Q
-    defect = float(np.linalg.norm(R[m:, :m]))
-    # slack moves (Jhat z, 0), and in the chain also (a, Jhat z), out of the span
-    bound = 2.0 * slack + rounding
+    m = P.shape[1]
+    Q, jq = basis() if basis is not None else position_basis(P, j)
+    hq, jq = Q[:, m:].T @ h @ Q, jq[m:]
+    # span(P) is j-invariant (j T = T J2, j z = r, j r = -z), so Q2^T j Q1 is
+    # rounding.  In Q2^T h Q1, h T is the rounding of h's pair sums, h z
+    # passed the plane test, and |Q2^T h r| = |Q2^T (omega^2 + h) r| is at
+    # most slack: only r's column carries slack, once, where the chain's
+    # two vectors each carry it.  The inner products here have length k,
+    # not 2k, so the rounding level above covers the rest.
+    defect = float(np.hypot(np.linalg.norm(hq[:, :m]), 2.0 * omega * np.linalg.norm(jq[:, :m])))
+    return _deflated(values, defect, slack + rounding,
+                     first_order_matrix(omega2, omega, hq[:, m:], jq[:, m:]))
+
+
+def _deflated(values, defect, bound, rest):
+    """The deflated values and the eigenvalues of the block ``rest`` left
+    over; ConsistencyError when the invariance defect exceeds its bound."""
     if defect > bound:
         raise ConsistencyError("trivial modes", f"invariance defect {defect:.3e} of the "
                                f"deflated subspace exceeds its bound {bound:.3e}")
-    return np.concatenate([np.array(values, dtype=complex), np.linalg.eigvals(R[m:, m:])])
+    return np.concatenate([np.array(values, dtype=complex), np.linalg.eigvals(rest)])
 
 
 def full_linearization_spectrum(eq):
@@ -248,9 +273,11 @@ def full_linearization_spectrum(eq):
 
     Solved on the mass-weighted form first_order_matrix(omega^2, omega, Hw,
     Jhat), which diag(M^{1/2}, M^{1/2}) makes similar to the A of M^{-1} H,
-    with its trivial subspace deflated.
+    with its trivial subspace deflated on the configuration's
+    ``plane_basis``.
     """
-    return deflated_eigenvalues(eq.omega2, eq.omega, eq.Hw, eq.Jh, *eq.trivial)
+    return deflated_eigenvalues(eq.omega2, eq.omega, eq.Hw, eq.Jh, *eq.trivial,
+                                basis=lambda: eq.config.plane_basis)
 
 
 def sorted_spectrum(values, tol=1e-12):

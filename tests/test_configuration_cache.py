@@ -1,21 +1,26 @@
 """What depends on the configuration alone is built once per configuration.
 
 A ``BodyConfiguration`` builds its inertia, its trivial vectors T and z,
-and, for an equal-mass regular polygon, its dihedral group and wave-number
-stack on first use and keeps them; the presets share one configuration per
-n.  The cached parts must equal a build from scratch byte for byte, be
-read-only, and leave every report unchanged: a warm analysis equals a cold
-one.
+the oracle's position basis of [T, z, Jhat z] and, for an equal-mass
+regular polygon, its dihedral group and wave-number stack on first use and
+keeps them; the presets share one configuration per n, and a sweep of
+explicit positions resolves one configuration for its whole grid.  The
+cached parts must equal a build from scratch byte for byte, be read-only,
+and leave every report unchanged: a warm analysis equals a cold one.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from relequil import presets, symmetry
+from relequil import model, presets, symmetry
 from relequil.central import regular_polygon
-from relequil.model import BodyConfiguration
-from relequil.pipeline import AnalysisRequest, run_analysis
+from relequil.cli import main as cli_main
+from relequil.model import BodyConfiguration, Equilibrium, position_basis
+from relequil.pipeline import AnalysisRequest, run_analysis, run_sweep
 from relequil.presets import HOMOGENEOUS_PRESETS, PRESET_NAMES, get_case
+from relequil.spectrum import deflated_eigenvalues, full_linearization_spectrum
 from relequil.symmetry import (
     block_symplectic,
     build_polygon_symmetry_group,
@@ -26,6 +31,7 @@ from relequil.symmetry import (
 from conftest import PRESET_ALPHAS
 from test_bit_identity import _same_bytes
 from test_dihedral_cache import AXIS_ANGLES
+from test_spectrum import _collinear_manev
 
 GRID = ([(name, 1.0 if name in HOMOGENEOUS_PRESETS else None) for name in PRESET_NAMES]
         + [(name, alpha) for name in HOMOGENEOUS_PRESETS for alpha in PRESET_ALPHAS])
@@ -72,6 +78,11 @@ def test_cached_parts_match_a_build_from_scratch(n):
         assert _same_bytes(z, np.sqrt(np.repeat(m, 2)) * config.positions)
         assert z_norm == np.linalg.norm(z)
         assert config.inertia == config.pairs.inertia(config.points)
+        J = block_symplectic(n)
+        u = z / z_norm
+        assert config.plane_basis is config.plane_basis
+        for got, want in zip(config.plane_basis, position_basis(np.column_stack([T, u, J @ u]), J)):
+            assert _same_bytes(got, want), angle
 
 
 @pytest.mark.parametrize("positions, masses", [
@@ -93,7 +104,8 @@ def test_every_array_of_a_shared_configuration_is_read_only(name):
     arrays = {"masses": config.masses, "positions": config.positions, "points": config.points,
               "d": d, "r": r, "iu": pairs.iu, "ju": pairs.ju, "mm": pairs.mm,
               "pairs.masses": pairs.masses, "perms": config.group.perms,
-              "orthos": config.group.orthos, "waves": config.waves, "T": T, "z": z}
+              "orthos": config.group.orthos, "waves": config.waves, "T": T, "z": z,
+              "Q": config.plane_basis[0], "QtJQ": config.plane_basis[1]}
     for arr in arrays.values():
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1
@@ -112,3 +124,52 @@ def test_no_eigensolve_of_an_empty_wave_number_stack(monkeypatch, name):
     monkeypatch.setattr(np.linalg, "eigvals", refuse_empty)
     data = run_analysis(AnalysisRequest(case=name, alpha=get_case(name).alpha)).to_dict()
     assert data["coupled_blocks"] == []
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_the_oracle_on_the_cached_basis_equals_one_built_per_call(name):
+    # one deflation, in one place: the whole-space coupled blocks build the
+    # basis per call, the oracle reads the configuration's
+    case = get_case(name)
+    eq = Equilibrium(case.configuration(), case.potential)
+    per_call = deflated_eigenvalues(eq.omega2, eq.omega, eq.Hw, eq.Jh, *eq.trivial)
+    assert _same_bytes(full_linearization_spectrum(eq), per_call)
+
+
+def test_the_rotation_chain_never_builds_the_basis():
+    # an unequal-mass collinear Manev configuration fails the plane test, so
+    # its oracle deflates the rotation chain and reads no position basis
+    eq = _collinear_manev()
+    assert len(full_linearization_spectrum(eq)) == 12
+    assert "plane_basis" not in vars(eq.config)
+
+
+def test_a_sweep_of_explicit_positions_resolves_one_configuration(monkeypatch):
+    counts = dict.fromkeys(("wave_number_stack", "position_basis"), 0)
+    for name in counts:
+        real = getattr(model, name)
+
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(model, name, counted)
+    request = AnalysisRequest(positions=tuple(regular_polygon(3).positions))
+    grid = [0.5, 1.0, 1.5, 2.5, 3.0]
+    result = run_sweep(request, grid)
+    assert not result.failures
+    assert counts == {"wave_number_stack": 1, "position_basis": 1}
+    for alpha, report in result.reports:
+        alone = run_analysis(AnalysisRequest(positions=request.positions, alpha=alpha))
+        assert json.dumps(report.to_dict()) == json.dumps(alone.to_dict()), alpha
+
+
+@pytest.mark.parametrize("positions, code, message", [
+    ("0,0,0,0,1,0", 2, "bodies 0 and 1 coincide"),
+    ("0,0,1,0,0,2", 2, "configuration is not central"),
+    ("1,0,-0.5,0.8660254037844386,-0.5,-0.8660254037844386", 3, "block union vs oracle"),
+], ids=["collision", "not-central", "tol"])
+def test_every_point_of_a_positions_sweep_keeps_its_failure(capsys, positions, code, message):
+    tol = ["--tol", "1e-30"] if code == 3 else []
+    assert cli_main(["sweep", "--positions", positions, *tol, "--grid", "1,2"]) == code
+    assert capsys.readouterr().out.count(f"FAILED: {message}") == 2

@@ -531,8 +531,9 @@ class TestGrowthRate:
     def test_rate_scales_with_the_radius(self, radius):
         # under 1/r the rate scales as radius^-3/2.  The window's top was an
         # absolute 1e-2, so from radius 1e3 up the window [10 eps, 1e-2] was
-        # empty and the fit read no growth.  The prediction is scaled from
-        # radius 1, since the dense oracle fails at radius 1e3
+        # empty and the fit read no growth.  The prediction is the radius-1
+        # rate scaled by that law, which test_radius_scaling_law checks
+        # against the oracle at radius 1e-3 and 1e3
         unit = Equilibrium(regular_polygon(3), PotentialSpec.homogeneous(1.0))
         predicted = float(full_linearization_spectrum(unit).real.max()) * radius ** -1.5
         eq = Equilibrium(unit.config.scaled(radius), unit.spec)

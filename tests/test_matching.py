@@ -93,8 +93,8 @@ def test_union_and_oracle_match_the_reference(deck, solver_calls):
         got = compare_spectra(a, b)
         assert got == _reference_compare_spectra(a, b)
         failing += not got.matches
-    # the solver runs exactly where the gate fails: on this deck, the 1+5
-    # rings at m0 = 3e4 under 1/r + 1/r^3 and r^-2.5 (see ROADMAP)
+    # the solver runs exactly where the gate fails; since the oracle
+    # deflates in position space no input of these decks fails it
     assert len(solver_calls) == failing
 
 

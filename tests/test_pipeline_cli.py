@@ -176,7 +176,7 @@ class TestReports:
         ]
         assert "Spectrally" in stale.read_text()
 
-    def test_scripts_run(self):
+    def test_scripts_run(self, tmp_path):
         # the scripts import the package from the checkout's src, not through
         # the CLI, so a renamed function shows here first
         def run(*args):
@@ -201,6 +201,12 @@ class TestReports:
         digests = [ln.split() for ln in run("scripts/report_digest.py")]
         assert [d[0] for d in digests] == ["presets", "polygons", "collinear", "dynamics"]
         assert all(len(d) == 2 and len(bytes.fromhex(d[1])) == 32 for d in digests)
+        # the decks' numbers, compared with a dump of the same tree: no change
+        dump = tmp_path / "decks.json"
+        assert run("scripts/report_digest.py", "--dump", str(dump)) == []
+        assert run("scripts/report_digest.py", "--against", str(dump)) == [
+            f"{deck:<10} union 0  oracle 0  verdicts 0  label counts 0  errors +0 -0"
+            for deck in ("presets", "polygons", "collinear")]
 
     def test_schema_version_checked(self):
         report = run_analysis(_preset_request("triangle-homogeneous"))

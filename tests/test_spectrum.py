@@ -467,12 +467,16 @@ class TestBlockOracleAgreement:
         m = compare_spectra(union, full_linearization_spectrum(eq), tol=1e-9)
         assert m.matches, m.max_distance / m.scale
 
-    def test_radius_scaling_law(self):
-        # eigenvalues scale as rho^{-(alpha+2)/2} for single-term potentials
-        alpha, rho = 1.0, 1.8
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("rho", [1.8, 1e-3, 1e3])
+    def test_radius_scaling_law(self, n, rho):
+        # eigenvalues scale as rho^{-(alpha+2)/2} for single-term potentials,
+        # whatever the unit of length: the oracle deflated in the 4n space
+        # was off by 2.8e-8 to 2.5e-6 of the radius at rho = 1e-3 and 1e3
+        alpha = 1.0
         spec = PotentialSpec.homogeneous(alpha)
-        base = full_linearization_spectrum(Equilibrium(regular_polygon(3), spec))
-        scaled = full_linearization_spectrum(Equilibrium(regular_polygon(3, radius=rho), spec))
+        base = full_linearization_spectrum(Equilibrium(regular_polygon(n), spec))
+        scaled = full_linearization_spectrum(Equilibrium(regular_polygon(n, radius=rho), spec))
         predicted = base * rho ** (-(alpha + 2.0) / 2.0)
         scale = np.max(np.abs(predicted))
         assert _match_distance(predicted, scaled) <= 1e-8 * scale
