@@ -8,6 +8,8 @@ import numpy as np
 
 from .model import BodyConfiguration, BodyPairs, potential_hessian
 
+MERIT_TOL = 1e-12           # Newton refinement's merit at success
+
 # a Newton iterate's pairs and separations, which potential_hessian reads
 _Point = namedtuple("_Point", "pairs separations")
 
@@ -16,12 +18,12 @@ class RefinementError(RuntimeError):
     """Newton refinement failed to converge or ran into a collision."""
 
 
-def regular_polygon(n, radius=1.0, mass=1.0):
-    """Equal-mass regular n-gon on a circle, body i at angle 2*pi*(i-1)/n."""
+def regular_polygon(n, radius=1.0):
+    """Unit-mass regular n-gon on a circle, body i at angle 2*pi*(i-1)/n."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if radius <= 0 or mass <= 0:
-        raise ValueError("radius and mass must be positive")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
     ang = 2.0 * np.pi * np.arange(n) / n
     pos = np.empty(2 * n)
     pos[0::2] = radius * np.cos(ang)
@@ -30,7 +32,7 @@ def regular_polygon(n, radius=1.0, mass=1.0):
     # mass is exact
     pts = pos.reshape(-1, 2)
     pts -= pts.mean(axis=0)
-    return BodyConfiguration(np.full(n, float(mass)), pts.ravel())
+    return BodyConfiguration(np.ones(n), pts.ravel())
 
 
 def _normalize_gauges(z, pairs, theta_pin, inertia_pin):
@@ -61,8 +63,8 @@ def _gauge_basis(z, masses):
     return U[:, S > 1e-12 * S[0]]
 
 
-def refine_central_configuration(config, spec, max_iter=60, tol=1e-12,
-                                 fix_inertia=None, return_history=False):
+def refine_central_configuration(config, spec, max_iter=60, fix_inertia=None,
+                                 return_history=False):
     """Damped Newton iteration on grad(U) + lambda(z) grad(I) = 0.
 
     The multiplier is eliminated through the Euler formula at each step and
@@ -73,8 +75,8 @@ def refine_central_configuration(config, spec, max_iter=60, tol=1e-12,
     Damping halves any step that fails to decrease the scale-free merit
     |F| / (|grad U| + 1) or that steps into a near-collision.
 
-    ``tol`` bounds the merit at success, as CENTRALITY_TOL_FACTOR bounds it
-    in is_central_configuration.
+    MERIT_TOL bounds the merit at success, as CENTRALITY_TOL_FACTOR bounds
+    it in is_central_configuration.
     ``fix_inertia`` selects the scale of the returned configuration; leave
     None to stay near the initial scale (only meaningful when the solution
     family is scale-free, as for regular polygons under every potential
@@ -101,7 +103,7 @@ def refine_central_configuration(config, spec, max_iter=60, tol=1e-12,
     F, merit, lam = residual(z, sep)
     history = [merit]
     for _ in range(max_iter):
-        if merit <= tol:
+        if merit <= MERIT_TOL:
             break
         # Jacobian of F(z) = grad U + lam(z) M z with
         # grad lam = (sum_k a_k grad U_k)/(2I) - lam M z / I
@@ -124,7 +126,7 @@ def refine_central_configuration(config, spec, max_iter=60, tol=1e-12,
                 step *= 0.5
                 continue
             F_new, merit_new, lam_new = residual(z_new, sep_new)
-            if merit_new < merit or merit_new <= tol:
+            if merit_new < merit or merit_new <= MERIT_TOL:
                 z, sep, F, merit, lam = z_new, sep_new, F_new, merit_new, lam_new
                 history.append(merit)
                 break
@@ -133,7 +135,7 @@ def refine_central_configuration(config, spec, max_iter=60, tol=1e-12,
             raise RefinementError(
                 f"no progress at merit {merit:.3e} (step damping exhausted)"
             )
-    if merit > tol:
+    if merit > MERIT_TOL:
         raise RefinementError(
             f"not converged after {max_iter} iterations: merit {merit:.3e}"
         )

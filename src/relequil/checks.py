@@ -41,19 +41,19 @@ PRESET_POTENTIALS = {
 }
 
 
-def random_configuration(rng, n=4, min_distance=0.35):
+def random_configuration(rng, n=4):
     while True:
         pos = rng.uniform(-1.5, 1.5, size=2 * n)
         try:
             cfg = BodyConfiguration(np.ones(n), pos)
         except ValueError:
             continue
-        if cfg.min_pair_distance() >= min_distance:
+        if cfg.min_pair_distance() >= 0.35:
             return cfg
 
 
-def check_gradient_fd(n_samples=100, tol=1e-6, seed=11):
-    rng = np.random.default_rng(seed)
+def check_gradient_fd(n_samples=100):
+    rng = np.random.default_rng(11)
     worst = 0.0
     for name, spec in PRESET_POTENTIALS.items():
         for _ in range(n_samples):
@@ -72,11 +72,11 @@ def check_gradient_fd(n_samples=100, tol=1e-6, seed=11):
                 fd[k] = (8.0 * (up - dn) - (up2 - dn2)) / (12.0 * h)
             rel = np.max(np.abs(fd - g)) / max(np.max(np.abs(g)), 1e-300)
             worst = max(worst, rel)
-    return "gradient vs finite differences", worst <= tol, f"worst rel {worst:.3e}"
+    return "gradient vs finite differences", worst <= 1e-6, f"worst rel {worst:.3e}"
 
 
-def check_hessian_fd(n_samples=100, tol=1e-5, seed=12):
-    rng = np.random.default_rng(seed)
+def check_hessian_fd(n_samples=100):
+    rng = np.random.default_rng(12)
     worst = 0.0
     for name, spec in PRESET_POTENTIALS.items():
         for _ in range(n_samples):
@@ -92,7 +92,7 @@ def check_hessian_fd(n_samples=100, tol=1e-5, seed=12):
                 fd[:, k] = (gp - gm) / (2.0 * h)
             rel = np.max(np.abs(fd - H)) / max(np.max(np.abs(H)), 1e-300)
             worst = max(worst, rel)
-    return "hessian vs finite differences", worst <= tol, f"worst rel {worst:.3e}"
+    return "hessian vs finite differences", worst <= 1e-5, f"worst rel {worst:.3e}"
 
 
 def representation_matrices(group):
@@ -104,7 +104,7 @@ def representation_matrices(group):
     return D.reshape(order, 2 * n, 2 * n)
 
 
-def check_homomorphism(tol=1e-13):
+def check_homomorphism():
     """The matrices against the dihedral presentation on a = D[1] and
     r = D[n]: a^n = r^2 = (ra)^2 = e, D[k] = a^k and D[n + k] = a^k r.  The
     classes must partition the group, and conjugation by a and by r, which
@@ -126,17 +126,17 @@ def check_homomorphism(tol=1e-13):
             classes_ok &= all(set(image[list(cl)]) == set(cl)
                               for cl in group.conjugacy_classes)
     return ("representation homomorphism and conjugacy classes",
-            worst <= tol and classes_ok,
+            worst <= 1e-13 and classes_ok,
             f"worst defect {worst:.3e}, classes {'ok' if classes_ok else 'BROKEN'}")
 
 
-def check_invariance_bound(seed=15):
+def check_invariance_bound():
     """The two-generator defect of invariance_defect bounds max |D H - H D|
     over every representation matrix D, on group-averaged, slightly
     perturbed and random symmetric matrices.  The detail is the worst ratio
     of that maximum to the bound plus 8 eps max |H|, the rounding of either
     side; it must not exceed 1."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(15)
     eps = np.finfo(float).eps
     worst = 0.0
     for n in range(3, 9):
@@ -152,16 +152,16 @@ def check_invariance_bound(seed=15):
             f"worst max |DH - HD| / bound {worst:.3f}")
 
 
-def check_character_orthonormality(tol=1e-12):
+def check_character_orthonormality():
     worst = 0.0
     for n in (3, 4, 5, 6):
         table = dihedral(n)
         gram = (table.characters * table.class_sizes) @ table.characters.T / (2 * n)
         worst = max(worst, float(np.max(np.abs(gram - np.eye(len(table.names))))))
-    return "character orthonormality", worst <= tol, f"worst defect {worst:.3e}"
+    return "character orthonormality", worst <= 1e-12, f"worst defect {worst:.3e}"
 
 
-def check_wave_number_bases(tol=1e-12):
+def check_wave_number_bases():
     """The wave-number bases W_k, k = 0..n/2, are together an orthonormal
     basis of R^{2n}, and W_k carries the characters of A1 + A2 at k = 0, of
     B1 + B2 at k = n/2 and of twice E_k otherwise: Tr(W_k^T D(g) W_k)."""
@@ -183,18 +183,18 @@ def check_wave_number_bases(tol=1e-12):
                 expected = 2.0 * rows[f"E{k}"]
             chi = np.array([np.trace(W.T @ D @ W) for D in reps])
             worst = max(worst, float(np.max(np.abs(chi - expected))))
-    return "wave-number bases and their characters", worst <= tol, \
+    return "wave-number bases and their characters", worst <= 1e-12, \
         f"worst defect {worst:.3e}"
 
 
-def check_wave_number_blocks(tol=1e-12, seed=16):
+def check_wave_number_blocks():
     """On Hessians of random configurations averaged over the group, each
     h_k = W_k^T H W_k of the wave-number stack is the realification
     [[A, -B], [B, A]] of the 2x2 Hermitian K_k = A + iB, and W_k^T Jhat W_k
     is diag(J2, J2); where W_k has dimension 2, the sine half of both is
     zero.  The wave-number pairing and coupled blocks rest on these.  The
     detail is the worst defect, relative to max |H| for h_k."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(16)
     spec = PRESET_POTENTIALS["manev"]
     worst = 0.0
     for n in range(3, 9):
@@ -213,21 +213,21 @@ def check_wave_number_blocks(tol=1e-12, seed=16):
             expected = np.block([[J2 + zero, zero], [zero, J2 * half]])
             worst = max(worst, float(np.max(np.abs(h - realified))) / float(np.max(np.abs(H))),
                         float(np.max(np.abs(Jw - expected))))
-    return "wave-number blocks are realified 2x2 Hermitian", worst <= tol, \
+    return "wave-number blocks are realified 2x2 Hermitian", worst <= 1e-12, \
         f"worst defect {worst:.3e}"
 
 
-def check_hamiltonian_symmetry(tol=1e-9):
+def check_hamiltonian_symmetry():
     worst = 0.0
     for case in all_standard_cases():
         v = full_linearization_spectrum(Equilibrium(case.configuration(), case.potential))
         scale = max(float(np.max(np.abs(v))), 1e-300)
         for transform in (lambda s: -s, np.conj):
             worst = max(worst, compare_spectra(v, transform(v)).max_distance / scale)
-    return "Hamiltonian spectral symmetry", worst <= tol, f"worst rel {worst:.3e}"
+    return "Hamiltonian spectral symmetry", worst <= 1e-9, f"worst rel {worst:.3e}"
 
 
-def check_scaling_law(tol=1e-8):
+def check_scaling_law():
     """Radius scaling rho multiplies every eigenvalue by rho^{-(a+2)/2}."""
     worst = 0.0
     for n, alpha, rho in ((3, 1.0, 1.7), (4, 1.4, 0.6), (5, 0.8, 2.3)):
@@ -237,11 +237,11 @@ def check_scaling_law(tol=1e-8):
         predicted = base * rho ** (-(alpha + 2.0) / 2.0)
         scale = max(float(np.max(np.abs(predicted))), 1e-300)
         worst = max(worst, compare_spectra(predicted, scaled).max_distance / scale)
-    return "radius scaling law", worst <= tol, f"worst rel {worst:.3e}"
+    return "radius scaling law", worst <= 1e-8, f"worst rel {worst:.3e}"
 
 
-def check_block_closed_form(n_samples=1000, tol=1e-10, seed=14):
-    rng = np.random.default_rng(seed)
+def check_block_closed_form(n_samples=1000):
+    rng = np.random.default_rng(14)
     worst = 0.0
     for _ in range(n_samples):
         omega = rng.uniform(0.1, 10.0)
@@ -250,7 +250,7 @@ def check_block_closed_form(n_samples=1000, tol=1e-10, seed=14):
         dense = np.linalg.eigvals(first_order_matrix(omega ** 2, omega, np.diag([lam1, lam2]), J2))
         scale = max(float(np.max(np.abs(dense))), 1e-300)
         worst = max(worst, compare_spectra(closed, dense).max_distance / scale)
-    return "block closed form vs dense eigensolver", worst <= tol, \
+    return "block closed form vs dense eigensolver", worst <= 1e-10, \
         f"worst rel {worst:.3e}"
 
 

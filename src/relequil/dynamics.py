@@ -291,18 +291,19 @@ def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None):
 
     The equilibrium ``eq`` is kicked by epsilon * direction in position, the
     nonlinear system is integrated, and log |deviation| is fitted linearly
-    over the stretch where the deviation sits between 10 * epsilon and
-    top = GROWTH_WINDOW_TOP * radius (staying inside the linear regime),
-    the radius being the largest |q_i|.  Returns rate 0 with ``no_growth``
-    when the deviation never reaches the window.
+    over the first contiguous stretch of samples where the deviation sits
+    between 10 * epsilon and top = GROWTH_WINDOW_TOP * radius (inside the
+    linear regime), the radius being the largest |q_i|.  The run stops at
+    the first sample above both top and 300 * epsilon, which closes that
+    stretch.  Returns rate 0 with ``no_growth`` when the stretch holds fewer
+    than 8 samples or the deviation never reaches 300 * epsilon;
+    ``n_samples`` is the stretch's length either way.
 
-    The integration ends at the first sample above both ``top`` and the
-    300 * epsilon that the growth test asks for: the first stretch is
-    closed there and the test passed.  Only when fewer than 8 samples fell
-    inside the window by then, so that later returns into it decide, is
-    the full ``duration`` integrated again.  The result is the full run's
-    either way.  epsilon, duration and dt, given or defaulted, must be
-    finite and positive, and 10 * epsilon below ``top`` (ValueError).
+    epsilon, duration and dt, given or defaulted, must be finite and
+    positive, and 100 * epsilon at most top (ValueError): samples come every
+    10 steps of the default dt = period / 4000, so the window's one decade
+    holds ln(10) 400 / (sigma period) of them at growth rate sigma, at
+    least 8 while sigma period <= 115.
     """
     direction = np.asarray(direction, dtype=float)
     nrm = np.linalg.norm(direction)
@@ -319,33 +320,25 @@ def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None):
         dt = eq.period / 4000.0
     _require_positive(epsilon=epsilon, duration=duration, dt=dt)
     top = GROWTH_WINDOW_TOP * radius
-    if 10.0 * epsilon >= top:
-        raise ValueError(f"epsilon {epsilon!r} empties the fit window: 10 * epsilon must be "
-                         f"below GROWTH_WINDOW_TOP * radius = {top!r}")
-    perturbed = config.with_positions(config.positions + epsilon * direction)
-
-    def deviations(stop_deviation):
-        traj = integrate_rotating_frame(
-            perturbed, eq.spec, duration=duration, dt=dt, sample_every=10,
-            omega2=eq.omega2, reference_equilibrium=config.positions,
-            stop_deviation=stop_deviation,
-        )
-        dev = np.linalg.norm(traj.positions - config.positions[None, :], axis=1)
-        return traj.times, dev, (dev >= 10.0 * epsilon) & (dev <= top)
-
-    stop_at = max(top, 300.0 * epsilon)
-    times, dev, inside = deviations(stop_at)
-    if inside.sum() < 8 and dev[-1] > stop_at:
-        times, dev, inside = deviations(None)
-    # secular (polynomial) drift of neutral modes enters the window but
-    # never covers a real exponential range; demand 1.5 decades of growth
-    if inside.sum() < 8 or float(dev.max()) < 300.0 * epsilon:
-        return GrowthEstimate(0.0, True, (0.0, 0.0), int(inside.sum()))
+    if 100.0 * epsilon > top:
+        raise ValueError(f"epsilon {epsilon!r} leaves the fit window less than a decade: "
+                         f"100 * epsilon must be at most GROWTH_WINDOW_TOP * radius = {top!r}")
+    traj = integrate_rotating_frame(
+        config.with_positions(config.positions + epsilon * direction), eq.spec,
+        duration=duration, dt=dt, sample_every=10, omega2=eq.omega2,
+        reference_equilibrium=config.positions, stop_deviation=max(top, 300.0 * epsilon),
+    )
+    dev = np.linalg.norm(traj.positions - config.positions[None, :], axis=1)
+    inside = (dev >= 10.0 * epsilon) & (dev <= top)
     # first contiguous run inside the window
     start = int(np.argmax(inside))
     stop = start
     while stop < dev.size and inside[stop]:
         stop += 1
-    t, y = times[start:stop], np.log(dev[start:stop])
+    # secular (polynomial) drift of neutral modes enters the window but
+    # never covers a real exponential range; demand 1.5 decades of growth
+    if stop - start < 8 or float(dev.max()) < 300.0 * epsilon:
+        return GrowthEstimate(0.0, True, (0.0, 0.0), stop - start)
+    t, y = traj.times[start:stop], np.log(dev[start:stop])
     slope = float(np.polyfit(t, y, 1)[0])
-    return GrowthEstimate(slope, False, (float(t[0]), float(t[-1])), int(t.size))
+    return GrowthEstimate(slope, False, (float(t[0]), float(t[-1])), stop - start)

@@ -23,9 +23,9 @@ from .symmetry import (
 class CollisionError(ValueError):
     """Two bodies coincide, so pair potentials are undefined."""
 
-    def __init__(self, i, j, message=None):
+    def __init__(self, i, j):
         self.pair = (i, j)
-        super().__init__(message or f"bodies {i} and {j} coincide")
+        super().__init__(f"bodies {i} and {j} coincide")
 
 
 class NonCentralConfigurationError(ValueError):
@@ -39,7 +39,6 @@ class NonCentralConfigurationError(ValueError):
         )
 
 
-CENTER_TOL = 1e-8          # center-of-mass test for the `centered` flag
 CENTRALITY_TOL_FACTOR = 1e-10   # residual <= factor * (|grad U| + 1)
 
 
@@ -133,17 +132,15 @@ class BodyConfiguration:
     Raises CollisionError, naming the first coinciding pair in i < j
     order, if two bodies coincide and ValueError for non-finite entries or
     non-positive masses.
-    ``centered`` records whether the weighted center of mass sits at the
-    origin (within CENTER_TOL) at construction time; ``pairs`` holds the
-    bodies' BodyPairs and ``separations`` the read-only (d, r) of its one
-    separation pass, which the collision check and every pair formula read.
+    ``pairs`` holds the bodies' BodyPairs and ``separations`` the read-only
+    (d, r) of its one separation pass, which the collision check and every
+    pair formula read.
     ``inertia``, ``trivial_vectors``, ``plane_basis``, ``group`` and ``waves``
     are built once, on first use.
     """
 
     masses: np.ndarray
     positions: np.ndarray
-    centered: bool = field(init=False)
     pairs: BodyPairs = field(init=False, repr=False, compare=False)
     separations: tuple = field(init=False, repr=False, compare=False)
 
@@ -168,9 +165,6 @@ class BodyConfiguration:
         d.flags.writeable = r.flags.writeable = False
         object.__setattr__(self, "separations", (d, r))
         self.pairs.check_distinct(r)
-        q = self.points
-        com = masses @ q / masses.sum()
-        object.__setattr__(self, "centered", bool(np.hypot(*com) <= CENTER_TOL))
 
     @property
     def n(self):

@@ -280,12 +280,12 @@ def full_linearization_spectrum(eq):
                                 basis=lambda: eq.config.plane_basis)
 
 
-def sorted_spectrum(values, tol=1e-12):
+def sorted_spectrum(values):
     """The eigenvalues as a complex array sorted by (Re, Im), each rounded
-    at tol times the spectral radius for the sort.  Each row of a 2-D array
+    at 1e-12 times the spectral radius for the sort.  Each row of a 2-D array
     is one spectrum, sorted on its own with its own radius, in one lexsort."""
     v = np.asarray(values, dtype=complex)
-    step = tol * np.abs(v).max(-1, initial=1e-300, keepdims=True)
+    step = 1e-12 * np.abs(v).max(-1, initial=1e-300, keepdims=True)
     order = np.lexsort((np.round(v.imag / step) * step, np.round(v.real / step) * step))
     return v[order] if v.ndim == 1 else np.take_along_axis(v, order, -1)
 
@@ -318,14 +318,14 @@ def eigenvalue_labels(values, thr):
     return np.array(["complex", "real", "pure-imaginary", "zero"])[kind].tolist()
 
 
-def classify(eigs, tol=CLASSIFY_TOL):
+def classify(eigs):
     """Label eigenvalues and decide spectral stability.
 
-    Labels are measured against tol times the spectral radius; the verdict
-    is unstable iff some real part exceeds that threshold.
+    Labels are measured against CLASSIFY_TOL times the spectral radius; the
+    verdict is unstable iff some real part exceeds that threshold.
     """
     vals = np.asarray(eigs, dtype=complex)
-    thr = tol * float(np.max(np.abs(vals), initial=1e-300))
+    thr = CLASSIFY_TOL * float(np.max(np.abs(vals), initial=1e-300))
     labels = eigenvalue_labels(vals, thr)
     max_re = float(np.max(vals.real)) if vals.size else 0.0
     verdict = UNSTABLE if max_re > thr else NOT_UNSTABLE
@@ -407,8 +407,6 @@ def _cluster_assignment(cost, bound):
             and cost[~near].min(initial=np.inf) > n * cost[near].max()):
         return None
     size = counts.max()
-    if size == 1:
-        return rk
     if size > 4:
         return None
     # rows and columns sorted by key share one sequence of keys; each takes

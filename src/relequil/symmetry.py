@@ -283,7 +283,7 @@ def eigenvalues_by_trace_equations(H, group, waves=None):
     The one-dimensional components are finished by their sums; the
     component of E_j is the wave-number-j subspace W_j of the polygon,
     where W_j^T H W_j is the realification of a 2x2 Hermitian K_j whose two
-    eigenvalues each carry twice; one stacked eigh of every K_j gives them.
+    eigenvalues each carry twice; one stacked eigvalsh of every K_j gives them.
     ``waves`` is the polygon's ``wave_number_stack``, built from the group's
     vertices when not given.  The character table, the class of each
     element and the multiplicities come from ``dihedral``, checked when it
@@ -429,17 +429,18 @@ def _coupled_components(bases):
     return [np.flatnonzero(label == comp).tolist() for comp in dict.fromkeys(label)]
 
 
-def polygon_axis_angle(config, tol=1e-8):
+def polygon_axis_angle(config):
     """Angle of body 1 if the configuration is an equal-mass regular polygon.
 
     The bodies must sit counterclockwise at angles base + 2 pi j / n about
-    the origin, with n >= 3; returns None otherwise.
+    the origin, with n >= 3, equal masses and radii (to 1e-8 relative) and
+    angles within 1e-8 of these; returns None otherwise.
     """
     q = config.points
     radii = np.hypot(q[:, 0], q[:, 1])
-    if np.max(np.abs(radii - radii[0])) > tol * radii[0]:
+    if np.max(np.abs(radii - radii[0])) > 1e-8 * radii[0]:
         return None
-    if np.max(np.abs(config.masses - config.masses[0])) > tol * config.masses[0]:
+    if np.max(np.abs(config.masses - config.masses[0])) > 1e-8 * config.masses[0]:
         return None
     n = config.n
     if n < 3:
@@ -448,7 +449,7 @@ def polygon_axis_angle(config, tol=1e-8):
     ang = np.arctan2(q[:, 1], q[:, 0])
     expected = base + 2.0 * np.pi * np.arange(n) / n
     delta = np.angle(np.exp(1j * (ang - expected)))
-    if np.max(np.abs(delta)) > tol:
+    if np.max(np.abs(delta)) > 1e-8:
         return None
     return base
 

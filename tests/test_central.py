@@ -119,7 +119,6 @@ class TestRegularPolygon:
         cfg = regular_polygon(n)
         com = cfg.masses @ cfg.points / cfg.masses.sum()
         assert np.max(np.abs(com)) <= 1e-16
-        assert cfg.centered
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

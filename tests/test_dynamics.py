@@ -450,21 +450,23 @@ class TestGrowthRate:
         assert not est.no_growth
         assert est.rate == pytest.approx(predicted, rel=0.10)
 
-    def test_translation_direction_no_growth(self, newton_triangle):
+    def test_translation_direction_no_growth(self, monkeypatch, newton_triangle):
         cfg, spec = newton_triangle
         translation = np.zeros(6)
         translation[0::2] = 1.0
         eq = Equilibrium(cfg, spec)
+        runs = self._recorded(monkeypatch)
         est = estimate_growth_rate(
             eq, translation, duration=4.0 * eq.period
         )
         assert est.no_growth
         assert est.rate == 0.0
+        # the deviation never leaves the window, so the one run is the whole duration
+        assert len(runs) == 1 and runs[0].times[-1] == pytest.approx(4.0 * eq.period)
 
     @staticmethod
-    def _stopped_and_full(monkeypatch, eq, direction, **kwargs):
-        """(estimate, its runs, full-length estimate, its run): the second
-        with stop_deviation dropped, so it integrates the whole duration."""
+    def _recorded(monkeypatch):
+        """The trajectories of every integrate_rotating_frame call from now on."""
         integrate, runs = dynamics.integrate_rotating_frame, []
 
         def recorded(*args, **kw):
@@ -472,6 +474,14 @@ class TestGrowthRate:
             return runs[-1]
 
         monkeypatch.setattr(dynamics, "integrate_rotating_frame", recorded)
+        return runs
+
+    @staticmethod
+    def _stopped_and_full(monkeypatch, eq, direction, **kwargs):
+        """(estimate, its runs, full-length estimate, its run): the second
+        with stop_deviation dropped, so it integrates the whole duration."""
+        runs = TestGrowthRate._recorded(monkeypatch)
+        recorded = dynamics.integrate_rotating_frame
         stopped = estimate_growth_rate(eq, direction, **kwargs)
         stopped_runs = list(runs)
         monkeypatch.setattr(dynamics, "integrate_rotating_frame",
@@ -502,12 +512,12 @@ class TestGrowthRate:
         assert len(runs) == 1
         assert not runs[0].blew_up and runs[0].times[-1] < full_run.times[-1]
 
-    def test_returns_into_the_window_integrate_the_whole_duration(self, monkeypatch):
+    def test_returns_into_the_window_are_not_fitted(self, monkeypatch):
         # the presets' deviations never come back into the window, so a
         # recorded one that does stands in: 3 samples inside, out past the
-        # stop, then 10 inside.  The stopped run sees fewer than the 8
-        # samples the fit needs, so the full duration is integrated again
-        # and the later return counts, as in a full-length run
+        # stop, then 10 inside.  The fit reads only the first stretch, and
+        # 3 samples are below the 8 it needs; the later return is never
+        # integrated, so one run is all there is
         case = get_case("triangle-homogeneous")
         eq = Equilibrium(case.configuration(), case.potential)
         u = np.zeros(2 * eq.config.n)
@@ -515,8 +525,11 @@ class TestGrowthRate:
         dev = np.concatenate([[1e-6], np.geomspace(2e-5, 8e-3, 3), [5e-2],
                               np.geomspace(2e-3, 9e-3, 10), [6e-2]])
 
+        calls = []
+
         def recorded(config, spec, reference_equilibrium, stop_deviation, **kwargs):
-            past = np.flatnonzero(dev > stop_deviation) if stop_deviation else []
+            calls.append(stop_deviation)
+            past = np.flatnonzero(dev > stop_deviation)
             k = past[0] + 1 if len(past) else dev.size
             positions = reference_equilibrium + dev[:k, None] * u
             return dynamics.Trajectory(np.arange(k) * 0.1, np.hstack([positions, 0 * positions]),
@@ -524,8 +537,8 @@ class TestGrowthRate:
 
         monkeypatch.setattr(dynamics, "integrate_rotating_frame", recorded)
         est = estimate_growth_rate(eq, u, epsilon=1e-6)
-        assert not est.no_growth
-        assert est.n_samples == 3 and est.window == (0.1, 3 * 0.1)
+        assert calls == [dynamics.GROWTH_WINDOW_TOP]
+        assert est == dynamics.GrowthEstimate(0.0, True, (0.0, 0.0), 3)
 
     @pytest.mark.parametrize("radius", [1e3, 1e4])
     def test_rate_scales_with_the_radius(self, radius):
@@ -541,11 +554,15 @@ class TestGrowthRate:
         assert not est.no_growth
         assert est.rate == pytest.approx(predicted, rel=0.10)
 
-    def test_epsilon_that_empties_the_window_is_refused(self):
+    @pytest.mark.parametrize("epsilon", [1e-3, 9e-4, 1.0000000000000002e-4])
+    def test_epsilon_whose_window_spans_less_than_a_decade_is_refused(self, epsilon):
+        # at 9e-4 fewer than 8 samples fell between 10 epsilon and the top,
+        # and the fit read no growth though Re lambda = 0.977; 1e-4, exactly
+        # one decade, fits (test_stopping_at_the_window_keeps_the_fit)
         case = get_case("manev-triangle")
         eq = Equilibrium(case.configuration(), case.potential)
-        with pytest.raises(ValueError, match="GROWTH_WINDOW_TOP"):
-            estimate_growth_rate(eq, _worst_direction(eq), epsilon=1e-3)
+        with pytest.raises(ValueError, match=r"100 \* epsilon must be at most GROWTH_WINDOW_TOP"):
+            estimate_growth_rate(eq, _worst_direction(eq), epsilon=epsilon)
 
     def test_stop_deviation_needs_a_reference(self, newton_triangle):
         with pytest.raises(ValueError, match="reference_equilibrium"):

@@ -19,14 +19,17 @@ from scipy.optimize import linear_sum_assignment
 
 import relequil
 from relequil.central import regular_polygon
-from relequil.model import Equilibrium, PotentialSpec
+from relequil.model import Equilibrium, PotentialSpec, first_order_matrix
 from relequil.presets import HOMOGENEOUS_PRESETS, PRESET_NAMES, get_case
 from relequil.spectrum import (
     SpectrumMatch,
+    _cluster_assignment,
+    block_spectrum,
     compare_spectra,
     decompose_blocks,
     full_linearization_spectrum,
 )
+from relequil.symmetry import J2
 
 from conftest import BENCHMARK_POTENTIALS, PRESET_ALPHAS, WHOLE_SPACE_DECK
 
@@ -119,6 +122,35 @@ def test_clustered_spectra_match_the_reference(solver_calls):
         got = compare_spectra(a, b)
         assert got == _reference_compare_spectra(a, b)
         assert got.matches
+    assert solver_calls == []
+
+
+def _distinct_pairs():
+    """Spectra of distinct values and their partners: the selfcheck's
+    closed-form and dense 4x4 block spectra, and random spectra permuted
+    and moved by 1e-13."""
+    rng = np.random.default_rng(14)
+    for _ in range(1000):
+        omega = rng.uniform(0.1, 10.0)
+        lam1, lam2 = rng.uniform(-10.0, 10.0, size=2)
+        yield (block_spectrum(omega, lam1, lam2), np.linalg.eigvals(
+            first_order_matrix(omega ** 2, omega, np.diag([lam1, lam2]), J2)))
+    for size in (1, 2, 5, 12, 40):
+        a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        yield a, rng.permutation(a + 1e-13 * (rng.standard_normal(size)
+                                               + 1j * rng.standard_normal(size)))
+
+
+def test_distinct_values_match_as_the_solver_does(solver_calls):
+    # every cluster has one member on each side: the certified path returns
+    # the solver's assignment and its largest distance, without the solver
+    for a, b in _distinct_pairs():
+        cost = np.abs(a[:, None] - b[None, :])
+        cols = _cluster_assignment(cost, 1e-9 * float(np.abs(np.r_[a, b]).max()))
+        assert cols.tolist() == linear_sum_assignment(cost)[1].tolist()
+        got = compare_spectra(a, b)
+        assert got == _reference_compare_spectra(a, b)
+        assert got.max_distance == cost[np.arange(a.size), cols].max()
     assert solver_calls == []
 
 

@@ -44,11 +44,6 @@ class TestBodyConfiguration:
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             BodyConfiguration(**args)
 
-    def test_centered_flag(self, triangle):
-        assert triangle.centered
-        shifted = triangle.with_positions(triangle.positions + 0.3)
-        assert not shifted.centered
-
     def test_immutable(self, triangle):
         with pytest.raises(ValueError):
             triangle.positions[0] = 5.0

@@ -222,6 +222,12 @@ class TestReports:
         assert om["agrees"] is False
         assert any("omega^2" in d for d in report.discrepancies)
 
+    def test_timing_is_reported_only_when_asked(self):
+        timed = run_analysis(AnalysisRequest(case="manev-triangle", with_timing=True))
+        assert timed.to_dict()["timing_seconds"] > 0
+        untimed = run_analysis(AnalysisRequest(case="manev-triangle"))
+        assert untimed.to_dict()["timing_seconds"] == 0.0
+
     def test_render_table_mentions_verdict(self):
         report = run_analysis(_preset_request("triangle-homogeneous"))
         text = report.render_table()
@@ -575,13 +581,23 @@ class TestCli:
         assert (f"input error: {flag} must be finite and positive"
                 in capsys.readouterr().err)
 
-    def test_simulate_rejects_an_epsilon_above_the_fit_window(self, capsys):
-        # 10 epsilon at the window's top left the window empty: it printed
-        # rate 0.0 with no_growth, though Re lambda = 0.977
-        argv = ["simulate", "--case", "manev-triangle", "--kick", "--epsilon", "1e-3"]
+    @pytest.mark.parametrize("epsilon", ["1e-3", "9e-4"])
+    def test_simulate_rejects_an_epsilon_leaving_less_than_a_decade(self, capsys, epsilon):
+        # at 1e-3 the window [10 epsilon, 1e-2] was empty, and at 9e-4 it held
+        # fewer than the fit's 8 samples: both printed rate 0.0 with
+        # no_growth, though Re lambda = 0.977
+        argv = ["simulate", "--case", "manev-triangle", "--kick", "--epsilon", epsilon]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("input error: --epsilon: ") and "GROWTH_WINDOW_TOP" in err
+        assert err.startswith("input error: --epsilon: ")
+        assert "100 * epsilon must be at most GROWTH_WINDOW_TOP * radius = 0.01" in err
+
+    def test_analyze_timing(self, capsys):
+        assert cli_main(["analyze", "--case", "manev-triangle", "--timing",
+                         "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["timing_seconds"] > 0
+        assert cli_main(["analyze", "--case", "manev-triangle", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["timing_seconds"] == 0.0
 
     @pytest.mark.parametrize("argv, message", [
         (["--positions", "1,0,-1,nan", "--alpha", "1"], "positions must be finite"),
