@@ -17,11 +17,15 @@ runs on one thread, as in the benchmark.
 
 A digest cannot tell a change at rounding level from a wrong answer.
 ``--dump`` writes, for every case of the three decks, its verdict, its
-label counts and its block union and oracle spectra, or its error, as
-JSON.  ``--against`` runs the decks on this tree and prints one line per
-deck: the largest matched change of each spectrum over its spectral radius
-(``compare_spectra``), the number of cases whose verdict or label counts
-changed, and the errors gained and lost; then one line per such case.
+label counts, its block union and oracle spectra, its ``isotypic``
+eigenvalues and its pairs' (lam1, lam2), or its error, as JSON.
+``--against`` runs the decks on this tree and prints one line per deck:
+the largest matched change of each spectrum over its spectral radius
+(``compare_spectra``), the largest change of the isotypic and of the pair
+values over the largest of the case's old ones (inf where their number
+changed), the number of cases whose verdict or label counts changed, and
+the errors gained and lost; then one line per such case.  Both dumps must
+come from this version of the script.
 """
 
 import argparse
@@ -89,8 +93,8 @@ def dynamics_digest():
 
 
 def _numbers(run):
-    """The verdict, label counts and spectra ([re, im] pairs) of one case's
-    report, or its error."""
+    """The verdict, label counts, spectra ([re, im] pairs), isotypic
+    eigenvalues and pairs' [lam1, lam2] of one case's report, or its error."""
     try:
         d = run().to_dict()
     except Exception as exc:    # an error is part of the dump
@@ -98,7 +102,9 @@ def _numbers(run):
     return {"verdict": d["verdict"]["verdict"],
             "labels": dict(sorted(collections.Counter(d["verdict"]["labels"]).items())),
             "union": [[e["re"], e["im"]] for e in d["block_union_spectrum"]],
-            "oracle": [[e["re"], e["im"]] for e in d["oracle_spectrum"]]}
+            "oracle": [[e["re"], e["im"]] for e in d["oracle_spectrum"]],
+            "isotypic": [lam for c in d["isotypic"] for lam in c["eigenvalues"]],
+            "pairs": [[b["lam1"], b["lam2"]] for b in d["blocks"]]}
 
 
 def dump():
@@ -110,6 +116,15 @@ def _spectrum(pairs):
     return np.array([complex(re, im) for re, im in pairs])
 
 
+def _relative_change(a, b):
+    """max |b - a| over max |a| of two lists of values, inf where their
+    shapes differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return np.inf
+    return float(np.max(np.abs(b - a), initial=0.0) / np.max(np.abs(a), initial=1e-300))
+
+
 def compare(old, new):
     """Lines of the comparison of two dumps, deck by deck."""
     lines = []
@@ -117,7 +132,7 @@ def compare(old, new):
         if [label for label, _ in old[name]] != [label for label, _ in new[name]]:
             lines.append(f"{name:<10} the decks hold different cases")
             continue
-        change = dict.fromkeys(("union", "oracle"), 0.0)
+        change = dict.fromkeys(("union", "oracle", "isotypic", "pairs"), 0.0)
         counts = collections.Counter()
         notes = []
         for i, ((label, a), (_, b)) in enumerate(zip(old[name], new[name])):
@@ -128,14 +143,17 @@ def compare(old, new):
                     counts["lost"] += "error" not in b
                     notes.append(f"{case} error {a.get('error')!r} -> {b.get('error')!r}")
                 continue
-            for key in change:
+            for key in ("union", "oracle"):
                 m = compare_spectra(_spectrum(a[key]), _spectrum(b[key]))
                 change[key] = max(change[key], m.max_distance / m.scale)
+            for key in ("isotypic", "pairs"):
+                change[key] = max(change[key], _relative_change(a[key], b[key]))
             for key in ("verdict", "labels"):
                 if a[key] != b[key]:
                     counts[key] += 1
                     notes.append(f"{case} {key} {a[key]} -> {b[key]}")
         lines.append(f"{name:<10} union {change['union']:.2g}  oracle {change['oracle']:.2g}  "
+                     f"isotypic {change['isotypic']:.2g}  pairs {change['pairs']:.2g}  "
                      f"verdicts {counts['verdict']}  label counts {counts['labels']}  "
                      f"errors +{counts['gained']} -{counts['lost']}")
         lines += notes

@@ -30,7 +30,6 @@ from .symmetry import (
     build_polygon_symmetry_group,
     dihedral,
     invariance_defect,
-    wave_number_basis,
     wave_number_stack,
 )
 
@@ -171,7 +170,7 @@ def check_wave_number_bases():
         table = dihedral(n)
         rows = dict(zip(table.names, table.characters))
         reps = representation_matrices(group)[[cl[0] for cl in group.conjugacy_classes]]
-        bases = [wave_number_basis(group.vertices(), k) for k in range(n // 2 + 1)]
+        bases = [W[:, :d] for W, d in zip(wave_number_stack(group.vertices()), table.wave_dims)]
         V = np.column_stack(bases)
         worst = max(worst, float(np.max(np.abs(V.T @ V - np.eye(2 * n)))))
         for k, W in enumerate(bases):
@@ -205,7 +204,7 @@ def check_wave_number_blocks():
             H = (D @ H @ D.transpose(0, 2, 1)).mean(axis=0)
             W = wave_number_stack(group.vertices())
             h = W.transpose(0, 2, 1) @ H @ W
-            half = ((2 * np.arange(len(W))) % n != 0)[:, None, None]
+            half = (dihedral(n).wave_dims == 4)[:, None, None]
             A, B = h[:, :2, :2], h[:, 2:, :2]
             realified = np.block([[A, -B], [B, A * half]])
             Jw = W.transpose(0, 2, 1) @ block_symplectic(n) @ W

@@ -16,6 +16,7 @@ from .symmetry import (
     block_symplectic,
     build_polygon_symmetry_group,
     polygon_axis_angle,
+    wave_number_spectrum,
     wave_number_stack,
 )
 
@@ -405,6 +406,12 @@ class Equilibrium:
     @property
     def n(self):
         return self.config.n
+
+    @functools.cached_property
+    def wave_spectrum(self):
+        """Hw's ``wave_number_spectrum`` on the configuration's ``waves``, or None."""
+        waves = self.config.waves
+        return None if waves is None else wave_number_spectrum(self.Hw, waves)
 
     @property
     def omega2(self):

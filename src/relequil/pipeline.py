@@ -244,12 +244,13 @@ def _against_reference(name, computed, ref, tol, discrepancies):
 
 def run_analysis(request):
     """Execute the full pipeline for one request."""
-    return _analysis(request, None)
+    return _analysis(request, None)[0]
 
 
 def _analysis(request, config):
-    """``run_analysis`` on ``config``, the request's explicit configuration
-    resolved once by ``run_sweep``, or, when None, on the request's own."""
+    """(report, eq, decomposition) of ``run_analysis`` on ``config``, the
+    request's explicit configuration resolved once by ``run_sweep``, or,
+    when None, on the request's own."""
     t0 = time.perf_counter()
     if config is None:
         eq, case = request.equilibrium()
@@ -271,8 +272,9 @@ def _analysis(request, config):
     eigen_reference = None
     if config.group is not None:
         try:
-            isotypic, computed_multiset = eigenvalues_by_trace_equations(H, config.group,
-                                                                         config.waves)
+            # Hw = H / m at the common mass m of a polygon
+            isotypic, computed_multiset = eigenvalues_by_trace_equations(
+                H, config.group, eq.wave_spectrum.lam * config.masses[0])
         except InvarianceError as exc:
             raise ConsistencyError("trace equations", str(exc)) from exc
         if case is not None:
@@ -371,7 +373,7 @@ def _analysis(request, config):
         "dynamics": dynamics_entry,
         "timing_seconds": (time.perf_counter() - t0) if request.with_timing else 0.0,
     }
-    return StabilityReport(data)
+    return StabilityReport(data), eq, decomposition
 
 
 def _mismatch(match, union, oracle):
@@ -445,11 +447,11 @@ def run_sweep(base_request, grid):
     potential term (1 without one).
 
     The summary labels the two non-structural eigenvalues of the block
-    built on the configuration-direction/rotation pair (the trichotomy
-    block): they move from pure-imaginary to zero to real as alpha crosses
-    the critical exponent.  Explicit positions are resolved into one
-    configuration for the whole grid, so what it builds once (its group,
-    wave stack, trivial vectors and oracle basis) is built once per sweep.
+    that holds the configuration direction z (the trichotomy block): they
+    move from pure-imaginary to zero to real as alpha crosses the critical
+    exponent.  Explicit positions are resolved into one configuration for
+    the whole grid, so what it builds once (its group, wave stack, trivial
+    vectors and oracle basis) is built once per sweep.
     """
     if base_request.potential is not None and len(base_request.potential) != 1:
         raise InputError("alpha sweeps need a single-term potential")
@@ -464,30 +466,25 @@ def run_sweep(base_request, grid):
     for alpha in grid:
         potential = None if coef is None else ((coef, float(alpha)),)
         try:
-            report = _analysis(replace(base_request, alpha=float(alpha), potential=potential),
-                               config)
+            report, eq, decomposition = _analysis(
+                replace(base_request, alpha=float(alpha), potential=potential), config)
         except (InputError, ConsistencyError) as exc:
             failures.append((float(alpha), exc))
             reports.append((float(alpha), None))
             continue
         reports.append((float(alpha), report))
-        summary.append((float(alpha), _trichotomy_label(report)))
+        summary.append((float(alpha), _trichotomy_label(decomposition, eq.omega)))
     return SweepResult(tuple(reports), tuple(failures), tuple(summary))
 
 
-def _trichotomy_label(report):
-    """Label of the non-structural mode pair of the trivial/rotation block."""
-    data = report.to_dict()
-    if not data["blocks"]:
+def _trichotomy_label(decomposition, omega):
+    """Label of the non-structural mode pair of the block that holds z
+    (``BlockDecomposition.z_block``); "unknown" where no block holds z or
+    that block does not have four eigenvalues."""
+    z = decomposition.z_block
+    eigs = () if z is None else (decomposition.block_spectra + decomposition.coupled_spectra)[z]
+    if len(eigs) != 4:
         return "unknown"
-    omega2 = data["omega_squared"]["computed"]
-    omega = float(np.sqrt(omega2))
-    best, best_err = None, np.inf
-    for blk in data["blocks"]:
-        err = min(abs(blk["lam1"] + omega2), abs(blk["lam2"] + omega2))
-        if err < best_err:
-            best, best_err = blk, err
-    eigs = np.array([complex(e["re"], e["im"]) for e in best["eigenvalues"]])
     keep = np.argsort(np.abs(eigs))[2:]      # drop the two structural zeros
     labels = set(eigenvalue_labels(eigs[keep], CLASSIFY_TOL * omega))
     return labels.pop() if len(labels) == 1 else "/".join(sorted(labels))

@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from .model import first_order_matrix, position_basis
-from .symmetry import J2, symplectic_pairs, wave_number_pairs
+from .symmetry import J2, dihedral, symplectic_pairs, wave_number_pairs
 
 SNAP_TOL = 1e-12            # coefficient snap in the closed-form quartic
 CLASSIFY_TOL = 1e-8         # |Re|, |Im| thresholds relative to spectral radius
@@ -92,6 +92,7 @@ class BlockDecomposition:
     blocks: tuple              # JPair per closed-form 4x4 block
     block_spectra: tuple       # eigenvalues per pair
     coupled_spectra: tuple     # eigenvalues per coupled block
+    z_block: int | None        # z's block in block_spectra + coupled_spectra, or None
 
     def union_spectrum(self):
         return np.concatenate(self.block_spectra + self.coupled_spectra)
@@ -103,7 +104,7 @@ def decompose_blocks(eq):
     The mass-weighted Hessian ``eq.Hw`` and Jhat split the space into joint
     invariant subspaces: each that is one eigenvector pair compatible with
     Jhat yields a closed-form 4x4 block, and each other one a coupled block.
-    On a regular polygon (``eq.config.waves`` set) these are the wave-number
+    On a regular polygon (``eq.wave_spectrum`` set) these are the wave-number
     subspaces (``wave_number_pairs``), each unpaired W_k one coupled block:
     the classical ring reduction.  The trivial vectors lie in W_0 (z and
     Jhat z) and W_1 (the translations); where either fails to pair, as on a
@@ -111,14 +112,12 @@ def decompose_blocks(eq):
     they are the Jhat-coupled components of the eigen-clusters of Hw
     (``symplectic_pairs``).
     """
-    if eq.config.waves is not None:
-        pairs, K, paired = wave_number_pairs(eq.Hw, eq.config.waves)
+    if (spectrum := eq.wave_spectrum) is not None:
+        pairs, paired = wave_number_pairs(spectrum, eq.config.waves)
         if paired[:2].all():
             # W_0 and W_1 paired, so no unpaired W_k holds a trivial vector
-            ks = np.flatnonzero(~paired)
-            dims = np.where((2 * ks) % eq.n, 4, 2)
-            return BlockDecomposition(tuple(pairs), _pair_spectra(eq, pairs),
-                                      wave_number_block_spectra(eq.omega, K[ks], dims))
+            return _decomposition(eq, pairs, wave_number_block_spectra(
+                eq.omega, spectrum.K[~paired], dihedral(eq.n).wave_dims[~paired]), [])
     return _decompose_whole_space(eq)
 
 
@@ -142,33 +141,35 @@ def _trivial_in(eq, V):
     return held if V.ndim == 3 else held[0]
 
 
-def _pair_spectra(eq, pairs):
-    """The closed-form eigenvalues of each pair's block.  A pair whose plane
-    holds the translations T (``_trivial_in``) takes their exact +-i omega
-    twice, as the oracle's deflation does: its lam1 and lam2 are zero only
-    up to the rounding of Hw, and the closed form would split that
-    defective double root by sqrt(omega |lam|)."""
-    if not pairs:
-        return ()
+def _decomposition(eq, pairs, coupled_spectra, coupled_held):
+    """The ``BlockDecomposition`` of the pairs and of the coupled blocks'
+    spectra, whose bases hold ``coupled_held`` (``_trivial_in``).  A pair
+    whose plane holds the translations T takes their exact +-i omega twice,
+    as the oracle's deflation does: its lam1 and lam2 are zero only up to
+    the rounding of Hw, and the closed form would split that defective
+    double root by sqrt(omega |lam|)."""
+    planes = np.array([[p.v1, p.v2] for p in pairs]).reshape(len(pairs), 2, 2 * eq.n)
+    held = _trivial_in(eq, planes.transpose(0, 2, 1))
     w = 1j * eq.omega
-    held = _trivial_in(eq, np.array([[p.v1, p.v2] for p in pairs]).transpose(0, 2, 1))
-    return tuple(np.array([w, -w, w, -w]) if T.shape[1]
-                 else block_spectrum(eq.omega, p.lam1, p.lam2)
-                 for p, (T, _, _) in zip(pairs, held))
+    spectra = tuple(np.array([w, -w, w, -w]) if T.shape[1]
+                    else block_spectrum(eq.omega, p.lam1, p.lam2)
+                    for p, (T, _, _) in zip(pairs, held))
+    z_block = next((i for i, (_, z, _) in enumerate(held + coupled_held) if z is not None), None)
+    return BlockDecomposition(tuple(pairs), spectra, tuple(coupled_spectra), z_block)
 
 
 def _decompose_whole_space(eq):
     """``decompose_blocks`` from the whole-space pairing of ``eq.Hw``."""
     pairs, bases = symplectic_pairs(eq.Hw)
-    return BlockDecomposition(tuple(pairs), _pair_spectra(eq, pairs), tuple(
-        deflated_eigenvalues(eq.omega2, eq.omega, V.T @ eq.Hw @ V, V.T @ eq.Jh @ V,
-                             *_trivial_in(eq, V))
-        for V in bases))
+    held = [_trivial_in(eq, V) for V in bases]
+    return _decomposition(eq, pairs, [
+        deflated_eigenvalues(eq.omega2, eq.omega, V.T @ eq.Hw @ V, V.T @ eq.Jh @ V, *trivial)
+        for V, trivial in zip(bases, held)], held)
 
 
 def wave_number_block_spectra(omega, K, dims):
     """Eigenvalues of the linearization on wave-number subspaces, from their
-    Hermitian 2x2 matrices K_k (``wave_number_pairs``) and dimensions 2 or 4.
+    Hermitian 2x2 matrices K_k (``WaveSpectrum.K``) and dimensions 2 or 4.
 
     On a W_k of dimension 4 the real 8x8 [[0, I], [omega^2 + h_k, 2 omega
     diag(J2, J2)]] is the realification of the complex 4x4 [[0, I],

@@ -17,6 +17,7 @@ depends on n alone and is built and checked once per n (``dihedral``).
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,8 +151,8 @@ class Dihedral:
     and ``degrees``, ``characters`` indexed (irreducible, class) and the
     ``class_sizes``; the ``multiplicities`` of the configuration action per
     irreducible, the row gathers ``gathers`` of the generators a and r
-    (``_commutator``) and the unit cos/sin ``patterns`` of
-    ``wave_number_stack``, (n//2 + 1, 2, n)."""
+    (``_commutator``), each W_k's dimension ``wave_dims`` (2 where 2k = 0
+    mod n, else 4) and ``wave_number_stack``'s unit cos/sin ``patterns``."""
 
     perms: np.ndarray
     rots: np.ndarray
@@ -163,6 +164,7 @@ class Dihedral:
     class_sizes: np.ndarray
     multiplicities: tuple
     gathers: np.ndarray
+    wave_dims: np.ndarray
     patterns: np.ndarray
 
 
@@ -219,20 +221,19 @@ def dihedral(n):
     # the rows 2 perm[i] + (0, 1) of a = element 1 and r = element n
     gathers = (2 * perms[[1, n], :, None] + np.arange(2)).reshape(2, 2 * n)
     kw = np.arange(n // 2 + 1)
+    dims = np.where((2 * kw) % n, 4, 2)
     phase = 2.0 * np.pi * kw[:, None] * ks / n
     patterns = np.stack([np.cos(phase), np.sin(phase)], axis=1)    # (k, [cos, sin], n)
-    patterns[(2 * kw) % n == 0, 1] = 0.0
+    patterns[dims == 2, 1] = 0.0
     norms = np.sqrt((patterns * patterns).sum(axis=2, keepdims=True))
     patterns /= np.where(norms > 0.0, norms, 1.0)
-    for arr in (perms, rots, class_of, degrees, characters, class_sizes, gathers, patterns):
+    for arr in (perms, rots, class_of, degrees, characters, class_sizes, gathers, dims, patterns):
         arr.flags.writeable = False
     entry = Dihedral(perms, rots, classes, class_of, tuple(names), degrees, characters,
-                     class_sizes, (), gathers, patterns)
-    # the configuration action (``representation_character``): the bodies a
-    # representative fixes times the trace of its planar map, which is 0 for
-    # a reflection about any axis
-    fixed = np.sum(perms[reps] == ks, axis=1)
-    chi = np.where(is_refl, 0.0, fixed * np.trace(rots[k], axis1=1, axis2=2))
+                     class_sizes, (), gathers, dims, patterns)
+    # the configuration action's character, on the group of axis angle 0
+    chi = representation_character(SymmetryGroup(
+        perms, np.concatenate([rots, rots @ reflection(0.0)]), classes, 0.0))
     return replace(entry, multiplicities=tuple(decompose_multiplicities(chi, entry)))
 
 
@@ -273,7 +274,7 @@ def invariance_defect(H, group):
                  + np.linalg.norm(_commutator(H, gather_r, group.orthos[n])))
 
 
-def eigenvalues_by_trace_equations(H, group, waves=None):
+def eigenvalues_by_trace_equations(H, group, wave_eigs):
     """Per-irreducible eigenvalues of an invariant symmetric matrix.
 
     The traces Tr(H D(g)) = sum_i tr(H_{i perm[i]} O) determine, through
@@ -283,17 +284,17 @@ def eigenvalues_by_trace_equations(H, group, waves=None):
     The one-dimensional components are finished by their sums; the
     component of E_j is the wave-number-j subspace W_j of the polygon,
     where W_j^T H W_j is the realification of a 2x2 Hermitian K_j whose two
-    eigenvalues each carry twice; one stacked eigvalsh of every K_j gives them.
-    ``waves`` is the polygon's ``wave_number_stack``, built from the group's
-    vertices when not given.  The character table, the class of each
-    element and the multiplicities come from ``dihedral``, checked when it
-    was built.  Three checks run on every call, each raising
-    InvarianceError with its value and its bound: the invariance gate,
-    ``invariance_defect`` against INVARIANCE_TOL max |H| (on the Hessians
-    of regular polygons under the four benchmark potentials it sits at
-    <= 7.6e-13 max |H| for n <= 24, 6.0e-12 at n <= 64 and 8.9e-11 at
-    n = 200); the trace sums against the wave-number eigenvalues; and the
-    assembled multiset against a direct symmetric diagonalization of H.
+    eigenvalues each carry twice; row k of ``wave_eigs``, the ``lam`` of
+    H's ``wave_number_spectrum`` (or of Hw = H / m times the common mass m),
+    gives them.  The character table, the class of each element and the
+    multiplicities come from ``dihedral``, checked when it was built.
+    Three checks run on every call, each raising InvarianceError with its
+    value and its bound: the invariance gate, ``invariance_defect`` against
+    INVARIANCE_TOL max |H| (on the Hessians of regular polygons under the
+    four benchmark potentials it sits at <= 7.6e-13 max |H| for n <= 24,
+    6.0e-12 at n <= 64 and 8.9e-11 at n = 200); the trace sums against the
+    wave-number eigenvalues; and the assembled multiset against a direct
+    symmetric diagonalization of H.
 
     Returns (components, multiset): per irreducible a dict of its name
     ``irrep``, ``degree``, ``multiplicity`` and ``eigenvalues``, and the
@@ -314,10 +315,7 @@ def eigenvalues_by_trace_equations(H, group, waves=None):
     # the rows E1, E2, ... follow the one-dimensional irreducibles, and E_j
     # is carried by W_j, j = 1..n_two_dim
     n_one = int(np.sum(table.degrees == 1))
-    if waves is None:
-        waves = wave_number_stack(group.vertices())
-    K = _wave_number_reduction(H, waves[1:len(table.names) - n_one + 1])[2]
-    wave_eigs = np.linalg.eigvalsh(K)
+    wave_eigs = np.asarray(wave_eigs)[1:len(table.names) - n_one + 1]
     off = np.abs(wave_eigs.sum(axis=1) - sums[n_one:])
     bounds = TRACE_CHECK_TOL * (1.0 + np.abs(sums[n_one:]))
     bad = np.flatnonzero(off > bounds)
@@ -462,10 +460,11 @@ def wave_number_stack(points):
     bodies weighted by cos(2 pi j k / n) and sin(2 pi j k / n), in the order
     (r cos, t cos, r sin, t sin).  Where 2k = 0 mod n (k = 0, and k = n/2 for
     even n) the sine patterns vanish, W_k has dimension 2 and its last two
-    columns are zero.  At an equal-mass regular polygon each W_k is invariant
-    under the Hessian of any pair potential and under Jhat, which acts on it
-    as diag(J2, J2).  The unit cos/sin patterns depend on n alone
-    (``dihedral``, n >= 3); only the bodies' frame is built here.
+    columns are zero (``dihedral(n).wave_dims``).  At an equal-mass regular
+    polygon each W_k is invariant under the Hessian of any pair potential
+    and under Jhat, which acts on it as diag(J2, J2).  The unit cos/sin
+    patterns depend on n alone (``dihedral``, n >= 3); only the bodies'
+    frame is built here.
     """
     q = np.asarray(points, dtype=float)
     n = q.shape[0]
@@ -478,32 +477,34 @@ def wave_number_stack(points):
             * frame.transpose(0, 2, 1)[None, :, :, None, :]).reshape(waves.shape[0], 2 * n, 4)
 
 
-def wave_number_basis(points, k):
-    """The nonzero columns of ``wave_number_stack(points)[k]``: an
-    orthonormal basis of W_k, of dimension 4, or 2 where 2k = 0 mod n."""
-    W = wave_number_stack(points)[k]
-    return W[:, :2] if (2 * k) % (W.shape[0] // 2) == 0 else W
+WaveSpectrum = namedtuple("WaveSpectrum", "images K lam U")
 
 
-def _wave_number_reduction(M, waves):
-    """(images, h, K) of a symmetric M on a wave-number stack.
-
-    images = M W_k and h_k = W_k^T M W_k for every k, from one product with
-    M and one batched product.  Where M commutes with the polygon's group,
-    h_k is the realification [[A, -B], [B, A]] of the 2x2 Hermitian
-    K_k = A + iB (``checks.check_wave_number_blocks``); where W_k has
-    dimension 2, B and the lower right block are zero and K_k = A.
+def wave_number_spectrum(M, waves):
+    """A symmetric M on a wave-number stack, as a read-only ``WaveSpectrum``:
+    the ``images`` M W_k (m, 2n, 4) from one product with M, the Hermitian
+    ``K`` (m, 2, 2) with K_k = A + iB from h_k = W_k^T M W_k, one batched
+    product, and from one stacked eigh the ascending eigenvalues ``lam``
+    (m, 2) of each K_k and its unit eigenvectors, the columns of ``U``.
+    Where M commutes with the polygon's group, h_k is the realification
+    [[A, -B], [B, A]] of K_k (``checks.check_wave_number_blocks``); where
+    W_k has dimension 2, B and the lower right block are zero and K_k = A.
     """
     m, n2 = waves.shape[0], waves.shape[1]
-    images = (M @ waves.transpose(1, 0, 2).reshape(n2, 4 * m)).reshape(n2, m, 4)
-    images = images.transpose(1, 0, 2)
+    images = np.asarray(M, dtype=float) @ waves.transpose(1, 0, 2).reshape(n2, 4 * m)
+    images = images.reshape(n2, m, 4).transpose(1, 0, 2)
     h = waves.transpose(0, 2, 1) @ images
-    return images, h, h[:, :2, :2] + 1j * h[:, 2:, :2]
+    K = h[:, :2, :2] + 1j * h[:, 2:, :2]
+    spectrum = WaveSpectrum(images, K, *np.linalg.eigh(K))
+    for a in spectrum:
+        a.flags.writeable = False
+    return spectrum
 
 
-def wave_number_pairs(M, waves):
+def wave_number_pairs(spectrum, waves):
     """Eigenvector pairs of an invariant symmetric M compatible with Jhat,
-    read off the Hermitian 2x2 matrices K_k of every wave number at once.
+    read off the eigenvectors of every wave number's K_k at once from M's
+    ``wave_number_spectrum`` on the stack ``waves``.
 
     Jhat acts on W_k as diag(J2, J2), which is J2 on the complex coordinates
     of K_k, so a pair inside W_k comes from an eigenvector u of K_k in one of
@@ -520,18 +521,16 @@ def wave_number_pairs(M, waves):
     accepted pairs' residuals are <= 32 eps |M|_2 and the rejected ones
     >= 8e-4 |M|_2.
 
-    Returns (pairs, K, paired): the JPair objects sorted by (lam1, lam2),
-    the stack K of ``_wave_number_reduction`` and whether each k paired.
+    Returns (pairs, paired): the JPair objects sorted by (lam1, lam2) and
+    whether each k paired.
     """
-    images, _, K = _wave_number_reduction(np.asarray(M, dtype=float), waves)
-    lam, U = np.linalg.eigh(K)
-    m, n = lam.shape[0], waves.shape[1] // 2
-    full = (2 * np.arange(m)) % n != 0
+    images, _, lam, U = spectrum
+    full = dihedral(waves.shape[1] // 2).wave_dims == 4
     res_tol = PAIR_TOL * float(np.max(np.abs(lam)))
     s = (U * U).sum(axis=1)
     real = (np.abs(s[:, 0]) >= 0.5) | ~full
     # X[k] holds the coordinates of each v1 in W_k, then those of its v2
-    X = np.zeros((m, 4, 4))
+    X = np.zeros((len(lam), 4, 4))
     u = (U[:, :, 0] * np.exp(-0.5j * np.angle(s[:, :1]))).real
     X[:, :2, 0] = X[:, 2:, 1] = u / np.linalg.norm(u, axis=1, keepdims=True)
     plane = ~real
@@ -547,4 +546,4 @@ def wave_number_pairs(M, waves):
     paired = ok.all(axis=1)
     pairs = [JPair(float(L[k, c]), float(L[k, c + 2]), V[k, :, c], V[k, :, c + 2])
              for k in np.flatnonzero(paired) for c in range(1 + full[k])]
-    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), K, paired
+    return sorted(pairs, key=lambda p: (p.lam1, p.lam2)), paired

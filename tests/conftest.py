@@ -4,6 +4,12 @@ import pytest
 from relequil.central import RefinementError, refine_central_configuration, regular_polygon
 from relequil.model import BodyConfiguration, PotentialSpec
 from relequil.presets import all_standard_cases
+from relequil.symmetry import (
+    dihedral,
+    eigenvalues_by_trace_equations,
+    wave_number_spectrum,
+    wave_number_stack,
+)
 
 
 @pytest.fixture
@@ -46,6 +52,23 @@ def random_safe_configuration(rng, n=4, min_distance=0.35, masses=None):
             continue
         if cfg.min_pair_distance() >= min_distance:
             return cfg
+
+
+def wave_bases(points):
+    """The bases W_k, k = 0..n//2, of the regular polygon at ``points``: its
+    ``wave_number_stack`` sliced to ``dihedral(n).wave_dims``."""
+    return [W[:, :d] for W, d in zip(wave_number_stack(points), dihedral(len(points)).wave_dims)]
+
+
+def trace_wave_eigs(H, group):
+    """The wave-number eigenvalues that the trace route reads: those of H's
+    own ``wave_number_spectrum`` on the group's polygon."""
+    return wave_number_spectrum(H, wave_number_stack(group.vertices())).lam.copy()
+
+
+def trace_route(H, group):
+    """``eigenvalues_by_trace_equations`` of H on its own wave-number spectrum."""
+    return eigenvalues_by_trace_equations(H, group, trace_wave_eigs(H, group))
 
 
 BENCHMARK_POTENTIALS = {

@@ -24,9 +24,9 @@ from relequil.spectrum import (
     decompose_blocks,
     full_linearization_spectrum,
 )
-from relequil.symmetry import build_polygon_symmetry_group, eigenvalues_by_trace_equations
+from relequil.symmetry import build_polygon_symmetry_group
 
-from conftest import refined_polygons
+from conftest import refined_polygons, trace_route
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -112,8 +112,7 @@ def test_criterion_3_trace_equation_eigenvalues():
     def check(cfg, spec, n):
         nonlocal ok, worst
         H = potential_hessian(cfg, spec)
-        components, multiset = eigenvalues_by_trace_equations(
-            H, build_polygon_symmetry_group(n))
+        components, multiset = trace_route(H, build_polygon_symmetry_group(n))
         direct = np.sort(np.linalg.eigvalsh(H))
         rel = np.max(np.abs(multiset - direct)) / (
             1.0 + np.max(np.abs(direct))

@@ -93,7 +93,7 @@ def _cached_arrays(n, group):
     entry = dihedral(n)
     return {
         "perms": entry.perms, "rots": entry.rots, "class_of": entry.class_of,
-        "gathers": entry.gathers, "patterns": entry.patterns,
+        "gathers": entry.gathers, "wave_dims": entry.wave_dims, "patterns": entry.patterns,
         "degrees": entry.degrees, "characters": entry.characters,
         "class_sizes": entry.class_sizes, "group.perms": group.perms,
         "group.orthos": group.orthos, "block_symplectic": block_symplectic(n),
@@ -123,6 +123,7 @@ def test_cached_build_matches_a_build_from_scratch(n):
         assert (list(table.multiplicities)
                 == _reference_multiplicities(n, perms, orthos, classes, values, sizes))
 
+        assert _same_bytes(table.wave_dims, np.where((2 * np.arange(n // 2 + 1)) % n == 0, 2, 4))
         vertices = group.vertices()
         assert _same_bytes(wave_number_stack(vertices),
                            _reference_wave_number_stack(vertices)), angle

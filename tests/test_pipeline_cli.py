@@ -205,7 +205,8 @@ class TestReports:
         dump = tmp_path / "decks.json"
         assert run("scripts/report_digest.py", "--dump", str(dump)) == []
         assert run("scripts/report_digest.py", "--against", str(dump)) == [
-            f"{deck:<10} union 0  oracle 0  verdicts 0  label counts 0  errors +0 -0"
+            f"{deck:<10} union 0  oracle 0  isotypic 0  pairs 0  verdicts 0  label counts 0  "
+            "errors +0 -0"
             for deck in ("presets", "polygons", "collinear")]
 
     def test_schema_version_checked(self):
@@ -260,7 +261,7 @@ class TestConsistencyError:
 
         def drop_a_block(eq):
             deco = real(eq)
-            return type(deco)(deco.blocks[1:], deco.block_spectra[1:], deco.coupled_spectra)
+            return type(deco)(deco.blocks[1:], deco.block_spectra[1:], deco.coupled_spectra, None)
 
         monkeypatch.setattr(pipeline, "decompose_blocks", drop_a_block)
         with pytest.raises(ConsistencyError) as err:
@@ -434,6 +435,33 @@ class TestSweep:
         assert dict(result.summary) == {
             1.9: "pure-imaginary", 2.0: "zero", 2.1: "real"
         }
+
+    def test_labels_read_the_decomposition_not_the_report(self, monkeypatch):
+        # the summary labels the block that holds z, read off the
+        # decomposition; no report is serialized to find it
+        def refuse(report):
+            raise AssertionError("run_sweep serialized a report")
+
+        monkeypatch.setattr(StabilityReport, "to_dict", refuse)
+        result = run_sweep(AnalysisRequest(case="triangle-homogeneous"), [1.9, 2.0, 2.1])
+        assert dict(result.summary) == {1.9: "pure-imaginary", 2.0: "zero", 2.1: "real"}
+
+    def test_typed_triangle_labels_its_homographic_block(self):
+        # typed to 9 digits, the triangle at alpha = 1.1 pairs only its
+        # translations; z lies in a coupled block of four eigenvalues, the
+        # homographic 0, 0, +-i s of the exact triangle's z pair
+        positions = tuple(np.round(regular_polygon(3).positions, 9))
+        request = AnalysisRequest(positions=positions, alpha=1.1)
+        _, eq, typed = pipeline._analysis(request, None)
+        _, _, exact = pipeline._analysis(
+            AnalysisRequest(positions=tuple(regular_polygon(3).positions), alpha=1.1), None)
+        assert len(typed.blocks) == 1 and typed.z_block == 1
+        got = typed.coupled_spectra[0]
+        want = exact.block_spectra[exact.z_block]
+        assert len(got) == 4
+        np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(want), rtol=0,
+                                   atol=1e-6 * eq.omega)
+        assert dict(run_sweep(request, [1.1]).summary) == {1.1: "pure-imaginary"}
 
     def test_all_verdicts_unstable_across_grid(self):
         result = run_sweep(

@@ -29,7 +29,9 @@ from relequil.spectrum import (
     _trivial_in,
     sorted_spectrum,
 )
-from relequil.symmetry import J2, block_symplectic, symplectic_pairs, wave_number_basis
+from relequil.symmetry import J2, block_symplectic, symplectic_pairs
+
+from conftest import wave_bases
 
 
 def _match_distance(a, b):
@@ -405,7 +407,7 @@ class TestBlockOracleAgreement:
         cfg = regular_polygon(n).rotated(0.7)
         bases = symplectic_pairs(Equilibrium(cfg, PotentialSpec(terms)).Hw)[1]
         assert bases
-        waves = [wave_number_basis(cfg.points, k) for k in range(n // 2 + 1)]
+        waves = wave_bases(cfg.points)
         for V in bases:
             P = V @ V.T
             gaps = [np.max(np.abs(P - W @ W.T)) for W in waves]

@@ -22,8 +22,9 @@ from relequil.symmetry import (
     polygon_axis_angle,
     representation_character,
     symplectic_pairs,
-    wave_number_basis,
 )
+
+from conftest import trace_route, trace_wave_eigs, wave_bases
 
 SQRT3 = np.sqrt(3.0)
 
@@ -120,7 +121,7 @@ class TestGroupConstruction:
         # drifts past ORTHO_TOL from n = 129
         eq = Equilibrium(regular_polygon(n), PotentialSpec.homogeneous(1.0))
         assert eq.config.group.order == 2 * n
-        _, multiset = eigenvalues_by_trace_equations(eq.H, eq.config.group, eq.config.waves)
+        _, multiset = eigenvalues_by_trace_equations(eq.H, eq.config.group, eq.wave_spectrum.lam)
         assert multiset.size == 2 * n
 
 
@@ -284,7 +285,7 @@ class TestInvariance:
             defect = invariance_defect(A, group)
             assert not defect <= 1e-8 * np.max(np.abs(A)), defect
             with pytest.raises(InvarianceError):
-                eigenvalues_by_trace_equations(A, group)
+                trace_route(A, group)
 
 
 def _class_of(group):
@@ -365,7 +366,7 @@ class TestProjectors:
                  for P in _reference_projectors(group, dihedral(group.n))]
         assert ranks == [1, 1, 4]
         # A1 + A2 is wave number 0 and E1 wave number 1
-        dims = [wave_number_basis(group.vertices(), k).shape[1] for k in (0, 1)]
+        dims = [W.shape[1] for W in wave_bases(group.vertices())[:2]]
         assert dims == [ranks[0] + ranks[1], ranks[2]]
 
     def test_trivial_component_is_configuration_direction(self, triangle):
@@ -373,7 +374,7 @@ class TestProjectors:
         P0 = _reference_projectors(group, dihedral(group.n))[0]
         z = triangle.positions
         np.testing.assert_allclose(P0 @ z, z, atol=1e-13)
-        W0 = wave_number_basis(group.vertices(), 0)
+        W0 = wave_bases(group.vertices())[0]
         np.testing.assert_allclose(W0 @ (W0.T @ z), z, atol=1e-13)
 
     def test_commute_with_invariant_matrix(self, rng):
@@ -389,7 +390,7 @@ class TestProjectors:
         group = build_polygon_symmetry_group(n, axis_angle=0.7)
         table = dihedral(n)
         projectors = _reference_projectors(group, table)
-        bases = [wave_number_basis(group.vertices(), k) for k in range(n // 2 + 1)]
+        bases = wave_bases(group.vertices())
         for k, W in enumerate(bases):
             P = _wave_number_target(table.names, projectors, n, k)
             np.testing.assert_allclose(P @ W, W, rtol=0, atol=1e-13, err_msg=str(k))
@@ -405,7 +406,7 @@ class TestAgainstProjectorRoute:
 
     @staticmethod
     def _assert_same(H, group):
-        new = [c["eigenvalues"] for c in eigenvalues_by_trace_equations(H, group)[0]]
+        new = [c["eigenvalues"] for c in trace_route(H, group)[0]]
         ref = _reference_trace_route(H, group)
         assert [len(v) for v in new] == [len(v) for v in ref]
         np.testing.assert_allclose(np.concatenate(new), np.concatenate(ref), rtol=0,
@@ -438,7 +439,7 @@ class TestTraceEquations:
             spec = PotentialSpec.homogeneous(alpha)
             H = potential_hessian(triangle, spec)
             group = build_polygon_symmetry_group(3)
-            components, _ = eigenvalues_by_trace_equations(H, group)
+            components, _ = trace_route(H, group)
             w2 = 3.0 ** (-alpha / 2.0) * alpha
             lists = [c["eigenvalues"] for c in components]
             assert lists[0][0] == pytest.approx(w2 * (1.0 + alpha), rel=1e-12)
@@ -451,7 +452,7 @@ class TestTraceEquations:
         for case in standard_cases:
             H = potential_hessian(case.configuration(), case.potential)
             group = build_polygon_symmetry_group(case.n)
-            _, multiset = eigenvalues_by_trace_equations(H, group)
+            _, multiset = trace_route(H, group)
             direct = np.sort(np.linalg.eigvalsh(H))
             np.testing.assert_allclose(
                 multiset, direct,
@@ -460,7 +461,7 @@ class TestTraceEquations:
 
     def test_scalar_matrix(self):
         group = build_polygon_symmetry_group(3)
-        components, _ = eigenvalues_by_trace_equations(2.5 * np.eye(6), group)
+        components, _ = trace_route(2.5 * np.eye(6), group)
         for comp in components:
             for lam in comp["eigenvalues"]:
                 assert lam == pytest.approx(2.5, rel=1e-13)
@@ -472,7 +473,7 @@ class TestTraceEquations:
             for _ in range(25):
                 M = rng.standard_normal((2 * n, 2 * n))
                 M = sum(D @ (M + M.T) @ D.T for D in mats)
-                _, multiset = eigenvalues_by_trace_equations(M, group)
+                _, multiset = trace_route(M, group)
                 direct = np.sort(np.linalg.eigvalsh(M))
                 np.testing.assert_allclose(
                     multiset, direct,
@@ -483,7 +484,7 @@ class TestTraceEquations:
         group = build_polygon_symmetry_group(3)
         M = rng.standard_normal((6, 6))
         with pytest.raises(InvarianceError):
-            eigenvalues_by_trace_equations(M + M.T, group)
+            trace_route(M + M.T, group)
 
     @staticmethod
     def _figures(message):
@@ -495,50 +496,40 @@ class TestTraceEquations:
         M = rng.standard_normal((6, 6))
         M = M + M.T
         with pytest.raises(InvarianceError, match="invariance defect") as err:
-            eigenvalues_by_trace_equations(M, group)
+            trace_route(M, group)
         defect, bound = self._figures(str(err.value))
         assert defect == pytest.approx(invariance_defect(M, group), rel=1e-3)
         assert bound == pytest.approx(INVARIANCE_TOL * np.max(np.abs(M)), rel=1e-3)
         assert defect > bound
 
     @staticmethod
-    def _plant(monkeypatch, k, shift):
-        """Make the trace route read K_k + shift(K_k) for the k-th wave number."""
-        reduce = symmetry._wave_number_reduction
+    def _plant(H, group, k, shift):
+        """The wave-number eigenvalues of H with ``shift`` planted into those
+        of K_k, as the trace route and the blocks would share them."""
+        wave_eigs = trace_wave_eigs(H, group)
+        wave_eigs[k] += shift
+        return wave_eigs
 
-        def planted(M, waves):
-            images, h, K = reduce(M, waves)
-            K = K.copy()
-            K[k - 1] += shift(K[k - 1])
-            return images, h, K
-
-        monkeypatch.setattr(symmetry, "_wave_number_reduction", planted)
-
-    def test_trace_sum_check_names_its_offset_and_bound(self, monkeypatch):
+    def test_trace_sum_check_names_its_offset_and_bound(self):
         # K_2 + delta I moves the sum of its two eigenvalues by 2 delta
         H = potential_hessian(regular_polygon(5), PotentialSpec.manev())
         group, delta = build_polygon_symmetry_group(5), 1e-6
-        total = sum(eigenvalues_by_trace_equations(H, group)[0][-1]["eigenvalues"])
-        self._plant(monkeypatch, 2, lambda K: delta * np.eye(2))
+        total = sum(trace_route(H, group)[0][-1]["eigenvalues"])
+        planted = self._plant(H, group, 2, [delta, delta])
         with pytest.raises(InvarianceError, match="component E2: .* trace-equation sum") as err:
-            eigenvalues_by_trace_equations(H, group)
+            eigenvalues_by_trace_equations(H, group, planted)
         off, bound = self._figures(str(err.value))
         assert off == pytest.approx(2 * delta, rel=1e-3)
         assert bound == pytest.approx(TRACE_CHECK_TOL * (1.0 + abs(total)), rel=1e-3)
 
-    def test_direct_check_names_its_distance_and_bound(self, monkeypatch):
-        # moving the eigenvalues of K_1 by +delta and -delta keeps their sum,
+    def test_direct_check_names_its_distance_and_bound(self):
+        # moving the eigenvalues of K_1 by -delta and +delta keeps their sum,
         # so only the check against a direct eigvalsh sees it
         H = potential_hessian(regular_polygon(5), PotentialSpec.manev())
         group, delta = build_polygon_symmetry_group(5), 1e-6
-
-        def split(K):
-            U = np.linalg.eigh(K)[1]
-            return delta * (np.outer(U[:, 1], U[:, 1].conj()) - np.outer(U[:, 0], U[:, 0].conj()))
-
-        self._plant(monkeypatch, 1, split)
+        planted = self._plant(H, group, 1, [-delta, delta])
         with pytest.raises(InvarianceError, match="direct diagonalization") as err:
-            eigenvalues_by_trace_equations(H, group)
+            eigenvalues_by_trace_equations(H, group, planted)
         distance, bound = self._figures(str(err.value))
         assert distance == pytest.approx(delta, rel=1e-3)
         assert bound == pytest.approx(TRACE_CHECK_TOL * (np.max(np.abs(H)) + 1.0), rel=1e-3)
@@ -689,7 +680,7 @@ class TestJPairs:
         H = potential_hessian(cfg, PotentialSpec.homogeneous(1.0))
         assert [V.shape[1] for V in symplectic_pairs(H)[1]] == [4, 4]
         for k in (2, 3):
-            W = wave_number_basis(cfg.points, k)
+            W = wave_bases(cfg.points)[k]
             U = np.linalg.eigh(W.T @ H @ W)[1]
             H += W @ (U @ np.diag([20.0, 20.0, 30.0, 30.0]) @ U.T - W.T @ H @ W) @ W.T
         H = 0.5 * (H + H.T)
@@ -703,7 +694,7 @@ class TestJPairs:
         cfg = regular_polygon(5).rotated(0.4)
         H = potential_hessian(cfg, PotentialSpec.homogeneous(1.0))
         Jh = block_symplectic(5)
-        bases = [wave_number_basis(cfg.points, k) for k in range(3)]
+        bases = wave_bases(cfg.points)
         assert [V.shape[1] for V in bases] == [2, 4, 4]
         V = np.column_stack(bases)
         np.testing.assert_allclose(V.T @ V, np.eye(10), atol=1e-14)

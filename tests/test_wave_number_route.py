@@ -34,6 +34,7 @@ from relequil.symmetry import (
     _apply_symplectic,
     _eigen_clusters,
     wave_number_pairs,
+    wave_number_spectrum,
 )
 
 from conftest import BENCHMARK_POTENTIALS, PRESET_ALPHAS, WHOLE_SPACE_DECK, collinear_deck, rings
@@ -56,6 +57,9 @@ def _assert_same(eq, label):
     match = compare_spectra(wave.union_spectrum(), whole.union_spectrum(), tol=1e-12)
     assert match.matches, (label, match.max_distance / match.scale)
     assert classify(wave.union_spectrum()).verdict == classify(whole.union_spectrum()).verdict
+    # both hold z in one block, of the same spectrum
+    z_spectra = [(d.block_spectra + d.coupled_spectra)[d.z_block] for d in (wave, whole)]
+    assert compare_spectra(*z_spectra, tol=1e-12).matches, label
 
 
 class TestEquivalence:
@@ -157,7 +161,9 @@ def _reference_symplectic_pairs(H):
 def _reference_decompose_blocks(eq):
     """The whole-space decomposition from the reference pairing; a pair
     whose v1 lies in span(T) takes the translations' +-i omega twice, and
-    each coupled basis deflates the trivial vectors it holds."""
+    each coupled basis deflates the trivial vectors it holds.  The block
+    that holds z is the one onto which more than half of z's norm^2
+    projects, pairs first."""
     pairs, bases = _reference_symplectic_pairs(eq.Hw)
     T, z, slack = eq.trivial
     coupled = []
@@ -171,7 +177,9 @@ def _reference_decompose_blocks(eq):
     w = 1j * eq.omega
     spectra = tuple(np.array([w, -w, w, -w]) if np.sum((Q.T @ p.v1) ** 2) > 0.5
                     else block_spectrum(eq.omega, p.lam1, p.lam2) for p in pairs)
-    return BlockDecomposition(tuple(pairs), spectra, tuple(coupled))
+    planes = [np.column_stack([p.v1, p.v2]) for p in pairs] + list(bases)
+    holds = [i for i, V in enumerate(planes) if np.sum((V.T @ z) ** 2) > 0.5 * (z @ z)]
+    return BlockDecomposition(tuple(pairs), spectra, tuple(coupled), (holds or [None])[0])
 
 
 class TestRouting:
@@ -181,22 +189,33 @@ class TestRouting:
                         potential=BENCHMARK_POTENTIALS["manev"]),
     ], ids=["square", "24-gon"])
     def test_polygon_analysis_reads_the_wave_stack(self, monkeypatch, request_):
-        # one stack per configuration, shared by the trace route and the
-        # blocks: exactly one on a cold configuration and none on a second run
-        # on a preset's shared one; no whole-space pairing and no 2n x 2n eigh
-        # inside decompose_blocks
-        stacks, shapes, inside = [], [], [False]
-        real_stack, real_eigh = symmetry.wave_number_stack, np.linalg.eigh
+        # one stack per configuration, and one wave-number spectrum per
+        # analysis, shared by the trace route and the blocks: exactly one
+        # stack on a cold configuration and none on a second run on a
+        # preset's shared one; per run exactly one reduction (one
+        # wave_number_spectrum), one stacked (m, 2, 2) eigh and no eigvalsh
+        # of a K stack; no whole-space
+        # pairing and no 2n x 2n eigh inside decompose_blocks
+        stacks, reductions, eighs, eigvalshs, inside = [], [], [], [], [False]
+        real_stack, real_spectrum = symmetry.wave_number_stack, symmetry.wave_number_spectrum
+        real_eigh, real_eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
         real_decompose = pipeline.decompose_blocks
 
         def counted_stack(points):
             stacks.append(len(points))
             return real_stack(points)
 
+        def counted_spectrum(M, waves):
+            reductions.append(waves.shape[0])
+            return real_spectrum(M, waves)
+
         def recorded_eigh(a, *args, **kwargs):
-            if inside[0]:
-                shapes.append(np.shape(a))
+            eighs.append((np.shape(a), inside[0]))
             return real_eigh(a, *args, **kwargs)
+
+        def recorded_eigvalsh(a, *args, **kwargs):
+            eigvalshs.append(np.shape(a))
+            return real_eigvalsh(a, *args, **kwargs)
 
         def flagged_decompose(*args, **kwargs):
             inside[0] = True
@@ -210,17 +229,25 @@ class TestRouting:
 
         for module in (symmetry, model):
             monkeypatch.setattr(module, "wave_number_stack", counted_stack)
+            monkeypatch.setattr(module, "wave_number_spectrum", counted_spectrum)
         monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
         monkeypatch.setattr(pipeline, "decompose_blocks", flagged_decompose)
         monkeypatch.setattr(spectrum, "symplectic_pairs", refuse)
         presets._unit_polygon.cache_clear()
         report = run_analysis(request_)
         n = report.to_dict()["configuration"]["n"]
+        m = n // 2 + 1
         assert report.matches_oracle and report.to_dict()["isotypic"]
         assert stacks == [n]
-        assert shapes and all(s[-2:] == (2, 2) for s in shapes)
+        assert reductions == [m]
+        assert [s for s, _ in eighs if s[-2:] == (2, 2)] == [(m, 2, 2)]
+        assert not [s for s in eigvalshs if s[-2:] == (2, 2)]
+        assert all(s[-2:] == (2, 2) for s, within in eighs if within)
         assert run_analysis(request_).to_dict() == report.to_dict()
         assert stacks == ([n] if request_.case else [n, n])
+        assert reductions == [m, m]
+        assert [s for s, _ in eighs if s[-2:] == (2, 2)] == [(m, 2, 2)] * 2
 
     @pytest.mark.parametrize("label, cfg, spec", collinear_deck() + rings(),
                              ids=lambda x: x if isinstance(x, str) else "")
@@ -246,6 +273,7 @@ class TestRouting:
         assert [(p.lam1, p.lam2) for p in got.blocks] == [(p.lam1, p.lam2) for p in ref.blocks]
         assert list(map(len, got.coupled_spectra)) == list(map(len, ref.coupled_spectra))
         assert got.union_spectrum().tobytes() == ref.union_spectrum().tobytes(), label
+        assert got.z_block == ref.z_block, label
 
 
 class TestTrivialWaveNumbers:
@@ -258,7 +286,7 @@ class TestTrivialWaveNumbers:
         u, v = eq.config.waves[k, :, 0], eq.config.waves[other, :, 0]
         Hw = eq.Hw + eps * np.max(np.abs(eq.Hw)) * (np.outer(u, v) + np.outer(v, u))
         fields = {"Hw": Hw, "Jh": eq.Jh, "omega": eq.omega, "n": eq.n, "trivial": eq.trivial,
-                  "config": eq.config}
+                  "config": eq.config, "wave_spectrum": wave_number_spectrum(Hw, eq.config.waves)}
         return type("Broken", (), fields)()
 
     @pytest.mark.parametrize("k, other", [(0, 2), (1, 1)])
@@ -267,7 +295,7 @@ class TestTrivialWaveNumbers:
         # the wave route pairs once; where W_0 or W_1 fails to pair, the
         # whole-space route decomposes the same equilibrium instead
         eq = self._broken(k, other)
-        assert not wave_number_pairs(eq.Hw, eq.config.waves)[2][k]
+        assert not wave_number_pairs(eq.wave_spectrum, eq.config.waves)[1][k]
         pairings, routed = [], []
         real_pairs = spectrum.wave_number_pairs
 
@@ -290,7 +318,7 @@ class TestTrivialWaveNumbers:
         positions = np.round(regular_polygon(3).positions, 9)
         eq = Equilibrium(BodyConfiguration(np.ones(3), positions), PotentialSpec.homogeneous(1.0))
         assert eq.config.waves is not None
-        assert not wave_number_pairs(eq.Hw, eq.config.waves)[2][:2].all()
+        assert not wave_number_pairs(eq.wave_spectrum, eq.config.waves)[1][:2].all()
         got = decompose_blocks(eq)
         assert got.union_spectrum().tobytes() == \
             spectrum._decompose_whole_space(eq).union_spectrum().tobytes()
