@@ -22,10 +22,12 @@ eigenvalues and its pairs' (lam1, lam2), or its error, as JSON.
 ``--against`` runs the decks on this tree and prints one line per deck:
 the largest matched change of each spectrum over its spectral radius
 (``compare_spectra``), the largest change of the isotypic and of the pair
-values over the largest of the case's old ones (inf where their number
-changed), the number of cases whose verdict or label counts changed, and
-the errors gained and lost; then one line per such case.  Both dumps must
-come from this version of the script.
+values over the larger of the case's largest old one and its old union
+spectral radius squared, which has their units (inf where their number
+changed), so that a rounding-level value such as a translation pair's zero
+does not set the scale; the number of cases whose verdict or label counts
+changed, and the errors gained and lost; then one line per such case.  Both
+dumps must come from this version of the script.
 """
 
 import argparse
@@ -116,13 +118,13 @@ def _spectrum(pairs):
     return np.array([complex(re, im) for re, im in pairs])
 
 
-def _relative_change(a, b):
-    """max |b - a| over max |a| of two lists of values, inf where their
-    shapes differ."""
+def _relative_change(a, b, scale):
+    """max |b - a| over the larger of max |a| and ``scale`` of two lists of
+    values, inf where their shapes differ."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         return np.inf
-    return float(np.max(np.abs(b - a), initial=0.0) / np.max(np.abs(a), initial=1e-300))
+    return float(np.max(np.abs(b - a), initial=0.0) / np.max(np.abs(a), initial=scale))
 
 
 def compare(old, new):
@@ -146,8 +148,9 @@ def compare(old, new):
             for key in ("union", "oracle"):
                 m = compare_spectra(_spectrum(a[key]), _spectrum(b[key]))
                 change[key] = max(change[key], m.max_distance / m.scale)
+            radius = np.max(np.abs(_spectrum(a["union"])), initial=1e-150)
             for key in ("isotypic", "pairs"):
-                change[key] = max(change[key], _relative_change(a[key], b[key]))
+                change[key] = max(change[key], _relative_change(a[key], b[key], radius ** 2))
             for key in ("verdict", "labels"):
                 if a[key] != b[key]:
                     counts[key] += 1

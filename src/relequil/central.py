@@ -49,18 +49,23 @@ def _normalize_gauges(z, pairs, theta_pin, inertia_pin):
 
 
 def _gauge_basis(z, masses):
-    """Orthonormalized gauge directions: weighted translations, rotation, scale."""
-    n = masses.size
-    tx = np.zeros(2 * n)
-    tx[0::2] = masses
-    ty = np.zeros(2 * n)
-    ty[1::2] = masses
-    rot = np.empty(2 * n)
-    rot[0::2] = z[1::2]
-    rot[1::2] = -z[0::2]
-    G = np.column_stack([tx, ty, rot, z])
-    U, S, _ = np.linalg.svd(G, full_matrices=False)
-    return U[:, S > 1e-12 * S[0]]
+    """Orthonormal gauge directions: weighted translations, rotation, scale.
+
+    The columns are M(1 x e_x), M(1 x e_y), the rotation (y, -x) and z
+    itself, each divided by its norm.  At a mass-centred z, which
+    ``_normalize_gauges`` makes of every iterate, they are orthogonal up to
+    rounding: sum_i m_i q_i = 0 makes z and the rotation orthogonal to both
+    translations, the translations are orthogonal to each other, and the
+    rotation is orthogonal to z for any z.  No column vanishes: the masses
+    are positive, and |rot| = |z| > 0 once the bodies are distinct.
+    """
+    G = np.zeros((z.size, 4))
+    G[0::2, 0] = masses
+    G[1::2, 1] = masses
+    G[0::2, 2] = z[1::2]
+    G[1::2, 2] = -z[0::2]
+    G[:, 3] = z
+    return G / np.linalg.norm(G, axis=0)
 
 
 def refine_central_configuration(config, spec, max_iter=60, fix_inertia=None,
@@ -85,37 +90,43 @@ def refine_central_configuration(config, spec, max_iter=60, fix_inertia=None,
     masses = np.asarray(config.masses, dtype=float)
     pairs = BodyPairs(masses)
     mass_vector = np.repeat(masses, 2)
+    mass_matrix = np.diag(mass_vector)
+    eye = np.eye(mass_vector.size)
     q0 = config.positions.reshape(-1, 2)
     theta_pin = float(np.arctan2(q0[0, 1], q0[0, 0]))
 
     def residual(z, sep):
-        """(F, merit, lam) at z, read from its separations sep."""
+        """(F, merit, lam, g, I) at z, read from its separations sep."""
         q = z.reshape(-1, 2)
         U = pairs.energy_terms(sep, spec.terms)
-        lam, g, F = pairs.centrality_residual(q, sep, spec.terms, U, pairs.inertia(q))
-        return F, float(np.linalg.norm(F) / (np.linalg.norm(g) + 1.0)), lam
+        I = pairs.inertia(q)
+        lam, g, F = pairs.centrality_residual(q, sep, spec.terms, U, I)
+        return F, float(np.linalg.norm(F) / (np.linalg.norm(g) + 1.0)), lam, g, I
 
     z = _normalize_gauges(config.positions.copy(), pairs, theta_pin, fix_inertia)
     sep = pairs.separations(z.reshape(-1, 2))
     pairs.check_distinct(sep[1])
     floor = 1e-6 * float(sep[1].min())
 
-    F, merit, lam = residual(z, sep)
+    F, merit, lam, g, I = residual(z, sep)
     history = [merit]
     for _ in range(max_iter):
         if merit <= MERIT_TOL:
             break
         # Jacobian of F(z) = grad U + lam(z) M z with
-        # grad lam = (sum_k a_k grad U_k)/(2I) - lam M z / I
+        # grad lam = (sum_k a_k grad U_k)/(2I) - lam M z / I;
+        # one term's weighted gradient is a grad U, the residual's g
         H = potential_hessian(_Point(pairs, sep), spec)
         Mz = mass_vector * z
-        I = pairs.inertia(z.reshape(-1, 2))
-        grad_weighted = sum(a * pairs.gradient(sep, ((c, a),)) for c, a in spec.terms)
+        if len(spec.terms) == 1:
+            grad_weighted = spec.terms[0][1] * g
+        else:
+            grad_weighted = sum(a * pairs.gradient(sep, ((c, a),)) for c, a in spec.terms)
         grad_lam = grad_weighted / (2.0 * I) - lam * Mz / I
-        J = H + lam * np.diag(mass_vector) + np.outer(Mz, grad_lam)
+        J = H + lam * mass_matrix + np.outer(Mz, grad_lam)
 
         gauge = _gauge_basis(z, masses)
-        P = np.eye(mass_vector.size) - gauge @ gauge.T
+        P = eye - gauge @ gauge.T
         step = -P @ np.linalg.lstsq(J @ P, F, rcond=1e-12)[0]
 
         for _halving in range(40):
@@ -125,9 +136,10 @@ def refine_central_configuration(config, spec, max_iter=60, fix_inertia=None,
             if not sep_new[1].all() or sep_new[1].min() < floor:
                 step *= 0.5
                 continue
-            F_new, merit_new, lam_new = residual(z_new, sep_new)
+            F_new, merit_new, lam_new, g_new, I_new = residual(z_new, sep_new)
             if merit_new < merit or merit_new <= MERIT_TOL:
-                z, sep, F, merit, lam = z_new, sep_new, F_new, merit_new, lam_new
+                z, sep, F, merit, lam, g, I = (z_new, sep_new, F_new, merit_new,
+                                               lam_new, g_new, I_new)
                 history.append(merit)
                 break
             step *= 0.5

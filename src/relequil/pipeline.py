@@ -83,11 +83,13 @@ class AnalysisRequest:
         if self.positions is None:
             raise InputError("need a preset case or explicit positions")
         positions = np.asarray(self.positions, dtype=float)
-        masses = (
-            np.asarray(self.masses, dtype=float)
-            if self.masses is not None
-            else np.ones(positions.size // 2)
-        )
+        if self.masses is not None:
+            masses = np.asarray(self.masses, dtype=float)
+        elif positions.size % 2:
+            raise InputError(f"positions need an x and a y per body: got "
+                             f"{positions.size} coordinates")
+        else:
+            masses = np.ones(positions.size // 2)
         try:
             return BodyConfiguration(masses, positions)
         except ValueError as exc:

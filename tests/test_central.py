@@ -92,6 +92,20 @@ def _reference_refine(config, spec, max_iter=60, tol=1e-12, fix_inertia=None):
     return cfg, history
 
 
+def _svd_gauge_basis(z, masses):
+    """The gauge basis as an SVD of its four columns, rank cut at 1e-12."""
+    n = masses.size
+    tx = np.zeros(2 * n)
+    tx[0::2] = masses
+    ty = np.zeros(2 * n)
+    ty[1::2] = masses
+    rot = np.empty(2 * n)
+    rot[0::2] = z[1::2]
+    rot[1::2] = -z[0::2]
+    U, S, _ = np.linalg.svd(np.column_stack([tx, ty, rot, z]), full_matrices=False)
+    return U[:, S > 1e-12 * S[0]]
+
+
 def _collinear_guesses():
     rng = np.random.default_rng(7)
     for n in range(3, 11):
@@ -240,6 +254,31 @@ class TestRefine:
             assert is_central_configuration(refined, spec).is_central
 
 
+def _perturbed_polygon(n):
+    poly = regular_polygon(n)
+    noise = np.random.default_rng(n).standard_normal(2 * n)
+    return poly.with_positions(poly.positions + 0.03 * noise / np.linalg.norm(noise))
+
+
+class TestGaugeBasis:
+    @pytest.mark.parametrize("start", [param.values[0] for param in _collinear_guesses()]
+                             + [_perturbed_polygon(n) for n in (3, 4, 5, 6, 8)])
+    def test_projector_matches_the_svd(self, start):
+        # at a mass-centred iterate the normalized columns are orthogonal
+        # up to the centring's rounding, cosines of about n eps; the norms
+        # and the SVD are accurate to a few 2n eps, so the two projectors
+        # agree entrywise to 4 (2n) eps
+        q0 = start.points
+        z = central._normalize_gauges(start.positions.copy(), model.BodyPairs(start.masses),
+                                      float(np.arctan2(q0[0, 1], q0[0, 0])), None)
+        U = central._gauge_basis(z, start.masses)
+        ref = _svd_gauge_basis(z, start.masses)
+        assert U.shape == ref.shape == (z.size, 4)
+        eye = np.eye(z.size)
+        bound = 4 * z.size * np.finfo(float).eps
+        assert np.max(np.abs((eye - U @ U.T) - (eye - ref @ ref.T))) <= bound
+
+
 class TestRefineAgainstReference:
     def _assert_same(self, start, spec, **kwargs):
         ref, ref_history = _reference_refine(start, spec, **kwargs)
@@ -255,17 +294,19 @@ class TestRefineAgainstReference:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
     @pytest.mark.parametrize("name", BENCH_SPECS)
     def test_perturbed_polygons_at_fixed_inertia(self, n, name):
-        poly = regular_polygon(n)
-        noise = np.random.default_rng(n).standard_normal(2 * n)
-        start = poly.with_positions(poly.positions + 0.03 * noise / np.linalg.norm(noise))
-        self._assert_same(start, BENCH_SPECS[name], fix_inertia=poly.inertia)
+        self._assert_same(_perturbed_polygon(n), BENCH_SPECS[name],
+                          fix_inertia=regular_polygon(n).inertia)
 
     def test_one_pass_over_the_pairs_per_trial_point(self, monkeypatch):
         # one BodyPairs for the refinement, one separation pass per trial
         # point (the start included), none more for the Jacobian, and one
         # BodyConfiguration, the result; each Jacobian's Hessian comes from
-        # model.potential_hessian, at the accepted point's separations
+        # model.potential_hessian, at the accepted point's separations.
+        # Each trial point's residual makes one energy and one gradient pass;
+        # a one-term Jacobian reuses the accepted point's gradient, a
+        # two-term one makes a pass per term
         made, passes, trials, configs, hessians = [], [], [], [], []
+        energies, gradients = [], []
 
         class CountedPairs(model.BodyPairs):
             def __init__(self, masses):
@@ -275,6 +316,14 @@ class TestRefineAgainstReference:
             def separations(self, points):
                 passes.append(self)
                 return super().separations(points)
+
+            def energy_terms(self, sep, terms):
+                energies.append(terms)
+                return super().energy_terms(sep, terms)
+
+            def gradient(self, sep, terms):
+                gradients.append(terms)
+                return super().gradient(sep, terms)
 
         normalize = central._normalize_gauges
 
@@ -294,9 +343,14 @@ class TestRefineAgainstReference:
         monkeypatch.setattr(central, "potential_hessian", counted_hessian)
         monkeypatch.setattr(central, "_normalize_gauges", counted_normalize)
         monkeypatch.setattr(central, "BodyConfiguration", counted_config)
-        start, spec = next(iter(_collinear_guesses())).values
-        _, history = refine_central_configuration(start, spec, return_history=True)
-        assert len(made) == 1 and len(configs) == 1
-        assert len(trials) >= len(history) > 2
-        assert passes == made * len(trials)
-        assert len(hessians) == len(history) - 1
+        guesses = [param.values for param in _collinear_guesses()]
+        for start, spec in (guesses[0], guesses[2]):     # n = 3: r-1, manev
+            for counted in (made, passes, trials, configs, hessians, energies, gradients):
+                counted.clear()
+            _, history = refine_central_configuration(start, spec, return_history=True)
+            assert len(made) == 1 and len(configs) == 1
+            assert len(trials) >= len(history) > 2
+            assert passes == made * len(trials)
+            assert len(hessians) == len(history) - 1
+            jacobian_passes = 0 if len(spec.terms) == 1 else len(spec.terms)
+            assert len(gradients) == len(energies) + jacobian_passes * len(hessians)

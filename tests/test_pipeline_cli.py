@@ -209,6 +209,29 @@ class TestReports:
             "errors +0 -0"
             for deck in ("presets", "polygons", "collinear")]
 
+    def test_report_digest_scales_pair_changes_by_the_spectral_radius(self, tmp_path):
+        # a two-term collinear case's only pair is the translation pair, a
+        # rounding-level zero; a 1e-15 move of it is a rounding-level change
+        script = GOLDEN_DIR.parent / "scripts" / "report_digest.py"
+
+        def run(*args):
+            done = subprocess.run([sys.executable, str(script), *args], capture_output=True,
+                                  text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            return done.stdout.splitlines()
+
+        dump = tmp_path / "decks.json"
+        run("--dump", str(dump))
+        decks = json.loads(dump.read_text())
+        case = next(numbers for label, numbers in decks["collinear"]
+                    if "manev" in label and "error" not in numbers)
+        assert np.max(np.abs(case["pairs"])) < 1e-12
+        case["pairs"][0][0] += 1e-15
+        dump.write_text(json.dumps(decks))
+        line = run("--against", str(dump))[2].split()
+        assert line[0] == "collinear" and line[7] == "pairs"
+        assert 0.0 < float(line[8]) <= 1e-12
+
     def test_schema_version_checked(self):
         report = run_analysis(_preset_request("triangle-homogeneous"))
         data = dict(report.to_dict())
@@ -552,6 +575,13 @@ class TestCli:
         ])
         assert code == 2
         assert "positions must be flat" in capsys.readouterr().err
+
+    def test_analyze_odd_coordinate_count_exit_2(self, capsys):
+        # with the masses defaulted, five coordinates are not two bodies
+        code = cli_main(["analyze", "--positions", "1,0,0,1,-1", "--alpha", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "input error: positions need an x and a y per body: got 5 coordinates\n")
 
     def test_simulate_noncentral_exit_2(self, capsys):
         code = cli_main(["simulate", "--positions=0,0,1,0", "--alpha", "1"])
