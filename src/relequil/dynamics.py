@@ -43,6 +43,14 @@ def _require_positive(**values):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _step_count(duration, dt):
+    """Steps of dt that cover duration: ceil(duration / dt), with a ratio
+    that rounding put a few ulps above an integer counted as that integer
+    (0.1 period / (period / 2000) is 200.00000000000003, not 201 steps)."""
+    ratio = duration / dt
+    return int(np.ceil(ratio - 4.0 * np.finfo(float).eps * ratio))
+
+
 def _complex_state(positions, velocities):
     """The complex state (z | u) of flat (x, y)-interleaved vectors."""
     return np.concatenate((np.ravel(positions), np.ravel(velocities)), dtype=float).view(complex)
@@ -63,7 +71,7 @@ class Trajectory:
     def records(self):
         """Plain records (time, state, energy) for external plotting."""
         return [
-            {"t": float(t), "state": list(map(float, s)), "energy": float(e)}
+            {"t": float(t), "state": s.tolist(), "energy": float(e)}
             for t, s, e in zip(self.times, self.states, self.jacobi_energy)
         ]
 
@@ -89,6 +97,12 @@ class _RotatingFrame:
     to acc and then ``offset``, the pin (see set_reference_equilibrium),
     subtracted last; it is zero until one is set.  A, W and the per-term
     exponents are built once per frame.
+
+    So are the buffers of the step loop: ``stages``, one row of
+    ``stage_buffer`` (4 x (P + 2n)) per RK4 stage as the views
+    (row, d, acc, (u | acc)), the stage state ``stage_state`` (2n) and the
+    field's scratch for |d|, its powers, the pair forces (K x P) and their
+    matvec (n).  field writes a stage in place, so a step allocates nothing.
     """
 
     def __init__(self, config, spec, omega2):
@@ -114,17 +128,36 @@ class _RotatingFrame:
         self.energy_exponents = -a
         # (squared flat positions | velocities) @ masses = (m |z|^2, m |u|^2)
         self.masses2 = np.kron(np.eye(2), self.mass_vector[:, None])
-        self.offset = 0.0
+        # 0-d: subtracting a Python 0.0 converts it at every call
+        self.offset = np.zeros((), complex)
+        self.stage_buffer = np.empty((4, self.P + 2 * n), complex)
+        self.stages = tuple(self._views(row) for row in self.stage_buffer)
+        self.stage_state = np.empty(2 * n, complex)
+        self._distance = np.empty(self.P)
+        self._powers = np.empty((c.shape[0], self.P))
+        self._forces = np.empty((c.shape[0], self.P), complex)
+        self._forces_flat = self._forces.reshape(-1)
+        self._force_sum = np.empty(n, complex)
 
-    def field(self, state):
-        """Time derivative (u | acc) of a complex state (z | u)."""
-        # ndarray.dot: for these few entries half the call cost of matmul
-        y = self.A.dot(state)
-        d = y[: self.P]
-        acc = y[self.P + self.n:]
-        acc += self.W.dot((abs(d) ** self.force_exponents * d).ravel())
+    def _views(self, row):
+        """(row, d, acc, (u | acc)) of one (P + 2n) row of A (z | u)."""
+        return row, row[: self.P], row[self.P + self.n:], row[self.P:]
+
+    def field(self, state, out=None):
+        """Time derivative (u | acc) of a complex state (z | u), written into
+        the stage ``out`` (one of ``stages``) or, without one, a new row."""
+        if out is None:
+            out = self._views(np.empty(self.P + 2 * self.n, complex))
+        row, d, acc, derivative = out
+        # out passed by position: as a keyword it costs each call more
+        np.dot(self.A, state, row)
+        np.abs(d, self._distance)
+        np.power(self._distance, self.force_exponents, self._powers)
+        np.multiply(self._powers, d, self._forces)
+        np.dot(self.W, self._forces_flat, self._force_sum)
+        acc += self._force_sum
         acc -= self.offset
-        return y[self.P:]
+        return derivative
 
     def set_reference_equilibrium(self, positions):
         """Pin an equilibrium: subtract the field's float residual there.
@@ -148,6 +181,27 @@ class _RotatingFrame:
         terms = r[:, None] ** self.energy_exponents               # (B, K, P)
         potential = terms.reshape(r.shape[0], -1) @ self.energy_weights
         return 0.5 * mv2, 0.5 * self.omega2 * mq2, potential, r
+
+
+def _rk4_steps(frame, state, rows, half, full, sixth, two):
+    """RK4 steps from ``state``, each into the next of ``rows``, in place on
+    the frame's stage buffers with the operand order of
+
+        k1 = f(state), k2 = f(state + half k1), k3 = f(state + half k2),
+        k4 = f(state + full k3), state + sixth (k1 + two (k2 + k3) + k4),
+
+    so that each step is bitwise that of the allocating expressions."""
+    field, s1, s2, s3, s4, x = frame.field, *frame.stages, frame.stage_state
+    add, mul = np.add, np.multiply
+    for row in rows:
+        k1 = field(state, s1)
+        k2 = field(add(state, mul(half, k1, x), x), s2)
+        k3 = field(add(state, mul(half, k2, x), x), s3)
+        k4 = field(add(state, mul(full, k3, x), x), s4)
+        add(k2, k3, x)
+        add(k1, mul(two, x, x), x)
+        add(x, k4, x)
+        state = add(state, mul(sixth, x, x), row)
 
 
 def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
@@ -192,7 +246,7 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
     state = _complex_state(config.positions, initial_velocity)
     floor = COLLISION_FACTOR * config.min_pair_distance()
 
-    steps = int(np.ceil(duration / dt))
+    steps = _step_count(duration, dt)
     kinetic, centrifugal, potential, _ = frame.energy_parts(state[None])
     e0 = kinetic - centrifugal - potential
     # the integral's scale: the sum of its parts' sizes
@@ -207,13 +261,8 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
         k = np.arange(done + 1, done + block.shape[0] + 1)
         # the steps past a failure in the block compute garbage, silently
         with np.errstate(all="ignore"):
-            for j in range(block.shape[0]):
-                k1 = frame.field(state)
-                k2 = frame.field(state + half * k1)
-                k3 = frame.field(state + half * k2)
-                k4 = frame.field(state + full * k3)
-                state = state + sixth * (k1 + two * (k2 + k3) + k4)
-                block[j] = state
+            _rk4_steps(frame, state, block, half, full, sixth, two)
+            state = block[-1]
             # a fixed-step scheme can hop straight across the singularity
             # with finite garbage values; the conserved energy tearing away
             # from its initial value is the reliable collision tell
@@ -329,12 +378,11 @@ def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None):
         reference_equilibrium=config.positions, stop_deviation=max(top, 300.0 * epsilon),
     )
     dev = np.linalg.norm(traj.positions - config.positions[None, :], axis=1)
-    inside = (dev >= 10.0 * epsilon) & (dev <= top)
-    # first contiguous run inside the window
+    # the first contiguous run inside the window, closed by a False past the
+    # last sample; with no sample inside, start = stop = 0
+    inside = np.append((dev >= 10.0 * epsilon) & (dev <= top), False)
     start = int(np.argmax(inside))
-    stop = start
-    while stop < dev.size and inside[stop]:
-        stop += 1
+    stop = start + int(np.argmin(inside[start:]))
     # secular (polynomial) drift of neutral modes enters the window but
     # never covers a real exponential range; demand 1.5 decades of growth
     if stop - start < 8 or float(dev.max()) < 300.0 * epsilon:

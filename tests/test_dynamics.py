@@ -84,7 +84,7 @@ def _reference_integrate(config, spec, initial_velocity, duration, dt,
         frame.set_reference_equilibrium(np.asarray(reference_equilibrium, float))
     state = np.concatenate([config.positions, np.asarray(initial_velocity, float)])
     floor = dynamics.COLLISION_FACTOR * config.min_pair_distance()
-    steps = int(np.ceil(duration / dt))
+    steps = int(np.ceil(duration / dt - 4.0 * EPS * (duration / dt)))
     e0 = frame.energy(state)
     energy_cap = 1e3 * (sum(map(abs, frame.energy_parts(state))) + 1.0)
     times, states, energies = [0.0], [state.copy()], [e0]
@@ -108,6 +108,34 @@ def _reference_integrate(config, spec, initial_velocity, duration, dt,
             states.append(state.copy())
             energies.append(frame.energy(state))
     return np.array(times), np.array(states), np.array(energies), blew_up
+
+
+def _allocating_field(frame, state):
+    """The field before it wrote into stage buffers: a new row per call.
+    An unpinned frame's offset was 0.0 then and is a 0-d 0j now; either is
+    subtracted as the complex zero."""
+    y = frame.A.dot(state)
+    d = y[: frame.P]
+    acc = y[frame.P + frame.n:]
+    acc += frame.W.dot((abs(d) ** frame.force_exponents * d).ravel())
+    acc -= frame.offset
+    return y[frame.P:]
+
+
+def _allocating_rk4_steps(frame, state, rows, half, full, sixth, two):
+    """The step before the stage buffers: each stage state, each stage and
+    the combination a new array."""
+    for row in rows:
+        k1 = _allocating_field(frame, state)
+        k2 = _allocating_field(frame, state + half * k1)
+        k3 = _allocating_field(frame, state + half * k2)
+        k4 = _allocating_field(frame, state + full * k3)
+        state = state + sixth * (k1 + two * (k2 + k3) + k4)
+        row[:] = state
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def _rel(a, b):
@@ -268,6 +296,7 @@ class TestIntegrator:
         assert len(recs) == len(traj.times)
         assert set(recs[0]) == {"t", "state", "energy"}
         assert len(recs[0]["state"]) == 12
+        assert all(type(v) is float for rec in recs for v in rec["state"])
 
     @pytest.mark.parametrize("name", ["duration", "dt"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
@@ -285,6 +314,24 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="sample_every must be a positive integer"):
             integrate_rotating_frame(*newton_triangle, duration=0.05, dt=0.01,
                                      sample_every=value)
+
+    @pytest.mark.parametrize("name", ["triangle-homogeneous", "schwarzschild-square"])
+    def test_a_ratio_rounded_above_an_integer_takes_that_many_steps(self, name):
+        # a tenth of a period at period / 2000 is 200.00000000000003 steps
+        # in floating point; the run used to take 201 and end at 1.005 x duration
+        config, spec, kwargs = _deck_case(name, np.zeros(2 * get_case(name).n))
+        dt = kwargs["dt"]
+        assert kwargs["duration"] / dt > 200.0
+        traj = integrate_rotating_frame(config, spec, **dict(kwargs, sample_every=1))
+        assert traj.times.size == 201 and traj.times[-1] == 200 * dt
+
+    @pytest.mark.parametrize("duration, dt, steps", [
+        (0.2295, 0.01, 23), (1.0, 0.25, 4), (1.0, 0.3, 4), (1.0, 1.0 / 3.0, 3),
+        (0.1 * 2.0 * np.pi, 2.0 * np.pi / 2000, 200), (3.0 * (1.0 + 1e-12), 1.0, 4),
+        (1e-300, 1.0, 1)])
+    def test_step_count(self, duration, dt, steps):
+        # only a ratio within a few ulps above an integer is that integer
+        assert dynamics._step_count(duration, dt) == steps
 
 
 class TestBlocks:
@@ -440,6 +487,68 @@ class TestAgainstReference:
                 assert np.max(np.abs(acc - ref)) <= 8 * pairs * EPS * np.max(np.abs(ref))
 
 
+class TestInPlaceSteps:
+    """The in-place step against the allocating one it replaced: the same
+    operations in the same order, so the runs agree to the bit."""
+
+    @pytest.fixture(params=[1, dynamics.BLOCK_STEPS], ids=lambda b: f"block={b}")
+    def block_steps(self, request, monkeypatch):
+        monkeypatch.setattr(dynamics, "BLOCK_STEPS", request.param)
+
+    @staticmethod
+    def _assert_bitwise(monkeypatch, config, spec, kwargs):
+        traj = integrate_rotating_frame(config, spec, **kwargs)
+        monkeypatch.setattr(dynamics, "_rk4_steps", _allocating_rk4_steps)
+        ref = integrate_rotating_frame(config, spec, **kwargs)
+        assert traj.blew_up == ref.blew_up
+        for a, b in ((traj.times, ref.times), (traj.states, ref.states),
+                     (traj.jacobi_energy, ref.jacobi_energy)):
+            assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+        return traj
+
+    @pytest.mark.parametrize("name, kick", _deck(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_dynamics_deck(self, monkeypatch, block_steps, name, kick):
+        self._assert_bitwise(monkeypatch, *_deck_case(name, kick))
+
+    def test_unequal_mass_ring(self, monkeypatch, block_steps):
+        self._assert_bitwise(monkeypatch, *_ring_case())
+
+    def test_growth_run(self, monkeypatch, block_steps):
+        config, spec, kwargs = _growth_run()
+        traj = self._assert_bitwise(monkeypatch, config, spec, kwargs)
+        assert not traj.blew_up and traj.times[-1] < kwargs["duration"]
+
+    def test_head_on(self, monkeypatch, block_steps):
+        assert self._assert_bitwise(monkeypatch, *_head_on()).blew_up
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_pinned_equilibrium(self, monkeypatch, block_steps, name):
+        config, spec, kwargs = _deck_case(name, np.zeros(2 * get_case(name).n))
+        frame = dynamics._RotatingFrame(config, spec, angular_frequency_squared(config, spec))
+        frame.set_reference_equilibrium(config.positions)
+        state = dynamics._complex_state(config.positions, np.zeros(2 * config.n))
+        frame.stage_buffer[:] = np.nan
+        derivative = frame.field(state, frame.stages[2])
+        assert np.shares_memory(derivative, frame.stage_buffer[2])
+        assert not derivative.any()
+        traj = self._assert_bitwise(monkeypatch, config, spec, kwargs)
+        assert not traj.states[:, config.positions.size:].any()
+
+    def test_field_in_a_stage_is_the_allocating_field(self, rng, any_spec):
+        # away from equilibrium, pinned and not, in every stage row
+        for n in (2, 3, 5):
+            cfg = random_safe_configuration(rng, n=n, masses=rng.uniform(0.5, 2.0, n))
+            frame = dynamics._RotatingFrame(cfg, any_spec, omega2=rng.uniform(0.5, 2.0))
+            for pin in (None, cfg.positions):
+                if pin is not None:
+                    frame.set_reference_equilibrium(pin)
+                state = dynamics._complex_state(cfg.positions, rng.standard_normal(2 * n))
+                expected = _bits(_allocating_field(frame, state))
+                assert np.array_equal(_bits(frame.field(state)), expected)
+                for stage in frame.stages:
+                    assert np.array_equal(_bits(frame.field(state, stage)), expected)
+
+
 class TestGrowthRate:
     def test_matches_spectral_prediction(self, newton_triangle):
         cfg, spec = newton_triangle
@@ -524,7 +633,15 @@ class TestGrowthRate:
         u[0] = 1.0
         dev = np.concatenate([[1e-6], np.geomspace(2e-5, 8e-3, 3), [5e-2],
                               np.geomspace(2e-3, 9e-3, 10), [6e-2]])
+        est, calls = self._fit_recorded(monkeypatch, eq, u, dev)
+        assert calls == [dynamics.GROWTH_WINDOW_TOP]
+        assert est == dynamics.GrowthEstimate(0.0, True, (0.0, 0.0), 3)
 
+    @staticmethod
+    def _fit_recorded(monkeypatch, eq, u, dev):
+        """(estimate, stop deviations asked for) at epsilon 1e-6 of a run
+        that deviates by ``dev`` along ``u``, a sample every 0.1, cut at the
+        first sample past the stop."""
         calls = []
 
         def recorded(config, spec, reference_equilibrium, stop_deviation, **kwargs):
@@ -536,9 +653,30 @@ class TestGrowthRate:
                                        np.zeros(k), eq.omega)
 
         monkeypatch.setattr(dynamics, "integrate_rotating_frame", recorded)
-        est = estimate_growth_rate(eq, u, epsilon=1e-6)
-        assert calls == [dynamics.GROWTH_WINDOW_TOP]
-        assert est == dynamics.GrowthEstimate(0.0, True, (0.0, 0.0), 3)
+        return estimate_growth_rate(eq, u, epsilon=1e-6), calls
+
+    def test_no_sample_inside_the_window(self, monkeypatch):
+        # from below 10 epsilon straight past the top: an empty stretch
+        case = get_case("triangle-homogeneous")
+        eq = Equilibrium(case.configuration(), case.potential)
+        u = np.zeros(2 * eq.config.n)
+        u[1] = 1.0
+        est, _ = self._fit_recorded(monkeypatch, eq, u, np.array([1e-6, 5e-6, 5e-2]))
+        assert est == dynamics.GrowthEstimate(0.0, True, (0.0, 0.0), 0)
+
+    def test_a_stretch_that_runs_to_the_last_sample(self, monkeypatch):
+        # the run never passes the stop, so the stretch ends with the run
+        case = get_case("triangle-homogeneous")
+        eq = Equilibrium(case.configuration(), case.potential)
+        u = np.zeros(2 * eq.config.n)
+        u[1] = 1.0
+        dev = np.concatenate([[1e-6], np.geomspace(2e-5, 8e-3, 12)])
+        est, _ = self._fit_recorded(monkeypatch, eq, u, dev)
+        t = np.arange(dev.size) * 0.1
+        q = eq.config.positions
+        fitted = np.linalg.norm(q + dev[1:, None] * u - q, axis=1)
+        slope = float(np.polyfit(t[1:], np.log(fitted), 1)[0])
+        assert est == dynamics.GrowthEstimate(slope, False, (float(t[1]), float(t[-1])), 12)
 
     @pytest.mark.parametrize("radius", [1e3, 1e4])
     def test_rate_scales_with_the_radius(self, radius):

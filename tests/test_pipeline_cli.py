@@ -746,6 +746,24 @@ class TestCli:
         assert len(data["trajectory"]) > 1
         assert len(data["trajectory"][0]["state"]) == 12
 
+    def test_simulate_dump_is_the_per_value_float_records(self, capsys, tmp_path, monkeypatch):
+        # records() converts each state by tolist(); the dumped JSON is byte
+        # for byte that of converting each value by float()
+        from relequil import dynamics
+
+        def per_value(traj):
+            return [{"t": float(t), "state": list(map(float, s)), "energy": float(e)}
+                    for t, s, e in zip(traj.times, traj.states, traj.jacobi_energy)]
+
+        argv = ["simulate", "--case", "manev-square", "--periods", "0.05",
+                "--steps-per-period", "2000", "--dump", "--format", "json", "--out"]
+        assert cli_main([*argv, str(tmp_path / "tolist.json")]) == 0
+        monkeypatch.setattr(dynamics.Trajectory, "records", per_value)
+        assert cli_main([*argv, str(tmp_path / "float.json")]) == 0
+        dumped = (tmp_path / "tolist.json").read_bytes()
+        assert dumped == (tmp_path / "float.json").read_bytes()
+        assert len(json.loads(dumped)["trajectory"]) > 1
+
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("RELEQUIL_OUT_DIR", str(tmp_path))
         code = cli_main(["presets", "--format", "json"])
