@@ -52,7 +52,10 @@ def _out_path(args, default_name):
 
 
 def _emit(args, payload, text, default_name):
-    rendered = json.dumps(payload, indent=2) if args.format == "json" else text
+    """Print the --format that was asked for, and write it to the output path
+    if there is one; ``payload`` and ``text`` are callables, so only the
+    printed format is built."""
+    rendered = json.dumps(payload(), indent=2) if args.format == "json" else text()
     path = _out_path(args, default_name)
     if path:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -88,8 +91,7 @@ def _request_from_args(args):
 def cmd_analyze(args):
     request = _request_from_args(args)
     report = run_analysis(request)
-    _emit(args, report.to_dict(), report.render_table(),
-          f"{args.case or 'analysis'}.json")
+    _emit(args, report.to_dict, report.render_table, f"{args.case or 'analysis'}.json")
     return EXIT_OK
 
 
@@ -99,16 +101,19 @@ def cmd_sweep(args):
         raise InputError("--grid: need at least one alpha")
     base = _request_from_args(args)
     result = run_sweep(base, grid)
-    payload = {
-        "grid": grid,
-        "summary": [{"alpha": a, "label": lab} for a, lab in result.summary],
-        "failures": [{"alpha": a, "message": str(e)} for a, e in result.failures],
-        "reports": [
-            {"alpha": a, "report": (r.to_dict() if r is not None else None)}
-            for a, r in result.reports
-        ],
-    }
-    _emit(args, payload, result.render_table(), "sweep.json")
+
+    def payload():
+        return {
+            "grid": grid,
+            "summary": [{"alpha": a, "label": lab} for a, lab in result.summary],
+            "failures": [{"alpha": a, "message": str(e)} for a, e in result.failures],
+            "reports": [
+                {"alpha": a, "report": (r.to_dict() if r is not None else None)}
+                for a, r in result.reports
+            ],
+        }
+
+    _emit(args, payload, result.render_table, "sweep.json")
     if any(isinstance(e, InputError) for _, e in result.failures):
         return EXIT_INPUT
     return EXIT_CONSISTENCY if result.failures else EXIT_OK
@@ -148,12 +153,9 @@ def cmd_simulate(args):
         "blew_up": traj.blew_up,
         "growth": growth,
     }
-    if args.dump:
-        payload["trajectory"] = traj.records()
-    text = "\n".join(
-        f"{k}: {v}" for k, v in payload.items() if k != "trajectory"
-    )
-    _emit(args, payload, text, "simulate.json")
+    # the sampled trajectory is only in the JSON
+    _emit(args, lambda: {**payload, "trajectory": traj.records()} if args.dump else payload,
+          lambda: "\n".join(f"{k}: {v}" for k, v in payload.items()), "simulate.json")
     return EXIT_OK
 
 
@@ -171,13 +173,12 @@ def cmd_presets(args):
             or any(rv.suspect for rv in case.hessian_eigenvalues)
             or case.hessian_entry[1].suspect,
         })
-    text = "\n".join(
+    _emit(args, lambda: rows, lambda: "\n".join(
         f"{r['name']:<24} n={r['bodies']} {r['potential']:<22} "
         f"alpha={'yes' if r['takes_alpha'] else 'no'}"
         + ("  [has suspect reference values]" if r["suspect_references"] else "")
         for r in rows
-    )
-    _emit(args, rows, text, "presets.json")
+    ), "presets.json")
     return EXIT_OK
 
 

@@ -1,14 +1,16 @@
 """End-to-end analysis: configuration -> decomposition -> spectra -> verdict.
 
-A StabilityReport bundles every computed quantity next to the case's
-reference values (with agreement flags) and serializes to a versioned,
-JSON-compatible dict whose floats round-trip bit-exactly.
+A StabilityReport carries the verdict and bundles every computed quantity
+next to the case's reference values (with agreement flags) in a versioned,
+JSON-compatible dict whose floats round-trip bit-exactly; the dict is
+built on first use, so a caller that reads only the verdict builds none.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,28 +137,34 @@ def _spectrum_dicts(values):
     return _c(sorted_spectrum(values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
-    data: dict
+    """One analysis's verdict, oracle match, omega^2 and discrepancies,
+    read without serializing, and its versioned dict.
 
-    @property
-    def verdict(self):
-        return self.data["verdict"]["verdict"]
+    ``run_analysis`` gives it a builder over the computed results, and
+    ``to_dict()`` (also ``data`` and ``render_table()``) builds the dict
+    on first use and returns that same dict after; ``from_dict`` gives it
+    a ready dict.  Two reports are equal when their dicts are.
+    """
 
-    @property
-    def omega_squared(self):
-        return self.data["omega_squared"]["computed"]
+    verdict: str
+    matches_oracle: bool
+    omega_squared: float
+    discrepancies: list
+    _build: object = field(repr=False)      # () -> the report's dict
 
-    @property
-    def matches_oracle(self):
-        return self.data["spectra_match"]["matches"]
-
-    @property
-    def discrepancies(self):
-        return self.data["discrepancies"]
+    @functools.cached_property
+    def data(self):
+        return self._build()
 
     def to_dict(self):
         return self.data
+
+    def __eq__(self, other):
+        if not isinstance(other, StabilityReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     @classmethod
     def from_dict(cls, data):
@@ -164,7 +172,12 @@ class StabilityReport:
             raise InputError(
                 f"unsupported report schema {data.get('schema_version')!r}"
             )
-        return cls(data)
+        try:
+            head = (data["verdict"]["verdict"], data["spectra_match"]["matches"],
+                    data["omega_squared"]["computed"], data["discrepancies"])
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"report dict lacks {exc}") from exc
+        return cls(*head, lambda: data)
 
     def render_table(self):
         d = self.data
@@ -302,80 +315,91 @@ def _analysis(request, config):
                 )
 
     decomposition = decompose_blocks(eq)
-    block_spectra = sorted_spectrum(np.reshape(decomposition.block_spectra, (-1, 4)))
-    blocks = [{
-        "lam1": float(pair.lam1),
-        "lam2": float(pair.lam2),
-        "omega": eq.omega,
-        "eigenvalues": _c(eigs),
-    } for pair, eigs in zip(decomposition.blocks, block_spectra)]
-    coupled = [{
-        "dim": len(eigs) // 2,
-        "eigenvalues": _spectrum_dicts(eigs),
-    } for eigs in decomposition.coupled_spectra]
     union = decomposition.union_spectrum()
-
     oracle = full_linearization_spectrum(eq)
     match = compare_spectra(union, oracle, tol=request.compare_tol)
     if not match.matches:
         raise ConsistencyError("block union vs oracle", _mismatch(match, union, oracle))
     # labelled in the order the report prints the oracle spectrum
-    oracle_sorted = sorted_spectrum(oracle)
-    verdict = classify(oracle_sorted)
+    verdict = classify(sorted_spectrum(oracle))
 
     dynamics_entry = None
     if request.with_dynamics:
         dynamics_entry = _dynamics_section(eq, verdict)
+    timing = (time.perf_counter() - t0) if request.with_timing else 0.0
 
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "request": {
-            "case": request.case,
-            "alpha": request.alpha,
-            "compare_tol": request.compare_tol,
-            "classify_tol": CLASSIFY_TOL,
-        },
-        "potential": spec.describe(),
-        "configuration": {
-            "n": config.n,
-            "masses": [float(m) for m in config.masses],
-            "positions": [float(x) for x in config.positions],
-        },
-        "moment_of_inertia": config.inertia,
-        "potential_terms": list(eq.centrality.energy_terms),
-        "centrality": {
-            "residual": eq.centrality.residual_norm,
-            "tol": eq.centrality.tol,
-            "multiplier": eq.centrality.multiplier,
-        },
-        "omega_squared": omega_entry,
-        "hessian_entry_check": entry_check,
-        "isotypic": isotypic,
-        "hessian_eigenvalue_reference": eigen_reference,
-        "blocks": blocks,
-        "coupled_blocks": coupled,
-        "block_union_spectrum": _spectrum_dicts(union),
-        "oracle_spectrum": _c(oracle_sorted),
-        "spectra_match": {
-            "matches": bool(match.matches),
-            "max_distance": float(match.max_distance),
-            "tol": float(match.tol),
-            "scale": float(match.scale),
-        },
-        "verdict": {
-            "verdict": verdict.verdict,
-            "max_real_part": verdict.max_real_part,
-            "tol": verdict.tol,
-            "n_zero": verdict.n_zero,
-            "n_pure_imaginary": verdict.n_pure_imaginary,
-            "labels": list(verdict.labels),
-        },
-        "reference_notes": case.notes if case is not None else "",
-        "discrepancies": discrepancies,
-        "dynamics": dynamics_entry,
-        "timing_seconds": (time.perf_counter() - t0) if request.with_timing else 0.0,
-    }
-    return StabilityReport(data), eq, decomposition
+    # what the dict needs, and no more: holding eq or the decomposition
+    # would keep every Hessian of a sweep alive
+    omega = eq.omega
+    lams = [(float(pair.lam1), float(pair.lam2)) for pair in decomposition.blocks]
+    block_spectra, coupled_spectra = decomposition.block_spectra, decomposition.coupled_spectra
+    masses, positions, inertia = config.masses, config.positions, config.inertia
+    centrality = eq.centrality
+
+    def build():
+        blocks = [{
+            "lam1": lam1,
+            "lam2": lam2,
+            "omega": omega,
+            "eigenvalues": _c(eigs),
+        } for (lam1, lam2), eigs in zip(
+            lams, sorted_spectrum(np.reshape(block_spectra, (-1, 4))))]
+        coupled = [{
+            "dim": len(eigs) // 2,
+            "eigenvalues": _spectrum_dicts(eigs),
+        } for eigs in coupled_spectra]
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "request": {
+                "case": request.case,
+                "alpha": request.alpha,
+                "compare_tol": request.compare_tol,
+                "classify_tol": CLASSIFY_TOL,
+            },
+            "potential": spec.describe(),
+            "configuration": {
+                "n": masses.size,
+                "masses": [float(m) for m in masses],
+                "positions": [float(x) for x in positions],
+            },
+            "moment_of_inertia": inertia,
+            "potential_terms": list(centrality.energy_terms),
+            "centrality": {
+                "residual": centrality.residual_norm,
+                "tol": centrality.tol,
+                "multiplier": centrality.multiplier,
+            },
+            "omega_squared": omega_entry,
+            "hessian_entry_check": entry_check,
+            "isotypic": isotypic,
+            "hessian_eigenvalue_reference": eigen_reference,
+            "blocks": blocks,
+            "coupled_blocks": coupled,
+            "block_union_spectrum": _spectrum_dicts(union),
+            "oracle_spectrum": _c(verdict.eigenvalues),
+            "spectra_match": {
+                "matches": bool(match.matches),
+                "max_distance": float(match.max_distance),
+                "tol": float(match.tol),
+                "scale": float(match.scale),
+            },
+            "verdict": {
+                "verdict": verdict.verdict,
+                "max_real_part": verdict.max_real_part,
+                "tol": verdict.tol,
+                "n_zero": verdict.n_zero,
+                "n_pure_imaginary": verdict.n_pure_imaginary,
+                "labels": list(verdict.labels),
+            },
+            "reference_notes": case.notes if case is not None else "",
+            "discrepancies": discrepancies,
+            "dynamics": dynamics_entry,
+            "timing_seconds": timing,
+        }
+
+    report = StabilityReport(verdict.verdict, bool(match.matches), omega_entry["computed"],
+                             discrepancies, build)
+    return report, eq, decomposition
 
 
 def _mismatch(match, union, oracle):

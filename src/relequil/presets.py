@@ -21,6 +21,8 @@ from .model import PotentialSpec
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
 _unit_polygon = functools.cache(regular_polygon)   # one shared n-gon per n; presets have n = 3, 4
+# homogeneous presets built per float(alpha); CaseDefinition is frozen, so shared
+HOMOGENEOUS_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class CaseDefinition:
         return _unit_polygon(self.n)
 
 
-def _triangle_homogeneous(alpha):
-    a = float(alpha)
+@functools.lru_cache(maxsize=HOMOGENEOUS_CACHE_SIZE)
+def _triangle_homogeneous(a):
     w2 = 3.0 ** (-a / 2.0) * a
     return CaseDefinition(
         name="triangle-homogeneous",
@@ -84,8 +86,8 @@ def _triangle_homogeneous(alpha):
     )
 
 
-def _square_homogeneous(alpha):
-    a = float(alpha)
+@functools.lru_cache(maxsize=HOMOGENEOUS_CACHE_SIZE)
+def _square_homogeneous(a):
     w2 = (2.0 ** (-1.0 - a) + 2.0 ** (-a / 2.0)) * a
     p = 2.0 ** (1.0 + a / 2.0)
     return CaseDefinition(
@@ -218,7 +220,7 @@ def get_case(name, alpha=None):
     if name not in PRESET_BUILDERS:
         raise KeyError(f"unknown preset {name!r}; know {', '.join(PRESET_NAMES)}")
     if name in HOMOGENEOUS_PRESETS:
-        return PRESET_BUILDERS[name](1.0 if alpha is None else alpha)
+        return PRESET_BUILDERS[name](float(1.0 if alpha is None else alpha))
     if alpha is not None:
         raise ValueError(f"preset {name!r} does not take alpha")
     return PRESET_BUILDERS[name]()

@@ -18,7 +18,7 @@ from relequil import model, presets, symmetry
 from relequil.central import regular_polygon
 from relequil.cli import main as cli_main
 from relequil.model import BodyConfiguration, Equilibrium, position_basis
-from relequil.pipeline import AnalysisRequest, run_analysis, run_sweep
+from relequil.pipeline import AnalysisRequest, InputError, run_analysis, run_sweep
 from relequil.presets import HOMOGENEOUS_PRESETS, PRESET_NAMES, get_case
 from relequil.spectrum import deflated_eigenvalues, full_linearization_spectrum
 from relequil.symmetry import (
@@ -110,6 +110,27 @@ def test_every_array_of_a_shared_configuration_is_read_only(name):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1
     assert run_analysis(AnalysisRequest(case=name, alpha=get_case(name).alpha)).matches_oracle
+
+
+@pytest.mark.parametrize("name", HOMOGENEOUS_PRESETS)
+def test_a_homogeneous_preset_is_built_once_per_alpha(name):
+    # keyed by float(alpha): 2 and 2.0 are one case, equal to a fresh build
+    builder = presets.PRESET_BUILDERS[name]
+    case = get_case(name, 2)
+    assert get_case(name, 2.0) is case and get_case(name, np.float64(2.0)) is case
+    assert get_case(name) is get_case(name, 1.0)
+    fresh = builder.__wrapped__(2.0)
+    assert case == fresh and case is not fresh
+    assert _same_bytes(np.array([case.omega_squared.value, case.hessian_entry[1].value]),
+                       np.array([fresh.omega_squared.value, fresh.hessian_entry[1].value]))
+    assert _same_bytes(np.array([rv.value for rv in case.hessian_eigenvalues]),
+                       np.array([rv.value for rv in fresh.hessian_eigenvalues]))
+    for alpha in (0.0, -1.0, float("nan"), float("inf"), "x"):
+        with pytest.raises(InputError):
+            AnalysisRequest(case=name, alpha=alpha).resolve()
+        with pytest.raises(InputError):
+            run_analysis(AnalysisRequest(case=name, alpha=alpha))
+    assert builder.cache_info().maxsize == presets.HOMOGENEOUS_CACHE_SIZE
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

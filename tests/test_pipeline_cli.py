@@ -1,8 +1,10 @@
+import gc
 import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -131,6 +133,18 @@ class TestReports:
         text = json.dumps(report.to_dict())
         recovered = StabilityReport.from_dict(json.loads(text))
         assert json.dumps(recovered.to_dict()) == text
+
+    def test_from_dict_reads_the_dict_it_was_given(self):
+        golden = json.loads((GOLDEN_DIR / "manev-square.json").read_text())
+        report = StabilityReport.from_dict(golden)
+        assert report.to_dict() is golden and report.data is golden
+        assert report.verdict == golden["verdict"]["verdict"]
+        assert report.matches_oracle is golden["spectra_match"]["matches"]
+        assert report.omega_squared == golden["omega_squared"]["computed"]
+        assert report.discrepancies is golden["discrepancies"]
+        assert report == run_analysis(_preset_request("manev-square"))
+        with pytest.raises(InputError, match="verdict"):
+            StabilityReport.from_dict({"schema_version": 1})
 
     def test_determinism(self):
         a = run_analysis(_preset_request("schwarzschild-square"))
@@ -265,6 +279,50 @@ class TestReports:
         )
         assert report.matches_oracle
         assert len(report.to_dict()["coupled_blocks"]) == 1
+
+
+class TestLazyReport:
+    """A report keeps its verdict and spectra; the dict is built on the
+    first ``to_dict()`` and kept."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_the_verdict_is_read_without_serializing(self, name, monkeypatch):
+        golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        report = run_analysis(_preset_request(name))
+
+        def refuse(*args):
+            raise AssertionError("the report was serialized")
+
+        monkeypatch.setattr(pipeline, "_c", refuse)
+        monkeypatch.setattr(pipeline, "sorted_spectrum", refuse)
+        assert report.verdict == golden["verdict"]["verdict"]
+        assert report.matches_oracle is golden["spectra_match"]["matches"] is True
+        assert report.omega_squared == golden["omega_squared"]["computed"]
+        assert report.discrepancies == golden["discrepancies"]
+        with pytest.raises(AssertionError, match="serialized"):
+            report.to_dict()
+        monkeypatch.undo()
+        data = report.to_dict()
+        assert data == golden
+        assert report.to_dict() is data and report.data is data
+        assert report.discrepancies is data["discrepancies"]
+        assert report.render_table() == StabilityReport.from_dict(golden).render_table()
+
+    @pytest.mark.parametrize("request_", [
+        _preset_request("triangle-homogeneous"),
+        AnalysisRequest(positions=tuple(regular_polygon(5).positions), alpha=1.0,
+                        with_dynamics=True),
+        # equal masses at -1, 0, 1: central by symmetry, and no polygon
+        AnalysisRequest(positions=(-1.0, 0.0, 0.0, 0.0, 1.0, 0.0), alpha=1.0),
+    ], ids=["preset", "pentagon-with-dynamics", "collinear"])
+    def test_a_report_keeps_no_equilibrium_alive(self, request_):
+        # a sweep keeps every report; none may hold its point's Hessians
+        report, eq, decomposition = pipeline._analysis(request_, None)
+        ref = weakref.ref(eq)
+        del eq, decomposition
+        gc.collect()
+        assert ref() is None
+        assert report.to_dict()["verdict"]["verdict"] == report.verdict
 
 
 class TestConsistencyError:
@@ -677,6 +735,31 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == (
             "input error: give either a preset case or positions\n")
+
+    def test_sweep_table_serializes_no_report(self, capsys, monkeypatch):
+        def refuse(report):
+            raise AssertionError("the table serialized a report")
+
+        monkeypatch.setattr(StabilityReport, "to_dict", refuse)
+        assert cli_main(["sweep", "--case", "triangle-homogeneous",
+                         "--grid", "1.9,2,2.1"]) == 0
+        assert capsys.readouterr().out == (
+            "alpha   component-1 modes   verdict\n"
+            "1.9     pure-imaginary      spectrally-unstable\n"
+            "2       zero                spectrally-unstable\n"
+            "2.1     real                spectrally-unstable\n")
+
+    def test_sweep_json_holds_every_report(self, capsys, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert cli_main(["sweep", "--case", "triangle-homogeneous", "--grid", "1.9,2",
+                         "--format", "json", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text() == printed
+        data = json.loads(printed)
+        for entry in data["reports"]:
+            alone = run_analysis(AnalysisRequest(case="triangle-homogeneous",
+                                                 alpha=entry["alpha"]))
+            assert entry["report"] == alone.to_dict()
 
     def test_sweep_table(self, capsys):
         code = cli_main([
