@@ -7,6 +7,7 @@ from collections import namedtuple
 import numpy as np
 
 from .model import BodyConfiguration, BodyPairs, potential_hessian
+from .symmetry import rotation
 
 MERIT_TOL = 1e-12           # Newton refinement's merit at success
 
@@ -43,9 +44,7 @@ def _normalize_gauges(z, pairs, theta_pin, inertia_pin):
     if inertia_pin is not None:
         q *= np.sqrt(inertia_pin / pairs.inertia(q))
     theta = np.arctan2(q[0, 1], q[0, 0])
-    c, s = np.cos(theta_pin - theta), np.sin(theta_pin - theta)
-    q = q @ np.array([[c, s], [-s, c]])
-    return q.ravel()
+    return (q @ rotation(theta_pin - theta).T).ravel()
 
 
 def _gauge_basis(z, masses):

@@ -167,10 +167,9 @@ def check_wave_number_bases():
     worst = 0.0
     for n in range(3, 9):
         group = build_polygon_symmetry_group(n, axis_angle=0.3)
-        table = dihedral(n)
-        rows = dict(zip(table.names, table.characters))
+        rows = dict(zip(group.names, group.characters))
         reps = representation_matrices(group)[[cl[0] for cl in group.conjugacy_classes]]
-        bases = [W[:, :d] for W, d in zip(wave_number_stack(group.vertices()), table.wave_dims)]
+        bases = [W[:, :d] for W, d in zip(wave_number_stack(group.vertices()), group.wave_dims)]
         V = np.column_stack(bases)
         worst = max(worst, float(np.max(np.abs(V.T @ V - np.eye(2 * n)))))
         for k, W in enumerate(bases):
@@ -204,7 +203,7 @@ def check_wave_number_blocks():
             H = (D @ H @ D.transpose(0, 2, 1)).mean(axis=0)
             W = wave_number_stack(group.vertices())
             h = W.transpose(0, 2, 1) @ H @ W
-            half = (dihedral(n).wave_dims == 4)[:, None, None]
+            half = (group.wave_dims == 4)[:, None, None]
             A, B = h[:, :2, :2], h[:, 2:, :2]
             realified = np.block([[A, -B], [B, A * half]])
             Jw = W.transpose(0, 2, 1) @ block_symplectic(n) @ W

@@ -120,8 +120,7 @@ def cmd_sweep(args):
 
 
 def cmd_simulate(args):
-    from .dynamics import equilibrium_check, estimate_growth_rate
-    from .pipeline import _worst_direction
+    from .dynamics import equilibrium_check, estimate_growth_rate, worst_direction
 
     require_positive("--periods", args.periods)
     require_positive("--steps-per-period", args.steps_per_period)
@@ -131,7 +130,7 @@ def cmd_simulate(args):
     growth = None
     if args.kick:
         try:
-            est = estimate_growth_rate(eq, _worst_direction(eq), epsilon=args.epsilon)
+            est = estimate_growth_rate(eq, worst_direction(eq), epsilon=args.epsilon)
         except ValueError as exc:
             raise InputError(f"--epsilon: {exc}") from exc
         growth = {

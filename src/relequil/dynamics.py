@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import is_central_configuration, rotation_period
+from .model import first_order_matrix, is_central_configuration, rotation_period
 
 COLLISION_FACTOR = 1e-6     # blow-up when min distance falls below this x initial
 GROWTH_WINDOW_TOP = 1e-2    # the growth fit's window top, times the radius
@@ -333,6 +333,19 @@ def equilibrium_check(config, spec, omega2=None, periods=1.0, steps_per_period=2
     )
     drift = float(np.max(np.abs(traj.positions - config.positions[None, :])))
     return pin_defect / pin_bound, drift, traj
+
+
+def worst_direction(eq):
+    """Position part of the eigenvector of the largest-real-part eigenvalue
+    of the equilibrium's linearization."""
+    vals, vecs = np.linalg.eig(first_order_matrix(eq.omega2, eq.omega, eq.Hw, eq.Jh))
+    k = int(np.argmax(vals.real))
+    # the mass-weighted form's eigenvectors are diag(M^{1/2}, M^{1/2}) times A's
+    vec = vecs[: 2 * eq.n, k] / np.sqrt(eq.config.mass_vector)
+    pos = np.real(vec)
+    if np.linalg.norm(pos) < 1e-12:
+        pos = np.imag(vec)
+    return pos / np.linalg.norm(pos)
 
 
 def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None):

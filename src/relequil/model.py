@@ -16,6 +16,7 @@ from .symmetry import (
     block_symplectic,
     build_polygon_symmetry_group,
     polygon_axis_angle,
+    rotation,
     wave_number_spectrum,
     wave_number_stack,
 )
@@ -224,9 +225,7 @@ class BodyConfiguration:
 
     def rotated(self, theta):
         """Rotate every body by theta about the origin."""
-        c, s = np.cos(theta), np.sin(theta)
-        q = self.points @ np.array([[c, s], [-s, c]])
-        return self.with_positions(q.ravel())
+        return self.with_positions((self.points @ rotation(theta).T).ravel())
 
 
 @dataclass(frozen=True)
@@ -342,12 +341,14 @@ def rotation_period(omega2):
 def first_order_matrix(omega2, omega, h, j):
     """[[0, I], [omega^2 I + h, 2 omega j]]: the linearized rotating-frame flow
     where the mass-scaled Hessian acts as h and Jhat as j.  omega2 is passed
-    apart from omega so that each caller keeps its own rounding of omega^2."""
-    k = h.shape[0]
-    B = np.zeros((2 * k, 2 * k))
-    B[:k, k:] = np.eye(k)
-    B[k:, :k] = omega2 * np.eye(k) + h
-    B[k:, k:] = 2.0 * omega * j
+    apart from omega so that each caller keeps its own rounding of omega^2.
+    A stack h of shape (..., k, k), real or complex, gives the stack of
+    matrices, one per h."""
+    k = h.shape[-1]
+    B = np.zeros(h.shape[:-2] + (2 * k, 2 * k), dtype=np.result_type(h.dtype, float))
+    B[..., :k, k:] = np.eye(k)
+    B[..., k:, :k] = omega2 * np.eye(k) + h
+    B[..., k:, k:] = 2.0 * omega * j
     return B
 
 

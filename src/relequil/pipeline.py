@@ -19,7 +19,6 @@ from .model import (
     Equilibrium,
     NonCentralConfigurationError,
     PotentialSpec,
-    first_order_matrix,
 )
 from .presets import get_case
 from .spectrum import (
@@ -414,7 +413,7 @@ def _mismatch(match, union, oracle):
 
 
 def _dynamics_section(eq, verdict):
-    from .dynamics import equilibrium_check, estimate_growth_rate
+    from .dynamics import equilibrium_check, estimate_growth_rate, worst_direction
 
     pin_ratio, drift, _ = equilibrium_check(eq.config, eq.spec, eq.omega2)
     entry = {
@@ -427,26 +426,13 @@ def _dynamics_section(eq, verdict):
     }
     predicted = verdict.max_real_part
     if predicted > 0.05 * eq.omega:
-        est = estimate_growth_rate(eq, _worst_direction(eq))
+        est = estimate_growth_rate(eq, worst_direction(eq))
         entry["growth_rate"] = est.rate if not est.no_growth else 0.0
         entry["predicted_rate"] = predicted
         entry["relative_error"] = (
             abs(est.rate - predicted) / predicted if not est.no_growth else 1.0
         )
     return entry
-
-
-def _worst_direction(eq):
-    """Position part of the eigenvector of the largest-real-part eigenvalue
-    of the equilibrium's linearization."""
-    vals, vecs = np.linalg.eig(first_order_matrix(eq.omega2, eq.omega, eq.Hw, eq.Jh))
-    k = int(np.argmax(vals.real))
-    # the mass-weighted form's eigenvectors are diag(M^{1/2}, M^{1/2}) times A's
-    vec = vecs[: 2 * eq.n, k] / np.sqrt(eq.config.mass_vector)
-    pos = np.real(vec)
-    if np.linalg.norm(pos) < 1e-12:
-        pos = np.imag(vec)
-    return pos / np.linalg.norm(pos)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from .model import first_order_matrix, position_basis
-from .symmetry import J2, dihedral, symplectic_pairs, wave_number_pairs
+from .symmetry import J2, symplectic_pairs, wave_number_pairs
 
 SNAP_TOL = 1e-12            # coefficient snap in the closed-form quartic
 CLASSIFY_TOL = 1e-8         # |Re|, |Im| thresholds relative to spectral radius
@@ -62,7 +62,7 @@ def block_spectrum(omega, lam1, lam2):
     whose p moved by at most SNAP_TOL scale and whose q and disc / 4 each
     moved by at most SNAP_TOL scale^2.  ValueError unless omega > 0.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
     w2 = omega ** 2
     c1, c2 = w2 + lam1, w2 + lam2
@@ -117,7 +117,7 @@ def decompose_blocks(eq):
         if paired[:2].all():
             # W_0 and W_1 paired, so no unpaired W_k holds a trivial vector
             return _decomposition(eq, pairs, wave_number_block_spectra(
-                eq.omega, spectrum.K[~paired], dihedral(eq.n).wave_dims[~paired]), [])
+                eq.omega, spectrum.K[~paired], eq.config.group.wave_dims[~paired]), [])
     return _decompose_whole_space(eq)
 
 
@@ -179,10 +179,7 @@ def wave_number_block_spectra(omega, K, dims):
     """
     if not len(dims):
         return ()
-    C = np.zeros((len(dims), 4, 4), dtype=complex)
-    C[:, :2, 2:] = np.eye(2)
-    C[:, 2:, :2] = omega * omega * np.eye(2) + K
-    C[:, 2:, 2:] = 2.0 * omega * J2
+    C = first_order_matrix(omega * omega, omega, K, J2)
     return tuple(np.concatenate([e, e.conj()]) if d == 4 else e
                  for e, d in zip(np.linalg.eigvals(C), dims))
 
@@ -263,7 +260,7 @@ def deflated_eigenvalues(omega2, omega, h, j, T, z, slack, basis=None):
 def _deflated(values, defect, bound, rest):
     """The deflated values and the eigenvalues of the block ``rest`` left
     over; ConsistencyError when the invariance defect exceeds its bound."""
-    if defect > bound:
+    if not defect <= bound:
         raise ConsistencyError("trivial modes", f"invariance defect {defect:.3e} of the "
                                f"deflated subspace exceeds its bound {bound:.3e}")
     return np.concatenate([np.array(values, dtype=complex), np.linalg.eigvals(rest)])

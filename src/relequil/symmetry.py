@@ -72,19 +72,36 @@ def reflection(axis_angle):
 
 @dataclass(frozen=True)
 class SymmetryGroup:
-    """The dihedral group of the regular n-gon with its conjugacy classes.
+    """The dihedral group of the regular n-gon with its character table.
 
     Element k < n is a^k and element n + k is a^k r; element 0 is the
     identity.  ``perms[k]`` sends body i to slot perms[k, i] and
-    ``orthos[k]`` is its planar map.  ``axis_angle`` is the angle of body 1,
-    on the reflection axis of r.  ``perms`` and ``conjugacy_classes`` depend
-    on n alone and are shared, read-only, by every group of the same n.
+    ``orthos[k]`` is its planar map: the rotations a^k are ``orthos[:n]``,
+    and ``axis_angle`` is the angle of body 1, on the reflection axis of r.
+    Every other field depends on n alone and is shared, read-only, by every
+    group of the same n (``dihedral``): the sorted ``conjugacy_classes`` and
+    the class of each element ``class_of``; the character table, irreducible
+    ``names`` and ``degrees``, ``characters`` indexed (irreducible, class)
+    and the ``class_sizes``; the ``multiplicities`` of the configuration
+    action per irreducible, the row gathers ``gathers`` of the generators a
+    and r (``_commutator``), each W_k's dimension ``wave_dims`` (2 where
+    2k = 0 mod n, else 4) and ``wave_number_stack``'s unit cos/sin
+    ``patterns``.
     """
 
     perms: np.ndarray           # (2n, n) int
     orthos: np.ndarray          # (2n, 2, 2)
     conjugacy_classes: tuple
     axis_angle: float
+    class_of: np.ndarray
+    names: tuple
+    degrees: np.ndarray
+    characters: np.ndarray
+    class_sizes: np.ndarray
+    multiplicities: tuple
+    gathers: np.ndarray
+    wave_dims: np.ndarray
+    patterns: np.ndarray
 
     @property
     def order(self):
@@ -107,18 +124,25 @@ def build_polygon_symmetry_group(n, axis_angle=0.0):
     Generators: a = (cyclic shift i -> i+1, rotation by 2*pi/n) and
     r = (the permutation induced by reflecting the polygon, reflection about
     the axis through body 1).  ``axis_angle`` rotates the whole polygon's
-    reference frame, matching configurations whose body 1 is off the x-axis.
-    The permutations, the rotations a^k and the conjugacy classes depend on
-    n alone and come from ``dihedral``; only the reflections a^k r are formed
-    here, and every planar map is checked to be orthogonal.
+    reference frame, matching configurations whose body 1 is off the x-axis;
+    it must be finite.  Everything but the reflections a^k r depends on n
+    alone and comes from ``dihedral``; only the reflections are formed here.
     """
-    entry = dihedral(n)
-    rots = entry.rots
+    if not np.isfinite(axis_angle):
+        raise ValueError(f"axis_angle must be finite, got {axis_angle!r}")
+    group = dihedral(n)
+    return replace(group, orthos=_planar_maps(group.orthos[:n], axis_angle),
+                   axis_angle=float(axis_angle))
+
+
+def _planar_maps(rots, axis_angle):
+    """The read-only planar maps of every element, the rotations a^k and the
+    reflections a^k r about ``axis_angle``, each checked to be orthogonal."""
     orthos = np.concatenate([rots, rots @ reflection(axis_angle)])
-    if np.max(np.abs(orthos @ orthos.transpose(0, 2, 1) - np.eye(2))) > ORTHO_TOL:
+    if not np.max(np.abs(orthos @ orthos.transpose(0, 2, 1) - np.eye(2))) <= ORTHO_TOL:
         raise ValueError("ortho part must be orthogonal")
     orthos.flags.writeable = False
-    return SymmetryGroup(entry.perms, orthos, entry.classes, float(axis_angle))
+    return orthos
 
 
 def representation_character(group):
@@ -130,51 +154,25 @@ def representation_character(group):
 
 
 def decompose_multiplicities(rep_character, table):
-    """Multiplicities n_i = (chi_i, chi) over the table of ``dihedral``; they
-    must be integers within 1e-9."""
+    """Multiplicities n_i = (chi_i, chi) over the character table of the group
+    ``table``; they must be integers within 1e-9."""
     chi = np.asarray(rep_character, dtype=float)
     x = table.characters @ (table.class_sizes * chi) / table.class_sizes.sum()
     r = np.round(x)
-    bad = np.flatnonzero((np.abs(x - r) > 1e-9) | (r < 0))
+    bad = np.flatnonzero(~(np.abs(x - r) <= 1e-9) | (r < 0))
     if bad.size:
         i = bad[0]
         raise ValueError(f"non-integer multiplicity {x[i]} for irrep {table.names[i]}")
     return r.astype(int).tolist()
 
 
-@dataclass(frozen=True)
-class Dihedral:
-    """The parts of the regular n-gon's dihedral group that depend on n alone,
-    every array read-only: the element permutations ``perms`` and rotations
-    ``rots`` (a^k, (n, 2, 2)), the sorted conjugacy ``classes`` and the class
-    of each element ``class_of``; the character table, irreducible ``names``
-    and ``degrees``, ``characters`` indexed (irreducible, class) and the
-    ``class_sizes``; the ``multiplicities`` of the configuration action per
-    irreducible, the row gathers ``gathers`` of the generators a and r
-    (``_commutator``), each W_k's dimension ``wave_dims`` (2 where 2k = 0
-    mod n, else 4) and ``wave_number_stack``'s unit cos/sin ``patterns``."""
-
-    perms: np.ndarray
-    rots: np.ndarray
-    classes: tuple
-    class_of: np.ndarray
-    names: tuple
-    degrees: np.ndarray
-    characters: np.ndarray
-    class_sizes: np.ndarray
-    multiplicities: tuple
-    gathers: np.ndarray
-    wave_dims: np.ndarray
-    patterns: np.ndarray
-
-
 @functools.lru_cache(maxsize=DIHEDRAL_CACHE_SIZE)
 def dihedral(n):
-    """The n-only structure of the dihedral group of the regular n-gon, built
-    once per n and kept for the last DIHEDRAL_CACHE_SIZE values of n; one
-    entry holds O(n^2) numbers (perms 2n^2, patterns about n^2, the
-    characters about n^2 / 4).  The character table's orthonormality and the
-    multiplicities' integrality are checked here, when the entry is built.
+    """The dihedral group of the regular n-gon at axis angle 0, built once
+    per n and kept for the last DIHEDRAL_CACHE_SIZE values of n; one group
+    holds O(n^2) numbers (perms 2n^2, patterns about n^2, the characters
+    about n^2 / 4).  The character table's orthonormality and the
+    multiplicities' integrality are checked here, when the group is built.
 
     The rotations a^k are rotation(2 pi k / n) in closed form, so no
     rounding accumulates with k.  The conjugacy classes have a closed form
@@ -189,7 +187,6 @@ def dihedral(n):
     if n < 3:
         raise ValueError("need n >= 3")
     ks = np.arange(n)
-    rots = np.moveaxis(rotation(2.0 * np.pi * ks / n), -1, 0)
     # a^k sends body i to k + i, a^k r sends it to k - i
     perms = np.concatenate([ks[:, None] + ks, ks[:, None] - ks]) % n
     refl = tuple(range(n, 2 * n))
@@ -216,7 +213,7 @@ def dihedral(n):
     characters = np.array(rows, dtype=float)
     class_sizes = np.array([len(cl) for cl in classes])
     gram = (characters * class_sizes) @ characters.T / (2 * n)
-    if np.max(np.abs(gram - np.eye(len(names)))) > 1e-12:
+    if not np.max(np.abs(gram - np.eye(len(names)))) <= 1e-12:
         raise ValueError("character table failed orthonormality")
     # the rows 2 perm[i] + (0, 1) of a = element 1 and r = element n
     gathers = (2 * perms[[1, n], :, None] + np.arange(2)).reshape(2, 2 * n)
@@ -227,14 +224,13 @@ def dihedral(n):
     patterns[dims == 2, 1] = 0.0
     norms = np.sqrt((patterns * patterns).sum(axis=2, keepdims=True))
     patterns /= np.where(norms > 0.0, norms, 1.0)
-    for arr in (perms, rots, class_of, degrees, characters, class_sizes, gathers, dims, patterns):
+    for arr in (perms, class_of, degrees, characters, class_sizes, gathers, dims, patterns):
         arr.flags.writeable = False
-    entry = Dihedral(perms, rots, classes, class_of, tuple(names), degrees, characters,
-                     class_sizes, (), gathers, dims, patterns)
-    # the configuration action's character, on the group of axis angle 0
-    chi = representation_character(SymmetryGroup(
-        perms, np.concatenate([rots, rots @ reflection(0.0)]), classes, 0.0))
-    return replace(entry, multiplicities=tuple(decompose_multiplicities(chi, entry)))
+    rots = np.moveaxis(rotation(2.0 * np.pi * ks / n), -1, 0)
+    group = SymmetryGroup(perms, _planar_maps(rots, 0.0), classes, 0.0, class_of, tuple(names),
+                          degrees, characters, class_sizes, (), gathers, dims, patterns)
+    chi = representation_character(group)
+    return replace(group, multiplicities=tuple(decompose_multiplicities(chi, group)))
 
 
 def _commutator(H, idx, ortho):
@@ -269,7 +265,7 @@ def invariance_defect(H, group):
     """
     H = np.asarray(H, dtype=float)
     n = group.n
-    gather_a, gather_r = dihedral(n).gathers        # a^1 and a^0 r
+    gather_a, gather_r = group.gathers              # a^1 and a^0 r
     return float(n // 2 * np.linalg.norm(_commutator(H, gather_a, group.orthos[1]))
                  + np.linalg.norm(_commutator(H, gather_r, group.orthos[n])))
 
@@ -287,7 +283,7 @@ def eigenvalues_by_trace_equations(H, group, wave_eigs):
     eigenvalues each carry twice; row k of ``wave_eigs``, the ``lam`` of
     H's ``wave_number_spectrum`` (or of Hw = H / m times the common mass m),
     gives them.  The character table, the class of each element and the
-    multiplicities come from ``dihedral``, checked when it was built.
+    multiplicities are the group's own, checked when ``dihedral`` built it.
     Three checks run on every call, each raising InvarianceError with its
     value and its bound: the invariance gate, ``invariance_defect`` against
     INVARIANCE_TOL max |H| (on the Hessians of regular polygons under the
@@ -303,39 +299,38 @@ def eigenvalues_by_trace_equations(H, group, wave_eigs):
     H = np.asarray(H, dtype=float)
     scale = max(float(np.max(np.abs(H))), 1e-300)
     defect, bound = invariance_defect(H, group), INVARIANCE_TOL * scale
-    if defect > bound:
+    if not defect <= bound:
         raise InvarianceError(f"matrix does not commute with the group action: invariance "
                               f"defect {defect:.3e} exceeds its bound {bound:.3e}")
     n = group.n
-    table = dihedral(n)
     # [g, i] is the 2x2 block H_{i perm_g[i]}
     blocks = H.reshape(n, 2, n, 2)[np.arange(n), :, group.perms]
     traces = np.einsum("gikl,glk->g", blocks, group.orthos)
-    sums = table.characters[:, table.class_of] @ traces / group.order
+    sums = group.characters[:, group.class_of] @ traces / group.order
     # the rows E1, E2, ... follow the one-dimensional irreducibles, and E_j
     # is carried by W_j, j = 1..n_two_dim
-    n_one = int(np.sum(table.degrees == 1))
-    wave_eigs = np.asarray(wave_eigs)[1:len(table.names) - n_one + 1]
+    n_one = int(np.sum(group.degrees == 1))
+    wave_eigs = np.asarray(wave_eigs)[1:len(group.names) - n_one + 1]
     off = np.abs(wave_eigs.sum(axis=1) - sums[n_one:])
     bounds = TRACE_CHECK_TOL * (1.0 + np.abs(sums[n_one:]))
-    bad = np.flatnonzero(off > bounds)
+    bad = np.flatnonzero(~(off <= bounds))
     if bad.size:
         i = bad[0]
         raise InvarianceError(
-            f"component {table.names[n_one + i]}: the wave-number eigenvalues add up to "
+            f"component {group.names[n_one + i]}: the wave-number eigenvalues add up to "
             f"{off[i]:.3e} off the trace-equation sum, beyond its bound {bounds[i]:.3e}"
         )
     # one eigenvalue per copy of each irreducible, in table order
     values = np.concatenate([sums[:n_one], wave_eigs.ravel()])
-    lams = np.split(values, np.cumsum(table.multiplicities)[:-1])
+    lams = np.split(values, np.cumsum(group.multiplicities)[:-1])
     components = [
         {"irrep": name, "degree": int(d), "multiplicity": m, "eigenvalues": lam.tolist()}
-        for name, d, m, lam in zip(table.names, table.degrees, table.multiplicities, lams)
+        for name, d, m, lam in zip(group.names, group.degrees, group.multiplicities, lams)
     ]
-    multiset = np.sort(np.repeat(values, np.repeat(table.degrees, table.multiplicities)))
+    multiset = np.sort(np.repeat(values, np.repeat(group.degrees, group.multiplicities)))
     worst = float(np.max(np.abs(np.sort(np.linalg.eigvalsh(H)) - multiset)))
     bound = TRACE_CHECK_TOL * (scale + 1.0)
-    if worst > bound:
+    if not worst <= bound:
         raise InvarianceError(f"trace-equation eigenvalues are {worst:.3e} from a direct "
                               f"diagonalization, beyond their bound {bound:.3e}")
     return components, multiset

@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from relequil.central import regular_polygon
 from relequil.checks import run_selfcheck
-from relequil.dynamics import equilibrium_check, estimate_growth_rate
+from relequil.dynamics import equilibrium_check, estimate_growth_rate, worst_direction
 from relequil.model import (
     Equilibrium,
     PotentialSpec,
@@ -17,7 +17,7 @@ from relequil.model import (
     potential_gradient,
     potential_hessian,
 )
-from relequil.pipeline import AnalysisRequest, _worst_direction, run_analysis, run_sweep
+from relequil.pipeline import AnalysisRequest, run_analysis, run_sweep
 from relequil.presets import all_standard_cases
 from relequil.spectrum import (
     compare_spectra,
@@ -274,7 +274,7 @@ def test_criterion_9_dynamics_confirmation():
         if predicted <= 0.05 * omega:
             details.append(f"{case.name}: {eq_detail}, growth skipped")
             continue
-        direction = _worst_direction(eq)
+        direction = worst_direction(eq)
         est = estimate_growth_rate(eq, direction)
         rel = abs(est.rate - predicted) / predicted
         ok &= (not est.no_growth) and rel <= 0.10

@@ -214,3 +214,27 @@ class TestStrictPairs:
 def test_block_symplectic():
     for n in range(1, 33):
         assert _same_bytes(block_symplectic(n), _reference_block_symplectic(n)), n
+
+
+def _reference_wave_blocks(omega, K):
+    """The complex 4x4 stack of ``wave_number_block_spectra``, filled by hand."""
+    C = np.zeros((len(K), 4, 4), dtype=complex)
+    C[:, :2, 2:] = np.eye(2)
+    C[:, 2:, :2] = omega * omega * np.eye(2) + K
+    C[:, 2:, 2:] = 2.0 * omega * J2
+    return C
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_first_order_matrix_of_a_stack_is_each_matrix(dtype):
+    rng = np.random.default_rng(30)
+    omega = 0.7
+    h = rng.standard_normal((6, 2, 2))
+    if dtype is complex:
+        h = h + 1j * rng.standard_normal((6, 2, 2))
+    stacked = first_order_matrix(omega * omega, omega, h, J2)
+    assert stacked.shape == (6, 4, 4) and stacked.dtype == dtype
+    for k in range(len(h)):
+        assert _same_bytes(stacked[k], first_order_matrix(omega * omega, omega, h[k], J2)), k
+    if dtype is complex:
+        assert _same_bytes(stacked, _reference_wave_blocks(omega, h))

@@ -8,6 +8,8 @@ cache; the cached parts must match them byte for byte, and must be
 read-only, since every group of the same n shares them.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from relequil.pipeline import AnalysisRequest, run_analysis, run_sweep
 from relequil.symmetry import (
     DIHEDRAL_CACHE_SIZE,
     J2,
+    SymmetryGroup,
     block_symplectic,
     build_polygon_symmetry_group,
     dihedral,
@@ -92,7 +95,7 @@ def _cached_arrays(n, group):
     """Every array that an analysis of the n-gon shares with the cache."""
     entry = dihedral(n)
     return {
-        "perms": entry.perms, "rots": entry.rots, "class_of": entry.class_of,
+        "perms": entry.perms, "orthos": entry.orthos, "class_of": entry.class_of,
         "gathers": entry.gathers, "wave_dims": entry.wave_dims, "patterns": entry.patterns,
         "degrees": entry.degrees, "characters": entry.characters,
         "class_sizes": entry.class_sizes, "group.perms": group.perms,
@@ -128,6 +131,26 @@ def test_cached_build_matches_a_build_from_scratch(n):
         assert _same_bytes(wave_number_stack(vertices),
                            _reference_wave_number_stack(vertices)), angle
     assert _same_bytes(block_symplectic(n), _reference_block_symplectic(n))
+
+
+# the fields of a group that depend on n alone
+PER_N_FIELDS = ("perms", "conjugacy_classes", "class_of", "names", "degrees", "characters",
+                "class_sizes", "multiplicities", "gathers", "wave_dims", "patterns")
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_every_group_shares_the_cached_fields(n):
+    cached = dihedral(n)
+    assert isinstance(cached, SymmetryGroup) and cached.axis_angle == 0.0
+    assert cached.multiplicities == tuple(cached.degrees)
+    assert {f.name for f in dataclasses.fields(SymmetryGroup)} == {
+        *PER_N_FIELDS, "orthos", "axis_angle"}
+    for angle in AXIS_ANGLES:
+        group = build_polygon_symmetry_group(n, axis_angle=angle)
+        assert group.axis_angle == angle
+        for name in PER_N_FIELDS:
+            assert getattr(group, name) is getattr(cached, name), (angle, name)
+        assert _same_bytes(group.orthos[:n], cached.orthos[:n]), angle
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 24])

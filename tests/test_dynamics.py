@@ -5,7 +5,12 @@ import pytest
 
 from relequil import dynamics
 from relequil.central import refine_central_configuration, regular_polygon
-from relequil.dynamics import equilibrium_check, estimate_growth_rate, integrate_rotating_frame
+from relequil.dynamics import (
+    equilibrium_check,
+    estimate_growth_rate,
+    integrate_rotating_frame,
+    worst_direction,
+)
 from relequil.model import (
     BodyConfiguration,
     Equilibrium,
@@ -14,7 +19,6 @@ from relequil.model import (
     is_central_configuration,
     potential_gradient,
 )
-from relequil.pipeline import _worst_direction
 from relequil.presets import PRESET_NAMES, get_case
 from relequil.spectrum import full_linearization_spectrum
 from relequil.symmetry import block_symplectic
@@ -204,7 +208,7 @@ def _growth_run():
     # the triangle kicked along its worst direction, stopped once 1e-2 away
     case = get_case("triangle-homogeneous")
     eq = Equilibrium(case.configuration(), case.potential)
-    config = eq.config.with_positions(eq.config.positions + 1e-6 * _worst_direction(eq))
+    config = eq.config.with_positions(eq.config.positions + 1e-6 * worst_direction(eq))
     return config, eq.spec, dict(
         duration=12.0 * eq.period, dt=eq.period / 500.0, sample_every=10, omega2=eq.omega2,
         reference_equilibrium=eq.config.positions, stop_deviation=1e-2)
@@ -554,7 +558,7 @@ class TestGrowthRate:
         cfg, spec = newton_triangle
         eq = Equilibrium(cfg, spec)
         predicted = float(full_linearization_spectrum(eq).real.max())
-        direction = _worst_direction(eq)
+        direction = worst_direction(eq)
         est = estimate_growth_rate(eq, direction)
         assert not est.no_growth
         assert est.rate == pytest.approx(predicted, rel=0.10)
@@ -613,7 +617,7 @@ class TestGrowthRate:
         elif case_kind == "epsilon=1e-4":
             kwargs["epsilon"] = 1e-4
         eq = Equilibrium(config, case.potential)
-        direction = _worst_direction(eq)
+        direction = worst_direction(eq)
         stopped, runs, full, full_run = self._stopped_and_full(
             monkeypatch, eq, direction, dt=eq.period / 500.0, **kwargs)
         assert not stopped.no_growth
@@ -688,7 +692,7 @@ class TestGrowthRate:
         unit = Equilibrium(regular_polygon(3), PotentialSpec.homogeneous(1.0))
         predicted = float(full_linearization_spectrum(unit).real.max()) * radius ** -1.5
         eq = Equilibrium(unit.config.scaled(radius), unit.spec)
-        est = estimate_growth_rate(eq, _worst_direction(unit))
+        est = estimate_growth_rate(eq, worst_direction(unit))
         assert not est.no_growth
         assert est.rate == pytest.approx(predicted, rel=0.10)
 
@@ -700,7 +704,7 @@ class TestGrowthRate:
         case = get_case("manev-triangle")
         eq = Equilibrium(case.configuration(), case.potential)
         with pytest.raises(ValueError, match=r"100 \* epsilon must be at most GROWTH_WINDOW_TOP"):
-            estimate_growth_rate(eq, _worst_direction(eq), epsilon=epsilon)
+            estimate_growth_rate(eq, worst_direction(eq), epsilon=epsilon)
 
     def test_stop_deviation_needs_a_reference(self, newton_triangle):
         with pytest.raises(ValueError, match="reference_equilibrium"):
@@ -717,7 +721,7 @@ class TestGrowthRate:
         case = get_case("manev-triangle")
         eq = Equilibrium(case.configuration(), case.potential)
         with pytest.raises(ValueError, match="epsilon must be finite and positive"):
-            estimate_growth_rate(eq, _worst_direction(eq), epsilon=0.0)
+            estimate_growth_rate(eq, worst_direction(eq), epsilon=0.0)
 
     @pytest.mark.parametrize("name", ["epsilon", "duration", "dt"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])

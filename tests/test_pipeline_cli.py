@@ -420,7 +420,7 @@ class TestComputedOnce:
             real_init(eq)
             built.append(eq)
 
-        real_direction = pipeline._worst_direction
+        real_direction = dynamics.worst_direction
 
         def record_direction(eq):
             directions.append(eq)
@@ -433,7 +433,7 @@ class TestComputedOnce:
             return real_integrate(config, spec, **{**kwargs, "duration": 10 * kwargs["dt"]})
 
         monkeypatch.setattr(model.Equilibrium, "__post_init__", record_build)
-        monkeypatch.setattr(pipeline, "_worst_direction", record_direction)
+        monkeypatch.setattr(dynamics, "worst_direction", record_direction)
         monkeypatch.setattr(dynamics, "integrate_rotating_frame", ten_steps)
         request = AnalysisRequest(case="square-homogeneous", alpha=1.0,
                                   with_dynamics=with_dynamics)

@@ -72,9 +72,10 @@ class TestBlockSpectrum:
         )
         assert np.trace(B) == 0.0
 
-    def test_rejects_nonpositive_omega(self):
-        with pytest.raises(ValueError):
-            block_spectrum(0.0, 1.0, 1.0)
+    @pytest.mark.parametrize("omega", [0.0, -1.0, np.nan])
+    def test_rejects_nonpositive_omega(self, omega):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            block_spectrum(omega, 1.0, 1.0)
 
     def test_translation_block_unit_frequency(self):
         eigs = block_spectrum(1.0, 0.0, 0.0)
@@ -359,6 +360,18 @@ class TestDeflation:
             deflated_eigenvalues(w * w, w, eq.Hw, eq.Jh, *eq.trivial)
         assert err.value.stage == "trivial modes"
         assert "invariance defect" in str(err.value)
+
+    @pytest.mark.parametrize("collinear", [False, True], ids=["polygon", "collinear"])
+    def test_nan_in_h_fails_the_deflation(self, collinear):
+        # a NaN compares false with any bound, so the defect test must fail
+        # on it rather than pass it on to eigvals
+        eq = _collinear_manev() if collinear else Equilibrium(regular_polygon(5),
+                                                              PotentialSpec.manev())
+        h = eq.Hw.copy()
+        h[1, 4] = np.nan
+        with pytest.raises(ConsistencyError, match="invariance defect nan") as err:
+            deflated_eigenvalues(eq.omega2, eq.omega, h, eq.Jh, *eq.trivial)
+        assert err.value.stage == "trivial modes"
 
 
 class TestBlockOracleAgreement:

@@ -70,6 +70,12 @@ class TestGroupConstruction:
         with pytest.raises(ValueError):
             build_polygon_symmetry_group(2)
 
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_axis_angle(self, angle):
+        # its reflections would be NaN, and so would every trace
+        with pytest.raises(ValueError, match="axis_angle must be finite"):
+            build_polygon_symmetry_group(4, angle)
+
     def test_generator_matrices_match_expected(self):
         D = representation_matrices(build_polygon_symmetry_group(3))
         # a is element 1 and r element n
@@ -521,6 +527,24 @@ class TestTraceEquations:
         off, bound = self._figures(str(err.value))
         assert off == pytest.approx(2 * delta, rel=1e-3)
         assert bound == pytest.approx(TRACE_CHECK_TOL * (1.0 + abs(total)), rel=1e-3)
+
+    def test_nan_in_the_matrix_fails_the_gate(self):
+        # a NaN compares false with any bound, so the gate must fail on it
+        # rather than pass it on to eigvalsh
+        H = potential_hessian(regular_polygon(4), PotentialSpec.manev())
+        group = build_polygon_symmetry_group(4)
+        wave_eigs = trace_wave_eigs(H, group)
+        H = H.copy()
+        H[2, 3] = np.nan
+        with pytest.raises(InvarianceError, match="invariance defect nan"):
+            eigenvalues_by_trace_equations(H, group, wave_eigs)
+
+    def test_nan_wave_number_eigenvalue_fails_the_trace_sum_check(self):
+        H = potential_hessian(regular_polygon(5), PotentialSpec.manev())
+        group = build_polygon_symmetry_group(5)
+        planted = self._plant(H, group, 1, [np.nan, 0.0])
+        with pytest.raises(InvarianceError, match="component E1: .* nan off the trace"):
+            eigenvalues_by_trace_equations(H, group, planted)
 
     def test_direct_check_names_its_distance_and_bound(self):
         # moving the eigenvalues of K_1 by -delta and +delta keeps their sum,
