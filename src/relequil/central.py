@@ -84,8 +84,10 @@ def refine_central_configuration(config, spec, max_iter=60, fix_inertia=None,
     ``fix_inertia`` selects the scale of the returned configuration; leave
     None to stay near the initial scale (only meaningful when the solution
     family is scale-free, as for regular polygons under every potential
-    spec in scope).
+    spec in scope); given, it must be finite and positive (ValueError).
     """
+    if fix_inertia is not None and not (np.isfinite(fix_inertia) and fix_inertia > 0):
+        raise ValueError(f"fix_inertia must be finite and positive, got {fix_inertia!r}")
     masses = np.asarray(config.masses, dtype=float)
     pairs = BodyPairs(masses)
     mass_vector = np.repeat(masses, 2)

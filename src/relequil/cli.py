@@ -82,7 +82,6 @@ def _request_from_args(args):
         potential=potential,
         masses=_parse_floats(args.masses, "--masses"),
         positions=_parse_floats(args.positions, "--positions"),
-        compare_tol=getattr(args, "tol", AnalysisRequest.compare_tol),
         with_dynamics=getattr(args, "dynamics", False),
         with_timing=getattr(args, "timing", False),
     )
@@ -217,8 +216,6 @@ def build_parser():
                             help="flat x1,y1,x2,y2,... for explicit configurations"),
         "--masses": dict(default=None,
                          help="m1,m2,... for explicit configurations (default all 1)"),
-        "--tol": dict(type=float, default=AnalysisRequest.compare_tol,
-                      help="block-vs-oracle comparison tolerance"),
         "--out": dict(default=None, help="write output to this path"),
         "--format": dict(choices=("json", "table"), default="table"),
     }
@@ -241,7 +238,7 @@ def build_parser():
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("simulate", help="integrate the nonlinear system")
-    common(p, "--tol")
+    common(p)
     p.add_argument("--periods", type=float, default=10.0)
     p.add_argument("--steps-per-period", type=int, default=10000)
     p.add_argument("--kick", action="store_true",

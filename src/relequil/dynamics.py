@@ -106,6 +106,8 @@ class _RotatingFrame:
     """
 
     def __init__(self, config, spec, omega2):
+        if not (np.isfinite(omega2) and omega2 >= 0):
+            raise ValueError(f"omega2 must be finite and non-negative, got {omega2!r}")
         self.omega2 = float(omega2)
         self.omega = float(np.sqrt(self.omega2))
         pairs, n = config.pairs, config.n
@@ -220,8 +222,8 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
     sample whose positions lie farther than that (Euclidean norm) from
     ``reference_equilibrium``.
     Defaults: duration = one rotation period, dt = period / 10^4.  duration
-    and dt must be finite and positive, sample_every a positive integer
-    (ValueError).
+    and dt must be finite and positive, omega2 finite and non-negative (0 is
+    the inertial frame), sample_every a positive integer (ValueError).
     """
     if not (np.isfinite(sample_every) and sample_every > 0
             and sample_every == int(sample_every)):
@@ -361,16 +363,17 @@ def estimate_growth_rate(eq, direction, epsilon=None, duration=None, dt=None):
     than 8 samples or the deviation never reaches 300 * epsilon;
     ``n_samples`` is the stretch's length either way.
 
-    epsilon, duration and dt, given or defaulted, must be finite and
-    positive, and 100 * epsilon at most top (ValueError): samples come every
-    10 steps of the default dt = period / 4000, so the window's one decade
-    holds ln(10) 400 / (sigma period) of them at growth rate sigma, at
-    least 8 while sigma period <= 115.
+    direction must be finite and nonzero, and epsilon, duration and dt,
+    given or defaulted, finite and positive, and 100 * epsilon at most top
+    (ValueError): samples come every 10 steps of the default
+    dt = period / 4000, so the window's one decade holds
+    ln(10) 400 / (sigma period) of them at growth rate sigma, at least 8
+    while sigma period <= 115.
     """
     direction = np.asarray(direction, dtype=float)
     nrm = np.linalg.norm(direction)
-    if nrm == 0:
-        raise ValueError("direction must be nonzero")
+    if not (np.isfinite(nrm) and nrm > 0):
+        raise ValueError("direction must be finite and nonzero")
     direction = direction / nrm
     config = eq.config
     radius = float(np.max(np.hypot(*config.points.T)))

@@ -304,10 +304,6 @@ class StabilityVerdict:
             self, "n_pure_imaginary", self.labels.count("pure-imaginary")
         )
 
-    @property
-    def is_unstable(self):
-        return self.verdict == UNSTABLE
-
 
 def eigenvalue_labels(values, thr):
     """Label each eigenvalue zero, pure-imaginary, real or complex at |Re|, |Im| <= thr."""
@@ -338,9 +334,6 @@ class SpectrumMatch:
     scale: float
     worst_pairs: tuple        # the 4 worst ((a, b, distance), ...), worst-first
     cardinality_mismatch: bool = False
-
-    def __bool__(self):
-        return self.matches
 
 
 def compare_spectra(a, b, tol=1e-9):

@@ -196,6 +196,12 @@ class TestRefine:
         # merit never increases between accepted steps
         assert all(b <= a for a, b in zip(history, history[1:]))
 
+    @pytest.mark.parametrize("inertia", [np.nan, np.inf, 0.0, -1.0])
+    def test_fix_inertia_must_be_finite_and_positive(self, triangle, inertia):
+        with pytest.raises(ValueError, match="^fix_inertia must be finite and positive"):
+            refine_central_configuration(triangle, PotentialSpec.homogeneous(1.0),
+                                         fix_inertia=inertia)
+
     def test_exact_input_is_fixed_point(self, triangle):
         refined = refine_central_configuration(
             triangle, PotentialSpec.homogeneous(1.0)

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from relequil import model, presets, symmetry
+from relequil import model, pipeline, presets, symmetry
 from relequil.central import regular_polygon
 from relequil.cli import main as cli_main
 from relequil.model import BodyConfiguration, Equilibrium, position_basis
@@ -190,7 +190,9 @@ def test_a_sweep_of_explicit_positions_resolves_one_configuration(monkeypatch):
     ("0,0,1,0,0,2", 2, "configuration is not central"),
     ("1,0,-0.5,0.8660254037844386,-0.5,-0.8660254037844386", 3, "block union vs oracle"),
 ], ids=["collision", "not-central", "tol"])
-def test_every_point_of_a_positions_sweep_keeps_its_failure(capsys, positions, code, message):
-    tol = ["--tol", "1e-30"] if code == 3 else []
-    assert cli_main(["sweep", "--positions", positions, *tol, "--grid", "1,2"]) == code
+def test_every_point_of_a_positions_sweep_keeps_its_failure(capsys, monkeypatch, positions,
+                                                           code, message):
+    if code == 3:
+        monkeypatch.setattr(pipeline, "COMPARE_TOL", 1e-30)
+    assert cli_main(["sweep", "--positions", positions, "--grid", "1,2"]) == code
     assert capsys.readouterr().out.count(f"FAILED: {message}") == 2

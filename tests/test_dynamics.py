@@ -278,6 +278,14 @@ class TestIntegrator:
             traj = integrate_rotating_frame(cfg, spec, omega2=0.0, **kwargs)
         assert traj.blew_up
 
+    @pytest.mark.parametrize("omega2", [-1.0, np.nan, np.inf])
+    def test_frame_frequency_must_be_finite_and_non_negative(self, newton_triangle, omega2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^omega2 must be finite and non-negative"):
+                integrate_rotating_frame(*newton_triangle, omega2=omega2,
+                                         duration=1.0, dt=0.01)
+
     def test_default_frame_is_the_unchecked_euler_multiplier(self):
         # a non-central configuration integrates in the frame of the
         # centrality test's Euler multiplier, which is not checked here
@@ -712,8 +720,14 @@ class TestGrowthRate:
 
     def test_rejects_zero_direction(self, newton_triangle):
         eq = Equilibrium(*newton_triangle)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^direction must be finite and nonzero$"):
             estimate_growth_rate(eq, np.zeros(6))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_direction_must_be_finite(self, newton_triangle, value):
+        eq = Equilibrium(*newton_triangle)
+        with pytest.raises(ValueError, match="^direction must be finite and nonzero$"):
+            estimate_growth_rate(eq, np.full(6, value))
 
     def test_zero_epsilon_is_refused(self):
         # a kick of zero never leaves the equilibrium; it used to be fitted
@@ -739,6 +753,10 @@ class TestEquilibriumCheck:
         eq = Equilibrium(case.configuration(), case.potential)
         with pytest.raises(ValueError, match="periods must be finite and positive"):
             equilibrium_check(eq.config, eq.spec, eq.omega2, periods=-1)
+
+    def test_negative_frame_frequency_is_named(self, newton_triangle):
+        with pytest.raises(ValueError, match="^omega2 must be finite and non-negative"):
+            equilibrium_check(*newton_triangle, -1.0)
 
     @pytest.mark.parametrize("name", ["periods", "steps_per_period", "sample_every"])
     @pytest.mark.parametrize("value", [0, -1, np.nan, np.inf])

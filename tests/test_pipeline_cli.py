@@ -70,12 +70,6 @@ class TestRequestResolution:
         with pytest.raises(InputError):
             AnalysisRequest().resolve()
 
-    @pytest.mark.parametrize("field", ["compare_tol"])
-    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-    def test_rejects_tolerance_not_finite_and_positive(self, field, tol):
-        with pytest.raises(InputError, match=f"^{field} must be finite and positive"):
-            AnalysisRequest(case="triangle-homogeneous", **{field: tol})
-
     @pytest.mark.parametrize("potential", [((1.0, 1.0),), ((1.0, 2.0), (1.0, 3.0)),
                                            ((1.0, 1.0), (1.0, 2.0))])
     def test_alpha_contradicting_the_potential_rejected(self, potential):
@@ -131,20 +125,8 @@ class TestReports:
     def test_json_round_trip_bit_exact(self):
         report = run_analysis(_preset_request("manev-triangle"))
         text = json.dumps(report.to_dict())
-        recovered = StabilityReport.from_dict(json.loads(text))
-        assert json.dumps(recovered.to_dict()) == text
-
-    def test_from_dict_reads_the_dict_it_was_given(self):
-        golden = json.loads((GOLDEN_DIR / "manev-square.json").read_text())
-        report = StabilityReport.from_dict(golden)
-        assert report.to_dict() is golden and report.data is golden
-        assert report.verdict == golden["verdict"]["verdict"]
-        assert report.matches_oracle is golden["spectra_match"]["matches"]
-        assert report.omega_squared == golden["omega_squared"]["computed"]
-        assert report.discrepancies is golden["discrepancies"]
-        assert report == run_analysis(_preset_request("manev-square"))
-        with pytest.raises(InputError, match="verdict"):
-            StabilityReport.from_dict({"schema_version": 1})
+        assert json.loads(text) == report.to_dict()
+        assert json.dumps(json.loads(text)) == text
 
     def test_determinism(self):
         a = run_analysis(_preset_request("schwarzschild-square"))
@@ -246,13 +228,6 @@ class TestReports:
         assert line[0] == "collinear" and line[7] == "pairs"
         assert 0.0 < float(line[8]) <= 1e-12
 
-    def test_schema_version_checked(self):
-        report = run_analysis(_preset_request("triangle-homogeneous"))
-        data = dict(report.to_dict())
-        data["schema_version"] = 99
-        with pytest.raises(InputError):
-            StabilityReport.from_dict(data)
-
     def test_reference_values_present_with_flags(self):
         report = run_analysis(_preset_request("manev-square"))
         om = report.to_dict()["omega_squared"]
@@ -297,7 +272,6 @@ class TestLazyReport:
         monkeypatch.setattr(pipeline, "sorted_spectrum", refuse)
         assert report.verdict == golden["verdict"]["verdict"]
         assert report.matches_oracle is golden["spectra_match"]["matches"] is True
-        assert report.omega_squared == golden["omega_squared"]["computed"]
         assert report.discrepancies == golden["discrepancies"]
         with pytest.raises(AssertionError, match="serialized"):
             report.to_dict()
@@ -306,7 +280,6 @@ class TestLazyReport:
         assert data == golden
         assert report.to_dict() is data and report.data is data
         assert report.discrepancies is data["discrepancies"]
-        assert report.render_table() == StabilityReport.from_dict(golden).render_table()
 
     @pytest.mark.parametrize("request_", [
         _preset_request("triangle-homogeneous"),
@@ -326,10 +299,10 @@ class TestLazyReport:
 
 
 class TestConsistencyError:
-    def test_names_stage_distance_and_worst_pair(self):
+    def test_names_stage_distance_and_worst_pair(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "COMPARE_TOL", 1e-30)
         with pytest.raises(ConsistencyError) as err:
-            run_analysis(AnalysisRequest(case="triangle-homogeneous", alpha=1.0,
-                                         compare_tol=1e-30))
+            run_analysis(AnalysisRequest(case="triangle-homogeneous", alpha=1.0))
         text = str(err.value)
         assert err.value.stage == "block union vs oracle"
         assert text.startswith("block union vs oracle: max matched distance ")
@@ -676,16 +649,6 @@ class TestCli:
         assert ("input error: coefficients and exponents must be positive"
                 in capsys.readouterr().err)
 
-    def test_tol_is_passed_through(self, capsys, tmp_path):
-        out = tmp_path / "report.json"
-        assert cli_main(["analyze", "--case", "manev-triangle", "--tol", "1e-6",
-                         "--format", "json", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["spectra_match"]["tol"] == 1e-6
-        for tol in ("0", "-1", "nan"):
-            assert cli_main(["analyze", "--case", "manev-triangle", "--tol", tol]) == 2
-            assert ("input error: compare_tol must be finite and positive"
-                    in capsys.readouterr().err)
-
     @pytest.mark.parametrize("argv, flag", [
         (["--kick", "--epsilon", "0"], "--epsilon"),
         (["--periods", "nan"], "--periods"),
@@ -779,19 +742,22 @@ class TestCli:
         assert cli_main(["sweep", *argv]) == 2
         assert "FAILED: " in capsys.readouterr().out
 
-    def test_sweep_with_only_consistency_failures_exit_3(self, capsys):
-        assert cli_main(["sweep", "--case", "triangle-homogeneous", "--tol", "1e-30",
-                         "--grid", "1,2"]) == 3
+    def test_sweep_with_only_consistency_failures_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "COMPARE_TOL", 1e-30)
+        assert cli_main(["sweep", "--case", "triangle-homogeneous", "--grid", "1,2"]) == 3
         assert capsys.readouterr().out.count("FAILED: block union vs oracle") == 2
 
     @pytest.mark.parametrize("command, flag", [
         *(("presets", flag) for flag in _INPUT_FLAGS + ("--tol",)),
         *(("selfcheck", flag) for flag in _INPUT_FLAGS + ("--tol", "--out", "--format")),
         ("simulate", "--tol"),
+        ("analyze", "--tol"),
+        ("sweep", "--tol"),
         ("sweep", "--alpha"),
     ])
     def test_flag_the_command_does_not_read_exit_2(self, capsys, command, flag):
         required = {"simulate": ["--case", "manev-square"],
+                    "analyze": ["--case", "manev-square"],
                     "sweep": ["--case", "triangle-homogeneous", "--grid", "1"]}
         with pytest.raises(SystemExit) as exc:
             cli_main([command, *required.get(command, []), flag, _FLAG_VALUES[flag]])

@@ -162,7 +162,6 @@ class TestClassify:
         v = classify(np.array([1j, -1j, 2j, -2j]))
         assert v.verdict == NOT_UNSTABLE
         assert v.labels == ("pure-imaginary",) * 4
-        assert not v.is_unstable
 
     def test_zero_and_imaginary_modes(self):
         w = 0.9
