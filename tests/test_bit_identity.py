@@ -1,7 +1,7 @@
-"""The vectorized Hessian and pairing against the loops they replaced.
+"""The vectorized Hessian, gradient and pairing against the loops they replaced.
 
 Each ``_reference_*`` function below is the earlier Python loop, kept as the
-definition of the result.  The Hessian and ``block_symplectic``
+definition of the result.  The Hessian, the gradient and ``block_symplectic``
 change only how the work is organised, not the arithmetic or its order, so
 they must return the same bytes on every input.  The one-pass pairing
 chooses its vectors differently from the greedy sweep it replaced, so it
@@ -18,6 +18,7 @@ from relequil.model import (
     Equilibrium,
     PotentialSpec,
     first_order_matrix,
+    potential_gradient,
     potential_hessian,
 )
 from relequil.presets import all_standard_cases
@@ -54,6 +55,24 @@ def _reference_hessian(config, spec):
             H[sl_i, sl_j] -= blk
             H[sl_j, sl_i] -= blk
     return H
+
+
+def _reference_gradient(config, spec):
+    """Each term's pair forces f_k added on body i, then subtracted on body j,
+    pair by pair in i < j order."""
+    q = config.points
+    iu, ju = np.triu_indices(config.n, 1)
+    d = q[iu] - q[ju]
+    r = np.hypot(d[:, 0], d[:, 1])
+    mm = config.masses[iu] * config.masses[ju]
+    grad = np.zeros((config.n, 2))
+    for c, a in spec.terms:
+        f = (-a * c * mm * r ** (-a - 2))[:, None] * d
+        for k in range(iu.size):
+            grad[iu[k]] += f[k]
+        for k in range(ju.size):
+            grad[ju[k]] -= f[k]
+    return grad.ravel()
 
 
 def _reference_deflate(basis, used):
@@ -150,6 +169,24 @@ class TestHessian:
         for label, cfg, spec in ANALYSIS_INPUTS:
             assert _same_bytes(potential_hessian(cfg, spec),
                                _reference_hessian(cfg, spec)), label
+
+
+class TestGradient:
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_random_configurations(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(3):
+            cfg = BodyConfiguration(rng.uniform(0.3, 3.0, n),
+                                    rng.uniform(-2.0, 2.0, 2 * n))
+            spec = _random_spec(rng)
+            g = potential_gradient(cfg, spec)
+            assert g.shape == (2 * n,)
+            assert _same_bytes(g, _reference_gradient(cfg, spec)), spec.describe()
+
+    def test_presets_and_polygons(self):
+        for label, cfg, spec in ANALYSIS_INPUTS:
+            assert _same_bytes(potential_gradient(cfg, spec),
+                               _reference_gradient(cfg, spec)), label
 
 
 class TestPurify:
