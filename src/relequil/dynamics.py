@@ -223,7 +223,8 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
     ``reference_equilibrium``.
     Defaults: duration = one rotation period, dt = period / 10^4.  duration
     and dt must be finite and positive, omega2 finite and non-negative (0 is
-    the inertial frame), sample_every a positive integer (ValueError).
+    the inertial frame, which has no period, so there both must be given),
+    sample_every a positive integer (ValueError).
     """
     if not (np.isfinite(sample_every) and sample_every > 0
             and sample_every == int(sample_every)):
@@ -239,6 +240,9 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
         raise ValueError("stop_deviation needs a reference_equilibrium")
     if duration is None or dt is None:
         # only the defaults need the period, which omega2 = 0 lacks
+        if frame.omega2 == 0.0:
+            raise ValueError("omega2 = 0 is the inertial frame, which has no rotation "
+                             "period to default the run length from: pass duration and dt")
         period = rotation_period(frame.omega2)
         duration = period if duration is None else duration
         dt = period / DEFAULT_STEPS_PER_PERIOD if dt is None else dt
@@ -315,13 +319,17 @@ def equilibrium_check(config, spec, omega2=None, periods=1.0, steps_per_period=2
     at an equilibrium.  drift is the largest coordinate's distance from the
     start over the unpinned ``trajectory`` of ``periods``: a wrong frame or
     a moved body leaves within a period.  The three run lengths must be
-    finite and positive (ValueError).
+    finite and positive, and omega2 positive: the run is measured in periods
+    of the frame, and the inertial frame omega2 = 0 has none (ValueError).
     """
     _require_positive(periods=periods, steps_per_period=steps_per_period,
                       sample_every=sample_every)
     centrality = is_central_configuration(config, spec)
     grad, residual = centrality.gradient, centrality.residual
     frame = _RotatingFrame(config, spec, centrality.multiplier if omega2 is None else omega2)
+    if frame.omega2 == 0.0:
+        raise ValueError("omega2 = 0 is the inertial frame, which has no rotation period "
+                         "to measure the check's run in periods of")
     frame.set_reference_equilibrium(config.positions)
     pin_defect = float(np.max(np.abs(frame.offset.view(float) - residual / config.mass_vector)))
     pin_bound = 4.0 * np.finfo(float).eps * (

@@ -8,11 +8,13 @@ used everywhere else in the package.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .symmetry import (
+    DIHEDRAL_CACHE_SIZE,
     block_symplectic,
     build_polygon_symmetry_group,
     polygon_axis_angle,
@@ -50,18 +52,46 @@ def _readonly(a):
     return a
 
 
+PairPlan = namedtuple("PairPlan", "iu ju coords diag off")
+
+
+@functools.lru_cache(maxsize=DIHEDRAL_CACHE_SIZE)
+def pair_plan(n):
+    """The pairs i < j of n bodies and where their terms land, built once
+    per n and shared read-only: the body indices ``iu``, ``ju`` (those of
+    np.triu_indices(n, 1)); ``coords``, the flat indices of the (x, y) of
+    body i (row 0) and of body j (row 1) in a 2n-vector, pair by pair; and
+    the flat indices into a 2n x 2n matrix of the entries of the pairs' 2x2
+    blocks, row-major per block: ``diag`` the body blocks (j, j) of every
+    pair and then their (i, i), ``off`` the blocks (i, j) and then (j, i)."""
+    r = np.arange(n)
+    iu, ju = np.nonzero(r[:, None] < r)
+    coords = 2 * np.stack([iu, ju])[:, :, None] + np.arange(2)      # (2, P, 2)
+
+    def entries(rows, cols):
+        # entry (2 rows + x, 2 cols + y) of each pair's block
+        return (2 * n * coords[rows][:, :, :, None] + coords[cols][:, :, None, :]).ravel()
+
+    plan = PairPlan(iu, ju, coords.reshape(2, -1), entries([1, 0], [1, 0]),
+                    entries([0, 1], [1, 0]))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
 class BodyPairs:
-    """Read-only index arrays and mass products m_i m_j of the pairs i < j,
-    with the potential's formulas; each reads the separations ``sep`` of one
-    set of (n, 2) points, and ``terms`` are the (c_k, a_k) of PotentialSpec."""
+    """The ``pair_plan`` of the bodies and the mass products m_i m_j of the
+    pairs i < j, with the potential's formulas; each reads the separations
+    ``sep`` of one set of (n, 2) points, and ``terms`` are the (c_k, a_k) of
+    PotentialSpec.  The gradient and the Hessian scatter each pair's terms
+    onto the plan's flat indices, with ufunc.at where targets repeat."""
 
     def __init__(self, masses):
         self.masses = masses
-        r = np.arange(masses.size)
-        # the indices of np.triu_indices(n, 1), without its index grid
-        self.iu, self.ju = np.nonzero(r[:, None] < r)
+        self.plan = pair_plan(masses.size)
+        self.iu, self.ju = self.plan.iu, self.plan.ju
         self.mm = masses[self.iu] * masses[self.ju]
-        self.iu.flags.writeable = self.ju.flags.writeable = self.mm.flags.writeable = False
+        self.mm.flags.writeable = False
 
     def separations(self, points):
         """Separations d_ij = q_i - q_j and distances r_ij for i < j."""
@@ -86,12 +116,13 @@ class BodyPairs:
     def gradient(self, sep, terms):
         """Exact gradient of U as a flat 2n-vector."""
         d, r = sep
-        grad = np.zeros((self.masses.size, 2))
+        grad = np.zeros(2 * self.masses.size)
+        at_i, at_j = self.plan.coords
         for c, a in terms:
-            f = (-a * c * self.mm * r ** (-a - 2))[:, None] * d
-            np.add.at(grad, self.iu, f)
-            np.subtract.at(grad, self.ju, f)
-        return grad.ravel()
+            f = ((-a * c * self.mm * r ** (-a - 2))[:, None] * d).ravel()
+            np.add.at(grad, at_i, f)
+            np.subtract.at(grad, at_j, f)
+        return grad
 
     def hessian(self, sep, terms):
         """Exact symmetric 2n x 2n Hessian D^2 U.
@@ -100,23 +131,26 @@ class BodyPairs:
             c m_i m_j [a(a+2) r^{-a-4} d d^T - a r^{-a-2} I2],  d = q_i - q_j,
         added on the two diagonal body blocks and subtracted on the two
         off-diagonal ones, which encodes translation invariance exactly.
-        Each term's blocks are built at once and scattered onto (n, n, 2, 2)
-        body blocks.  A diagonal block b takes the pairs (j, b) before the
-        pairs (b, j), so every entry sums its pairs in i < j order.
+        Each term's blocks are built at once and scattered onto the flat
+        entries of the plan.  A diagonal block b takes the pairs (j, b)
+        before the pairs (b, j), so every entry sums its pairs in i < j
+        order; each off-diagonal entry belongs to one pair, so one
+        subtraction covers both off-diagonal blocks.
         """
         d, r = sep
         n = self.masses.size
-        H = np.zeros((n, n, 2, 2))
+        H = np.zeros(4 * n * n)
         dd = d[:, :, None] * d[:, None, :]
-        diag = np.concatenate([self.ju, self.iu])
+        eye = np.eye(2)
+        diag, off = self.plan.diag, self.plan.off
         for c, a in terms:
             coef_dd = c * self.mm * a * (a + 2) * r ** (-a - 4)
             coef_id = c * self.mm * a * r ** (-a - 2)
-            blk = coef_dd[:, None, None] * dd - coef_id[:, None, None] * np.eye(2)
-            np.add.at(H, (diag, diag), np.concatenate([blk, blk]))
-            H[self.iu, self.ju] -= blk
-            H[self.ju, self.iu] -= blk
-        return H.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+            blk = coef_dd[:, None, None] * dd - coef_id[:, None, None] * eye
+            both = np.concatenate([blk, blk]).ravel()
+            np.add.at(H, diag, both)
+            H[off] -= both
+        return H.reshape(2 * n, 2 * n)
 
     def centrality_residual(self, points, sep, terms, energies, inertia):
         """(omega^2, grad U, grad U + omega^2 grad I) with the generalized Euler
@@ -334,7 +368,12 @@ def angular_frequency_squared(config, spec):
 
 
 def rotation_period(omega2):
-    """Period 2 pi / omega of the rigid rotation at angular frequency^2 omega2."""
+    """Period 2 pi / omega of the rigid rotation at angular frequency^2
+    omega2; ValueError unless omega2 is finite and positive, since the
+    inertial frame omega2 = 0 does not rotate and has no period."""
+    if not (np.isfinite(omega2) and omega2 > 0):
+        raise ValueError(f"omega2 must be finite and positive for a rotation period, "
+                         f"got {omega2!r}")
     return float(2.0 * np.pi / np.sqrt(omega2))
 
 
@@ -346,8 +385,9 @@ def first_order_matrix(omega2, omega, h, j):
     matrices, one per h."""
     k = h.shape[-1]
     B = np.zeros(h.shape[:-2] + (2 * k, 2 * k), dtype=np.result_type(h.dtype, float))
-    B[..., :k, k:] = np.eye(k)
-    B[..., k:, :k] = omega2 * np.eye(k) + h
+    eye = np.eye(k)
+    B[..., :k, k:] = eye
+    B[..., k:, :k] = omega2 * eye + h
     B[..., k:, k:] = 2.0 * omega * j
     return B
 

@@ -30,6 +30,7 @@ from .spectrum import (
     eigenvalue_labels,
     full_linearization_spectrum,
     sorted_spectrum,
+    spectral_verdict,
 )
 from .symmetry import InvarianceError, eigenvalues_by_trace_equations
 
@@ -133,8 +134,15 @@ def _c(values):
     return [{"re": re, "im": im} for re, im in zip(v.real.tolist(), v.imag.tolist())]
 
 
-def _spectrum_dicts(values):
-    return _c(sorted_spectrum(values))
+def _sorted_rows(spectra):
+    """``sorted_spectrum`` of each spectrum, from one 2-D call per length:
+    each row is sorted on its own, so each equals its own call."""
+    rows = [None] * len(spectra)
+    for length in {len(eigs) for eigs in spectra}:
+        index = [i for i, eigs in enumerate(spectra) if len(eigs) == length]
+        for i, row in zip(index, sorted_spectrum(np.stack([spectra[i] for i in index]))):
+            rows[i] = row
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,11 +283,7 @@ def _analysis(request, config):
         except InvarianceError as exc:
             raise ConsistencyError("trace equations", str(exc)) from exc
         if case is not None:
-            ref_multiset = np.sort(np.concatenate([
-                np.full(m, rv.value)
-                for rv, m in zip(case.hessian_eigenvalues,
-                                 case.eigenvalue_multiplicities)
-            ]))
+            ref_multiset = case.reference_multiset
             agrees = bool(
                 np.max(np.abs(computed_multiset - ref_multiset))
                 <= REFERENCE_AGREE_TOL * (1.0 + np.max(np.abs(ref_multiset)))
@@ -302,12 +306,11 @@ def _analysis(request, config):
     match = compare_spectra(union, oracle, tol=COMPARE_TOL)
     if not match.matches:
         raise ConsistencyError("block union vs oracle", _mismatch(match, union, oracle))
-    # labelled in the order the report prints the oracle spectrum
-    verdict = classify(sorted_spectrum(oracle))
+    verdict, max_real_part, _ = spectral_verdict(oracle)
 
     dynamics_entry = None
     if request.with_dynamics:
-        dynamics_entry = _dynamics_section(eq, verdict)
+        dynamics_entry = _dynamics_section(eq, max_real_part)
     timing = (time.perf_counter() - t0) if request.with_timing else 0.0
 
     # what the dict needs, and no more: holding eq or the decomposition
@@ -319,17 +322,20 @@ def _analysis(request, config):
     centrality = eq.centrality
 
     def build():
+        *rows, union_sorted, oracle_sorted = _sorted_rows(
+            block_spectra + coupled_spectra + (union, oracle))
         blocks = [{
             "lam1": lam1,
             "lam2": lam2,
             "omega": omega,
             "eigenvalues": _c(eigs),
-        } for (lam1, lam2), eigs in zip(
-            lams, sorted_spectrum(np.reshape(block_spectra, (-1, 4))))]
+        } for (lam1, lam2), eigs in zip(lams, rows)]
         coupled = [{
             "dim": len(eigs) // 2,
-            "eigenvalues": _spectrum_dicts(eigs),
-        } for eigs in coupled_spectra]
+            "eigenvalues": _c(eigs),
+        } for eigs in rows[len(lams):]]
+        # labelled in the order the report prints the oracle spectrum
+        labelled = classify(oracle_sorted)
         return {
             "schema_version": SCHEMA_VERSION,
             "request": {
@@ -357,8 +363,8 @@ def _analysis(request, config):
             "hessian_eigenvalue_reference": eigen_reference,
             "blocks": blocks,
             "coupled_blocks": coupled,
-            "block_union_spectrum": _spectrum_dicts(union),
-            "oracle_spectrum": _c(verdict.eigenvalues),
+            "block_union_spectrum": _c(union_sorted),
+            "oracle_spectrum": _c(labelled.eigenvalues),
             "spectra_match": {
                 "matches": bool(match.matches),
                 "max_distance": float(match.max_distance),
@@ -366,12 +372,12 @@ def _analysis(request, config):
                 "scale": float(match.scale),
             },
             "verdict": {
-                "verdict": verdict.verdict,
-                "max_real_part": verdict.max_real_part,
-                "tol": verdict.tol,
-                "n_zero": verdict.n_zero,
-                "n_pure_imaginary": verdict.n_pure_imaginary,
-                "labels": list(verdict.labels),
+                "verdict": labelled.verdict,
+                "max_real_part": labelled.max_real_part,
+                "tol": labelled.tol,
+                "n_zero": labelled.n_zero,
+                "n_pure_imaginary": labelled.n_pure_imaginary,
+                "labels": list(labelled.labels),
             },
             "reference_notes": case.notes if case is not None else "",
             "discrepancies": discrepancies,
@@ -379,7 +385,7 @@ def _analysis(request, config):
             "timing_seconds": timing,
         }
 
-    report = StabilityReport(verdict.verdict, bool(match.matches), discrepancies, build)
+    report = StabilityReport(verdict, bool(match.matches), discrepancies, build)
     return report, eq, decomposition
 
 
@@ -394,7 +400,10 @@ def _mismatch(match, union, oracle):
     )
 
 
-def _dynamics_section(eq, verdict):
+def _dynamics_section(eq, predicted):
+    """The dynamics entry of the report: the equilibrium check and, where
+    the oracle's largest real part ``predicted`` exceeds 0.05 omega, the
+    measured growth rate against it."""
     from .dynamics import equilibrium_check, estimate_growth_rate, worst_direction
 
     pin_ratio, drift, _ = equilibrium_check(eq.config, eq.spec, eq.omega2)
@@ -406,7 +415,6 @@ def _dynamics_section(eq, verdict):
         "predicted_rate": None,
         "relative_error": None,
     }
-    predicted = verdict.max_real_part
     if predicted > 0.05 * eq.omega:
         est = estimate_growth_rate(eq, worst_direction(eq))
         entry["growth_rate"] = est.rate if not est.no_growth else 0.0

@@ -52,6 +52,15 @@ class CaseDefinition:
     def configuration(self):
         return _unit_polygon(self.n)
 
+    @functools.cached_property
+    def reference_multiset(self):
+        """The sorted reference Hessian eigenvalues, each repeated by its
+        multiplicity; read-only, built on first use."""
+        values = np.sort(np.repeat([rv.value for rv in self.hessian_eigenvalues],
+                                   self.eigenvalue_multiplicities))
+        values.flags.writeable = False
+        return values
+
 
 @functools.lru_cache(maxsize=HOMOGENEOUS_CACHE_SIZE)
 def _triangle_homogeneous(a):

@@ -312,18 +312,23 @@ def eigenvalue_labels(values, thr):
     return np.array(["complex", "real", "pure-imaginary", "zero"])[kind].tolist()
 
 
-def classify(eigs):
-    """Label eigenvalues and decide spectral stability.
-
-    Labels are measured against CLASSIFY_TOL times the spectral radius; the
-    verdict is unstable iff some real part exceeds that threshold.
-    """
-    vals = np.asarray(eigs, dtype=complex)
+def spectral_verdict(eigs):
+    """(verdict, max Re, threshold) of a spectrum in any order: unstable iff
+    some real part exceeds the threshold, CLASSIFY_TOL times the spectral
+    radius.  The radius is taken on contiguous values, since numpy rounds
+    the complex abs of a strided view differently, by up to an ulp."""
+    vals = np.ascontiguousarray(eigs, dtype=complex)
     thr = CLASSIFY_TOL * float(np.max(np.abs(vals), initial=1e-300))
-    labels = eigenvalue_labels(vals, thr)
     max_re = float(np.max(vals.real)) if vals.size else 0.0
-    verdict = UNSTABLE if max_re > thr else NOT_UNSTABLE
-    return StabilityVerdict(vals, tuple(labels), verdict, max_re, thr)
+    return (UNSTABLE if max_re > thr else NOT_UNSTABLE), max_re, thr
+
+
+def classify(eigs):
+    """Label eigenvalues and decide spectral stability (``spectral_verdict``);
+    labels are measured against the verdict's threshold."""
+    vals = np.asarray(eigs, dtype=complex)
+    verdict, max_re, thr = spectral_verdict(vals)
+    return StabilityVerdict(vals, tuple(eigenvalue_labels(vals, thr)), verdict, max_re, thr)
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,9 @@ COUPLE_TOL = 1e-8
 # against the trace-equation sums and a direct eigvalsh.
 INVARIANCE_TOL = 1e-8
 TRACE_CHECK_TOL = 1e-9
-# Entries kept by each per-n cache (``dihedral``, ``block_symplectic``): at
-# least the 22 polygons n = 3..24 that one pass over a deck of them meets.
+# Entries kept by each per-n cache (``dihedral``, ``block_symplectic``,
+# ``model.pair_plan``): at least the 22 polygons n = 3..24 that one pass
+# over a deck of them meets.
 DIHEDRAL_CACHE_SIZE = 32
 
 
@@ -86,7 +87,11 @@ class SymmetryGroup:
     action per irreducible, the row gathers ``gathers`` of the generators a
     and r (``_commutator``), each W_k's dimension ``wave_dims`` (2 where
     2k = 0 mod n, else 4) and ``wave_number_stack``'s unit cos/sin
-    ``patterns``.
+    ``patterns``.  The trace equations read the rest: the characters per
+    element ``element_characters`` (characters[:, class_of]), the count
+    ``n_one_dim`` of one-dimensional irreducibles, the ``component_slices``
+    of each irreducible's copies in table order, the ``degree_repeats`` of
+    each copy (its irreducible's degree) and the ``body_index`` 0..n-1.
     """
 
     perms: np.ndarray           # (2n, n) int
@@ -102,6 +107,11 @@ class SymmetryGroup:
     gathers: np.ndarray
     wave_dims: np.ndarray
     patterns: np.ndarray
+    element_characters: np.ndarray
+    n_one_dim: int
+    component_slices: tuple
+    degree_repeats: np.ndarray
+    body_index: np.ndarray
 
     @property
     def order(self):
@@ -224,13 +234,19 @@ def dihedral(n):
     patterns[dims == 2, 1] = 0.0
     norms = np.sqrt((patterns * patterns).sum(axis=2, keepdims=True))
     patterns /= np.where(norms > 0.0, norms, 1.0)
-    for arr in (perms, class_of, degrees, characters, class_sizes, gathers, dims, patterns):
-        arr.flags.writeable = False
+    element_characters = characters[:, class_of]
     rots = np.moveaxis(rotation(2.0 * np.pi * ks / n), -1, 0)
     group = SymmetryGroup(perms, _planar_maps(rots, 0.0), classes, 0.0, class_of, tuple(names),
-                          degrees, characters, class_sizes, (), gathers, dims, patterns)
-    chi = representation_character(group)
-    return replace(group, multiplicities=tuple(decompose_multiplicities(chi, group)))
+                          degrees, characters, class_sizes, (), gathers, dims, patterns,
+                          element_characters, len(names) - n_two_dim, (), degrees, ks)
+    mult = decompose_multiplicities(representation_character(group), group)
+    ends = np.cumsum(mult).tolist()
+    repeats = np.repeat(degrees, mult)
+    for arr in (perms, class_of, degrees, characters, class_sizes, gathers, dims, patterns,
+                element_characters, repeats, ks):
+        arr.flags.writeable = False
+    return replace(group, multiplicities=tuple(mult), degree_repeats=repeats,
+                   component_slices=tuple(map(slice, [0, *ends[:-1]], ends)))
 
 
 def _commutator(H, idx, ortho):
@@ -240,7 +256,7 @@ def _commutator(H, idx, ortho):
     rows idx = 2 perm[i] + (0, 1) lines the two up for every i and j."""
     n = idx.size // 2
     DH = np.einsum("kl,ilc->ikc", ortho, H.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)
-    HD = (H[np.ix_(idx, idx)].reshape(-1, 2) @ ortho).reshape(2 * n, 2 * n)
+    HD = (H[idx[:, None], idx].reshape(-1, 2) @ ortho).reshape(2 * n, 2 * n)
     return DH - HD
 
 
@@ -304,12 +320,12 @@ def eigenvalues_by_trace_equations(H, group, wave_eigs):
                               f"defect {defect:.3e} exceeds its bound {bound:.3e}")
     n = group.n
     # [g, i] is the 2x2 block H_{i perm_g[i]}
-    blocks = H.reshape(n, 2, n, 2)[np.arange(n), :, group.perms]
+    blocks = H.reshape(n, 2, n, 2)[group.body_index, :, group.perms]
     traces = np.einsum("gikl,glk->g", blocks, group.orthos)
-    sums = group.characters[:, group.class_of] @ traces / group.order
+    sums = group.element_characters @ traces / group.order
     # the rows E1, E2, ... follow the one-dimensional irreducibles, and E_j
     # is carried by W_j, j = 1..n_two_dim
-    n_one = int(np.sum(group.degrees == 1))
+    n_one = group.n_one_dim
     wave_eigs = np.asarray(wave_eigs)[1:len(group.names) - n_one + 1]
     off = np.abs(wave_eigs.sum(axis=1) - sums[n_one:])
     bounds = TRACE_CHECK_TOL * (1.0 + np.abs(sums[n_one:]))
@@ -322,13 +338,14 @@ def eigenvalues_by_trace_equations(H, group, wave_eigs):
         )
     # one eigenvalue per copy of each irreducible, in table order
     values = np.concatenate([sums[:n_one], wave_eigs.ravel()])
-    lams = np.split(values, np.cumsum(group.multiplicities)[:-1])
     components = [
-        {"irrep": name, "degree": int(d), "multiplicity": m, "eigenvalues": lam.tolist()}
-        for name, d, m, lam in zip(group.names, group.degrees, group.multiplicities, lams)
+        {"irrep": name, "degree": int(d), "multiplicity": m, "eigenvalues": values[s].tolist()}
+        for name, d, m, s in zip(group.names, group.degrees, group.multiplicities,
+                                 group.component_slices)
     ]
-    multiset = np.sort(np.repeat(values, np.repeat(group.degrees, group.multiplicities)))
-    worst = float(np.max(np.abs(np.sort(np.linalg.eigvalsh(H)) - multiset)))
+    multiset = np.sort(np.repeat(values, group.degree_repeats))
+    # eigvalsh returns the eigenvalues in ascending order
+    worst = float(np.max(np.abs(np.linalg.eigvalsh(H) - multiset)))
     bound = TRACE_CHECK_TOL * (scale + 1.0)
     if not worst <= bound:
         raise InvarianceError(f"trace-equation eigenvalues are {worst:.3e} from a direct "

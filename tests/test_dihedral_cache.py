@@ -15,6 +15,7 @@ import pytest
 
 from relequil import symmetry
 from relequil.central import regular_polygon
+from relequil.model import pair_plan
 from relequil.pipeline import AnalysisRequest, run_analysis, run_sweep
 from relequil.symmetry import (
     DIHEDRAL_CACHE_SIZE,
@@ -98,8 +99,11 @@ def _cached_arrays(n, group):
         "perms": entry.perms, "orthos": entry.orthos, "class_of": entry.class_of,
         "gathers": entry.gathers, "wave_dims": entry.wave_dims, "patterns": entry.patterns,
         "degrees": entry.degrees, "characters": entry.characters,
-        "class_sizes": entry.class_sizes, "group.perms": group.perms,
+        "class_sizes": entry.class_sizes, "element_characters": entry.element_characters,
+        "degree_repeats": entry.degree_repeats, "body_index": entry.body_index,
+        "group.perms": group.perms,
         "group.orthos": group.orthos, "block_symplectic": block_symplectic(n),
+        **{f"pair_plan.{name}": a for name, a in pair_plan(n)._asdict().items()},
     }
 
 
@@ -135,7 +139,25 @@ def test_cached_build_matches_a_build_from_scratch(n):
 
 # the fields of a group that depend on n alone
 PER_N_FIELDS = ("perms", "conjugacy_classes", "class_of", "names", "degrees", "characters",
-                "class_sizes", "multiplicities", "gathers", "wave_dims", "patterns")
+                "class_sizes", "multiplicities", "gathers", "wave_dims", "patterns",
+                "element_characters", "n_one_dim", "component_slices", "degree_repeats",
+                "body_index")
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_trace_tables_equal_their_per_call_expressions(n):
+    # the trace equations once rebuilt these on every call
+    group = dihedral(n)
+    assert _same_bytes(group.element_characters, group.characters[:, group.class_of])
+    assert group.n_one_dim == int(np.sum(group.degrees == 1))
+    assert type(group.n_one_dim) is int
+    assert _same_bytes(group.degree_repeats, np.repeat(group.degrees, group.multiplicities))
+    assert _same_bytes(group.body_index, np.arange(n))
+    values = np.random.default_rng(n).standard_normal(sum(group.multiplicities))
+    split = np.split(values, np.cumsum(group.multiplicities)[:-1])
+    assert len(group.component_slices) == len(split) == len(group.names)
+    for s, part in zip(group.component_slices, split):
+        assert _same_bytes(values[s], part)
 
 
 @pytest.mark.parametrize("n", range(3, 33))
@@ -187,5 +209,6 @@ def test_more_polygons_than_the_bound_stay_within_it():
         assert report.matches_oracle, n
         assert symmetry.dihedral.cache_info().currsize <= DIHEDRAL_CACHE_SIZE
         assert block_symplectic.cache_info().currsize <= DIHEDRAL_CACHE_SIZE
+        assert pair_plan.cache_info().currsize <= DIHEDRAL_CACHE_SIZE
     info = symmetry.dihedral.cache_info()
     assert info.misses == len(sizes) and info.currsize == DIHEDRAL_CACHE_SIZE

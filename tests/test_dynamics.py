@@ -18,6 +18,7 @@ from relequil.model import (
     angular_frequency_squared,
     is_central_configuration,
     potential_gradient,
+    rotation_period,
 )
 from relequil.presets import PRESET_NAMES, get_case
 from relequil.spectrum import full_linearization_spectrum
@@ -277,6 +278,15 @@ class TestIntegrator:
             warnings.simplefilter("error")
             traj = integrate_rotating_frame(cfg, spec, omega2=0.0, **kwargs)
         assert traj.blew_up
+
+    @pytest.mark.parametrize("given", [{}, {"duration": 1.0}, {"dt": 0.01}])
+    def test_non_rotating_frame_needs_duration_and_dt(self, newton_triangle, given):
+        # the defaults are fractions of a period, which omega^2 = 0 lacks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^omega2 = 0 .* no rotation period .*"
+                                                 "pass duration and dt$"):
+                integrate_rotating_frame(*newton_triangle, omega2=0.0, **given)
 
     @pytest.mark.parametrize("omega2", [-1.0, np.nan, np.inf])
     def test_frame_frequency_must_be_finite_and_non_negative(self, newton_triangle, omega2):
@@ -757,6 +767,22 @@ class TestEquilibriumCheck:
     def test_negative_frame_frequency_is_named(self, newton_triangle):
         with pytest.raises(ValueError, match="^omega2 must be finite and non-negative"):
             equilibrium_check(*newton_triangle, -1.0)
+
+    def test_non_rotating_frame_has_no_period(self, newton_triangle):
+        # the run is counted in periods of the frame; this once divided by
+        # zero and then blamed a duration of inf that the caller never gave
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^omega2 = 0 .* no rotation period"):
+                equilibrium_check(*newton_triangle, 0.0)
+
+
+@pytest.mark.parametrize("omega2", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_rotation_period_needs_a_finite_positive_frequency(omega2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^omega2 must be finite and positive"):
+            rotation_period(omega2)
 
     @pytest.mark.parametrize("name", ["periods", "steps_per_period", "sample_every"])
     @pytest.mark.parametrize("value", [0, -1, np.nan, np.inf])

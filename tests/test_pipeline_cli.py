@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,15 @@ from relequil.pipeline import (
     run_sweep,
 )
 from relequil.presets import HOMOGENEOUS_PRESETS, PRESET_NAMES
-from relequil.spectrum import eigenvalue_labels
+from relequil.spectrum import (
+    UNSTABLE,
+    classify,
+    eigenvalue_labels,
+    full_linearization_spectrum,
+    sorted_spectrum,
+)
+
+from conftest import PRESET_ALPHAS
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden"
 
@@ -228,6 +237,42 @@ class TestReports:
         assert line[0] == "collinear" and line[7] == "pairs"
         assert 0.0 < float(line[8]) <= 1e-12
 
+    @pytest.fixture
+    def report_digest(self, monkeypatch):
+        """scripts/report_digest.py as a module; the search path and BLAS
+        settings it sets on import are restored after the test."""
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+        spec = importlib.util.spec_from_file_location(
+            "report_digest", GOLDEN_DIR.parent / "scripts" / "report_digest.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        digests = {"presets": "ab" * 32, "polygons": "cd" * 32, "collinear": "ef" * 32}
+        monkeypatch.setattr(module, "digest", digests.__getitem__)
+        monkeypatch.setattr(module, "dynamics_digest", lambda: "01" * 32)
+        return module
+
+    def test_report_digest_expect_names_every_deck_that_differs(self, report_digest, capsys):
+        assert report_digest.main(["--expect", "abab", "cd", "efefef", "0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"presets    {'ab' * 32}", f"polygons   {'cd' * 32}",
+                       f"collinear  {'ef' * 32}", f"dynamics   {'01' * 32}",
+                       "all 4 digests match"]
+        assert report_digest.main(["--expect", "abab", "cdce", "ef", "0102"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "digests differ:",
+            f"polygons: {'cd' * 32} does not start with cdce",
+            f"dynamics: {'01' * 32} does not start with 0102",
+        ]
+
+    @pytest.mark.parametrize("prefixes", [["ab", "cd", "ef"], ["ab", "cd", "ef", "01", "23"],
+                                          ["ab", "cd", "ef", "XY"], ["ab", "", "ef", "01"]])
+    def test_report_digest_expect_takes_one_hex_prefix_per_deck(self, report_digest, prefixes):
+        with pytest.raises(SystemExit) as exc:
+            report_digest.main(["--expect", *prefixes])
+        assert exc.value.code == 2
+
     def test_reference_values_present_with_flags(self):
         report = run_analysis(_preset_request("manev-square"))
         om = report.to_dict()["omega_squared"]
@@ -263,13 +308,15 @@ class TestLazyReport:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_the_verdict_is_read_without_serializing(self, name, monkeypatch):
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-        report = run_analysis(_preset_request(name))
 
         def refuse(*args):
             raise AssertionError("the report was serialized")
 
+        # the analysis itself neither sorts nor labels a spectrum
         monkeypatch.setattr(pipeline, "_c", refuse)
         monkeypatch.setattr(pipeline, "sorted_spectrum", refuse)
+        monkeypatch.setattr(pipeline, "classify", refuse)
+        report = run_analysis(_preset_request(name))
         assert report.verdict == golden["verdict"]["verdict"]
         assert report.matches_oracle is golden["spectra_match"]["matches"] is True
         assert report.discrepancies == golden["discrepancies"]
@@ -280,6 +327,32 @@ class TestLazyReport:
         assert data == golden
         assert report.to_dict() is data and report.data is data
         assert report.discrepancies is data["discrepancies"]
+
+    def test_grid_verdicts_need_no_sort_and_no_labels(self, monkeypatch):
+        # the verdict is read off the unsorted oracle spectrum; the dict
+        # builds the sorted oracle and its labels with classify, as every
+        # report did before
+        requests = [AnalysisRequest(case=name, alpha=alpha)
+                    for name in HOMOGENEOUS_PRESETS for alpha in PRESET_ALPHAS]
+        expected = [(d["verdict"]["verdict"], d["spectra_match"]["matches"], d["discrepancies"])
+                    for d in (run_analysis(r).to_dict() for r in requests)]
+        assert {verdict for verdict, _, _ in expected} == {UNSTABLE}
+
+        def refuse(*args):
+            raise AssertionError("a spectrum was sorted or labelled")
+
+        monkeypatch.setattr(pipeline, "sorted_spectrum", refuse)
+        monkeypatch.setattr(pipeline, "classify", refuse)
+        reports = [run_analysis(r) for r in requests]
+        assert [(r.verdict, r.matches_oracle, r.discrepancies) for r in reports] == expected
+
+    def test_the_dynamics_section_predicts_the_labelled_max_real_part(self):
+        request = replace(_preset_request("triangle-homogeneous"), with_dynamics=True)
+        section = run_analysis(request).to_dict()["dynamics"]
+        eq, _ = request.equilibrium()
+        labelled = classify(sorted_spectrum(full_linearization_spectrum(eq)))
+        assert section["predicted_rate"] == labelled.max_real_part
+        assert section == pipeline._dynamics_section(eq, labelled.max_real_part)
 
     @pytest.mark.parametrize("request_", [
         _preset_request("triangle-homogeneous"),

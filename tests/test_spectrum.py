@@ -28,10 +28,11 @@ from relequil.spectrum import (
     full_linearization_spectrum,
     _trivial_in,
     sorted_spectrum,
+    spectral_verdict,
 )
 from relequil.symmetry import J2, block_symplectic, symplectic_pairs
 
-from conftest import wave_bases
+from conftest import WHOLE_SPACE_DECK, wave_bases
 
 
 def _match_distance(a, b):
@@ -179,6 +180,18 @@ class TestClassify:
         v = classify(np.array([1e-12 + 1j, -1e-12 - 1j, 1.0, -1.0]))
         assert v.labels[:2] in (("pure-imaginary", "pure-imaginary"),)
         assert "real" in v.labels
+
+
+    def test_the_verdict_of_an_unsorted_spectrum_is_that_of_the_sorted_one(self, rng):
+        # the oracle spectra of the inputs without a dihedral group, as the
+        # eigensolver leaves them, reversed and shuffled
+        for label, cfg, spec in WHOLE_SPACE_DECK:
+            oracle = full_linearization_spectrum(Equilibrium(cfg, spec))
+            want = classify(sorted_spectrum(oracle))
+            for x in (oracle, oracle[::-1], rng.permutation(oracle)):
+                assert spectral_verdict(x) == (want.verdict, want.max_real_part, want.tol), label
+        empty = classify(np.zeros(0))
+        assert spectral_verdict([]) == (empty.verdict, empty.max_real_part, empty.tol)
 
 
 class TestSortedSpectrum:
