@@ -240,9 +240,6 @@ def integrate_rotating_frame(config, spec, initial_velocity=None, duration=None,
         raise ValueError("stop_deviation needs a reference_equilibrium")
     if duration is None or dt is None:
         # only the defaults need the period, which omega2 = 0 lacks
-        if frame.omega2 == 0.0:
-            raise ValueError("omega2 = 0 is the inertial frame, which has no rotation "
-                             "period to default the run length from: pass duration and dt")
         period = rotation_period(frame.omega2)
         duration = period if duration is None else duration
         dt = period / DEFAULT_STEPS_PER_PERIOD if dt is None else dt
@@ -327,9 +324,6 @@ def equilibrium_check(config, spec, omega2=None, periods=1.0, steps_per_period=2
     centrality = is_central_configuration(config, spec)
     grad, residual = centrality.gradient, centrality.residual
     frame = _RotatingFrame(config, spec, centrality.multiplier if omega2 is None else omega2)
-    if frame.omega2 == 0.0:
-        raise ValueError("omega2 = 0 is the inertial frame, which has no rotation period "
-                         "to measure the check's run in periods of")
     frame.set_reference_equilibrium(config.positions)
     pin_defect = float(np.max(np.abs(frame.offset.view(float) - residual / config.mass_vector)))
     pin_bound = 4.0 * np.finfo(float).eps * (

@@ -372,8 +372,8 @@ def rotation_period(omega2):
     omega2; ValueError unless omega2 is finite and positive, since the
     inertial frame omega2 = 0 does not rotate and has no period."""
     if not (np.isfinite(omega2) and omega2 > 0):
-        raise ValueError(f"omega2 must be finite and positive for a rotation period, "
-                         f"got {omega2!r}")
+        raise ValueError(f"omega2 must be finite and positive for a rotation period "
+                         f"(the inertial frame omega2 = 0 has none), got {omega2!r}")
     return float(2.0 * np.pi / np.sqrt(omega2))
 
 

@@ -134,15 +134,8 @@ def _c(values):
     return [{"re": re, "im": im} for re, im in zip(v.real.tolist(), v.imag.tolist())]
 
 
-def _sorted_rows(spectra):
-    """``sorted_spectrum`` of each spectrum, from one 2-D call per length:
-    each row is sorted on its own, so each equals its own call."""
-    rows = [None] * len(spectra)
-    for length in {len(eigs) for eigs in spectra}:
-        index = [i for i, eigs in enumerate(spectra) if len(eigs) == length]
-        for i, row in zip(index, sorted_spectrum(np.stack([spectra[i] for i in index]))):
-            rows[i] = row
-    return rows
+def _spectrum_dicts(values):
+    return _c(sorted_spectrum(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,20 +315,19 @@ def _analysis(request, config):
     centrality = eq.centrality
 
     def build():
-        *rows, union_sorted, oracle_sorted = _sorted_rows(
-            block_spectra + coupled_spectra + (union, oracle))
         blocks = [{
             "lam1": lam1,
             "lam2": lam2,
             "omega": omega,
             "eigenvalues": _c(eigs),
-        } for (lam1, lam2), eigs in zip(lams, rows)]
+        } for (lam1, lam2), eigs in zip(
+            lams, sorted_spectrum(np.reshape(block_spectra, (-1, 4))))]
         coupled = [{
             "dim": len(eigs) // 2,
-            "eigenvalues": _c(eigs),
-        } for eigs in rows[len(lams):]]
+            "eigenvalues": _spectrum_dicts(eigs),
+        } for eigs in coupled_spectra]
         # labelled in the order the report prints the oracle spectrum
-        labelled = classify(oracle_sorted)
+        labelled = classify(sorted_spectrum(oracle))
         return {
             "schema_version": SCHEMA_VERSION,
             "request": {
@@ -363,7 +355,7 @@ def _analysis(request, config):
             "hessian_eigenvalue_reference": eigen_reference,
             "blocks": blocks,
             "coupled_blocks": coupled,
-            "block_union_spectrum": _c(union_sorted),
+            "block_union_spectrum": _spectrum_dicts(union),
             "oracle_spectrum": _c(labelled.eigenvalues),
             "spectra_match": {
                 "matches": bool(match.matches),

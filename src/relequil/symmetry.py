@@ -88,10 +88,9 @@ class SymmetryGroup:
     and r (``_commutator``), each W_k's dimension ``wave_dims`` (2 where
     2k = 0 mod n, else 4) and ``wave_number_stack``'s unit cos/sin
     ``patterns``.  The trace equations read the rest: the characters per
-    element ``element_characters`` (characters[:, class_of]), the count
-    ``n_one_dim`` of one-dimensional irreducibles, the ``component_slices``
-    of each irreducible's copies in table order, the ``degree_repeats`` of
-    each copy (its irreducible's degree) and the ``body_index`` 0..n-1.
+    element ``element_characters`` (characters[:, class_of]), the
+    ``component_slices`` of each irreducible's copies in table order and
+    the ``degree_repeats`` of each copy (its irreducible's degree).
     """
 
     perms: np.ndarray           # (2n, n) int
@@ -108,10 +107,8 @@ class SymmetryGroup:
     wave_dims: np.ndarray
     patterns: np.ndarray
     element_characters: np.ndarray
-    n_one_dim: int
     component_slices: tuple
     degree_repeats: np.ndarray
-    body_index: np.ndarray
 
     @property
     def order(self):
@@ -238,12 +235,12 @@ def dihedral(n):
     rots = np.moveaxis(rotation(2.0 * np.pi * ks / n), -1, 0)
     group = SymmetryGroup(perms, _planar_maps(rots, 0.0), classes, 0.0, class_of, tuple(names),
                           degrees, characters, class_sizes, (), gathers, dims, patterns,
-                          element_characters, len(names) - n_two_dim, (), degrees, ks)
+                          element_characters, (), degrees)
     mult = decompose_multiplicities(representation_character(group), group)
     ends = np.cumsum(mult).tolist()
     repeats = np.repeat(degrees, mult)
     for arr in (perms, class_of, degrees, characters, class_sizes, gathers, dims, patterns,
-                element_characters, repeats, ks):
+                element_characters, repeats):
         arr.flags.writeable = False
     return replace(group, multiplicities=tuple(mult), degree_repeats=repeats,
                    component_slices=tuple(map(slice, [0, *ends[:-1]], ends)))
@@ -320,12 +317,12 @@ def eigenvalues_by_trace_equations(H, group, wave_eigs):
                               f"defect {defect:.3e} exceeds its bound {bound:.3e}")
     n = group.n
     # [g, i] is the 2x2 block H_{i perm_g[i]}
-    blocks = H.reshape(n, 2, n, 2)[group.body_index, :, group.perms]
+    blocks = H.reshape(n, 2, n, 2)[np.arange(n), :, group.perms]
     traces = np.einsum("gikl,glk->g", blocks, group.orthos)
     sums = group.element_characters @ traces / group.order
     # the rows E1, E2, ... follow the one-dimensional irreducibles, and E_j
     # is carried by W_j, j = 1..n_two_dim
-    n_one = group.n_one_dim
+    n_one = int(np.sum(group.degrees == 1))
     wave_eigs = np.asarray(wave_eigs)[1:len(group.names) - n_one + 1]
     off = np.abs(wave_eigs.sum(axis=1) - sums[n_one:])
     bounds = TRACE_CHECK_TOL * (1.0 + np.abs(sums[n_one:]))

@@ -100,7 +100,7 @@ def _cached_arrays(n, group):
         "gathers": entry.gathers, "wave_dims": entry.wave_dims, "patterns": entry.patterns,
         "degrees": entry.degrees, "characters": entry.characters,
         "class_sizes": entry.class_sizes, "element_characters": entry.element_characters,
-        "degree_repeats": entry.degree_repeats, "body_index": entry.body_index,
+        "degree_repeats": entry.degree_repeats,
         "group.perms": group.perms,
         "group.orthos": group.orthos, "block_symplectic": block_symplectic(n),
         **{f"pair_plan.{name}": a for name, a in pair_plan(n)._asdict().items()},
@@ -140,8 +140,7 @@ def test_cached_build_matches_a_build_from_scratch(n):
 # the fields of a group that depend on n alone
 PER_N_FIELDS = ("perms", "conjugacy_classes", "class_of", "names", "degrees", "characters",
                 "class_sizes", "multiplicities", "gathers", "wave_dims", "patterns",
-                "element_characters", "n_one_dim", "component_slices", "degree_repeats",
-                "body_index")
+                "element_characters", "component_slices", "degree_repeats")
 
 
 @pytest.mark.parametrize("n", range(3, 33))
@@ -149,10 +148,7 @@ def test_trace_tables_equal_their_per_call_expressions(n):
     # the trace equations once rebuilt these on every call
     group = dihedral(n)
     assert _same_bytes(group.element_characters, group.characters[:, group.class_of])
-    assert group.n_one_dim == int(np.sum(group.degrees == 1))
-    assert type(group.n_one_dim) is int
     assert _same_bytes(group.degree_repeats, np.repeat(group.degrees, group.multiplicities))
-    assert _same_bytes(group.body_index, np.arange(n))
     values = np.random.default_rng(n).standard_normal(sum(group.multiplicities))
     split = np.split(values, np.cumsum(group.multiplicities)[:-1])
     assert len(group.component_slices) == len(split) == len(group.names)

@@ -284,8 +284,8 @@ class TestIntegrator:
         # the defaults are fractions of a period, which omega^2 = 0 lacks
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^omega2 = 0 .* no rotation period .*"
-                                                 "pass duration and dt$"):
+            with pytest.raises(ValueError, match="^omega2 must be finite and positive for a "
+                                                 "rotation period"):
                 integrate_rotating_frame(*newton_triangle, omega2=0.0, **given)
 
     @pytest.mark.parametrize("omega2", [-1.0, np.nan, np.inf])
@@ -773,8 +773,15 @@ class TestEquilibriumCheck:
         # zero and then blamed a duration of inf that the caller never gave
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^omega2 = 0 .* no rotation period"):
+            with pytest.raises(ValueError, match="^omega2 must be finite and positive for a "
+                                                 "rotation period"):
                 equilibrium_check(*newton_triangle, 0.0)
+
+    @pytest.mark.parametrize("name", ["periods", "steps_per_period", "sample_every"])
+    @pytest.mark.parametrize("value", [0, -1, np.nan, np.inf])
+    def test_run_lengths_must_be_finite_and_positive(self, newton_triangle, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            equilibrium_check(*newton_triangle, **{name: value})
 
 
 @pytest.mark.parametrize("omega2", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
@@ -783,9 +790,3 @@ def test_rotation_period_needs_a_finite_positive_frequency(omega2):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^omega2 must be finite and positive"):
             rotation_period(omega2)
-
-    @pytest.mark.parametrize("name", ["periods", "steps_per_period", "sample_every"])
-    @pytest.mark.parametrize("value", [0, -1, np.nan, np.inf])
-    def test_run_lengths_must_be_finite_and_positive(self, newton_triangle, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-            equilibrium_check(*newton_triangle, **{name: value})

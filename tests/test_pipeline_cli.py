@@ -237,42 +237,6 @@ class TestReports:
         assert line[0] == "collinear" and line[7] == "pairs"
         assert 0.0 < float(line[8]) <= 1e-12
 
-    @pytest.fixture
-    def report_digest(self, monkeypatch):
-        """scripts/report_digest.py as a module; the search path and BLAS
-        settings it sets on import are restored after the test."""
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, "1")
-        spec = importlib.util.spec_from_file_location(
-            "report_digest", GOLDEN_DIR.parent / "scripts" / "report_digest.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        digests = {"presets": "ab" * 32, "polygons": "cd" * 32, "collinear": "ef" * 32}
-        monkeypatch.setattr(module, "digest", digests.__getitem__)
-        monkeypatch.setattr(module, "dynamics_digest", lambda: "01" * 32)
-        return module
-
-    def test_report_digest_expect_names_every_deck_that_differs(self, report_digest, capsys):
-        assert report_digest.main(["--expect", "abab", "cd", "efefef", "0"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out == [f"presets    {'ab' * 32}", f"polygons   {'cd' * 32}",
-                       f"collinear  {'ef' * 32}", f"dynamics   {'01' * 32}",
-                       "all 4 digests match"]
-        assert report_digest.main(["--expect", "abab", "cdce", "ef", "0102"]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "digests differ:",
-            f"polygons: {'cd' * 32} does not start with cdce",
-            f"dynamics: {'01' * 32} does not start with 0102",
-        ]
-
-    @pytest.mark.parametrize("prefixes", [["ab", "cd", "ef"], ["ab", "cd", "ef", "01", "23"],
-                                          ["ab", "cd", "ef", "XY"], ["ab", "", "ef", "01"]])
-    def test_report_digest_expect_takes_one_hex_prefix_per_deck(self, report_digest, prefixes):
-        with pytest.raises(SystemExit) as exc:
-            report_digest.main(["--expect", *prefixes])
-        assert exc.value.code == 2
-
     def test_reference_values_present_with_flags(self):
         report = run_analysis(_preset_request("manev-square"))
         om = report.to_dict()["omega_squared"]
